@@ -10,7 +10,7 @@ The package is organized in layers:
     Fixed-step ODE solvers (euler, rk4, fixed-adams) and batched
     integration over per-sample sub-intervals.
 ``robot``
-    Ground-truth rod kinematics, action maps, dataset sampling,
+    Ground-truth closed-form arc kinematics, action maps, dataset sampling,
     reference trajectories, payload and obstacle geometry.
 ``shape_node``
     Arc-length neural ODE that learns backbone shapes from actions.

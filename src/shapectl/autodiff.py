@@ -248,16 +248,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a.tape._record(out, (a.nid, b.nid), bk)
 
 
-def matmul_const(a: Tensor, c) -> Tensor:
-    """Matrix product with a constant right factor."""
-    c = _as_f64(c)
-
-    def bk(grad):
-        return (grad @ c.T,)
-
-    return a.tape._record(a.value @ c, (a.nid,), bk)
-
-
 def dense(
     x: Tensor, w: Tensor, b: Tensor, activation: str = "identity", slope: float = 0.01
 ) -> Tensor:

@@ -50,7 +50,13 @@ from .reports import (
     write_shape_eval_csv,
     write_tracking_log_csv,
 )
-from .robot import RobotConfig, reference_trajectory, sample_dataset
+from .odeint import SOLVER_KINDS
+from .robot import (
+    TRAJECTORY_KINDS,
+    RobotConfig,
+    reference_trajectory,
+    sample_dataset,
+)
 from .shape_node import (
     ShapeNodeModel,
     evaluate_shape_rmse,
@@ -68,7 +74,6 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
 
-TRAJECTORY_KINDS = ("circle", "ellipse", "s_shape", "helix", "square")
 TRACKING_KINDS = ("circle", "ellipse", "s_shape", "square")
 OBSTACLE_KINDS = ("circle", "square")
 PAYLOAD_GRAMS = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -181,7 +186,7 @@ def cmd_train_shape(args) -> int:
         model = _load_shape(args.init_model, robot)
     else:
         solver = cfg.get("shape", "solver")
-        if solver not in ("euler", "rk4", "fixed-adams"):
+        if solver not in SOLVER_KINDS:
             raise ConfigError(f"unknown solver {solver!r}")
         model = init_shape_model(
             np.random.default_rng(train_cfg.seed + 1),

@@ -714,10 +714,11 @@ def closed_loop_track(
     tips = np.zeros((n, 3))
     actions = np.zeros((n, config.action_dim))
     dists = np.zeros(n) if obstacle is not None else None
+    # each tick observes the backbone the previous tick achieved
+    achieved = forward_kinematics(config, q, payload_grams=payload_grams)
     for k in range(n):
         t_next = (k + 1) * tick
-        observed = forward_kinematics(config, q, payload_grams=payload_grams)
-        obs_ds = downsample_backbone(observed.points)
+        obs_ds = downsample_backbone(achieved.points)
         goal = reference_trajectory(kind, t_next, length, period)
         tape = Tape()
         result = rollout_policy(
@@ -730,7 +731,7 @@ def closed_loop_track(
             noise_rng=rng if noise_std > 0.0 else None,
             noise_std=noise_std,
             noise_first_only=True,
-            initial_observation=(obs_ds[None], observed.tip[None]),
+            initial_observation=(obs_ds[None], achieved.tip[None]),
         )
         # tanh can hit the exact bound in float64; keep the applied
         # action strictly inside so the next re-plan can invert it

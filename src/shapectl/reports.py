@@ -21,7 +21,7 @@ from .robot import (
     BackboneShape,
     RobotConfig,
     ShapeSample,
-    action_to_curvature,
+    backbone_arc_coords,
 )
 
 
@@ -60,7 +60,8 @@ def write_dataset_csv(path, samples, config: RobotConfig) -> None:
 
 
 def read_dataset_csv(path, config: RobotConfig) -> list[ShapeSample]:
-    """Rebuild samples; a header not matching ``config`` is an error."""
+    """Rebuild samples; a header or segment lengths not matching
+    ``config`` are an error."""
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         try:
@@ -75,26 +76,22 @@ def read_dataset_csv(path, config: RobotConfig) -> list[ShapeSample]:
     pps = (len(header) - base) // (3 * n)
     if header != dataset_header(config, pps) or pps < 1:
         raise ValueError("dataset header does not match the robot config")
+    s_coords = backbone_arc_coords(config, pps)
     out = []
     for row in rows:
-        q = np.array(row[: 2 * n])
         lengths = tuple(row[2 * n : 3 * n])
+        if lengths != config.segment_lengths:
+            raise ValueError(
+                f"dataset segment lengths {list(lengths)} do not match the "
+                f"robot config's {list(config.segment_lengths)}"
+            )
         pts = np.array(row[base:]).reshape(-1, 3)
-        s_coords = [0.0]
-        start = 0.0
-        for length in lengths:
-            for k in range(1, pps + 1):
-                s_coords.append(start + length * k / pps)
-            start += length
-        action = ActionVector(q)
         out.append(
             ShapeSample(
-                action=action,
-                curvature=action_to_curvature(config, action, mismatch=True),
+                action=ActionVector(np.array(row[: 2 * n])),
                 lengths=lengths,
                 shape=BackboneShape(
-                    s=np.array(s_coords),
-                    points=np.vstack([np.zeros((1, 3)), pts]),
+                    s=s_coords, points=np.vstack([np.zeros((1, 3)), pts])
                 ),
             )
         )

@@ -1,25 +1,33 @@
 """Ground-truth continuum robot model and task geometry.
 
-The robot is a chain of constant-curvature-commanded segments.  Actions are
-two commands per segment (q_x, q_y), mapped to a body-frame curvature
-vector u = [u_x, u_y, 0] whose norm never exceeds ``u_max``.  The backbone
+The robot is a chain of constant-curvature segments.  Actions are two
+commands per segment (q_x, q_y), mapped to a body-frame curvature vector
+u = [u_x, u_y, 0] whose norm never exceeds ``u_max``.  The backbone
 follows the moving-frame system
 
     R'(s) = R(s) [u]x          p'(s) = R(s) e3
 
-integrated along arc length with the curvature held constant within each
-segment and each segment's end pose seeding the next.  The integrator here
-is plain numpy RK4 with frame re-orthonormalization; it is the simulator
-the learned models are trained against and evaluated on, and it shares no
-code with the taped solvers in :mod:`shapectl.odeint`.
+with the curvature held constant within each segment and each segment's
+end pose seeding the next.  For constant u the system has an exact
+solution (constant-curvature arcs; Webster & Jones, IJRR 2010).  With
+k = |u|, theta = k s and
+
+    a = sin(theta) / k = s sinc(theta / pi)
+    b = (1 - cos(theta)) / k^2 = (s^2 / 2) sinc(theta / 2 pi)^2,
+
+both finite at k = 0, a segment carries its base frame to the local
+point [b u_y, -b u_x, a] and turns it by R = I + a [u]x + b [u]x^2.
+The simulator composes those arcs segment by segment for a whole batch
+of actions at once.  It is what the learned models are trained against
+and evaluated on, and it shares no code with the taped solvers in
+:mod:`shapectl.odeint`.
 
 The action-to-curvature map has a deliberate mismatch term so that the
 commanded map (``mismatch=False``) and the simulated robot
 (``mismatch=True``) disagree; learning that residual is the point of the
 shape model.  A payload droops the backbone quadratically in arc length,
-and obstacles are spheres tested against every backbone point.
+and obstacles are spheres measured against every backbone point.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -27,8 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Array
-
-E3 = np.array([0.0, 0.0, 1.0])
 
 TRAJECTORY_KINDS: tuple[str, ...] = ("circle", "square", "s_shape", "ellipse", "helix")
 
@@ -103,18 +109,6 @@ class RobotConfig:
 
 
 @dataclass(frozen=True)
-class FramePose:
-    """Rotation plus translation of a backbone cross-section."""
-
-    R: Array
-    p: Array
-
-    @classmethod
-    def identity(cls) -> "FramePose":
-        return cls(R=np.eye(3), p=np.zeros(3))
-
-
-@dataclass(frozen=True)
 class ActionVector:
     """Flat action vector, two commands (q_x, q_y) per segment."""
 
@@ -133,21 +127,6 @@ class ActionVector:
     @property
     def per_segment(self) -> Array:
         return self.q.reshape(-1, 2)
-
-
-@dataclass(frozen=True)
-class CurvatureVector:
-    """Per-segment body-frame curvature triples [u_x, u_y, 0]."""
-
-    values: Array
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError("curvatures must have shape (n_segments, 3)")
-        if np.any(v[:, 2] != 0.0):
-            raise ValueError("torsion component must be exactly zero")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -181,109 +160,107 @@ class BackboneShape:
 
 @dataclass
 class ShapeSample:
-    """One supervised example: the action, the curvatures it realized,
-    the segment lengths, and the simulated backbone."""
+    """One supervised example: the action, the segment lengths, and the
+    simulated backbone."""
 
     action: ActionVector
-    curvature: CurvatureVector
     lengths: tuple[float, ...]
     shape: BackboneShape
 
 
-def clamp_norm(v: Array, limit: float) -> Array:
-    """Scale ``v`` down to Euclidean norm ``limit`` when it exceeds it."""
-    n = float(np.linalg.norm(v))
-    if n > limit:
-        return v * (limit / n)
-    return np.asarray(v, dtype=np.float64)
+def _saturate(u: Array, u_max: float) -> Array:
+    """Scale each curvature row (last axis) down to norm ``u_max``."""
+    norms = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+    over = norms > u_max
+    denom = np.where(over, norms, 1.0)
+    return np.where(over, u * (u_max / denom), u)
 
 
-def _coerce_action(config: RobotConfig, action: ActionVector | Array) -> Array:
-    if isinstance(action, ActionVector):
-        q = action.q
-    else:
-        q = np.asarray(action, dtype=np.float64).reshape(-1)
-    if q.size != config.action_dim:
-        raise ValueError(
-            f"action has {q.size} entries, expected {config.action_dim}"
-        )
-    return q
+def action_to_curvature(config: RobotConfig, q: Array, mismatch: bool) -> Array:
+    """Map actions to per-segment body-frame curvatures [u_x, u_y, 0].
 
+    ``q`` is one action, shape (action_dim,), or a batch, shape (batch,
+    action_dim); the result has shape (n_segments, 3) or (batch,
+    n_segments, 3).  The commanded map embeds (q_x, q_y) as [q_x, q_y, 0]
+    and saturates the norm at ``u_max``.  With ``mismatch`` the simulated
+    robot adds a smooth cross-coupling between the two bending components
+    (zero at q = 0) and re-saturates, so commanded and realized curvature
+    differ most at large mixed bends.
 
-def action_to_curvature(
-    config: RobotConfig, action: ActionVector | Array, mismatch: bool
-) -> CurvatureVector:
-    """Map actions to per-segment curvatures.
-
-    The commanded map embeds (q_x, q_y) as [q_x, q_y, 0] and saturates
-    the norm at ``u_max``.  With ``mismatch`` the simulated robot adds a
-    smooth cross-coupling between the two bending components (zero at
-    q = 0) and re-saturates, so commanded and realized curvature differ
-    most at large mixed bends.
-
-    Raises ``ValueError`` for actions outside the configured bounds.
+    Raises ``ValueError`` for a wrong action width or actions outside the
+    configured bounds.
     """
-    q = _coerce_action(config, action)
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim not in (1, 2) or q.shape[-1] != config.action_dim:
+        raise ValueError(
+            f"actions must have shape (batch, {config.action_dim}) "
+            f"or ({config.action_dim},), got {q.shape}"
+        )
     if np.any(q < config.q_min) or np.any(q > config.q_max):
         raise ValueError("action outside configured bounds")
+    pairs = q.reshape(-1, config.n_segments, 2)
     um = config.u_max
+    u = np.zeros(pairs.shape[:2] + (3,))
+    u[..., :2] = pairs
+    u = _saturate(u, um)
     amp = config.mismatch_amplitude
-    out = np.zeros((config.n_segments, 3))
-    for i in range(config.n_segments):
-        qx, qy = q[2 * i], q[2 * i + 1]
-        u = clamp_norm(np.array([qx, qy, 0.0]), um)
-        if mismatch and amp > 0.0:
-            u = u + amp * um * np.array(
-                [
-                    np.sin(qx / um) * (qy / um),
-                    np.sin(qy / um) * (qx / um),
-                    0.0,
-                ]
-            )
-            u = clamp_norm(u, um)
-        out[i] = u
-    return CurvatureVector(out)
+    if mismatch and amp > 0.0:
+        qx, qy = pairs[..., 0], pairs[..., 1]
+        u[..., 0] += amp * um * (np.sin(qx / um) * (qy / um))
+        u[..., 1] += amp * um * (np.sin(qy / um) * (qx / um))
+        u = _saturate(u, um)
+    return u.reshape(q.shape[:-1] + (config.n_segments, 3))
 
 
-def _hat(u: Array) -> Array:
-    return np.array(
-        [
-            [0.0, -u[2], u[1]],
-            [u[2], 0.0, -u[0]],
-            [-u[1], u[0], 0.0],
-        ]
+def _rotate(R: Array, v: Array) -> Array:
+    """Rows of ``v`` (batch, m, 3) rotated by ``R`` (batch, 3, 3).
+
+    Spelled out as three elementwise products so every row rounds the
+    same way whatever the batch size.
+    """
+    return (
+        v[..., 0:1] * R[:, None, :, 0]
+        + v[..., 1:2] * R[:, None, :, 1]
+        + v[..., 2:3] * R[:, None, :, 2]
     )
 
 
-def _orthonormalize(R: Array) -> Array:
-    # Gram-Schmidt on columns; adequate for the tiny drift one RK4
-    # substep introduces
-    c0 = R[:, 0] / np.linalg.norm(R[:, 0])
-    c1 = R[:, 1] - c0 * (c0 @ R[:, 1])
-    c1 = c1 / np.linalg.norm(c1)
-    c2 = np.cross(c0, c1)
-    return np.column_stack([c0, c1, c2])
+def _arc_backbones(config: RobotConfig, u: Array, points_per_segment: int) -> Array:
+    """Backbone points for per-segment curvatures ``u`` (batch, n_segments, 3).
 
-
-def _rod_rk4_interval(
-    R: Array, p: Array, u: Array, h: float, substeps: int
-) -> tuple[Array, Array]:
-    """Advance the frame ODE by ``h`` using ``substeps`` RK4 steps."""
-    uh = _hat(u)
-    dt = h / substeps
-
-    def deriv(Rc):
-        return Rc @ uh, Rc[:, 2]
-
-    for _ in range(substeps):
-        k1R, k1p = deriv(R)
-        k2R, k2p = deriv(R + 0.5 * dt * k1R)
-        k3R, k3p = deriv(R + 0.5 * dt * k2R)
-        k4R, k4p = deriv(R + dt * k3R)
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        R = R + (dt / 6.0) * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
-        R = _orthonormalize(R)
-    return R, p
+    Returns shape (batch, 1 + n_segments * points_per_segment, 3), the base
+    point first.  Every grid point comes from the closed-form arc of its
+    own segment, composed onto that segment's base frame.
+    """
+    batch, n_seg = u.shape[:2]
+    ux = u[..., 0, None]
+    uy = u[..., 1, None]
+    steps = np.arange(1, points_per_segment + 1)
+    s = np.asarray(config.segment_lengths)[:, None] * steps / points_per_segment
+    theta = np.sqrt(ux * ux + uy * uy) * s
+    # sin(theta)/k and (1 - cos(theta))/k^2, both finite at k = 0
+    a = s * np.sinc(theta / np.pi)
+    b = 0.5 * s * s * np.sinc(theta / (2.0 * np.pi)) ** 2
+    local = np.stack([b * uy, -b * ux, a], axis=-1)
+    # segment-end rotation I + a[u]x + b[u]x^2, written out for u_z = 0
+    ae, be, x, y = a[..., -1], b[..., -1], ux[..., 0], uy[..., 0]
+    turn = np.stack(
+        [
+            1.0 - be * y * y, be * x * y, ae * y,
+            be * x * y, 1.0 - be * x * x, -ae * x,
+            -ae * y, ae * x, 1.0 - be * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(batch, n_seg, 3, 3)
+    R = np.broadcast_to(np.eye(3), (batch, 3, 3))
+    p = np.zeros((batch, 1, 3))
+    points = [p]
+    for seg in range(n_seg):
+        p = p + _rotate(R, local[:, seg])
+        points.append(p)
+        p = p[:, -1:]
+        R = _rotate(R, turn[:, seg].swapaxes(1, 2)).swapaxes(1, 2)
+    return np.concatenate(points, axis=1)
 
 
 def backbone_arc_coords(config: RobotConfig, points_per_segment: int = 10) -> Array:
@@ -303,61 +280,26 @@ def forward_kinematics(
     mismatch: bool = True,
     payload_grams: float = 0.0,
     points_per_segment: int = 10,
-    substeps: int = 4,
-    base: FramePose | None = None,
 ) -> BackboneShape:
     """Simulate the backbone for one action.
 
-    Returns the backbone sampled at ``points_per_segment`` intervals per
-    segment plus the base point.  The frame ODE runs at ``substeps`` RK4
-    steps per interval (4x the output resolution by default) so the
-    simulator's own error stays well below learner tolerances.
+    Returns the backbone sampled at ``points_per_segment`` points per
+    segment plus the base point.  Each point is exact up to rounding:
+    with the curvature constant over a segment, the frame ODE has the
+    closed-form arc solution, so there is no step size to choose.
     ``payload_grams`` droops the resulting curve; it does not enter the
-    frame integration.
+    arc composition.  The action runs as a batch of one through the same
+    code as :func:`sample_dataset`, so both give bitwise-equal backbones.
     """
-    curv = action_to_curvature(config, action, mismatch=mismatch)
-    pose = base if base is not None else FramePose.identity()
-    R, p = pose.R.copy(), pose.p.copy()
-    points = [p.copy()]
-    for seg in range(config.n_segments):
-        length = config.segment_lengths[seg]
-        h = length / points_per_segment
-        u = curv.values[seg]
-        for _ in range(points_per_segment):
-            R, p = _rod_rk4_interval(R, p, u, h, substeps)
-            points.append(p.copy())
+    q = action.q if isinstance(action, ActionVector) else np.asarray(action)
+    u = action_to_curvature(config, q.reshape(1, -1), mismatch=mismatch)
     shape = BackboneShape(
-        s=backbone_arc_coords(config, points_per_segment), points=np.array(points)
+        s=backbone_arc_coords(config, points_per_segment),
+        points=_arc_backbones(config, u, points_per_segment)[0],
     )
     if payload_grams != 0.0:
         shape = apply_payload(shape, payload_grams, config.total_length)
     return shape
-
-
-def tip_position(config: RobotConfig, action: ActionVector | Array, **kwargs) -> Array:
-    """Convenience wrapper: simulated tip point for one action."""
-    return forward_kinematics(config, action, **kwargs).tip
-
-
-def backbone_frames(
-    config: RobotConfig,
-    action: ActionVector | Array,
-    mismatch: bool = True,
-    points_per_segment: int = 10,
-    substeps: int = 4,
-) -> list[FramePose]:
-    """Full cross-section frames at every grid point of the backbone."""
-    curv = action_to_curvature(config, action, mismatch=mismatch)
-    R, p = np.eye(3), np.zeros(3)
-    frames = [FramePose(R=R.copy(), p=p.copy())]
-    for seg in range(config.n_segments):
-        length = config.segment_lengths[seg]
-        h = length / points_per_segment
-        u = curv.values[seg]
-        for _ in range(points_per_segment):
-            R, p = _rod_rk4_interval(R, p, u, h, substeps)
-            frames.append(FramePose(R=R.copy(), p=p.copy()))
-    return frames
 
 
 def apply_payload(
@@ -394,22 +336,17 @@ def sample_dataset(
 ) -> list[ShapeSample]:
     """Draw random actions and simulate their backbones (with mismatch)."""
     actions = sample_actions(config, n_samples, rng)
-    out = []
-    for i in range(n_samples):
-        act = ActionVector(actions[i])
-        curv = action_to_curvature(config, act, mismatch=True)
-        shape = forward_kinematics(
-            config, act, mismatch=True, points_per_segment=points_per_segment
+    u = action_to_curvature(config, actions, mismatch=True)
+    points = _arc_backbones(config, u, points_per_segment)
+    s = backbone_arc_coords(config, points_per_segment)
+    return [
+        ShapeSample(
+            action=ActionVector(q),
+            lengths=config.segment_lengths,
+            shape=BackboneShape(s=s, points=pts),
         )
-        out.append(
-            ShapeSample(
-                action=act,
-                curvature=curv,
-                lengths=config.segment_lengths,
-                shape=shape,
-            )
-        )
-    return out
+        for q, pts in zip(actions, points)
+    ]
 
 
 def reference_trajectory(
@@ -474,8 +411,3 @@ def min_obstacle_distance(points: Array, obstacle: ObstacleSpec) -> float:
     d = np.linalg.norm(points - obstacle.center, axis=-1)
     return float(d.min())
 
-
-def obstacle_violation(points: Array, obstacle: ObstacleSpec) -> bool:
-    """True when any backbone point enters the keep-out sphere."""
-    d2 = ((points - obstacle.center) ** 2).sum(axis=-1)
-    return bool((d2 < obstacle.threshold_sq).any())

@@ -39,13 +39,14 @@ from .nn import (
     params_from_dict,
     params_to_dict,
 )
-from .odeint import (
-    IntegrationGrid,
-    SolverKind,
-    integrate,
-    integrate_batch_masked,
+from .odeint import IntegrationGrid, SolverKind, integrate
+from .robot import (
+    ActionVector,
+    BackboneShape,
+    RobotConfig,
+    action_to_curvature,
+    backbone_arc_coords,
 )
-from .robot import ActionVector, BackboneShape, RobotConfig, backbone_arc_coords
 
 STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
 
@@ -138,35 +139,16 @@ def init_shape_model(
     )
 
 
-def commanded_curvatures(config: RobotConfig, q_batch: Array) -> Array:
-    """Nominal mismatch-free curvature per segment for a batch of actions.
-
-    Vectorized twin of the ground-truth commanded map: embed (q_x, q_y)
-    as [q_x, q_y, 0] and saturate the norm at u_max.  Shape (batch,
-    n_segments, 3).  Raises ``ValueError`` for out-of-bounds actions.
-    """
-    q = np.asarray(q_batch, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != config.action_dim:
-        raise ValueError(f"actions must have shape (batch, {config.action_dim})")
-    if np.any(q < config.q_min) or np.any(q > config.q_max):
-        raise ValueError("action outside configured bounds")
-    u = np.zeros((q.shape[0], config.n_segments, 3))
-    u[:, :, :2] = q.reshape(q.shape[0], config.n_segments, 2)
-    norms = np.sqrt((u * u).sum(axis=2, keepdims=True))
-    over = norms > config.u_max
-    denom = np.where(over, norms, 1.0)
-    return np.where(over, u * (config.u_max / denom), u)
-
-
 def _curvature_node(
     tape: Tape, q: Tensor, u_value: Array, seg: int, config: RobotConfig
 ) -> Tensor:
     """Tape node for one segment's commanded curvature of a taped action.
 
-    Forward value is the precomputed ``u_value`` slice from
-    :func:`commanded_curvatures`; backward chains through the norm
-    saturation in closed form (identity inside the ball, the scaled
-    projection on it), routing into the segment's two action columns.
+    Forward value is the precomputed ``u_value`` slice of the commanded
+    (mismatch-free) :func:`action_to_curvature`; backward chains through
+    the norm saturation in closed form (identity inside the ball, the
+    scaled projection on it), routing into the segment's two action
+    columns.
     """
     qv = q.value[:, 2 * seg : 2 * seg + 2]
     norms = np.sqrt((qv * qv).sum(axis=1, keepdims=True))
@@ -187,42 +169,18 @@ def _curvature_node(
     return tape._record(u_value, (q.nid,), bk)
 
 
-def _segment_grid(steps_per_segment: int, ends: Array) -> IntegrationGrid:
-    """Shared grid for one segment slot with per-sample end lengths.
-
-    Picks the smallest refinement of ``steps_per_segment`` on which every
-    sample's length lands exactly on a grid node; if none exists up to
-    64x, the ends snap to the nearest node of the 4x grid.
-    """
-    ends = np.asarray(ends, dtype=np.float64)
-    if np.any(ends <= 0.0):
-        raise ValueError("segment lengths must be positive")
-    t_end = float(ends.max())
-    for k in range(1, 65):
-        n = steps_per_segment * k
-        counts = n * ends / t_end
-        if np.max(np.abs(counts - np.rint(counts))) < 1e-9:
-            return IntegrationGrid(0.0, t_end, n, per_sample_end=ends)
-    return IntegrationGrid(
-        0.0, t_end, steps_per_segment * 4, per_sample_end=ends
-    )
-
-
 @dataclass
 class ShapeRollout:
     """Tape-resident prediction for one batch of actions.
 
     ``points`` holds one (batch, 3) tensor per integration output node,
-    base excluded, ordered base to tip; ``points_per_segment[i]`` says how
-    many of them segment ``i`` contributed (== steps_per_segment unless
-    per-sample lengths forced a refined masked grid).  ``u0_leaves`` are
-    the commanded-curvature tensors, one per segment: leaves when the
-    actions came in as an array, derived nodes when they came in as a
-    tensor.
+    base excluded, ordered base to tip, ``steps_per_segment`` of them per
+    segment.  ``u0_leaves`` are the commanded-curvature tensors, one per
+    segment: leaves when the actions came in as an array, derived nodes
+    when they came in as a tensor.
     """
 
     points: list[Tensor]
-    points_per_segment: list[int]
     u0_leaves: list[Tensor]
     mt: MlpTensors
 
@@ -236,7 +194,6 @@ def rollout_shape(
     config: RobotConfig,
     tape: Tape,
     q_batch: Array | Tensor,
-    lengths: Array | None = None,
 ) -> ShapeRollout:
     """Differentiable backbone rollout for a batch of actions.
 
@@ -246,10 +203,8 @@ def rollout_shape(
     the base and flows through segment boundaries unreset, giving the
     field a persistent channel for whatever it learns to accumulate
     along the arc (the position alone does not determine the incoming
-    direction once two or more segments lie behind it).  ``lengths``
-    (batch, n_segments) allows per-sample segment lengths; slots where
-    they differ run on a shared grid with per-sample end masking,
-    freezing each sample at its own length.
+    direction once two or more segments lie behind it).  Segment lengths
+    come from ``config``.
 
     ``q_batch`` may be a tape tensor, in which case gradients flow from
     the predicted points back into the actions through the saturating
@@ -261,16 +216,8 @@ def rollout_shape(
         if q_tensor is not None
         else np.asarray(q_batch, dtype=np.float64)
     )
-    u0 = commanded_curvatures(config, q)
+    u0 = action_to_curvature(config, q, mismatch=False)
     batch = q.shape[0]
-    if lengths is None:
-        lengths_arr = np.broadcast_to(
-            np.asarray(config.segment_lengths), (batch, config.n_segments)
-        )
-    else:
-        lengths_arr = np.asarray(lengths, dtype=np.float64)
-        if lengths_arr.shape != (batch, config.n_segments):
-            raise ValueError("lengths must have shape (batch, n_segments)")
     mt = model.params.as_tensors(tape)
 
     def field(t, x, u):
@@ -279,7 +226,6 @@ def rollout_shape(
     p = tape.tensor(np.zeros((batch, 3)))
     aug = tape.tensor(np.zeros((batch, 1)))
     points: list[Tensor] = []
-    counts_out: list[int] = []
     leaves: list[Tensor] = []
     for seg in range(config.n_segments):
         if q_tensor is not None:
@@ -288,21 +234,15 @@ def rollout_shape(
             u_leaf = tape.tensor(u0[:, seg])
         leaves.append(u_leaf)
         x0 = ad.concat([p, u_leaf, aug], axis=1)
-        ends = lengths_arr[:, seg]
-        if np.all(ends == ends[0]):
-            grid = IntegrationGrid(0.0, float(ends[0]), model.steps_per_segment)
-            states = integrate(field, x0, grid, model.solver)
-        else:
-            grid = _segment_grid(model.steps_per_segment, ends)
-            states = integrate_batch_masked(field, x0, grid, model.solver)
+        grid = IntegrationGrid(
+            0.0, config.segment_lengths[seg], model.steps_per_segment
+        )
+        states = integrate(field, x0, grid, model.solver)
         for st in states[1:]:
             points.append(ad.slice_cols(st, 0, 3))
-        counts_out.append(len(states) - 1)
         p = points[-1]
         aug = ad.slice_cols(states[-1], 6, 7)
-    return ShapeRollout(
-        points=points, points_per_segment=counts_out, u0_leaves=leaves, mt=mt
-    )
+    return ShapeRollout(points=points, u0_leaves=leaves, mt=mt)
 
 
 def predict_shape(

@@ -258,7 +258,7 @@ def test_criterion_3_kinematics_oracle(rng):
                      (um, um), (um, -um), (-um, um), (-um, -um)):
             actions.append(np.tile(pair, n_seg))
         for q in actions:
-            realized = action_to_curvature(config, q, mismatch=True).values
+            realized = action_to_curvature(config, q, mismatch=True)
             shape = forward_kinematics(config, q)
             oracle = arc_backbone(realized, config.segment_lengths, 10)
             worst = max(worst, float(np.max(np.abs(shape.points - oracle))))

@@ -538,6 +538,33 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dataset_segment_lengths_must_match_config(workdir, tmp_path, capsys):
+    root, ini = workdir
+    long_ini = tmp_path / "long.ini"
+    long_ini.write_text(
+        TINY_INI.replace("n_segments = 1", "n_segments = 1\nsegment_lengths = 0.2")
+        .replace("n_samples = 80", "n_samples = 20")
+    )
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(long_ini), "--out", str(gen)]) == 0
+    capsys.readouterr()
+    rc = main(
+        [
+            "train-shape",
+            "--config",
+            str(ini),
+            "--dataset",
+            str(gen / "dataset.csv"),
+            "--out",
+            str(tmp_path / "ts"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "segment lengths" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unknown_config_key_is_config_error(workdir, tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[robot]\nwheels = 4\n")

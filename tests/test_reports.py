@@ -36,7 +36,6 @@ def test_dataset_round_trip(tmp_path):
         assert a.lengths == b.lengths
         assert np.array_equal(a.shape.points, b.shape.points)
         assert np.allclose(a.shape.s, b.shape.s, atol=1e-15)
-        assert np.array_equal(a.curvature.values, b.curvature.values)
 
 
 def test_dataset_header_widths():
@@ -56,6 +55,8 @@ def test_dataset_config_mismatch_rejected(tmp_path):
     write_dataset_csv(path, samples, cfg)
     with pytest.raises(ValueError):
         read_dataset_csv(path, RobotConfig(n_segments=3))
+    with pytest.raises(ValueError, match="segment lengths"):
+        read_dataset_csv(path, RobotConfig(n_segments=2, segment_lengths=(0.1, 0.2)))
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError):

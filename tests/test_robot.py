@@ -7,20 +7,15 @@ from helpers import arc_backbone
 from shapectl.robot import (
     ActionVector,
     BackboneShape,
-    CurvatureVector,
-    FramePose,
     ObstacleSpec,
     RobotConfig,
     action_to_curvature,
     apply_payload,
     backbone_arc_coords,
-    backbone_frames,
     forward_kinematics,
     min_obstacle_distance,
-    obstacle_violation,
     reference_trajectory,
     sample_dataset,
-    tip_position,
 )
 
 
@@ -62,24 +57,27 @@ def test_action_vector_validation():
     assert av.per_segment.shape == (2, 2)
 
 
-def test_curvature_vector_torsion_must_be_zero():
-    CurvatureVector(np.array([[1.0, 2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        CurvatureVector(np.array([[1.0, 2.0, 0.1]]))
+def test_curvature_vector_torsion_must_be_zero(rng):
+    # the arc composition is written out for u_z = 0
+    cfg = RobotConfig(n_segments=4)
+    q = rng.uniform(cfg.q_min, cfg.q_max, size=(20, 8))
+    for mismatch in (False, True):
+        u = action_to_curvature(cfg, q, mismatch=mismatch)
+        assert np.all(u[..., 2] == 0.0)
 
 
 def test_action_to_curvature_identity_within_norm():
     cfg = RobotConfig(n_segments=1)
     u = action_to_curvature(cfg, np.array([5.0, -3.0]), mismatch=False)
-    assert np.allclose(u.values[0], [5.0, -3.0, 0.0])
+    assert np.allclose(u[0], [5.0, -3.0, 0.0])
 
 
 def test_action_to_curvature_saturates():
     cfg = RobotConfig(n_segments=1)
     u = action_to_curvature(cfg, np.array([15.0, 15.0]), mismatch=False)
-    assert np.linalg.norm(u.values[0]) == pytest.approx(15.0)
+    assert np.linalg.norm(u[0]) == pytest.approx(15.0)
     # direction preserved
-    assert u.values[0][0] == pytest.approx(u.values[0][1])
+    assert u[0][0] == pytest.approx(u[0][1])
 
 
 def test_action_to_curvature_bounds_error():
@@ -90,25 +88,42 @@ def test_action_to_curvature_bounds_error():
         action_to_curvature(cfg, np.array([0.0, 0.0, 0.0]), mismatch=False)
 
 
+def test_action_to_curvature_batch_matches_rows(rng):
+    cfg = RobotConfig(n_segments=3)
+    q = rng.uniform(-25.0, 25.0, size=(8, 6)).clip(cfg.q_min, cfg.q_max)
+    for mismatch in (False, True):
+        u = action_to_curvature(cfg, q, mismatch=mismatch)
+        assert u.shape == (8, 3, 3)
+        for b in range(8):
+            row = action_to_curvature(cfg, q[b], mismatch=mismatch)
+            assert np.array_equal(u[b], row)
+    with pytest.raises(ValueError):
+        action_to_curvature(cfg, np.full((1, 6), 20.0), mismatch=False)
+    with pytest.raises(ValueError):
+        action_to_curvature(cfg, np.zeros((2, 5)), mismatch=False)
+    with pytest.raises(ValueError):
+        action_to_curvature(cfg, np.zeros((2, 1, 6)), mismatch=False)
+
+
 def test_mismatch_vanishes_at_zero_action():
     cfg = RobotConfig(n_segments=2)
     u = action_to_curvature(cfg, np.zeros(4), mismatch=True)
-    assert np.all(u.values == 0.0)
+    assert np.all(u == 0.0)
 
 
 def test_mismatch_example_pure_x_bend():
     cfg = RobotConfig(n_segments=1, mismatch_amplitude=0.1)
     u = action_to_curvature(cfg, np.array([10.0, 0.0]), mismatch=True)
-    assert 9.0 <= u.values[0][0] <= 11.0
-    assert -1.0 <= u.values[0][1] <= 1.0
-    assert np.allclose(u.values[0], [10.0, 0.0, 0.0])
+    assert 9.0 <= u[0][0] <= 11.0
+    assert -1.0 <= u[0][1] <= 1.0
+    assert np.allclose(u[0], [10.0, 0.0, 0.0])
 
 
 def test_mismatch_changes_mixed_bends(rng):
     cfg = RobotConfig(n_segments=1)
     q = np.array([8.0, 6.0])
-    u_off = action_to_curvature(cfg, q, mismatch=False).values
-    u_on = action_to_curvature(cfg, q, mismatch=True).values
+    u_off = action_to_curvature(cfg, q, mismatch=False)
+    u_on = action_to_curvature(cfg, q, mismatch=True)
     assert not np.allclose(u_off, u_on)
 
 
@@ -118,7 +133,7 @@ def test_curvature_norm_never_exceeds_bound(rng):
         q = rng.uniform(cfg.q_min, cfg.q_max, size=6)
         for mismatch in (False, True):
             u = action_to_curvature(cfg, q, mismatch=mismatch)
-            assert np.all(np.linalg.norm(u.values, axis=1) <= cfg.u_max + 1e-12)
+            assert np.all(np.linalg.norm(u, axis=1) <= cfg.u_max + 1e-12)
 
 
 def test_zero_action_straight_robot():
@@ -144,7 +159,7 @@ def test_forward_kinematics_matches_arc_composition(rng):
             for mismatch in (False, True):
                 curv = action_to_curvature(cfg, q, mismatch=mismatch)
                 shape = forward_kinematics(cfg, q, mismatch=mismatch)
-                oracle = arc_backbone(curv.values, cfg.segment_lengths, 10)
+                oracle = arc_backbone(curv, cfg.segment_lengths, 10)
                 err = np.abs(shape.points - oracle).max()
                 assert err < 1e-6, f"n={n} mismatch={mismatch}: {err}"
 
@@ -192,14 +207,6 @@ def test_mirror_symmetry_without_mismatch(rng):
     assert np.array_equal(mirrored2 * np.array([1.0, -1.0, 1.0]), base)
 
 
-def test_frames_orthonormal_along_backbone(rng):
-    cfg = RobotConfig(n_segments=3)
-    q = rng.uniform(cfg.q_min, cfg.q_max, size=6)
-    for fp in backbone_frames(cfg, q):
-        assert np.abs(fp.R.T @ fp.R - np.eye(3)).max() < 1e-8
-        assert np.linalg.det(fp.R) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_tangent_continuity_at_segment_boundary(rng):
     # consecutive chords turn by at most ~u_max*h even across the joint;
     # a tangent kink there would turn far more
@@ -211,24 +218,6 @@ def test_tangent_continuity_at_segment_boundary(rng):
     cosines = np.einsum("ij,ij->i", chords[:-1], chords[1:])
     h = 0.1 / 10
     assert np.all(cosines >= np.cos(2.0 * cfg.u_max * h))
-
-
-def test_frames_match_closed_form_rotation(rng):
-    from helpers import arc_transform
-
-    cfg = RobotConfig(n_segments=1)
-    q = rng.uniform(cfg.q_min, cfg.q_max, size=2)
-    u = action_to_curvature(cfg, q, mismatch=False).values[0]
-    frames = backbone_frames(cfg, q, mismatch=False)
-    for k in (3, 7, 10):
-        R_cf, _ = arc_transform(u, k * 0.01)
-        assert np.abs(frames[k].R - R_cf).max() < 1e-6
-
-
-def test_identity_frame():
-    fp = FramePose.identity()
-    assert np.array_equal(fp.R, np.eye(3))
-    assert np.array_equal(fp.p, np.zeros(3))
 
 
 def test_backbone_arc_coords():
@@ -246,7 +235,6 @@ def test_tip_is_last_point(rng):
     q = rng.uniform(cfg.q_min, cfg.q_max, size=4)
     shape = forward_kinematics(cfg, q)
     assert np.array_equal(shape.tip, shape.points[-1])
-    assert np.array_equal(tip_position(cfg, q), shape.points[-1])
 
 
 def test_payload_identity_linearity_and_scale():
@@ -359,11 +347,13 @@ def test_min_obstacle_distance_and_violation():
     cfg = RobotConfig(n_segments=1)
     shape = forward_kinematics(cfg, np.zeros(2))
     on_backbone = ObstacleSpec(center=np.array([0.0, 0.0, 0.05]))
-    assert min_obstacle_distance(shape.points, on_backbone) < 1e-9
-    assert obstacle_violation(shape.points, on_backbone)
+    d = min_obstacle_distance(shape.points, on_backbone)
+    assert d < 1e-9
+    assert d * d < on_backbone.threshold_sq
     far = ObstacleSpec(center=np.array([1.0, 0.0, 0.0]))
-    assert min_obstacle_distance(shape.points, far) >= 1.0 - cfg.total_length
-    assert not obstacle_violation(shape.points, far)
+    d = min_obstacle_distance(shape.points, far)
+    assert d >= 1.0 - cfg.total_length
+    assert d * d >= far.threshold_sq
     # brute force is the definition
     rng = np.random.default_rng(2)
     q = rng.uniform(cfg.q_min, cfg.q_max, size=2)

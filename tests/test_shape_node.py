@@ -11,13 +11,13 @@ from shapectl.odeint import IntegrationGrid, integrate
 from shapectl.robot import (
     BackboneShape,
     RobotConfig,
+    action_to_curvature,
     forward_kinematics,
     sample_dataset,
 )
 from shapectl.shape_node import (
     ShapeNodeModel,
     ShapeTrainConfig,
-    commanded_curvatures,
     evaluate_shape_rmse,
     init_shape_model,
     load_shape_model,
@@ -61,22 +61,6 @@ def test_train_config_validation():
         ShapeTrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         ShapeTrainConfig(val_fraction=1.0)
-
-
-def test_commanded_curvatures_match_groundtruth_map(rng):
-    from shapectl.robot import action_to_curvature
-
-    cfg = RobotConfig(n_segments=3)
-    q = rng.uniform(-25.0, 25.0, size=(8, 6)).clip(cfg.q_min, cfg.q_max)
-    u = commanded_curvatures(cfg, q)
-    assert u.shape == (8, 3, 3)
-    for b in range(8):
-        solo = action_to_curvature(cfg, q[b], mismatch=False).values
-        assert np.allclose(u[b], solo, atol=1e-12)
-    with pytest.raises(ValueError):
-        commanded_curvatures(cfg, np.full((1, 6), 20.0))
-    with pytest.raises(ValueError):
-        commanded_curvatures(cfg, np.zeros((2, 5)))
 
 
 def test_prior_model_predicts_straight_backbone(rng):
@@ -123,7 +107,7 @@ def test_segment_chaining_is_sequential_solves(rng):
     mt = model.params.as_tensors(tape2)
     from shapectl.nn import mlp_forward
 
-    u0 = commanded_curvatures(cfg, q.reshape(1, -1))
+    u0 = action_to_curvature(cfg, q.reshape(1, -1), mismatch=False)
     field = lambda t, x, u: mlp_forward(mt, x)
     p = tape2.tensor(np.zeros((1, 3)))
     aug = tape2.tensor(np.zeros((1, 1)))
@@ -138,48 +122,6 @@ def test_segment_chaining_is_sequential_solves(rng):
         # the augmentation column seeds the next segment unreset
         aug = ad.slice_cols(states[-1], 6, 7)
     assert np.array_equal(joint, np.stack(manual))
-
-
-def test_masked_mixed_lengths_match_per_sample(rng):
-    # one-segment robots of lengths 0.1 and 0.2 solved jointly on the
-    # shared masked grid equal each sample's own sequential solve
-    cfg = RobotConfig(n_segments=1)
-    model = perturbed_model(rng, cfg)
-    q = rng.uniform(cfg.q_min, cfg.q_max, size=(2, 2))
-    lengths = np.array([[0.1], [0.2]])
-
-    tape = Tape()
-    ro = rollout_shape(model, cfg, tape, q, lengths=lengths)
-    n_out = ro.points_per_segment[0]
-    joint = np.stack([t.value for t in ro.points])  # (n_out, 2, 3)
-
-    from shapectl.nn import mlp_forward
-
-    u0 = commanded_curvatures(cfg, q)
-    h = 0.2 / n_out
-    for b, length in enumerate((0.1, 0.2)):
-        count = int(round(length / h))
-        tape_b = Tape()
-        mt = model.params.as_tensors(tape_b)
-        x0 = ad.concat(
-            [
-                tape_b.tensor(np.zeros((1, 3))),
-                tape_b.tensor(u0[b : b + 1, 0]),
-                tape_b.tensor(np.zeros((1, 1))),
-            ],
-            axis=1,
-        )
-        grid = IntegrationGrid(0.0, count * h, count)
-        states = integrate(
-            lambda t, x, u: mlp_forward(mt, x), x0, grid, model.solver
-        )
-        for k in range(count):
-            assert np.allclose(
-                joint[k, b], states[k + 1].value[0, :3], atol=1e-12
-            ), f"sample {b} step {k}"
-        # frozen tail repeats the endpoint
-        for k in range(count, n_out):
-            assert np.array_equal(joint[k, b], joint[count - 1, b])
 
 
 def test_shape_loss_examples(rng):
@@ -257,18 +199,6 @@ def test_loss_gradient_matches_finite_differences(rng):
             fd = fd_grad_at(loss_value, arr, idx, eps=1e-6)
             assert rel_err(a_grad[idx], fd) < 1e-4
     assert nonzero > 0.0
-
-
-def test_rollout_rejects_bad_lengths(rng):
-    cfg = RobotConfig(n_segments=2)
-    model = small_model(rng, cfg)
-    tape = Tape()
-    with pytest.raises(ValueError):
-        rollout_shape(model, cfg, tape, np.zeros((2, 4)), lengths=np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        rollout_shape(
-            model, cfg, tape, np.zeros((2, 4)), lengths=np.array([[0.1, 0.1], [0.0, 0.1]])
-        )
 
 
 def test_tip_jacobian_zero_for_prior(rng):
@@ -409,7 +339,7 @@ def test_model_file_errors(rng, tmp_path):
 
 
 def make_samples_with_points(cfg, q, points):
-    from shapectl.robot import ActionVector, CurvatureVector, ShapeSample
+    from shapectl.robot import ActionVector, ShapeSample
 
     s_grid = np.linspace(0.0, cfg.total_length, points.shape[1] + 1)
     out = []
@@ -418,7 +348,6 @@ def make_samples_with_points(cfg, q, points):
         out.append(
             ShapeSample(
                 action=ActionVector(q[i]),
-                curvature=CurvatureVector(np.zeros((cfg.n_segments, 3))),
                 lengths=cfg.segment_lengths,
                 shape=BackboneShape(s=s_grid, points=full),
             )
