@@ -16,7 +16,8 @@ The package is organized in layers:
     Arc-length neural ODE that learns backbone shapes from actions.
 ``control_node``
     Time-domain neural ODE policy trained against the shape model,
-    plus closed-loop tracking and a Jacobian open-loop baseline.
+    plus one episode runner for closed-loop tracking and the Jacobian
+    open-loop baseline.
 ``cli``
     Command-line entry points (generate / train-shape / train-control /
     evaluate / rollout).

@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,12 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_run_config
 from .control_node import (
     ControlNodeModel,
+    TrackingLog,
     closed_loop_track,
     count_violations,
     evaluate_tracking,
     init_control_model,
     load_control_model,
-    open_loop_jacobian_track,
     place_obstacle,
     save_control_model,
     train_control_node,
@@ -53,6 +54,7 @@ from .reports import (
 from .odeint import SOLVER_KINDS
 from .robot import (
     TRAJECTORY_KINDS,
+    ObstacleSpec,
     RobotConfig,
     reference_trajectory,
     sample_dataset,
@@ -117,29 +119,31 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _load_shape(path, robot: RobotConfig) -> ShapeNodeModel:
+def _load_model(load, kind: str, path, robot: RobotConfig):
+    """``load(path)``'s model, which must be bound to ``robot``.
+
+    ``kind`` ("shape" or "control") names the model in error messages.
+    """
     try:
-        model, saved = load_shape_model(path)
+        model, saved = load(path)
     except ValueError as exc:
-        raise ConfigError(f"cannot load shape model: {exc}") from exc
+        raise ConfigError(f"cannot load {kind} model: {exc}") from exc
     if robot_config_hash(saved) != robot_config_hash(robot):
-        raise ConfigError("shape model was trained for a different robot config")
+        raise ConfigError(f"{kind} model was trained for a different robot config")
     return model
 
 
-def _load_control(path, robot: RobotConfig) -> ControlNodeModel:
-    try:
-        model, saved = load_control_model(path)
-    except ValueError as exc:
-        raise ConfigError(f"cannot load control model: {exc}") from exc
-    if robot_config_hash(saved) != robot_config_hash(robot):
-        raise ConfigError("control model was trained for a different robot config")
-    return model
-
-
-def _reference_polyline(kind: str, length: float, period: float) -> np.ndarray:
-    times = np.linspace(0.0, period, 401)
-    return reference_trajectory(kind, times, length, period)
+def _run_timing(cfg: RunConfig) -> tuple[float, float]:
+    """The run's (duration, period), checked before any episode uses them."""
+    duration = cfg.get("run", "duration")
+    period = cfg.get("run", "period")
+    if not (np.isfinite(period) and period > 0.0):
+        raise ConfigError(f"run period must be finite and positive, got {period:g}")
+    if not (np.isfinite(duration) and 0.0 <= duration <= period):
+        raise ConfigError(
+            f"run duration must lie in [0, period] = [0, {period:g}], got {duration:g}"
+        )
+    return duration, period
 
 
 def _ensure_obstacle(cfg: RunConfig, shape_model: ShapeNodeModel, robot: RobotConfig):
@@ -148,9 +152,7 @@ def _ensure_obstacle(cfg: RunConfig, shape_model: ShapeNodeModel, robot: RobotCo
     spec = cfg.obstacle_spec()
     if spec is None:
         kind = _check_kind(cfg.get("run", "trajectory"))
-        center = place_obstacle(
-            shape_model, robot, kind, period=cfg.get("run", "period")
-        )
+        center = place_obstacle(shape_model, robot, kind, period=_run_timing(cfg)[1])
         cfg.values[("run", "obstacle")] = tuple(float(v) for v in center)
         spec = cfg.obstacle_spec()
     return spec
@@ -183,7 +185,7 @@ def cmd_train_shape(args) -> int:
         raise ConfigError(f"cannot use dataset: {exc}") from exc
     train_cfg = cfg.shape_train_config()
     if args.init_model is not None:
-        model = _load_shape(args.init_model, robot)
+        model = _load_model(load_shape_model, "shape", args.init_model, robot)
     else:
         solver = cfg.get("shape", "solver")
         if solver not in SOLVER_KINDS:
@@ -221,7 +223,7 @@ def cmd_train_shape(args) -> int:
 def cmd_train_control(args) -> int:
     cfg, out = _resolve(args)
     robot = cfg.robot_config()
-    shape_model = _load_shape(args.shape_model, robot)
+    shape_model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     scenario = cfg.get("run", "scenario")
     if scenario not in ("tracking", "obstacle"):
         raise ConfigError(f"unknown scenario {scenario!r} for train-control")
@@ -259,22 +261,87 @@ def cmd_train_control(args) -> int:
     return EXIT_OK
 
 
-def _tracking_rows(
-    kind: str, paths: list[Path], rows: list[MetricsRow]
-) -> list:
-    """Read logs back and append one metrics row per axis."""
-    logs = [read_tracking_log_csv(p) for p in paths]
+@dataclass
+class _Trials:
+    """What the seeded tracking trials of one evaluation share."""
+
+    robot: RobotConfig
+    shape_model: ShapeNodeModel
+    policy: ControlNodeModel
+    out: Path
+    seed: int
+    duration: float
+    period: float
+    noise_std: float
+
+    def run(
+        self,
+        prefix: str,
+        policy: ControlNodeModel,
+        kind: str,
+        payload_grams: float = 0.0,
+        obstacle: ObstacleSpec | None = None,
+    ) -> list[TrackingLog]:
+        """One runner call for all trials; trial i uses seed + i, writes
+        ``<prefix>_trial{i}.csv``, and its log is read back from there."""
+        logs = closed_loop_track(
+            policy,
+            self.shape_model,
+            self.robot,
+            kind,
+            [np.random.default_rng(self.seed + i) for i in range(TRACKING_TRIALS)],
+            duration=self.duration,
+            period=self.period,
+            payload_grams=payload_grams,
+            obstacle=obstacle,
+            noise_std=self.noise_std,
+        )
+        paths = []
+        for i, log in enumerate(logs):
+            path = self.out / f"{prefix}_trial{i}.csv"
+            write_tracking_log_csv(path, log)
+            paths.append(path)
+        return [read_tracking_log_csv(p) for p in paths]
+
+    def reference(self, kind: str) -> np.ndarray:
+        """The reference path sampled densely for plotting."""
+        times = np.linspace(0.0, self.period, 401)
+        return reference_trajectory(kind, times, self.robot.total_length, self.period)
+
+
+def _trials(cfg: RunConfig, out: Path, args) -> _Trials:
+    """Models and run settings for a tracking-style evaluation."""
+    robot = cfg.robot_config()
+    shape_model = _load_model(load_shape_model, "shape", args.shape_model, robot)
+    if args.control_model is None:
+        scenario = cfg.get("run", "scenario")
+        raise ConfigError(f"{scenario} evaluation needs --control-model")
+    policy = _load_model(load_control_model, "control", args.control_model, robot)
+    duration, period = _run_timing(cfg)
+    return _Trials(
+        robot=robot,
+        shape_model=shape_model,
+        policy=policy,
+        out=out,
+        seed=cfg.get("run", "seed"),
+        duration=duration,
+        period=period,
+        noise_std=cfg.get("control", "noise_std"),
+    )
+
+
+def _tracking_rows(name: str, logs: list[TrackingLog], rows: list[MetricsRow]):
+    """Append one metrics row per axis for the pooled logs."""
     m = evaluate_tracking(logs)
     for j, axis in enumerate("xyz"):
         rows.append(
-            MetricsRow(kind, axis, float(m.rmse_mm[j]), float(m.std_mm[j]), len(logs))
+            MetricsRow(name, axis, float(m.rmse_mm[j]), float(m.std_mm[j]), len(logs))
         )
-    return logs
 
 
 def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
     robot = cfg.robot_config()
-    model = _load_shape(args.shape_model, robot)
+    model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     seed = cfg.get("run", "seed")
     samples = []
     for i in range(SHAPE_EVAL_TRIALS):
@@ -310,75 +377,28 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
 
 
 def _eval_tracking(cfg: RunConfig, out: Path, args) -> MetricsTable:
-    robot = cfg.robot_config()
-    shape_model = _load_shape(args.shape_model, robot)
-    if args.control_model is None:
-        raise ConfigError("tracking evaluation needs --control-model")
-    policy = _load_control(args.control_model, robot)
-    seed = cfg.get("run", "seed")
-    duration = cfg.get("run", "duration")
-    period = cfg.get("run", "period")
-    noise = cfg.get("control", "noise_std")
+    trials = _trials(cfg, out, args)
     rows: list[MetricsRow] = []
     for kind in TRACKING_KINDS:
-        paths = []
-        for i in range(TRACKING_TRIALS):
-            log = closed_loop_track(
-                policy,
-                shape_model,
-                robot,
-                kind,
-                duration=duration,
-                period=period,
-                noise_std=noise,
-                rng=np.random.default_rng(seed + i),
-            )
-            path = out / f"track_{kind}_trial{i}.csv"
-            write_tracking_log_csv(path, log)
-            paths.append(path)
-        logs = _tracking_rows(kind, paths, rows)
+        logs = trials.run(f"track_{kind}", trials.policy, kind)
+        _tracking_rows(kind, logs, rows)
         svg_path_overlay(
             out / f"track_{kind}.svg",
-            [
-                ("reference", _reference_polyline(kind, robot.total_length, period)),
-                ("achieved", logs[0].tips),
-            ],
+            [("reference", trials.reference(kind)), ("achieved", logs[0].tips)],
             f"{kind} tracking, trial 0",
         )
     return MetricsTable(rows=rows)
 
 
 def _eval_payload(cfg: RunConfig, out: Path, args) -> MetricsTable:
-    robot = cfg.robot_config()
-    shape_model = _load_shape(args.shape_model, robot)
-    if args.control_model is None:
-        raise ConfigError("payload evaluation needs --control-model")
-    policy = _load_control(args.control_model, robot)
-    seed = cfg.get("run", "seed")
-    duration = cfg.get("run", "duration")
-    period = cfg.get("run", "period")
-    noise = cfg.get("control", "noise_std")
+    trials = _trials(cfg, out, args)
     kind = "helix"
     rows: list[MetricsRow] = []
     first_logs = {}
     for grams in PAYLOAD_GRAMS:
-        paths = []
-        for i in range(TRACKING_TRIALS):
-            log = closed_loop_track(
-                policy,
-                shape_model,
-                robot,
-                kind,
-                duration=duration,
-                period=period,
-                payload_grams=grams,
-                noise_std=noise,
-                rng=np.random.default_rng(seed + i),
-            )
-            path = out / f"payload_{grams:g}g_trial{i}.csv"
-            write_tracking_log_csv(path, log)
-            paths.append(path)
-        logs = [read_tracking_log_csv(p) for p in paths]
+        logs = trials.run(
+            f"payload_{grams:g}g", trials.policy, kind, payload_grams=grams
+        )
         first_logs[grams] = logs[0]
         err = np.concatenate([log.errors for log in logs], axis=0)
         norms = np.sqrt((err * err).sum(axis=1))
@@ -394,7 +414,7 @@ def _eval_payload(cfg: RunConfig, out: Path, args) -> MetricsTable:
     svg_path_overlay(
         out / "payload_helix.svg",
         [
-            ("reference", _reference_polyline(kind, robot.total_length, period)),
+            ("reference", trials.reference(kind)),
             ("0 g", first_logs[PAYLOAD_GRAMS[0]].tips),
             ("20 g", first_logs[PAYLOAD_GRAMS[-1]].tips),
         ],
@@ -404,57 +424,28 @@ def _eval_payload(cfg: RunConfig, out: Path, args) -> MetricsTable:
 
 
 def _eval_obstacle(cfg: RunConfig, out: Path, args) -> MetricsTable:
-    robot = cfg.robot_config()
-    shape_model = _load_shape(args.shape_model, robot)
-    if args.control_model is None:
-        raise ConfigError("obstacle evaluation needs --control-model")
-    policy = _load_control(args.control_model, robot)
+    trials = _trials(cfg, out, args)
     baseline = (
-        _load_control(args.baseline_model, robot)
+        _load_model(load_control_model, "control", args.baseline_model, trials.robot)
         if args.baseline_model is not None
         else None
     )
-    obstacle = _ensure_obstacle(cfg, shape_model, robot)
-    seed = cfg.get("run", "seed")
-    duration = cfg.get("run", "duration")
-    period = cfg.get("run", "period")
-    noise = cfg.get("control", "noise_std")
+    obstacle = _ensure_obstacle(cfg, trials.shape_model, trials.robot)
     rows: list[MetricsRow] = []
     summary = []
     for kind in OBSTACLE_KINDS:
-        for label, m in (("", policy), ("baseline_", baseline)):
+        for label, m in (("", trials.policy), ("baseline_", baseline)):
             if m is None:
                 continue
-            paths = []
-            for i in range(TRACKING_TRIALS):
-                log = closed_loop_track(
-                    m,
-                    shape_model,
-                    robot,
-                    kind,
-                    duration=duration,
-                    period=period,
-                    obstacle=obstacle,
-                    noise_std=noise,
-                    rng=np.random.default_rng(seed + i),
-                )
-                path = out / f"obstacle_{label}{kind}_trial{i}.csv"
-                write_tracking_log_csv(path, log)
-                paths.append(path)
-            logs = _tracking_rows(label + kind, paths, rows)
+            logs = trials.run(f"obstacle_{label}{kind}", m, kind, obstacle=obstacle)
+            _tracking_rows(label + kind, logs, rows)
             violations = sum(count_violations(log, obstacle) for log in logs)
             ticks = sum(log.n_ticks for log in logs)
             summary.append((label + kind, violations, ticks))
             if not label:
                 svg_path_overlay(
                     out / f"obstacle_{kind}.svg",
-                    [
-                        (
-                            "reference",
-                            _reference_polyline(kind, robot.total_length, period),
-                        ),
-                        ("achieved", logs[0].tips),
-                    ],
+                    [("reference", trials.reference(kind)), ("achieved", logs[0].tips)],
                     f"{kind} with obstacle, trial 0",
                     marks=[
                         (
@@ -488,7 +479,8 @@ def cmd_evaluate(args) -> int:
         table = _eval_payload(cfg, out, args)
     elif scenario == "obstacle":
         robot = cfg.robot_config()
-        _ensure_obstacle(cfg, _load_shape(args.shape_model, robot), robot)
+        shape_model = _load_model(load_shape_model, "shape", args.shape_model, robot)
+        _ensure_obstacle(cfg, shape_model, robot)
         _write_resolved(cfg, out)
         table = _eval_obstacle(cfg, out, args)
     else:
@@ -502,44 +494,33 @@ def cmd_evaluate(args) -> int:
 def cmd_rollout(args) -> int:
     cfg, out = _resolve(args)
     robot = cfg.robot_config()
-    shape_model = _load_shape(args.shape_model, robot)
+    shape_model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     kind = _check_kind(cfg.get("run", "trajectory"))
     obstacle = cfg.obstacle_spec()
     _write_resolved(cfg, out)
-    duration = cfg.get("run", "duration")
-    period = cfg.get("run", "period")
+    duration, period = _run_timing(cfg)
     payload = cfg.get("run", "payload_grams")
     if payload < 0:
         raise ConfigError("payload must be non-negative")
-    seed = cfg.get("run", "seed")
     if args.closed_loop:
         if args.control_model is None:
             raise ConfigError("closed-loop rollout needs --control-model")
-        policy = _load_control(args.control_model, robot)
-        log = closed_loop_track(
-            policy,
-            shape_model,
-            robot,
-            kind,
-            duration=duration,
-            period=period,
-            payload_grams=payload,
-            obstacle=obstacle,
-            noise_std=cfg.get("control", "noise_std"),
-            rng=np.random.default_rng(seed),
-        )
+        policy = _load_model(load_control_model, "control", args.control_model, robot)
         mode = "closed-loop"
     else:
-        log = open_loop_jacobian_track(
-            shape_model,
-            robot,
-            kind,
-            duration=duration,
-            period=period,
-            payload_grams=payload,
-            obstacle=obstacle,
-        )
-        mode = "open-loop"
+        policy, mode = None, "open-loop"
+    (log,) = closed_loop_track(
+        policy,
+        shape_model,
+        robot,
+        kind,
+        [np.random.default_rng(cfg.get("run", "seed"))],
+        duration=duration,
+        period=period,
+        payload_grams=payload,
+        obstacle=obstacle,
+        noise_std=cfg.get("control", "noise_std"),
+    )
     path = out / "rollout.csv"
     write_tracking_log_csv(path, log)
     if log.n_ticks > 0:

@@ -8,10 +8,12 @@ every horizon step is the model-predicted backbone (downsampled to nine
 equal-arc points), the predicted tip, the current action, and the goal.
 Training minimizes an MPC-style loss over the horizon (tracking, action
 rate, shape consistency, terminal, optional obstacle proximity) through
-the full rollout.  Deployment runs receding-horizon: observe the
-simulated robot, re-plan, apply the first action.  The open-loop
-baseline integrates q' = J+ g' with the damped pseudo-inverse of the
-model tip Jacobian and no feedback.
+the full rollout.  One episode runner, :func:`closed_loop_track`, drives
+the simulated robot from an inverse-kinematics start with one of two
+step rules: the policy re-plans receding-horizon from the observed
+robot and applies the first action, or, as the open-loop baseline, the
+action integrates q' = J+ g' with the damped pseudo-inverse of the model
+tip Jacobian and no feedback.
 
 The policy state advances with one explicit Euler step per horizon step.
 With the observation frozen over the step the stage dynamics are
@@ -22,9 +24,7 @@ with continuing the previous plan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .nn import (
     collect_mlp_grads,
     init_mlp,
     mlp_forward,
-    params_from_dict,
-    params_to_dict,
 )
 from .robot import (
     ActionVector,
@@ -52,7 +50,8 @@ from .robot import (
 from .shape_node import (
     ShapeNodeModel,
     ShapeRollout,
-    robot_config_hash,
+    _read_model_file,
+    _write_model_file,
     rollout_shape,
     tip_jacobian,
 )
@@ -618,23 +617,18 @@ def ik_solve(
     shape_model: ShapeNodeModel,
     config: RobotConfig,
     target: Array,
-    q_init: Array | None = None,
     max_iters: int = 200,
     tol: float = 1e-4,
-    damping: float = 1e-6,
 ) -> Array:
     """Damped least-squares inverse kinematics on the model tip.
 
-    Returns the best iterate seen; stops early once within ``tol`` of the
-    target or when the error stalls, which is what happens at the closest
-    approach to an unreachable target.
+    Starts from the zero action and returns the best iterate seen; stops
+    early once within ``tol`` of the target or when the error stalls,
+    which is what happens at the closest approach to an unreachable
+    target.
     """
     target = np.asarray(target, dtype=np.float64)
-    q = (
-        np.zeros(config.action_dim)
-        if q_init is None
-        else np.asarray(q_init, dtype=np.float64).copy()
-    )
+    q = np.zeros(config.action_dim)
     best_q, best_norm, stalled = q, np.inf, 0
     for _ in range(max_iters):
         tape = Tape()
@@ -648,9 +642,7 @@ def ik_solve(
         if best_norm < tol or stalled >= 5:
             break
         jac = tip_jacobian(shape_model, q, config)
-        q = _clip_inside(
-            q + damped_pinv(jac, damping) @ err, config.q_min, config.q_max
-        )
+        q = _clip_inside(q + damped_pinv(jac) @ err, config.q_min, config.q_max)
     return best_q
 
 
@@ -679,123 +671,84 @@ def place_obstacle(
 
 
 def closed_loop_track(
-    policy: ControlNodeModel,
+    policy: ControlNodeModel | None,
     shape_model: ShapeNodeModel,
     config: RobotConfig,
     kind: str,
+    rngs: list[np.random.Generator | None],
     duration: float = 100.0,
     period: float = 100.0,
     payload_grams: float = 0.0,
     obstacle: ObstacleSpec | None = None,
     noise_std: float = 0.0,
-    rng: np.random.Generator | None = None,
-    q_init: Array | None = None,
-) -> TrackingLog:
-    """Receding-horizon tracking against the simulated robot.
+) -> list[TrackingLog]:
+    """Track the reference on the simulated robot, one log per ``rngs`` entry.
 
-    Each tick observes the simulated backbone (payload applied), plans a
-    full horizon with the models, applies only the first action, and
-    logs the achieved tip against the reference at the new time.
-    ``noise_std`` perturbs the observed feedback, which is what makes
-    seeded runs distinct.
+    Every trial starts from one inverse-kinematics solve for the
+    reference at t = 0.  Each tick advances the action by the step rule
+    and logs the achieved tip (payload applied) against the reference at
+    the new time.  With a ``policy`` the step observes the simulated
+    backbone, plans a full horizon with the models and applies only the
+    first action; ``noise_std`` perturbs that observation from the
+    trial's generator, which is what makes seeded trials distinct.  With
+    ``policy=None`` the step is the open-loop baseline q += J+ (g_next -
+    g_now) on the model tip Jacobian, with no feedback.
     """
     tick = period / TICKS_PER_PERIOD
     n = int(round(duration / tick))
     length = config.total_length
-    q = (
-        ik_solve(
-            shape_model, config, reference_trajectory(kind, 0.0, length, period)
+    g_start = reference_trajectory(kind, 0.0, length, period)
+    q_start = ik_solve(shape_model, config, g_start)
+    logs = []
+    for rng in rngs:
+        q, g_now = q_start, g_start
+        log = TrackingLog(
+            times=np.zeros(n),
+            goals=np.zeros((n, 3)),
+            tips=np.zeros((n, 3)),
+            actions=np.zeros((n, config.action_dim)),
+            min_obstacle_dist=np.zeros(n) if obstacle is not None else None,
         )
-        if q_init is None
-        else np.asarray(q_init, dtype=np.float64).copy()
-    )
-    times = np.zeros(n)
-    goals = np.zeros((n, 3))
-    tips = np.zeros((n, 3))
-    actions = np.zeros((n, config.action_dim))
-    dists = np.zeros(n) if obstacle is not None else None
-    # each tick observes the backbone the previous tick achieved
-    achieved = forward_kinematics(config, q, payload_grams=payload_grams)
-    for k in range(n):
-        t_next = (k + 1) * tick
-        obs_ds = downsample_backbone(achieved.points)
-        goal = reference_trajectory(kind, t_next, length, period)
-        tape = Tape()
-        result = rollout_policy(
-            policy,
-            shape_model,
-            config,
-            tape,
-            q[None],
-            goal[None],
-            noise_rng=rng if noise_std > 0.0 else None,
-            noise_std=noise_std,
-            noise_first_only=True,
-            initial_observation=(obs_ds[None], achieved.tip[None]),
-        )
-        # tanh can hit the exact bound in float64; keep the applied
-        # action strictly inside so the next re-plan can invert it
-        q = _clip_inside(result.actions[0].value[0], config.q_min, config.q_max)
+        # each tick observes the backbone the previous tick achieved
         achieved = forward_kinematics(config, q, payload_grams=payload_grams)
-        times[k] = t_next
-        goals[k] = goal
-        tips[k] = achieved.tip
-        actions[k] = q
-        if dists is not None:
-            dists[k] = min_obstacle_distance(achieved.points, obstacle)
-    return TrackingLog(
-        times=times, goals=goals, tips=tips, actions=actions, min_obstacle_dist=dists
-    )
-
-
-def open_loop_jacobian_track(
-    shape_model: ShapeNodeModel,
-    config: RobotConfig,
-    kind: str,
-    duration: float = 100.0,
-    period: float = 100.0,
-    payload_grams: float = 0.0,
-    obstacle: ObstacleSpec | None = None,
-    q_init: Array | None = None,
-    damping: float = 1e-6,
-) -> TrackingLog:
-    """Feedforward baseline integrating q' = J+ g' with no feedback."""
-    tick = period / TICKS_PER_PERIOD
-    n = int(round(duration / tick))
-    length = config.total_length
-    q = (
-        ik_solve(
-            shape_model, config, reference_trajectory(kind, 0.0, length, period)
-        )
-        if q_init is None
-        else np.asarray(q_init, dtype=np.float64).copy()
-    )
-    times = np.zeros(n)
-    goals = np.zeros((n, 3))
-    tips = np.zeros((n, 3))
-    actions = np.zeros((n, config.action_dim))
-    dists = np.zeros(n) if obstacle is not None else None
-    for k in range(n):
-        t_now = k * tick
-        t_next = (k + 1) * tick
-        g_now = reference_trajectory(kind, t_now, length, period)
-        g_next = reference_trajectory(kind, t_next, length, period)
-        jac = tip_jacobian(shape_model, q, config)
-        q = _clip_inside(
-            q + damped_pinv(jac, damping) @ (g_next - g_now),
-            config.q_min,
-            config.q_max,
-        )
-        achieved = forward_kinematics(config, q, payload_grams=payload_grams)
-        times[k] = t_next
-        goals[k] = g_next
-        tips[k] = achieved.tip
-        actions[k] = q
-        if dists is not None:
-            dists[k] = min_obstacle_distance(achieved.points, obstacle)
-    return TrackingLog(
-        times=times, goals=goals, tips=tips, actions=actions, min_obstacle_dist=dists
-    )
+        for k in range(n):
+            t_next = (k + 1) * tick
+            g_next = reference_trajectory(kind, t_next, length, period)
+            if policy is None:
+                jac = tip_jacobian(shape_model, q, config)
+                q = q + damped_pinv(jac) @ (g_next - g_now)
+            else:
+                # the plan's tape is dropped as soon as its first action is read
+                q = rollout_policy(
+                    policy,
+                    shape_model,
+                    config,
+                    Tape(),
+                    q[None],
+                    g_next[None],
+                    noise_rng=rng if noise_std > 0.0 else None,
+                    noise_std=noise_std,
+                    noise_first_only=True,
+                    initial_observation=(
+                        downsample_backbone(achieved.points)[None],
+                        achieved.tip[None],
+                    ),
+                ).actions[0].value[0]
+            # keep the applied action strictly inside the bounds: tanh can
+            # hit the exact bound in float64, and a re-plan inverts it
+            q = _clip_inside(q, config.q_min, config.q_max)
+            achieved = forward_kinematics(config, q, payload_grams=payload_grams)
+            log.times[k] = t_next
+            log.goals[k] = g_next
+            log.tips[k] = achieved.tip
+            log.actions[k] = q
+            if obstacle is not None:
+                log.min_obstacle_dist[k] = min_obstacle_distance(
+                    achieved.points, obstacle
+                )
+            g_now = g_next
+        logs.append(log)
+    return logs
 
 
 @dataclass
@@ -844,42 +797,35 @@ def count_violations(log: TrackingLog, obstacle: ObstacleSpec) -> int:
 
 def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> None:
     """Write the policy plus its robot binding as a single JSON document."""
-    doc = {
-        "format": CONTROL_MODEL_FORMAT,
-        "n_segments": model.n_segments,
-        "q_min": model.q_min,
-        "q_max": model.q_max,
-        "horizon": model.horizon,
-        "dt": model.dt,
-        "rate_scale": model.rate_scale,
-        "robot_config": config.to_dict(),
-        "robot_config_hash": robot_config_hash(config),
-        "params": params_to_dict(model.params),
-    }
-    Path(path).write_text(json.dumps(doc), encoding="ascii")
+    _write_model_file(
+        path,
+        CONTROL_MODEL_FORMAT,
+        {
+            "n_segments": model.n_segments,
+            "q_min": model.q_min,
+            "q_max": model.q_max,
+            "horizon": model.horizon,
+            "dt": model.dt,
+            "rate_scale": model.rate_scale,
+        },
+        model.params,
+        config,
+    )
 
 
 def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
     """Load a saved policy; malformed files raise ``ValueError``."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CONTROL_MODEL_FORMAT:
-        raise ValueError("not a control model file")
-    try:
-        config = RobotConfig.from_dict(doc["robot_config"])
-        if doc["robot_config_hash"] != robot_config_hash(config):
-            raise ValueError("robot config hash mismatch")
-        model = ControlNodeModel(
-            params=params_from_dict(doc["params"]),
+    return _read_model_file(
+        path,
+        CONTROL_MODEL_FORMAT,
+        "control",
+        lambda doc, params: ControlNodeModel(
+            params=params,
             n_segments=int(doc["n_segments"]),
             q_min=float(doc["q_min"]),
             q_max=float(doc["q_max"]),
             horizon=int(doc["horizon"]),
             dt=float(doc["dt"]),
             rate_scale=float(doc["rate_scale"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"incomplete model file: {exc!r}") from exc
-    return model, config
+        ),
+    )

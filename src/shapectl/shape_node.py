@@ -45,7 +45,6 @@ from .robot import (
     BackboneShape,
     RobotConfig,
     action_to_curvature,
-    backbone_arc_coords,
 )
 
 STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
@@ -175,13 +174,10 @@ class ShapeRollout:
 
     ``points`` holds one (batch, 3) tensor per integration output node,
     base excluded, ordered base to tip, ``steps_per_segment`` of them per
-    segment.  ``u0_leaves`` are the commanded-curvature tensors, one per
-    segment: leaves when the actions came in as an array, derived nodes
-    when they came in as a tensor.
+    segment.
     """
 
     points: list[Tensor]
-    u0_leaves: list[Tensor]
     mt: MlpTensors
 
     @property
@@ -226,13 +222,11 @@ def rollout_shape(
     p = tape.tensor(np.zeros((batch, 3)))
     aug = tape.tensor(np.zeros((batch, 1)))
     points: list[Tensor] = []
-    leaves: list[Tensor] = []
     for seg in range(config.n_segments):
         if q_tensor is not None:
             u_leaf = _curvature_node(tape, q_tensor, u0[:, seg], seg, config)
         else:
             u_leaf = tape.tensor(u0[:, seg])
-        leaves.append(u_leaf)
         x0 = ad.concat([p, u_leaf, aug], axis=1)
         grid = IntegrationGrid(
             0.0, config.segment_lengths[seg], model.steps_per_segment
@@ -242,20 +236,7 @@ def rollout_shape(
             points.append(ad.slice_cols(st, 0, 3))
         p = points[-1]
         aug = ad.slice_cols(states[-1], 6, 7)
-    return ShapeRollout(points=points, u0_leaves=leaves, mt=mt)
-
-
-def predict_shape(
-    model: ShapeNodeModel, q: ActionVector | Array, config: RobotConfig
-) -> BackboneShape:
-    """Predicted backbone for one action, on the ground-truth grid."""
-    q_arr = q.q if isinstance(q, ActionVector) else np.asarray(q, dtype=np.float64)
-    tape = Tape()
-    ro = rollout_shape(model, config, tape, q_arr.reshape(1, -1))
-    pts = np.vstack([np.zeros((1, 3))] + [t.value for t in ro.points])
-    return BackboneShape(
-        s=backbone_arc_coords(config, model.steps_per_segment), points=pts
-    )
+    return ShapeRollout(points=points, mt=mt)
 
 
 def predict_shape_batch(
@@ -421,38 +402,20 @@ def tip_jacobian(
 ) -> Array:
     """Sensitivity of the predicted tip to the action, shape (3, 2n).
 
-    Backpropagates each tip coordinate to the commanded-curvature leaves,
-    then chains through the saturating action-to-curvature map in closed
-    form (identity inside the norm ball, the norm-projection Jacobian on
-    it).
+    Backpropagates each tip coordinate to a taped action, so the chain
+    runs through the saturating action-to-curvature map of
+    :func:`rollout_shape` (identity inside the norm ball, the
+    norm-projection Jacobian on it).
     """
     q_arr = q.q if isinstance(q, ActionVector) else np.asarray(q, dtype=np.float64)
-    q_arr = q_arr.reshape(1, -1)
     tape = Tape()
-    ro = rollout_shape(model, config, tape, q_arr)
-    d_u0 = np.zeros((3, config.n_segments, 3))
-    for j in range(3):
-        comp = ad.reduce_sum(ad.slice_cols(ro.tip, j, j + 1))
-        grads = ad.backward(comp)
-        for i, leaf in enumerate(ro.u0_leaves):
-            d_u0[j, i] = ad.grad_of(grads, leaf)[0]
+    q_leaf = tape.tensor(q_arr.reshape(1, -1))
+    tip = rollout_shape(model, config, tape, q_leaf).tip
     jac = np.zeros((3, config.action_dim))
-    per_seg = q_arr.reshape(config.n_segments, 2)
-    for i in range(config.n_segments):
-        jac[:, 2 * i : 2 * i + 2] = d_u0[:, i, :] @ _clamp_jacobian(
-            per_seg[i], config.u_max
-        )
+    for j in range(3):
+        grads = ad.backward(ad.reduce_sum(ad.slice_cols(tip, j, j + 1)))
+        jac[j] = ad.grad_of(grads, q_leaf)[0]
     return jac
-
-
-def _clamp_jacobian(q2: Array, u_max: float) -> Array:
-    """d(commanded curvature)/d(q_x, q_y) for one segment, shape (3, 2)."""
-    v = np.array([q2[0], q2[1], 0.0])
-    n = np.linalg.norm(v)
-    if n <= u_max:
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    vhat = v / n
-    return (u_max / n) * (np.eye(3) - np.outer(vhat, vhat))[:, :2]
 
 
 @dataclass
@@ -492,36 +455,64 @@ def robot_config_hash(config: RobotConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def save_shape_model(path, model: ShapeNodeModel, config: RobotConfig) -> None:
-    """Write the model plus its robot binding as a single JSON document."""
+def _write_model_file(
+    path, fmt: str, fields: dict, params: MlpParams, config: RobotConfig
+) -> None:
+    """Model JSON: format tag, model fields, robot binding, then weights."""
     doc = {
-        "format": SHAPE_MODEL_FORMAT,
-        "solver": model.solver,
-        "steps_per_segment": model.steps_per_segment,
+        "format": fmt,
+        **fields,
         "robot_config": config.to_dict(),
         "robot_config_hash": robot_config_hash(config),
-        "params": params_to_dict(model.params),
+        "params": params_to_dict(params),
     }
     Path(path).write_text(json.dumps(doc), encoding="ascii")
 
 
-def load_shape_model(path) -> tuple[ShapeNodeModel, RobotConfig]:
-    """Load a saved model; malformed files raise ``ValueError``."""
+def _read_model_file(path, fmt: str, kind: str, build):
+    """Inverse of :func:`_write_model_file`.
+
+    ``build(doc, params)`` makes the model from the document fields;
+    returns (model, robot config).  Malformed files, another format, a
+    robot config that does not match its hash, and missing fields raise
+    ``ValueError``.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SHAPE_MODEL_FORMAT:
-        raise ValueError("not a shape model file")
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"not a {kind} model file")
     try:
         config = RobotConfig.from_dict(doc["robot_config"])
         if doc["robot_config_hash"] != robot_config_hash(config):
             raise ValueError("robot config hash mismatch")
-        model = ShapeNodeModel(
-            params=params_from_dict(doc["params"]),
-            solver=doc["solver"],
-            steps_per_segment=int(doc["steps_per_segment"]),
-        )
+        model = build(doc, params_from_dict(doc["params"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"incomplete model file: {exc!r}") from exc
     return model, config
+
+
+def save_shape_model(path, model: ShapeNodeModel, config: RobotConfig) -> None:
+    """Write the model plus its robot binding as a single JSON document."""
+    _write_model_file(
+        path,
+        SHAPE_MODEL_FORMAT,
+        {"solver": model.solver, "steps_per_segment": model.steps_per_segment},
+        model.params,
+        config,
+    )
+
+
+def load_shape_model(path) -> tuple[ShapeNodeModel, RobotConfig]:
+    """Load a saved model; malformed files raise ``ValueError``."""
+    return _read_model_file(
+        path,
+        SHAPE_MODEL_FORMAT,
+        "shape",
+        lambda doc, params: ShapeNodeModel(
+            params=params,
+            solver=doc["solver"],
+            steps_per_segment=int(doc["steps_per_segment"]),
+        ),
+    )

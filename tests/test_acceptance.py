@@ -26,8 +26,8 @@ from shapectl.control_node import (
     ControlLossConfig,
     control_loss,
     evaluate_tracking,
+    closed_loop_track,
     init_control_model,
-    open_loop_jacobian_track,
     rollout_policy,
 )
 from shapectl.nn import init_mlp, mlp_forward
@@ -568,7 +568,7 @@ def test_criterion_7_closed_loop_beats_open_loop(tracking_eval, shape_runs):
     closed = evaluate_tracking(closed_logs).aggregate_rmse_mm
     model, config = load_shape_model(shape_runs[3].model)
     open_rmse = evaluate_tracking(
-        open_loop_jacobian_track(model, config, "square")
+        closed_loop_track(None, model, config, "square", [None])
     ).aggregate_rmse_mm
     ok = closed <= 0.5 * open_rmse
     _report(

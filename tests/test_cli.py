@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import shapectl.control_node
 from shapectl.cli import main
 from shapectl.config import load_run_config
 from shapectl.control_node import load_control_model
@@ -186,6 +187,15 @@ def test_train_control_history_rows(workdir):
     assert saved_robot.n_segments == 1
 
 
+def test_train_control_byte_identical(workdir, tmp_path):
+    root, ini = workdir
+    args = ["train-control", "--config", str(ini), "--shape-model"]
+    args += [_shape_model_path(workdir), "--out", str(tmp_path)]
+    assert main(args) == 0
+    for name in ("control_model.json", "control_history.csv", "resolved_config.ini"):
+        assert (tmp_path / name).read_bytes() == (root / "tc" / name).read_bytes()
+
+
 def test_train_control_zero_iterations_rejected(workdir, tmp_path, monkeypatch):
     root, ini = workdir
     monkeypatch.setenv("SHAPECTL_CONTROL_ITERATIONS", "0")
@@ -306,6 +316,39 @@ def test_evaluate_tracking_table_matches_logs(workdir, tmp_path, capsys):
     ).read_bytes()
 
 
+def test_evaluate_tracking_solves_ik_once_per_trajectory(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    calls = []
+    solve = shapectl.control_node.ik_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(shapectl.control_node, "ik_solve", counted)
+    root, ini = workdir
+    rc = main(
+        [
+            "evaluate",
+            "--config",
+            str(ini),
+            "--shape-model",
+            _shape_model_path(workdir),
+            "--control-model",
+            _control_model_path(workdir),
+            "--scenario",
+            "tracking",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    # one start per trajectory kind, shared by its five seeded trials
+    assert len(calls) == 4
+    capsys.readouterr()
+
+
 def test_evaluate_payload_emits_five_rows(workdir, tmp_path):
     root, ini = workdir
     rc = main(
@@ -393,6 +436,33 @@ def test_rollout_closed_loop(workdir, tmp_path):
     assert log.n_ticks == 2
     assert np.all(log.actions > -15.0) and np.all(log.actions < 15.0)
     assert log.min_obstacle_dist is None
+
+
+@pytest.mark.parametrize("mode", ["--closed-loop", "--open-loop"])
+def test_rollout_byte_identical(workdir, tmp_path, mode, capsys):
+    root, ini = workdir
+    args = [
+        "rollout",
+        "--config",
+        str(ini),
+        "--shape-model",
+        _shape_model_path(workdir),
+        "--control-model",
+        _control_model_path(workdir),
+        mode,
+        "--trajectory",
+        "square",
+        "--payload",
+        "5",
+        "--obstacle",
+        "0.02,0.0,0.08",
+    ]
+    for name in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+    for name in ("rollout.csv", "resolved_config.ini"):
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes()
+    capsys.readouterr()
 
 
 def test_rollout_open_loop_ignores_plant_feedback(workdir, tmp_path):
@@ -536,6 +606,40 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
     )
     assert rc == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["rollout", "evaluate"])
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"SHAPECTL_RUN_DURATION": "-1"},
+        {"SHAPECTL_RUN_DURATION": "20", "SHAPECTL_RUN_PERIOD": "10"},
+        {"SHAPECTL_RUN_DURATION": "nan"},
+        {"SHAPECTL_RUN_PERIOD": "0"},
+    ],
+)
+def test_bad_run_timing_is_config_error(
+    workdir, tmp_path, monkeypatch, capsys, command, env
+):
+    root, ini = workdir
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    args = [
+        command,
+        "--config",
+        str(ini),
+        "--shape-model",
+        _shape_model_path(workdir),
+        "--control-model",
+        _control_model_path(workdir),
+        "--out",
+        str(tmp_path),
+    ]
+    args += ["--closed-loop"] if command == "rollout" else ["--scenario", "tracking"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_dataset_segment_lengths_must_match_config(workdir, tmp_path, capsys):

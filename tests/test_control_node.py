@@ -27,7 +27,6 @@ from shapectl.control_node import (
     init_control_model,
     load_control_model,
     observation_dim,
-    open_loop_jacobian_track,
     rollout_policy,
     save_control_model,
     train_control_node,
@@ -587,16 +586,16 @@ def test_ik_solve_reaches_model_tip(setup1, rng):
 def test_tracking_loops_structure(setup1, rng):
     cfg, sm, policy = setup1
     obstacle = ObstacleSpec(center=np.array([0.05, 0.0, 0.05]))
-    closed = closed_loop_track(
+    (closed,) = closed_loop_track(
         policy,
         sm,
         cfg,
         "circle",
+        [np.random.default_rng(0)],
         duration=2.5,
         period=100.0,
         obstacle=obstacle,
         noise_std=0.00033,
-        rng=np.random.default_rng(0),
     )
     assert closed.n_ticks == 5
     assert np.allclose(closed.times, 0.5 * np.arange(1, 6))
@@ -604,8 +603,8 @@ def test_tracking_loops_structure(setup1, rng):
     assert np.all(closed.actions > cfg.q_min)
     assert np.all(closed.actions < cfg.q_max)
 
-    open_log = open_loop_jacobian_track(
-        sm, cfg, "circle", duration=2.5, period=100.0
+    (open_log,) = closed_loop_track(
+        None, sm, cfg, "circle", [None], duration=2.5, period=100.0
     )
     assert open_log.n_ticks == 5
     assert open_log.min_obstacle_dist is None
@@ -613,22 +612,53 @@ def test_tracking_loops_structure(setup1, rng):
     assert np.all(open_log.actions < cfg.q_max)
 
     # matched seeds reproduce the closed-loop run byte for byte
-    again = closed_loop_track(
+    (again,) = closed_loop_track(
         policy,
         sm,
         cfg,
         "circle",
+        [np.random.default_rng(0)],
         duration=2.5,
         period=100.0,
         obstacle=obstacle,
         noise_std=0.00033,
-        rng=np.random.default_rng(0),
     )
     assert np.array_equal(closed.tips, again.tips)
     assert np.array_equal(closed.actions, again.actions)
 
-    empty = closed_loop_track(policy, sm, cfg, "circle", duration=0.0)
+    (empty,) = closed_loop_track(policy, sm, cfg, "circle", [None], duration=0.0)
     assert empty.n_ticks == 0
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_runner_trials_match_one_trial_calls(setup1, closed):
+    cfg, sm, policy = setup1
+    step = policy if closed else None
+    obstacle = ObstacleSpec(center=np.array([0.05, 0.0, 0.05]))
+    kw = dict(
+        duration=2.0,
+        period=100.0,
+        payload_grams=5.0,
+        obstacle=obstacle,
+        noise_std=0.00033,
+    )
+    both = closed_loop_track(
+        step,
+        sm,
+        cfg,
+        "ellipse",
+        [np.random.default_rng(3), np.random.default_rng(4)],
+        **kw,
+    )
+    assert len(both) == 2
+    for log, seed in zip(both, (3, 4)):
+        (solo,) = closed_loop_track(
+            step, sm, cfg, "ellipse", [np.random.default_rng(seed)], **kw
+        )
+        for field in ("times", "goals", "tips", "actions", "min_obstacle_dist"):
+            assert np.array_equal(getattr(log, field), getattr(solo, field)), field
+    # seeded observation noise separates closed-loop trials only
+    assert np.array_equal(both[0].actions, both[1].actions) == (not closed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from shapectl.shape_node import (
     evaluate_shape_rmse,
     init_shape_model,
     load_shape_model,
-    predict_shape,
     predict_shape_batch,
     rollout_shape,
     save_shape_model,
@@ -67,19 +66,18 @@ def test_prior_model_predicts_straight_backbone(rng):
     for n in (1, 3):
         cfg = RobotConfig(n_segments=n)
         model = small_model(rng, cfg)
-        shape = predict_shape(model, np.zeros(2 * n), cfg)
-        assert np.linalg.norm(shape.tip - [0.0, 0.0, cfg.total_length]) < 1e-9
-        assert np.all(shape.points[:, :2] == 0.0)
-        assert shape.points.shape == (1 + 10 * n, 3)
-        assert np.array_equal(shape.s, forward_kinematics(cfg, np.zeros(2 * n)).s)
+        points = predict_shape_batch(model, np.zeros((1, 2 * n)), cfg)[0]
+        assert np.linalg.norm(points[-1] - [0.0, 0.0, cfg.total_length]) < 1e-9
+        assert np.all(points[:, :2] == 0.0)
+        assert points.shape == (10 * n, 3)
 
 
 def test_prior_model_ignores_action(rng):
     cfg = RobotConfig(n_segments=2)
     model = small_model(rng, cfg)
-    a = predict_shape(model, np.array([3.0, -5.0, 1.0, 2.0]), cfg)
-    b = predict_shape(model, np.zeros(4), cfg)
-    assert np.array_equal(a.points, b.points)
+    a = predict_shape_batch(model, np.array([[3.0, -5.0, 1.0, 2.0]]), cfg)
+    b = predict_shape_batch(model, np.zeros((1, 4)), cfg)
+    assert np.array_equal(a, b)
 
 
 def test_predict_batch_matches_solo(rng):
@@ -89,8 +87,8 @@ def test_predict_batch_matches_solo(rng):
     batch = predict_shape_batch(model, q, cfg)
     assert batch.shape == (4, 20, 3)
     for b in range(4):
-        solo = predict_shape(model, q[b], cfg)
-        assert np.allclose(batch[b], solo.points[1:], atol=1e-12)
+        solo = predict_shape_batch(model, q[b : b + 1], cfg)[0]
+        assert np.allclose(batch[b], solo, atol=1e-12)
 
 
 def test_segment_chaining_is_sequential_solves(rng):
@@ -221,7 +219,8 @@ def test_tip_jacobian_matches_finite_differences(rng):
         for j in range(3):
             for c in range(4):
                 def tip_component():
-                    return float(predict_shape(model, q_work, cfg).tip[j])
+                    tip = predict_shape_batch(model, q_work[None], cfg)[0, -1]
+                    return float(tip[j])
 
                 fd = fd_grad_at(tip_component, q_work, c, eps=1e-5)
                 assert rel_err(jac[j, c], fd) < 1e-3, (j, c)
@@ -231,11 +230,11 @@ def test_shape_continuity_in_action(rng):
     cfg = RobotConfig(n_segments=2)
     model = perturbed_model(rng, cfg)
     q = rng.uniform(-8.0, 8.0, size=4)
-    base = predict_shape(model, q, cfg).points
+    base = predict_shape_batch(model, q[None], cfg)[0]
     jac_norm = np.linalg.norm(tip_jacobian(model, q, cfg), 2)
     delta = 1e-3 * rng.standard_normal(4)
     delta /= np.linalg.norm(delta) * 1e3  # exactly 1e-3
-    moved = predict_shape(model, q + delta, cfg).points
+    moved = predict_shape_batch(model, (q + delta)[None], cfg)[0]
     sup = np.abs(moved - base).max()
     assert sup <= 10.0 * jac_norm * 1e-3 + 1e-9
 
