@@ -6,12 +6,23 @@ returns a gradient for every node reachable from the loss.  Values are plain
 ``numpy.ndarray`` in float64; there is no broadcasting magic beyond what the
 individual primitives declare.
 
+Leaves are trainable (:meth:`Tape.tensor`) or constant
+(:meth:`Tape.constant`).  A recorded node is active, that is, needs an
+adjoint, only if at least one of its parents is active (activity
+analysis).  An inactive node is stored as one more constant: the tape
+keeps no backward closure for it, and so none of the forward values the
+closure would have held.  A forward pass on constants alone is therefore
+a no-record call into the same primitives, and ``backward`` sends no
+contribution to a constant.  Primitives whose backward is costly (the
+fused ``dense``) also skip the products an inactive parent would get.
+
 The engine favors a small, explicit primitive set over operator coverage.
-Tensors support ``+``, ``-``, unary ``-`` and scalar ``*`` for readability;
-everything else is a named function (``matmul``, ``tanh``, ``reduce_sum``,
-...).  Backward closures return one array per parent; the accumulator treats
-first contributions as borrowed and copies on the second write, so closures
-may hand back the upstream adjoint itself without defensive copies.
+Tensors support ``+``, ``-``, unary ``-`` and scalar or constant-array
+``*`` for readability; everything else is a named function (``dense``,
+``tanh``, ``reduce_sum``, ...).  Backward closures return one array (or
+None) per parent; the accumulator treats first contributions as borrowed
+and copies on the second write, so closures may hand back the upstream
+adjoint itself without defensive copies.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ class Tensor:
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
-            return mul(self, other)
+            return NotImplemented
         other = _as_f64(other)
         if other.ndim == 0:
             return scale(self, float(other))
@@ -75,29 +86,45 @@ class Tensor:
 class Tape:
     """Linear recording of primitives.
 
-    ``parents[i]`` holds the node ids feeding node ``i`` and ``backfns[i]``
+    ``parents[i]`` holds the node ids feeding node ``i``, ``backfns[i]``
     the closure mapping the adjoint of node ``i`` to one contribution per
-    parent.  Leaves have no parents and no closure.  Node ids are assigned
-    in creation order, so every parent id is smaller than its child id and
-    a reverse sweep over ids is a valid reverse topological order.
+    parent, and ``active[i]`` whether node ``i`` needs an adjoint.  Leaves
+    and inactive nodes have no parents and no closure.  Node ids are
+    assigned in creation order, so every parent id is smaller than its
+    child id and a reverse sweep over ids is a valid reverse topological
+    order.
     """
 
     def __init__(self):
         self.parents: list[tuple[int, ...]] = []
         self.backfns: list = []
+        self.active: list[bool] = []
 
     def tensor(self, value) -> Tensor:
-        """Record a leaf holding ``value`` (copied to float64)."""
-        arr = _as_f64(value)
+        """Record a trainable leaf holding ``value`` as float64."""
+        return self._leaf(_as_f64(value), True)
+
+    def constant(self, value) -> Tensor:
+        """Record a constant leaf holding ``value`` as float64."""
+        return self._leaf(_as_f64(value), False)
+
+    def _leaf(self, value: Array, active: bool) -> Tensor:
         nid = len(self.parents)
         self.parents.append(())
         self.backfns.append(None)
-        return Tensor(arr, self, nid)
+        self.active.append(active)
+        return Tensor(value, self, nid)
 
     def _record(self, value: Array, parents: tuple[int, ...], backfn) -> Tensor:
+        """Record a primitive's output; with no active parent it is a
+        constant, and ``backfn`` is dropped along with what it holds."""
+        active = self.active
+        if not any(active[p] for p in parents):
+            return self._leaf(value, False)
         nid = len(self.parents)
         self.parents.append(parents)
         self.backfns.append(backfn)
+        active.append(True)
         return Tensor(value, self, nid)
 
     def __len__(self):
@@ -107,15 +134,16 @@ class Tape:
 def backward(loss: Tensor) -> dict[int, Array]:
     """Reverse sweep from ``loss``; returns adjoints keyed by node id.
 
-    ``loss`` must hold exactly one element.  Only nodes reachable from
-    ``loss`` appear in the map.  Arrays in the map may be shared between
-    entries; callers must treat them as read-only.
+    ``loss`` must hold exactly one element.  Only ``loss`` and the active
+    nodes reachable from it appear in the map.  Arrays in the map may be
+    shared between entries; callers must treat them as read-only.
     """
     if loss.value.size != 1:
         raise ValueError("backward needs a scalar loss")
     tape = loss.tape
     parents = tape.parents
     backfns = tape.backfns
+    active = tape.active
     adj: dict[int, Array] = {}
     owned: dict[int, bool] = {}
     adj[loss.nid] = np.ones_like(loss.value)
@@ -129,7 +157,7 @@ def backward(loss: Tensor) -> dict[int, Array]:
             continue
         contribs = backfn(grad)
         for pid, contrib in zip(parents[nid], contribs):
-            if contrib is None:
+            if contrib is None or not active[pid]:
                 continue
             have = adj.get(pid)
             if have is None:
@@ -226,36 +254,16 @@ def cmul(a: Tensor, c) -> Tensor:
     return a.tape._record(a.value * c, (a.nid,), bk)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two tensors (numpy broadcasting rules)."""
-    av, bv = a.value, b.value
-    out = av * bv
-
-    def bk(grad):
-        return _unbroadcast(grad * bv, av.shape), _unbroadcast(grad * av, bv.shape)
-
-    return a.tape._record(out, (a.nid, b.nid), bk)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-d tensors."""
-    av, bv = a.value, b.value
-    out = av @ bv
-
-    def bk(grad):
-        return grad @ bv.T, av.T @ grad
-
-    return a.tape._record(out, (a.nid, b.nid), bk)
-
-
 def dense(
     x: Tensor, w: Tensor, b: Tensor, activation: str = "identity", slope: float = 0.01
 ) -> Tensor:
     """Fused ``activation(x @ w + b)`` as a single tape node.
 
-    Values are identical to the add(matmul(x, w), b) + activation chain;
-    fusing caches the activation derivative at forward time and cuts the
-    per-layer node count, which dominates training cost.
+    Values are identical to the x @ w + b plus activation chain; fusing
+    caches the activation derivative at forward time and cuts the
+    per-layer node count, which dominates training cost.  The backward
+    closure keeps ``x`` only for an active ``w`` and ``w`` only for an
+    active ``x``, and computes no product for an inactive parent.
     """
     z = x.value @ w.value
     z += b.value
@@ -270,11 +278,18 @@ def dense(
         factor = None
     else:
         raise ValueError(f"unknown activation {activation!r}")
-    xv, wv = x.value, w.value
+    active = x.tape.active
+    x_on, w_on, b_on = active[x.nid], active[w.nid], active[b.nid]
+    xv = x.value if w_on else None
+    wv = w.value if x_on else None
 
     def bk(grad):
         dz = grad if factor is None else grad * factor
-        return dz @ wv.T, xv.T @ dz, dz.sum(axis=0)
+        return (
+            dz @ wv.T if x_on else None,
+            xv.T @ dz if w_on else None,
+            dz.sum(axis=0) if b_on else None,
+        )
 
     return x.tape._record(out, (x.nid, w.nid, b.nid), bk)
 
@@ -284,16 +299,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def bk(grad):
         return (grad * (1.0 - out * out),)
-
-    return a.tape._record(out, (a.nid,), bk)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    av = a.value
-    out = np.maximum(av, slope * av)
-
-    def bk(grad):
-        return (grad * np.where(av > 0.0, 1.0, slope),)
 
     return a.tape._record(out, (a.nid,), bk)
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config
+from .config import ConfigError, RunConfig, config_errors, load_run_config
 from .control_node import (
     ControlNodeModel,
     TrackingLog,
@@ -51,7 +51,6 @@ from .reports import (
     write_shape_eval_csv,
     write_tracking_log_csv,
 )
-from .odeint import SOLVER_KINDS
 from .robot import (
     TRAJECTORY_KINDS,
     ObstacleSpec,
@@ -167,6 +166,8 @@ def cmd_generate(args) -> int:
     _write_resolved(cfg, out)
     robot = cfg.robot_config()
     n = cfg.get("run", "n_samples")
+    if n < 1:
+        raise ConfigError(f"run n_samples must be at least 1, got {n}")
     seed = cfg.get("run", "seed")
     samples = sample_dataset(robot, n, np.random.default_rng(seed))
     path = out / "dataset.csv"
@@ -187,15 +188,19 @@ def cmd_train_shape(args) -> int:
     if args.init_model is not None:
         model = _load_model(load_shape_model, "shape", args.init_model, robot)
     else:
-        solver = cfg.get("shape", "solver")
-        if solver not in SOLVER_KINDS:
-            raise ConfigError(f"unknown solver {solver!r}")
-        model = init_shape_model(
-            np.random.default_rng(train_cfg.seed + 1),
-            robot,
-            hidden=cfg.get("shape", "hidden"),
-            solver=solver,
-            steps_per_segment=cfg.get("shape", "steps_per_segment"),
+        with config_errors("shape model config"):
+            model = init_shape_model(
+                np.random.default_rng(train_cfg.seed + 1),
+                robot,
+                hidden=cfg.get("shape", "hidden"),
+                solver=cfg.get("shape", "solver"),
+                steps_per_segment=cfg.get("shape", "steps_per_segment"),
+            )
+    grid = (dataset[0].shape.points.shape[0] - 1) // robot.n_segments
+    if grid != model.steps_per_segment:
+        raise ConfigError(
+            f"cannot use dataset: it has {grid} points per segment, the shape"
+            f" model integrates {model.steps_per_segment} steps per segment"
         )
     t0 = time.monotonic()
     model, history = train_shape_node(dataset, train_cfg, robot, model=model)
@@ -231,14 +236,15 @@ def cmd_train_control(args) -> int:
     _write_resolved(cfg, out)
     train_cfg = cfg.control_train_config()
     loss_cfg = cfg.control_loss_config()
-    model = init_control_model(
-        np.random.default_rng(train_cfg.seed + 1),
-        robot,
-        hidden=cfg.get("control", "hidden"),
-        horizon=cfg.get("control", "horizon"),
-        dt=cfg.get("control", "dt"),
-        rate_scale=cfg.get("control", "rate_scale"),
-    )
+    with config_errors("control model config"):
+        model = init_control_model(
+            np.random.default_rng(train_cfg.seed + 1),
+            robot,
+            hidden=cfg.get("control", "hidden"),
+            horizon=cfg.get("control", "horizon"),
+            dt=cfg.get("control", "dt"),
+            rate_scale=cfg.get("control", "rate_scale"),
+        )
     t0 = time.monotonic()
     model, history = train_control_node(
         shape_model,

@@ -14,6 +14,8 @@ directory alone.
 from __future__ import annotations
 
 import configparser
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,16 @@ ENV_PREFIX = "SHAPECTL"
 
 class ConfigError(ValueError):
     """A configuration file, key, or value the run cannot proceed with."""
+
+
+@contextmanager
+def config_errors(what: str):
+    """Re-raise a ``ValueError`` from a constructor fed with config values
+    as a ``ConfigError`` about ``what``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 def _parse_int(raw: str) -> int:
@@ -141,32 +153,40 @@ class RunConfig:
         return self.values[(section, key)]
 
     def set_raw(self, section: str, key: str, raw: str) -> None:
-        """Parse and store one value given as text."""
+        """Parse and store one value given as text.
+
+        Every number must be finite and every integer non-negative; the
+        typed views and model constructors check the tighter ranges.
+        """
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown config key [{section}] {key}")
         kind = SCHEMA[section][key][0]
         try:
-            self.values[(section, key)] = _PARSERS[kind](raw)
+            value = _PARSERS[kind](raw)
         except ConfigError as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+        items = value if isinstance(value, tuple) else (value,)
+        if kind in ("float", "floatlist") and not all(map(math.isfinite, items)):
+            raise ConfigError(f"{section} {key} must be finite, got {raw.strip()}")
+        if kind in ("int", "intlist") and any(v < 0 for v in items):
+            raise ConfigError(f"{section} {key} must not be negative, got {raw.strip()}")
+        self.values[(section, key)] = value
 
     # ------------------------------------------------------------------
     # typed views
 
     def robot_config(self) -> RobotConfig:
         lengths = self.get("robot", "segment_lengths")
-        try:
+        with config_errors("robot config"):
             return RobotConfig(
                 n_segments=self.get("robot", "n_segments"),
                 segment_lengths=lengths if lengths else None,
                 u_max=self.get("robot", "u_max"),
                 mismatch_amplitude=self.get("robot", "mismatch_amplitude"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid robot config: {exc}") from exc
 
     def shape_train_config(self) -> ShapeTrainConfig:
-        try:
+        with config_errors("shape training config"):
             return ShapeTrainConfig(
                 batch_size=self.get("shape", "batch_size"),
                 iterations=self.get("shape", "iterations"),
@@ -175,11 +195,9 @@ class RunConfig:
                 val_interval=self.get("shape", "val_interval"),
                 seed=self.get("run", "seed"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid shape training config: {exc}") from exc
 
     def control_train_config(self) -> ControlTrainConfig:
-        try:
+        with config_errors("control training config"):
             return ControlTrainConfig(
                 batch_size=self.get("control", "batch_size"),
                 iterations=self.get("control", "iterations"),
@@ -188,11 +206,9 @@ class RunConfig:
                 target_scale=self.get("control", "target_scale"),
                 seed=self.get("run", "seed"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid control training config: {exc}") from exc
 
     def control_loss_config(self) -> ControlLossConfig:
-        try:
+        with config_errors("control loss config"):
             return ControlLossConfig(
                 tracking_weight=self.get("control", "tracking_weight"),
                 action_rate_weight=self.get("control", "action_rate_weight"),
@@ -202,8 +218,6 @@ class RunConfig:
                 obstacle_threshold_sq=self.get("control", "obstacle_threshold_sq"),
                 noise_std=self.get("control", "noise_std"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid control loss config: {exc}") from exc
 
     def obstacle_spec(self) -> ObstacleSpec | None:
         center = self.get("run", "obstacle")
@@ -211,10 +225,11 @@ class RunConfig:
             return None
         if len(center) != 3:
             raise ConfigError("obstacle must be three comma-separated numbers")
-        return ObstacleSpec(
-            center=list(center),
-            threshold_sq=self.get("control", "obstacle_threshold_sq"),
-        )
+        with config_errors("obstacle"):
+            return ObstacleSpec(
+                center=list(center),
+                threshold_sq=self.get("control", "obstacle_threshold_sq"),
+            )
 
     def resolved_text(self) -> str:
         """Deterministic INI text of every section and key."""

@@ -337,6 +337,7 @@ def rollout_policy(
     noise_first_only: bool = False,
     initial_rollout: ShapeRollout | None = None,
     initial_observation: tuple[Array, Array] | None = None,
+    frozen_policy: bool = False,
 ) -> RolloutResult:
     """Roll the policy for M horizon steps against the shape model.
 
@@ -349,6 +350,10 @@ def rollout_policy(
     the observation; ``noise_first_only`` noises only the first step,
     modeling sensor noise on real feedback with noise-free internal
     predictions.
+
+    The shape model is always frozen; ``frozen_policy`` freezes the
+    policy weights too, which turns the rollout into a plan that records
+    nothing to backpropagate.
     """
     if initial_rollout is not None and initial_observation is not None:
         raise ValueError("give either initial_rollout or initial_observation")
@@ -366,28 +371,28 @@ def rollout_policy(
             raise ValueError(
                 f"initial shape must have shape ({batch}, {OBS_POINTS}, 3)"
             )
-        shape_ds = [tape.tensor(ds_val[:, i]) for i in range(OBS_POINTS)]
-        cur_tip = tape.tensor(np.asarray(tip_val, dtype=np.float64))
+        shape_ds = [tape.constant(ds_val[:, i]) for i in range(OBS_POINTS)]
+        cur_tip = tape.constant(tip_val)
         first_rollout = None
     else:
         first_rollout = (
             initial_rollout
             if initial_rollout is not None
-            else rollout_shape(shape_model, config, tape, q0)
+            else rollout_shape(shape_model, config, tape, q0, frozen=True)
         )
         shape_ds = downsample_shape(first_rollout.points)
         cur_tip = first_rollout.tip
 
-    pmt = policy.params.as_tensors(tape)
-    z = tape.tensor(unbound_actions(q0, policy.q_min, policy.q_max))
-    q_cur = tape.tensor(q0)
+    pmt = policy.params.as_tensors(tape, frozen=frozen_policy)
+    z = tape.constant(unbound_actions(q0, policy.q_min, policy.q_max))
+    q_cur = tape.constant(q0)
     actions: list[Tensor] = []
     tips: list[Tensor] = []
     shapes_ds: list[list[Tensor]] = [shape_ds]
     rollouts: list[ShapeRollout | None] = [first_rollout]
     for k in range(m):
         try:
-            goal_leaf = tape.tensor(goals[k])
+            goal_leaf = tape.constant(goals[k])
             obs = ad.concat(shapes_ds[k] + [cur_tip, q_cur, goal_leaf], axis=1)
             if (
                 noise_rng is not None
@@ -400,7 +405,7 @@ def rollout_policy(
             drive = mlp_forward(pmt, obs)
             z = ad.add(z, ad.scale(drive, policy.rate_scale * policy.dt))
             q_cur = bound_actions(z, policy.q_min, policy.q_max)
-            ro = rollout_shape(shape_model, config, tape, q_cur)
+            ro = rollout_shape(shape_model, config, tape, q_cur, frozen=True)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"policy rollout failed at horizon step {k + 1}: {exc}"
@@ -453,7 +458,7 @@ def control_loss(
     """
     m = result.horizon
     tape = result.actions[0].tape
-    q0_leaf = tape.tensor(result.q0)
+    q0_leaf = tape.constant(result.q0)
     total: Tensor | None = None
 
     def accumulate(term: Tensor, weight: float):
@@ -546,7 +551,7 @@ def train_control_node(
         )
         try:
             tape = Tape()
-            roll0 = rollout_shape(shape_model, config, tape, q0)
+            roll0 = rollout_shape(shape_model, config, tape, q0, frozen=True)
             targets = roll0.tip.value + rng.uniform(
                 -train_cfg.target_scale,
                 train_cfg.target_scale,
@@ -631,9 +636,8 @@ def ik_solve(
     q = np.zeros(config.action_dim)
     best_q, best_norm, stalled = q, np.inf, 0
     for _ in range(max_iters):
-        tape = Tape()
-        tip = rollout_shape(shape_model, config, tape, q[None]).tip.value[0]
-        err = target - tip
+        ro = rollout_shape(shape_model, config, Tape(), q[None], frozen=True)
+        err = target - ro.tip.value[0]
         norm = float(np.linalg.norm(err))
         if norm < (1.0 - 1e-3) * best_norm:
             best_q, best_norm, stalled = q, norm, 0
@@ -733,6 +737,7 @@ def closed_loop_track(
                         downsample_backbone(achieved.points)[None],
                         achieved.tip[None],
                     ),
+                    frozen_policy=True,
                 ).actions[0].value[0]
             # keep the applied action strictly inside the bounds: tanh can
             # hit the exact bound in float64, and a re-plan inverts it

@@ -5,7 +5,11 @@ their Adam moment buffers and step count.  A training iteration wraps the
 weights once into tape leaves (:meth:`MlpParams.as_tensors`), runs any
 number of forward passes that share those leaves, calls
 :func:`shapectl.autodiff.backward`, and hands the collected gradients to
-:func:`adam_step`, which updates the arrays in place.
+:func:`adam_step`, which updates the arrays in place.  A model that is
+only evaluated, or that other gradients flow through unchanged, is
+wrapped ``frozen``: its weights become constant leaves, so no weight
+gradient is computed, and a forward pass on constant inputs records
+nothing to backpropagate.
 """
 
 from __future__ import annotations
@@ -74,11 +78,10 @@ class MlpParams:
             self.adam_m = [np.zeros_like(a) for a in self.param_arrays()]
             self.adam_v = [np.zeros_like(a) for a in self.param_arrays()]
 
-    def as_tensors(self, tape: Tape) -> "MlpTensors":
-        layers = [
-            (tape.tensor(w), tape.tensor(b))
-            for w, b in zip(self.weights, self.biases)
-        ]
+    def as_tensors(self, tape: Tape, frozen: bool = False) -> "MlpTensors":
+        """The weights as trainable tape leaves, or constants if ``frozen``."""
+        leaf = tape.constant if frozen else tape.tensor
+        layers = [(leaf(w), leaf(b)) for w, b in zip(self.weights, self.biases)]
         return MlpTensors(self, layers)
 
     def copy(self) -> "MlpParams":
@@ -119,6 +122,8 @@ def init_mlp(
     output_scale: Array | None = None,
 ) -> MlpParams:
     """Glorot-uniform weights, zero biases."""
+    if min(sizes) < 1:
+        raise ValueError(f"layer widths must be positive, got {list(sizes)}")
     if out_activation not in ("tanh", "identity"):
         raise ValueError(f"unknown output activation {out_activation!r}")
     weights = []
@@ -186,15 +191,6 @@ def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None
 def collect_mlp_grads(grads: dict[int, Array], mt: MlpTensors) -> list[Array]:
     """Gradients for every parameter tensor, zeros where unused."""
     return [grad_of(grads, t) for t in mt.param_tensors()]
-
-
-def gaussian_sample(rng: np.random.Generator, shape, std: float, mean: float = 0.0) -> Array:
-    """I.i.d. normal samples; identical seed gives an identical stream."""
-    if std < 0:
-        raise ValueError("stddev must be non-negative")
-    if std == 0.0:
-        return np.full(shape, mean)
-    return rng.normal(mean, std, size=shape)
 
 
 # ---------------------------------------------------------------------------

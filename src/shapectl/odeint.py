@@ -71,7 +71,8 @@ class IntegrationGrid:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
 
-def _check_kind(kind: str, n_steps: int) -> None:
+def check_solver(kind: str, n_steps: int) -> None:
+    """Raise ``ValueError`` unless ``kind`` can integrate ``n_steps`` steps."""
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
     if kind == "fixed-adams" and n_steps < 4:
@@ -141,7 +142,7 @@ def integrate(
     ``(step, state) -> u`` evaluated once at the start of each step.  The
     control is held constant through a step's internal stages.
     """
-    _check_kind(kind, grid.n_steps)
+    check_solver(kind, grid.n_steps)
     h = grid.dt
     x = x0
     traj = [x0]
@@ -188,7 +189,7 @@ def integrate_batch_masked(
     through the frozen updates.  The final trajectory entry therefore
     holds every sample's own endpoint state.
     """
-    _check_kind(kind, grid.n_steps)
+    check_solver(kind, grid.n_steps)
     if grid.per_sample_end is None:
         raise ValueError("masked integration needs grid.per_sample_end")
     if grid.per_sample_end.size != x0.value.shape[0]:

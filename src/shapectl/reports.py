@@ -69,6 +69,8 @@ def read_dataset_csv(path, config: RobotConfig) -> list[ShapeSample]:
         except StopIteration:
             raise ValueError("dataset file is empty") from None
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError("dataset has no samples")
     n = config.n_segments
     base = 3 * n  # action plus length columns
     if len(header) <= base or (len(header) - base) % (3 * n) != 0:

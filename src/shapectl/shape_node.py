@@ -39,10 +39,9 @@ from .nn import (
     params_from_dict,
     params_to_dict,
 )
-from .odeint import IntegrationGrid, SolverKind, integrate
+from .odeint import IntegrationGrid, SolverKind, check_solver, integrate
 from .robot import (
     ActionVector,
-    BackboneShape,
     RobotConfig,
     action_to_curvature,
 )
@@ -74,6 +73,7 @@ class ShapeNodeModel:
             raise ValueError(f"shape model must map {STATE_DIM} -> {STATE_DIM}")
         if self.steps_per_segment < 1:
             raise ValueError("steps_per_segment must be positive")
+        check_solver(self.solver, self.steps_per_segment)
 
     @property
     def output_scale(self) -> Array:
@@ -190,6 +190,7 @@ def rollout_shape(
     config: RobotConfig,
     tape: Tape,
     q_batch: Array | Tensor,
+    frozen: bool = False,
 ) -> ShapeRollout:
     """Differentiable backbone rollout for a batch of actions.
 
@@ -204,7 +205,9 @@ def rollout_shape(
 
     ``q_batch`` may be a tape tensor, in which case gradients flow from
     the predicted points back into the actions through the saturating
-    curvature map.
+    curvature map.  ``frozen`` wraps the model weights as constants: no
+    weight gradient is computed, and with array actions the rollout
+    records nothing to backpropagate.
     """
     q_tensor = q_batch if isinstance(q_batch, Tensor) else None
     q = (
@@ -214,19 +217,19 @@ def rollout_shape(
     )
     u0 = action_to_curvature(config, q, mismatch=False)
     batch = q.shape[0]
-    mt = model.params.as_tensors(tape)
+    mt = model.params.as_tensors(tape, frozen=frozen)
 
     def field(t, x, u):
         return mlp_forward(mt, x)
 
-    p = tape.tensor(np.zeros((batch, 3)))
-    aug = tape.tensor(np.zeros((batch, 1)))
+    p = tape.constant(np.zeros((batch, 3)))
+    aug = tape.constant(np.zeros((batch, 1)))
     points: list[Tensor] = []
     for seg in range(config.n_segments):
         if q_tensor is not None:
             u_leaf = _curvature_node(tape, q_tensor, u0[:, seg], seg, config)
         else:
-            u_leaf = tape.tensor(u0[:, seg])
+            u_leaf = tape.constant(u0[:, seg])
         x0 = ad.concat([p, u_leaf, aug], axis=1)
         grid = IntegrationGrid(
             0.0, config.segment_lengths[seg], model.steps_per_segment
@@ -245,39 +248,15 @@ def predict_shape_batch(
     """Predicted backbone points for a batch, shape (batch, P, 3).
 
     P counts every grid node except the base (steps_per_segment per
-    segment), matching the layout :func:`shape_loss` and the evaluators
-    use.
+    segment), matching the layout :func:`shape_loss_tensor` and the
+    evaluators use.
     """
-    tape = Tape()
-    ro = rollout_shape(model, config, tape, q_batch)
+    ro = rollout_shape(model, config, Tape(), q_batch, frozen=True)
     return np.stack([t.value for t in ro.points], axis=1)
 
 
-def _points_array(shapes) -> Array:
-    """Stack predictions/truths into (batch, P, 3), base row excluded."""
-    if isinstance(shapes, np.ndarray):
-        arr = shapes
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3 or arr.shape[-1] != 3:
-            raise ValueError("points must have shape (batch, P, 3)")
-        return arr
-    if isinstance(shapes, BackboneShape):
-        shapes = [shapes]
-    return np.stack([s.points[1:] for s in shapes], axis=0)
-
-
-def shape_loss(predicted, truth) -> float:
-    """Mean Euclidean position error over batch and grid points."""
-    p = _points_array(predicted)
-    t = _points_array(truth)
-    if p.shape != t.shape:
-        raise ValueError(f"shape grids do not match: {p.shape} vs {t.shape}")
-    return float(np.mean(np.linalg.norm(p - t, axis=-1)))
-
-
 def shape_loss_tensor(rollout: ShapeRollout, truth_points: Array) -> Tensor:
-    """Taped twin of :func:`shape_loss` for training.
+    """Mean Euclidean position error over batch and grid points.
 
     ``truth_points`` has shape (batch, P, 3) aligned with
     ``rollout.points``.  The per-point distance uses a tiny epsilon under
@@ -321,8 +300,7 @@ def _validation_loss(
     total = 0.0
     for start in range(0, q.shape[0], batch_size):
         idx = slice(start, start + batch_size)
-        tape = Tape()
-        ro = rollout_shape(model, config, tape, q[idx])
+        ro = rollout_shape(model, config, Tape(), q[idx], frozen=True)
         loss = shape_loss_tensor(ro, truth[idx])
         total += float(loss.value) * (q[idx].shape[0])
     return total / q.shape[0]
@@ -410,7 +388,7 @@ def tip_jacobian(
     q_arr = q.q if isinstance(q, ActionVector) else np.asarray(q, dtype=np.float64)
     tape = Tape()
     q_leaf = tape.tensor(q_arr.reshape(1, -1))
-    tip = rollout_shape(model, config, tape, q_leaf).tip
+    tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
     jac = np.zeros((3, config.action_dim))
     for j in range(3):
         grads = ad.backward(ad.reduce_sum(ad.slice_cols(tip, j, j + 1)))

@@ -1,12 +1,17 @@
-"""Shared test oracles: finite differences, closed-form arcs, slopes.
+"""Shared test oracles: finite differences, closed-form arcs, slopes,
+and unfused tape primitives.
 
 Everything here is computed independently of the library internals it
-checks: finite differences only call a loss closure, and the arc
+checks: finite differences only call a loss closure, the arc
 composition uses the matrix-exponential formulas rather than any
-integrator.
+integrator, and the unfused primitives (elementwise product, matrix
+product, LeakyReLU) rebuild what the fused ``dense`` computes from
+one operation per node.
 """
 
 import numpy as np
+
+from shapectl.autodiff import Tensor, _unbroadcast
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -111,3 +116,33 @@ def arc_backbone(
 def loglog_slope(hs, errs) -> float:
     """Least-squares slope of log(err) against log(h)."""
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(errs)), 1)[0])
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Taped elementwise product of two tensors (numpy broadcasting)."""
+    av, bv = a.value, b.value
+
+    def bk(grad):
+        return _unbroadcast(grad * bv, av.shape), _unbroadcast(grad * av, bv.shape)
+
+    return a.tape._record(av * bv, (a.nid, b.nid), bk)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Taped matrix product of 2-d tensors."""
+    av, bv = a.value, b.value
+
+    def bk(grad):
+        return grad @ bv.T, av.T @ grad
+
+    return a.tape._record(av @ bv, (a.nid, b.nid), bk)
+
+
+def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    """Taped LeakyReLU, max(x, slope * x)."""
+    av = a.value
+
+    def bk(grad):
+        return (grad * np.where(av > 0.0, 1.0, slope),)
+
+    return a.tape._record(np.maximum(av, slope * av), (a.nid,), bk)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_grad_full, rel_err
+from helpers import fd_grad_full, leaky_relu, matmul, mul, rel_err
 from shapectl import autodiff as ad
 
 
@@ -54,7 +54,7 @@ def test_tanh_derivative_at_zero():
 def test_add_sub_mul_fd(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
-    _check_primitive(lambda t, l: ad.reduce_sum(ad.mul(ad.add(l[0], l[1]), ad.sub(l[0], l[1]))), [a.copy(), b.copy()])
+    _check_primitive(lambda t, l: ad.reduce_sum(mul(ad.add(l[0], l[1]), ad.sub(l[0], l[1]))), [a.copy(), b.copy()])
 
 
 def test_broadcast_bias_fd(rng):
@@ -66,7 +66,7 @@ def test_broadcast_bias_fd(rng):
 def test_matmul_fd(rng):
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((3, 2))
-    _check_primitive(lambda t, l: ad.reduce_sum(ad.square(ad.matmul(l[0], l[1]))), [a.copy(), b.copy()])
+    _check_primitive(lambda t, l: ad.reduce_sum(ad.square(matmul(l[0], l[1]))), [a.copy(), b.copy()])
 
 
 def test_activations_fd(rng):
@@ -76,7 +76,7 @@ def test_activations_fd(rng):
         def inner(t, l):
             h = {
                 "tanh": ad.tanh,
-                "leaky": lambda v: ad.leaky_relu(v, 0.01),
+                "leaky": lambda v: leaky_relu(v, 0.01),
                 "sigmoid": ad.sigmoid,
             }[kind](l[0])
             return ad.reduce_sum(ad.square(h))
@@ -106,9 +106,9 @@ def test_dense_matches_unfused_chain(rng):
     b = rng.standard_normal(3)
     tape = ad.Tape()
     xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
-    pre = ad.add(ad.matmul(xt, wt), bt)
+    pre = ad.add(matmul(xt, wt), bt)
     pairs = [
-        (ad.dense(xt, wt, bt, "leaky", 0.01), ad.leaky_relu(pre, 0.01)),
+        (ad.dense(xt, wt, bt, "leaky", 0.01), leaky_relu(pre, 0.01)),
         (ad.dense(xt, wt, bt, "tanh"), ad.tanh(pre)),
         (ad.dense(xt, wt, bt, "identity"), pre),
     ]
@@ -155,6 +155,56 @@ def test_scale_cmul_add_const_fd(rng):
     _check_primitive(build, [a.copy()])
 
 
+def test_constant_forward_records_no_closure(rng):
+    # activity: a node computed only from constants is itself a constant
+    tape = ad.Tape()
+    x = tape.constant(rng.standard_normal((4, 3)))
+    w = tape.constant(rng.standard_normal((3, 5)))
+    b = tape.constant(rng.standard_normal(5))
+    h = ad.concat([ad.dense(x, w, b, "leaky"), x], axis=1) * 2.0 - 1.0
+    loss = ad.reduce_sum(ad.square(ad.tanh(h)))
+    assert len(tape) > 3
+    assert all(fn is None for fn in tape.backfns)
+    assert all(p == () for p in tape.parents)
+    assert not any(tape.active)
+    assert list(ad.backward(loss)) == [loss.nid]
+    assert np.all(ad.grad_of(ad.backward(loss), w) == 0.0)
+    # mixed with a trainable leaf, only active nodes receive adjoints
+    t = tape.tensor(rng.standard_normal(8))
+    grads = ad.backward(ad.reduce_sum(ad.add(ad.reduce_sum(h, axis=0), t)))
+    assert t.nid in grads and all(tape.active[nid] for nid in grads)
+
+
+@pytest.mark.parametrize("frozen", ["weights", "input"])
+def test_frozen_dense_parent_gets_no_adjoint(rng, frozen):
+    # active parents get bitwise the all-trainable tape's adjoints,
+    # constant parents get none, and the closure drops the operand that
+    # only a constant parent's product would need
+    x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+
+    def run(const):
+        tape = ad.Tape()
+        leaves = [
+            (tape.constant if name in const else tape.tensor)(v)
+            for name, v in (("x", x), ("w", w), ("b", b))
+        ]
+        y = ad.dense(*leaves, "tanh")
+        return tape, leaves, y, ad.backward(ad.reduce_sum(ad.square(y)))
+
+    const = ("w", "b") if frozen == "weights" else ("x",)
+    tape, (xt, wt, bt), y, grads = run(const)
+    _, ref_leaves, _, ref = run(())
+    held = [c.cell_contents for c in tape.backfns[y.nid].__closure__]
+    for name, leaf, ref_leaf in zip("xwb", (xt, wt, bt), ref_leaves):
+        if name in const:
+            assert leaf.nid not in grads
+        else:
+            assert np.array_equal(grads[leaf.nid], ref[ref_leaf.nid])
+    # dW = x.T @ dz needs x, dx = dz @ w.T needs w
+    dropped = xt.value if frozen == "weights" else wt.value
+    assert not any(v is dropped for v in held)
+
+
 def test_select_rows_gradient(rng):
     a = rng.standard_normal((4, 3))
     tape = ad.Tape()
@@ -171,7 +221,7 @@ def test_operator_sugar_matches_fd(rng):
     b = rng.standard_normal((3, 3))
 
     def build(t, l):
-        h = 2.0 * l[0] + l[1] - 0.5 - (-l[0]) * l[1]
+        h = 2.0 * l[0] + l[1] - 0.5 - mul(-l[0], l[1])
         return ad.reduce_sum(ad.square(h))
 
     _check_primitive(build, [a.copy(), b.copy()])
@@ -184,7 +234,7 @@ def test_same_tensor_used_twice(rng):
     tape = ad.Tape()
     x = tape.tensor(a)
     y = ad.add(x, x)
-    loss = ad.reduce_sum(ad.mul(y, y))
+    loss = ad.reduce_sum(mul(y, y))
     g = ad.grad_of(ad.backward(loss), x)
     assert rel_err(g, 8.0 * a) < 1e-12
 

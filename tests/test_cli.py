@@ -642,6 +642,42 @@ def test_bad_run_timing_is_config_error(
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, setting, names",
+    [
+        ("train-control", "SHAPECTL_CONTROL_LEARNING_RATE=nan", "learning_rate"),
+        ("train-control", "SHAPECTL_CONTROL_NOISE_STD=nan", "noise_std"),
+        ("generate", "SHAPECTL_ROBOT_MISMATCH_AMPLITUDE=nan", "mismatch_amplitude"),
+        ("train-shape", "SHAPECTL_SHAPE_HIDDEN=0", "widths"),
+        ("train-control", "SHAPECTL_CONTROL_HIDDEN=0", "widths"),
+        ("generate", "SHAPECTL_ROBOT_SEGMENT_LENGTHS=nan", "segment_lengths"),
+        ("train-control", "SHAPECTL_CONTROL_HORIZON=0", "horizon"),
+        ("generate", "SHAPECTL_ROBOT_U_MAX=inf", "u_max"),
+        ("generate", "--n-samples=-1", "n_samples"),
+        ("generate", "--seed=-1", "seed"),
+        ("train-shape", "SHAPECTL_SHAPE_STEPS_PER_SEGMENT=5", "steps per segment"),
+        ("generate", "SHAPECTL_ROBOT_U_MAX=nan", "u_max"),
+    ],
+)
+def test_bad_numeric_config_is_config_error(
+    workdir, tmp_path, monkeypatch, capsys, command, setting, names
+):
+    root, ini = workdir
+    args = [command, "--config", str(ini), "--out", str(tmp_path)]
+    if setting.startswith("--"):
+        args.append(setting)
+    else:
+        monkeypatch.setenv(*setting.split("=", 1))
+    if command == "train-shape":
+        args += ["--dataset", str(root / "gen" / "dataset.csv")]
+    if command == "train-control":
+        args += ["--shape-model", _shape_model_path(workdir)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_dataset_segment_lengths_must_match_config(workdir, tmp_path, capsys):
     root, ini = workdir
     long_ini = tmp_path / "long.ini"

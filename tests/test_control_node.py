@@ -5,6 +5,7 @@ import pytest
 
 from helpers import rel_err
 from shapectl import autodiff as ad
+from shapectl import control_node
 from shapectl.autodiff import Tape
 from shapectl.control_node import (
     ControlLossConfig,
@@ -34,7 +35,7 @@ from shapectl.control_node import (
 )
 from shapectl.nn import collect_mlp_grads, init_mlp
 from shapectl.robot import ObstacleSpec, RobotConfig, forward_kinematics
-from shapectl.shape_node import init_shape_model, rollout_shape
+from shapectl.shape_node import init_shape_model, rollout_shape, tip_jacobian
 
 
 def small_shape_model(rng, cfg, **kw):
@@ -470,6 +471,79 @@ def test_training_reduces_loss(setup1, rng):
     first = np.mean([h[1] for h in history[:5]])
     last = np.mean([h[1] for h in history[-5:]])
     assert last < first
+
+
+def test_frozen_shape_model_leaves_policy_gradients_bitwise(setup1, monkeypatch):
+    # the same training with every tape leaf trainable, shape weights
+    # included, must feed Adam bitwise the same policy gradients; frozen,
+    # the only leaves that get an adjoint are the policy's 4 parameters
+    cfg, sm, _ = setup1
+    obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.08]))
+
+    def train():
+        seen = {"grads": [], "leaf_adjoints": []}
+        backward, adam_step = ad.backward, control_node.adam_step
+
+        def counting_backward(loss):
+            grads = backward(loss)
+            parents = loss.tape.parents
+            seen["leaf_adjoints"].append(sum(not parents[nid] for nid in grads))
+            return grads
+
+        def recording_adam_step(params, grads, config):
+            seen["grads"].append([g.copy() for g in grads])
+            adam_step(params, grads, config)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "backward", counting_backward)
+            m.setattr(control_node, "adam_step", recording_adam_step)
+            train_control_node(
+                sm,
+                cfg,
+                ControlTrainConfig(batch_size=3, iterations=2, seed=5),
+                ControlLossConfig(),
+                scenario="obstacle",
+                obstacle=obstacle,
+                hidden=(12,),
+            )
+        return seen
+
+    frozen = train()
+    monkeypatch.setattr(Tape, "constant", Tape.tensor)
+    trainable = train()
+    for got, want in zip(frozen["grads"], trainable["grads"], strict=True):
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+    assert frozen["leaf_adjoints"] == [4, 4]
+    assert min(trainable["leaf_adjoints"]) > 4
+
+
+def test_frozen_jacobian_and_plan_match_trainable_tape(setup1, rng, monkeypatch):
+    # IK (tip Jacobians) and every receding-horizon plan run on frozen
+    # models; with every leaf trainable they must give the same bits
+    cfg, sm, policy = setup1
+    q = rng.uniform(cfg.q_min, cfg.q_max, (4, cfg.action_dim))
+    q[0] = 0.8 * cfg.q_max  # outside the curvature norm ball
+
+    def run():
+        jacs = [tip_jacobian(sm, qi, cfg) for qi in q]
+        (log,) = closed_loop_track(
+            policy,
+            sm,
+            cfg,
+            "circle",
+            [np.random.default_rng(2)],
+            duration=2.0,
+            noise_std=0.00033,
+        )
+        return jacs, log.actions
+
+    frozen_jacs, frozen_actions = run()
+    monkeypatch.setattr(Tape, "constant", Tape.tensor)
+    jacs, actions = run()
+    for got, want in zip(frozen_jacs, jacs):
+        assert np.array_equal(got, want)
+    assert np.array_equal(frozen_actions, actions)
 
 
 def test_training_scenario_validation(setup1):

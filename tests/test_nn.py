@@ -67,7 +67,7 @@ def test_single_neuron_identity():
 def test_leaky_relu_definition():
     tape = ad.Tape()
     x = tape.tensor(np.array([[-2.0, 3.0]]))
-    y = ad.leaky_relu(x, 0.01)
+    y = ad.dense(x, tape.tensor(np.eye(2)), tape.tensor(np.zeros(2)), "leaky", 0.01)
     assert y.value[0, 0] == pytest.approx(-0.02)
     assert y.value[0, 1] == pytest.approx(3.0)
 
@@ -169,18 +169,6 @@ def test_adam_config_validation():
         nn.AdamConfig(beta1=1.0)
     with pytest.raises(ValueError):
         nn.AdamConfig(eps=0.0)
-
-
-def test_gaussian_sample_properties():
-    rng = np.random.default_rng(5)
-    z = nn.gaussian_sample(rng, (10**5,), 0.00033)
-    assert abs(np.std(z) - 0.00033) / 0.00033 < 0.05
-    assert np.all(nn.gaussian_sample(rng, (4,), 0.0, mean=2.5) == 2.5)
-    a = nn.gaussian_sample(np.random.default_rng(9), (16,), 1.0)
-    b = nn.gaussian_sample(np.random.default_rng(9), (16,), 1.0)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        nn.gaussian_sample(rng, (2,), -1.0)
 
 
 def test_persistence_roundtrip_bit_exact(rng):

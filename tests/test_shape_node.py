@@ -16,7 +16,9 @@ from shapectl.robot import (
     sample_dataset,
 )
 from shapectl.shape_node import (
+    LOSS_EPS_SQ,
     ShapeNodeModel,
+    ShapeRollout,
     ShapeTrainConfig,
     evaluate_shape_rmse,
     init_shape_model,
@@ -24,7 +26,6 @@ from shapectl.shape_node import (
     predict_shape_batch,
     rollout_shape,
     save_shape_model,
-    shape_loss,
     shape_loss_tensor,
     tip_jacobian,
     train_shape_node,
@@ -122,27 +123,25 @@ def test_segment_chaining_is_sequential_solves(rng):
     assert np.array_equal(joint, np.stack(manual))
 
 
+def _loss_of_points(predicted, truth) -> float:
+    """shape_loss_tensor on a (batch, P, 3) prediction given as constants."""
+    tape = Tape()
+    points = [tape.constant(predicted[:, k]) for k in range(predicted.shape[1])]
+    return float(shape_loss_tensor(ShapeRollout(points=points, mt=None), truth).value)
+
+
 def test_shape_loss_examples(rng):
     cfg = RobotConfig(n_segments=1)
-    truth = forward_kinematics(cfg, np.array([4.0, -2.0]))
-    assert shape_loss(truth, truth) == 0.0
-    moved = BackboneShape(
-        s=truth.s.copy(), points=truth.points + np.array([0.003, 0.0, 0.0])
-    )
-    assert shape_loss(moved, truth) == pytest.approx(0.003, abs=1e-15)
+    truth = forward_kinematics(cfg, np.array([4.0, -2.0])).points[None, 1:]
+    assert _loss_of_points(truth, truth) == pytest.approx(np.sqrt(LOSS_EPS_SQ), rel=1e-12)
+    moved = truth + np.array([0.003, 0.0, 0.0])
+    assert _loss_of_points(moved, truth) == pytest.approx(0.003, abs=1e-15)
     a = rng.standard_normal((3, 10, 3))
     b = rng.standard_normal((3, 10, 3))
     brute = np.mean(
         [np.linalg.norm(a[i, j] - b[i, j]) for i in range(3) for j in range(10)]
     )
-    assert shape_loss(a, b) == pytest.approx(brute, rel=1e-12)
-
-
-def test_shape_loss_grid_mismatch():
-    a = np.zeros((2, 10, 3))
-    b = np.zeros((2, 11, 3))
-    with pytest.raises(ValueError):
-        shape_loss(a, b)
+    assert _loss_of_points(a, b) == pytest.approx(brute, rel=1e-12)
 
 
 def test_shape_loss_tensor_matches_value(rng):
@@ -155,7 +154,8 @@ def test_shape_loss_tensor_matches_value(rng):
     tape = Tape()
     ro = rollout_shape(model, cfg, tape, q)
     taped = float(shape_loss_tensor(ro, truth).value)
-    value = shape_loss(predict_shape_batch(model, q, cfg), truth)
+    pred = predict_shape_batch(model, q, cfg)
+    value = np.mean(np.linalg.norm(pred - truth, axis=-1))
     assert taped == pytest.approx(value, rel=1e-9)
 
 
