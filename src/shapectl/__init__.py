@@ -3,9 +3,12 @@
 The package is organized in layers:
 
 ``autodiff``
-    A small tape-based reverse-mode engine over dense float64 arrays.
+    A small tape-based reverse-mode engine over dense arrays in one
+    compute dtype per tape: float64 by default, float32 for shape
+    training.
 ``nn``
-    MLP parameters, forward pass, Adam, RNG helpers, persistence.
+    MLP parameters (float64 master weights), forward pass, Adam, RNG
+    helpers, persistence.
 ``odeint``
     Fixed-step ODE solvers (euler, rk4, fixed-adams) and batched
     integration over per-sample sub-intervals.

@@ -1,10 +1,16 @@
-"""Tape-based reverse-mode automatic differentiation over float64 arrays.
+"""Tape-based reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tape` records every primitive applied to :class:`Tensor` values.
 Calling :func:`backward` on a scalar loss walks the recording in reverse and
 returns a gradient for every node reachable from the loss.  Values are plain
-``numpy.ndarray`` in float64; there is no broadcasting magic beyond what the
-individual primitives declare.
+``numpy.ndarray`` in the tape's one compute dtype (float64 unless the tape
+is built with another, such as float32 for shape training); there is no
+broadcasting magic beyond what the individual primitives declare.
+
+Leaves are cast to the compute dtype where they enter the tape, and
+constant operands (``add_const``, ``cmul``, ``select_rows``) where they
+meet a tensor, so every forward value and every adjoint of a tape keeps
+its dtype.
 
 Leaves are trainable (:meth:`Tape.tensor`) or constant
 (:meth:`Tape.constant`).  A recorded node is active, that is, needs an
@@ -32,13 +38,8 @@ import numpy as np
 Array = np.ndarray
 
 
-def _as_f64(value) -> Array:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 class Tensor:
-    """A node in the tape: a float64 array plus its recording slot."""
+    """A node in the tape: an array in the tape's dtype plus its slot."""
 
     __slots__ = ("value", "tape", "nid")
 
@@ -57,17 +58,17 @@ class Tensor:
     def __add__(self, other):
         if isinstance(other, Tensor):
             return add(self, other)
-        return add_const(self, _as_f64(other))
+        return add_const(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return sub(self, other)
-        return add_const(self, -_as_f64(other))
+        return add_const(self, np.negative(other))
 
     def __rsub__(self, other):
-        return add_const(neg(self), _as_f64(other))
+        return add_const(neg(self), other)
 
     def __neg__(self):
         return neg(self)
@@ -75,7 +76,7 @@ class Tensor:
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return NotImplemented
-        other = _as_f64(other)
+        other = np.asarray(other)
         if other.ndim == 0:
             return scale(self, float(other))
         return cmul(self, other)
@@ -92,21 +93,22 @@ class Tape:
     and inactive nodes have no parents and no closure.  Node ids are
     assigned in creation order, so every parent id is smaller than its
     child id and a reverse sweep over ids is a valid reverse topological
-    order.
+    order.  ``dtype`` is the compute dtype of every value on the tape.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self.parents: list[tuple[int, ...]] = []
         self.backfns: list = []
         self.active: list[bool] = []
 
     def tensor(self, value) -> Tensor:
-        """Record a trainable leaf holding ``value`` as float64."""
-        return self._leaf(_as_f64(value), True)
+        """Record a trainable leaf holding ``value`` in the tape's dtype."""
+        return self._leaf(np.asarray(value, dtype=self.dtype), True)
 
     def constant(self, value) -> Tensor:
-        """Record a constant leaf holding ``value`` as float64."""
-        return self._leaf(_as_f64(value), False)
+        """Record a constant leaf holding ``value`` in the tape's dtype."""
+        return self._leaf(np.asarray(value, dtype=self.dtype), False)
 
     def _leaf(self, value: Array, active: bool) -> Tensor:
         nid = len(self.parents)
@@ -236,7 +238,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def add_const(a: Tensor, c) -> Tensor:
     """Add a constant array or scalar; gradient passes through."""
-    c = _as_f64(c)
+    c = np.asarray(c, dtype=a.value.dtype)
 
     def bk(grad):
         return (_unbroadcast(grad, a.value.shape),)
@@ -246,7 +248,7 @@ def add_const(a: Tensor, c) -> Tensor:
 
 def cmul(a: Tensor, c) -> Tensor:
     """Elementwise multiply by a constant array (no gradient into ``c``)."""
-    c = _as_f64(c)
+    c = np.asarray(c, dtype=a.value.dtype)
 
     def bk(grad):
         return (_unbroadcast(grad * c, a.value.shape),)
@@ -268,7 +270,8 @@ def dense(
     z = x.value @ w.value
     z += b.value
     if activation == "leaky":
-        factor = np.where(z > 0.0, 1.0, slope)
+        # typed scalars: python floats would give a float64 factor
+        factor = np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(slope))
         out = np.multiply(z, factor, out=z)
     elif activation == "tanh":
         out = np.tanh(z, out=z)
@@ -391,7 +394,7 @@ def select_rows(a: Tensor, mask) -> Tensor:
     rows carry no gradient, so upstream updates cannot leak through them.
     """
     m = np.asarray(mask, dtype=bool)
-    keep = m.astype(np.float64)[:, None]
+    keep = m.astype(a.value.dtype)[:, None]
     out = a.value * keep
 
     def bk(grad):

@@ -52,6 +52,7 @@ from .reports import (
     write_tracking_log_csv,
 )
 from .robot import (
+    PAYLOAD_MAX_GRAMS,
     TRAJECTORY_KINDS,
     ObstacleSpec,
     RobotConfig,
@@ -60,6 +61,7 @@ from .robot import (
 )
 from .shape_node import (
     ShapeNodeModel,
+    check_grid,
     evaluate_shape_rmse,
     init_shape_model,
     load_shape_model,
@@ -168,8 +170,14 @@ def cmd_generate(args) -> int:
     n = cfg.get("run", "n_samples")
     if n < 1:
         raise ConfigError(f"run n_samples must be at least 1, got {n}")
+    # the dataset grid is the one the shape model will integrate
+    steps = cfg.get("shape", "steps_per_segment")
+    with config_errors("shape grid"):
+        check_grid(cfg.get("shape", "solver"), steps)
     seed = cfg.get("run", "seed")
-    samples = sample_dataset(robot, n, np.random.default_rng(seed))
+    samples = sample_dataset(
+        robot, n, np.random.default_rng(seed), points_per_segment=steps
+    )
     path = out / "dataset.csv"
     write_dataset_csv(path, samples, robot)
     print(f"wrote {n} samples (seed {seed}) to {path}")
@@ -506,8 +514,10 @@ def cmd_rollout(args) -> int:
     _write_resolved(cfg, out)
     duration, period = _run_timing(cfg)
     payload = cfg.get("run", "payload_grams")
-    if payload < 0:
-        raise ConfigError("payload must be non-negative")
+    if not 0.0 <= payload <= PAYLOAD_MAX_GRAMS:
+        raise ConfigError(
+            f"payload must lie in [0, {PAYLOAD_MAX_GRAMS:g}] g, got {payload:g}"
+        )
     if args.closed_loop:
         if args.control_model is None:
             raise ConfigError("closed-loop rollout needs --control-model")

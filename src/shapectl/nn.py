@@ -2,14 +2,16 @@
 
 Parameters live outside any tape as plain float64 arrays, together with
 their Adam moment buffers and step count.  A training iteration wraps the
-weights once into tape leaves (:meth:`MlpParams.as_tensors`), runs any
-number of forward passes that share those leaves, calls
-:func:`shapectl.autodiff.backward`, and hands the collected gradients to
-:func:`adam_step`, which updates the arrays in place.  A model that is
-only evaluated, or that other gradients flow through unchanged, is
-wrapped ``frozen``: its weights become constant leaves, so no weight
-gradient is computed, and a forward pass on constant inputs records
-nothing to backpropagate.
+weights once into tape leaves (:meth:`MlpParams.as_tensors`), cast to
+the tape's compute dtype, runs any number of forward passes that share
+those leaves, calls :func:`shapectl.autodiff.backward`, and hands the
+collected gradients to :func:`adam_step`, which updates the arrays in
+place.  The float64 arrays are the master copy: a float32 tape (shape
+training) computes in float32, while the weights, the moments and the
+saved files stay float64.  A model that is only evaluated, or that other
+gradients flow through unchanged, is wrapped ``frozen``: its weights
+become constant leaves, so no weight gradient is computed, and a forward
+pass on constant inputs records nothing to backpropagate.
 """
 
 from __future__ import annotations
@@ -168,7 +170,11 @@ def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
 
 
 def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None:
-    """One bias-corrected Adam update, in place on ``params``."""
+    """One bias-corrected Adam update, in place on ``params``.
+
+    Gradients are cast to float64 first (a no-op for float64 ones), so
+    the moments stay float64 whatever tape computed the gradients.
+    """
     arrays = params.param_arrays()
     if len(grads) != len(arrays):
         raise ValueError("gradient count does not match parameter count")
@@ -181,6 +187,7 @@ def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None
     b1, b2 = config.beta1, config.beta2
     lr_t = config.lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
     for a, g, m, v in zip(arrays, grads, params.adam_m, params.adam_v):
+        g = np.asarray(g, dtype=np.float64)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

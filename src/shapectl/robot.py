@@ -312,9 +312,12 @@ def apply_payload(
 
     Each point drops by ``coeff * grams * (s / L)^2``: zero at the base,
     ``coeff * grams`` meters at the tip, linear in the payload mass.
+    ``grams`` must lie in [0, :data:`PAYLOAD_MAX_GRAMS`].
     """
-    if grams < 0:
-        raise ValueError("payload must be non-negative")
+    if not 0.0 <= grams <= PAYLOAD_MAX_GRAMS:
+        raise ValueError(
+            f"payload must lie in [0, {PAYLOAD_MAX_GRAMS:g}] g, got {grams:g}"
+        )
     if grams == 0.0:
         return BackboneShape(s=shape.s.copy(), points=shape.points.copy())
     droop = coeff * grams * (shape.s / total_length) ** 2

@@ -53,6 +53,20 @@ LOSS_EPS_SQ = 1e-24
 
 SHAPE_MODEL_FORMAT = "shape-node-v1"
 
+# compute dtype of the training and validation tapes; the weights, the
+# Adam moments and the model file stay float64 (mixed precision)
+TRAIN_DTYPE = np.float32
+
+
+def check_grid(solver: str, steps_per_segment: int) -> None:
+    """Raise ``ValueError`` unless a shape model can integrate the grid.
+
+    The same grid samples the datasets, so ``generate`` checks it too.
+    """
+    if steps_per_segment < 1:
+        raise ValueError("steps_per_segment must be positive")
+    check_solver(solver, steps_per_segment)
+
 
 @dataclass
 class ShapeNodeModel:
@@ -71,9 +85,7 @@ class ShapeNodeModel:
         sizes = self.params.sizes
         if sizes[0] != STATE_DIM or sizes[-1] != STATE_DIM:
             raise ValueError(f"shape model must map {STATE_DIM} -> {STATE_DIM}")
-        if self.steps_per_segment < 1:
-            raise ValueError("steps_per_segment must be positive")
-        check_solver(self.solver, self.steps_per_segment)
+        check_grid(self.solver, self.steps_per_segment)
 
     @property
     def output_scale(self) -> Array:
@@ -297,10 +309,11 @@ def _validation_loss(
     truth: Array,
     batch_size: int,
 ) -> float:
+    """Mean loss over the held-out samples, on the training dtype's tape."""
     total = 0.0
     for start in range(0, q.shape[0], batch_size):
         idx = slice(start, start + batch_size)
-        ro = rollout_shape(model, config, Tape(), q[idx], frozen=True)
+        ro = rollout_shape(model, config, Tape(TRAIN_DTYPE), q[idx], frozen=True)
         loss = shape_loss_tensor(ro, truth[idx])
         total += float(loss.value) * (q[idx].shape[0])
     return total / q.shape[0]
@@ -320,6 +333,7 @@ def train_shape_node(
     checkpoint plus history rows (iteration, train_loss, val_loss); the
     val column repeats the latest measurement between evaluations.
     Divergence raises ``FloatingPointError`` naming the iteration.
+    Training and validation compute on :data:`TRAIN_DTYPE` tapes.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -350,7 +364,7 @@ def train_shape_node(
     for it in range(1, config.iterations + 1):
         idx = next(stream)
         try:
-            tape = Tape()
+            tape = Tape(TRAIN_DTYPE)
             ro = rollout_shape(model, robot, tape, q_all[idx])
             loss = shape_loss_tensor(ro, truth_all[idx])
             train_loss = float(loss.value)

@@ -304,6 +304,51 @@ def test_leaf_values_are_float64():
     assert x.shape == (2, 2)
 
 
+# every primitive on a float32 tape; a and b are (4, 3) trainable
+# leaves, w (3, 5) and c (5,) too; constant operands are float64 arrays,
+# numpy float64 scalars or python scalars
+F64 = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+FLOAT32_CASES = {
+    "add": lambda a, b, w, c: ad.add(a, b),
+    "add_broadcast": lambda a, b, w, c: ad.add(ad.dense(a, w, c), c),
+    "sub": lambda a, b, w, c: ad.sub(a, b),
+    "neg": lambda a, b, w, c: ad.neg(a),
+    "scale": lambda a, b, w, c: ad.scale(a, np.float64(0.3)),
+    "add_const_array": lambda a, b, w, c: ad.add_const(a, F64),
+    "add_const_scalar": lambda a, b, w, c: ad.add_const(a, 0.5),
+    "cmul": lambda a, b, w, c: ad.cmul(a, F64),
+    "dense_leaky": lambda a, b, w, c: ad.dense(a, w, c, "leaky", 0.01),
+    "dense_tanh": lambda a, b, w, c: ad.dense(a, w, c, "tanh"),
+    "dense_identity": lambda a, b, w, c: ad.dense(a, w, c),
+    "tanh": lambda a, b, w, c: ad.tanh(a),
+    "sigmoid": lambda a, b, w, c: ad.sigmoid(a),
+    "sqrt": lambda a, b, w, c: ad.sqrt(ad.add_const(ad.square(a), 1.0)),
+    "square": lambda a, b, w, c: ad.square(a),
+    "reduce_sum_axis": lambda a, b, w, c: ad.reduce_sum(a, axis=0),
+    "reduce_mean": lambda a, b, w, c: ad.reduce_mean(a),
+    "reduce_mean_axis": lambda a, b, w, c: ad.reduce_mean(a, axis=1),
+    "concat": lambda a, b, w, c: ad.concat([a, b, a], axis=1),
+    "slice_cols": lambda a, b, w, c: ad.slice_cols(a, 1, 3),
+    "select_rows": lambda a, b, w, c: ad.select_rows(a, [True, False, True, False]),
+    "operators": lambda a, b, w, c: 1.0 - (a * F64 + 2) * 0.5 - F64[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT32_CASES))
+def test_float32_tape_keeps_dtype(rng, case):
+    # forward values and every adjoint stay in the tape's compute dtype
+    tape = ad.Tape(np.float32)
+    a, b, w = (tape.tensor(rng.standard_normal(s)) for s in ((4, 3), (4, 3), (3, 5)))
+    c = tape.tensor(rng.standard_normal(5))
+    out = FLOAT32_CASES[case](a, b, w, c)
+    loss = ad.reduce_sum(out)
+    assert out.value.dtype == np.float32 and loss.value.dtype == np.float32
+    grads = ad.backward(loss)
+    assert a.nid in grads
+    for nid, g in grads.items():
+        assert g.dtype == np.float32, (case, nid)
+
+
 @given(
     rows=st.integers(1, 5),
     cols=st.integers(1, 5),

@@ -196,6 +196,47 @@ def test_train_control_byte_identical(workdir, tmp_path):
         assert (tmp_path / name).read_bytes() == (root / "tc" / name).read_bytes()
 
 
+def test_train_shape_byte_identical(workdir, tmp_path):
+    root, ini = workdir
+    args = ["train-shape", "--config", str(ini), "--dataset"]
+    args += [str(root / "gen" / "dataset.csv"), "--out", str(tmp_path)]
+    assert main(args) == 0
+    for name in ("shape_model.json", "shape_history.csv", "resolved_config.ini"):
+        assert (tmp_path / name).read_bytes() == (root / "ts" / name).read_bytes()
+
+
+def test_dataset_grid_follows_shape_config(workdir, tmp_path, monkeypatch, capsys):
+    # one grid setting feeds both generate and train-shape
+    root, ini = workdir
+    monkeypatch.setenv("SHAPECTL_SHAPE_STEPS_PER_SEGMENT", "5")
+    monkeypatch.setenv("SHAPECTL_SHAPE_ITERATIONS", "2")
+    assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "g")]) == 0
+    dataset = tmp_path / "g" / "dataset.csv"
+    header = dataset.read_text().splitlines()[0].split(",")
+    assert header[-1] == "pz4"  # one segment of 5 points, base omitted
+    args = ["train-shape", "--config", str(ini), "--dataset", str(dataset)]
+    assert main(args + ["--out", str(tmp_path / "t")]) == 0
+    model, _ = load_shape_model(tmp_path / "t" / "shape_model.json")
+    assert model.steps_per_segment == 5
+    capsys.readouterr()
+
+
+def test_rollout_payload_above_max_is_config_error(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    args = ["rollout", "--config", str(workdir[1]), "--shape-model"]
+    args += [_shape_model_path(workdir), "--open-loop", "--out", str(tmp_path)]
+    monkeypatch.setenv("SHAPECTL_RUN_PAYLOAD_GRAMS", "50")
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: payload must lie in [0, 20] g, got 50")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "rollout.csv").exists()
+    # the top of the evaluated range is still accepted
+    assert main(args + ["--payload", "20"]) == 0
+    capsys.readouterr()
+
+
 def test_train_control_zero_iterations_rejected(workdir, tmp_path, monkeypatch):
     root, ini = workdir
     monkeypatch.setenv("SHAPECTL_CONTROL_ITERATIONS", "0")
@@ -657,6 +698,8 @@ def test_bad_run_timing_is_config_error(
         ("generate", "--seed=-1", "seed"),
         ("train-shape", "SHAPECTL_SHAPE_STEPS_PER_SEGMENT=5", "steps per segment"),
         ("generate", "SHAPECTL_ROBOT_U_MAX=nan", "u_max"),
+        ("generate", "SHAPECTL_SHAPE_STEPS_PER_SEGMENT=0", "steps_per_segment"),
+        ("generate", "SHAPECTL_SHAPE_SOLVER=midpoint", "solver"),
     ],
 )
 def test_bad_numeric_config_is_config_error(

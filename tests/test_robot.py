@@ -252,6 +252,11 @@ def test_payload_identity_linearity_and_scale():
     assert np.all(np.diff(shape.points[:, 2] - p20.points[:, 2]) >= 0.0)
     with pytest.raises(ValueError):
         apply_payload(shape, -1.0, cfg.total_length)
+    # above PAYLOAD_MAX_GRAMS (20 g, valid above) is refused
+    with pytest.raises(ValueError, match="payload must lie in"):
+        apply_payload(shape, 20.5, cfg.total_length)
+    with pytest.raises(ValueError):
+        forward_kinematics(cfg, np.zeros(6), payload_grams=20.5)
 
 
 def test_payload_via_forward_kinematics():

@@ -1,12 +1,16 @@
 """Shape model: prior behavior, losses, gradients, training, persistence."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
 from helpers import fd_grad_at, rel_err, sample_coords
 from shapectl import autodiff as ad
+from shapectl import shape_node
 from shapectl.autodiff import Tape
-from shapectl.nn import init_mlp
+from shapectl.nn import adam_step, collect_mlp_grads, init_mlp
 from shapectl.odeint import IntegrationGrid, integrate
 from shapectl.robot import (
     BackboneShape,
@@ -17,6 +21,7 @@ from shapectl.robot import (
 )
 from shapectl.shape_node import (
     LOSS_EPS_SQ,
+    TRAIN_DTYPE,
     ShapeNodeModel,
     ShapeRollout,
     ShapeTrainConfig,
@@ -298,6 +303,54 @@ def test_training_persistence_roundtrip_is_transparent(rng, tmp_path):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(ma.params.biases, mb.params.biases):
         assert np.array_equal(ba, bb)
+
+
+def test_training_runs_float32_keeps_float64_state(rng, tmp_path, monkeypatch):
+    cfg, data = make_training_setup(rng, n_samples=80)
+    seen = []
+
+    def spy(params, grads, config):
+        seen.extend(g.dtype for g in grads)
+        return adam_step(params, grads, config)
+
+    monkeypatch.setattr(shape_node, "adam_step", spy)
+    train_cfg = ShapeTrainConfig(batch_size=32, iterations=3, val_interval=2)
+    model = small_model(np.random.default_rng(3), cfg)
+    model, _ = train_shape_node(data, train_cfg, cfg, model=model)
+    assert seen and set(seen) == {np.dtype(TRAIN_DTYPE)} == {np.dtype(np.float32)}
+    p = model.params
+    state = {
+        "weights": p.weights, "biases": p.biases, "adam_m": p.adam_m, "adam_v": p.adam_v
+    }
+    for arrays in state.values():
+        assert arrays and all(a.dtype == np.float64 for a in arrays)
+    path = tmp_path / "m.json"
+    save_shape_model(path, model, cfg)
+    saved = json.loads(path.read_text())["params"]
+    for key, arrays in state.items():
+        for enc, a in zip(saved[key], arrays, strict=True):
+            raw = base64.b64decode(enc["data"])
+            assert len(raw) == 8 * a.size
+            assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(a.shape), a)
+
+
+def test_float32_training_gradient_matches_float64(rng):
+    # float32 rounds at ~1.2e-7 relative per operation; over 2 segments of
+    # 10 fixed-adams steps the per-array gradients agree to 2e-7..5e-7
+    # (8 seeds), so 1e-5 leaves a 20x margin and still catches a float16
+    # or a dropped term
+    cfg = RobotConfig(n_segments=2)
+    model = perturbed_model(rng, cfg)
+    data = sample_dataset(cfg, 32, rng)
+    q = np.array([s.action.q for s in data])
+    truth = np.array([s.shape.points[1:] for s in data])
+    grads = {}
+    for dtype in (np.float64, TRAIN_DTYPE):
+        ro = rollout_shape(model, cfg, Tape(dtype), q)
+        grads[dtype] = collect_mlp_grads(ad.backward(shape_loss_tensor(ro, truth)), ro.mt)
+    for g32, g64 in zip(grads[TRAIN_DTYPE], grads[np.float64], strict=True):
+        assert g32.dtype == np.float32
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
 
 
 def test_model_file_errors(rng, tmp_path):
