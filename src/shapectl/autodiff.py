@@ -239,9 +239,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 def add_const(a: Tensor, c) -> Tensor:
     """Add a constant array or scalar; gradient passes through."""
     c = np.asarray(c, dtype=a.value.dtype)
+    ash = a.value.shape
 
     def bk(grad):
-        return (_unbroadcast(grad, a.value.shape),)
+        return (_unbroadcast(grad, ash),)
 
     return a.tape._record(a.value + c, (a.nid,), bk)
 
@@ -249,9 +250,10 @@ def add_const(a: Tensor, c) -> Tensor:
 def cmul(a: Tensor, c) -> Tensor:
     """Elementwise multiply by a constant array (no gradient into ``c``)."""
     c = np.asarray(c, dtype=a.value.dtype)
+    ash = a.value.shape
 
     def bk(grad):
-        return (_unbroadcast(grad * c, a.value.shape),)
+        return (_unbroadcast(grad * c, ash),)
 
     return a.tape._record(a.value * c, (a.nid,), bk)
 

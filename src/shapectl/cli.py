@@ -69,6 +69,7 @@ from .shape_node import (
     robot_config_hash,
     save_shape_model,
     train_shape_node,
+    validation_split,
 )
 
 EXIT_OK = 0
@@ -218,10 +219,10 @@ def cmd_train_shape(args) -> int:
         out / "shape_history.csv", history, ["iteration", "train_loss", "val_loss"]
     )
     # report on the same held-out split the trainer used
-    perm = np.random.default_rng(train_cfg.seed).permutation(len(dataset))
-    n_val = max(1, int(round(train_cfg.val_fraction * len(dataset))))
-    val = [dataset[i] for i in perm[:n_val]]
-    res = evaluate_shape_rmse(model, val, robot)
+    val_idx, _ = validation_split(
+        len(dataset), train_cfg.val_fraction, np.random.default_rng(train_cfg.seed)
+    )
+    res = evaluate_shape_rmse(model, [dataset[i] for i in val_idx], robot)
     rmse = res.rmse_mm
     print(f"trained {len(history)} iterations in {minutes:.1f} min")
     print(f"final train loss {history[-1][1]:.8f}")
@@ -354,6 +355,7 @@ def _tracking_rows(name: str, logs: list[TrackingLog], rows: list[MetricsRow]):
 
 
 def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
+    _write_resolved(cfg, out)
     robot = cfg.robot_config()
     model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     seed = cfg.get("run", "seed")
@@ -391,6 +393,7 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
 
 
 def _eval_tracking(cfg: RunConfig, out: Path, args) -> MetricsTable:
+    _write_resolved(cfg, out)
     trials = _trials(cfg, out, args)
     rows: list[MetricsRow] = []
     for kind in TRACKING_KINDS:
@@ -405,6 +408,7 @@ def _eval_tracking(cfg: RunConfig, out: Path, args) -> MetricsTable:
 
 
 def _eval_payload(cfg: RunConfig, out: Path, args) -> MetricsTable:
+    _write_resolved(cfg, out)
     trials = _trials(cfg, out, args)
     kind = "helix"
     rows: list[MetricsRow] = []
@@ -445,6 +449,7 @@ def _eval_obstacle(cfg: RunConfig, out: Path, args) -> MetricsTable:
         else None
     )
     obstacle = _ensure_obstacle(cfg, trials.shape_model, trials.robot)
+    _write_resolved(cfg, out)
     rows: list[MetricsRow] = []
     summary = []
     for kind in OBSTACLE_KINDS:
@@ -479,26 +484,22 @@ def _eval_obstacle(cfg: RunConfig, out: Path, args) -> MetricsTable:
     return MetricsTable(rows=rows)
 
 
+# each writes the resolved config, the obstacle one once it has placed
+# its obstacle
+_EVALUATIONS = {
+    "shape": _eval_shape,
+    "tracking": _eval_tracking,
+    "obstacle": _eval_obstacle,
+    "payload": _eval_payload,
+}
+
+
 def cmd_evaluate(args) -> int:
     cfg, out = _resolve(args)
     scenario = cfg.get("run", "scenario")
-    if scenario == "shape":
-        _write_resolved(cfg, out)
-        table = _eval_shape(cfg, out, args)
-    elif scenario == "tracking":
-        _write_resolved(cfg, out)
-        table = _eval_tracking(cfg, out, args)
-    elif scenario == "payload":
-        _write_resolved(cfg, out)
-        table = _eval_payload(cfg, out, args)
-    elif scenario == "obstacle":
-        robot = cfg.robot_config()
-        shape_model = _load_model(load_shape_model, "shape", args.shape_model, robot)
-        _ensure_obstacle(cfg, shape_model, robot)
-        _write_resolved(cfg, out)
-        table = _eval_obstacle(cfg, out, args)
-    else:
+    if scenario not in _EVALUATIONS:
         raise ConfigError(f"unknown evaluation scenario {scenario!r}")
+    table = _EVALUATIONS[scenario](cfg, out, args)
     write_metrics_csv(out / "metrics.csv", table)
     print(table.format_table())
     print(f"wrote {out / 'metrics.csv'}")
@@ -586,9 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape-model", required=True, help="saved shape model")
     p.add_argument("--control-model", help="saved control model")
     p.add_argument("--baseline-model", help="obstacle scenario comparison model")
-    p.add_argument(
-        "--scenario", choices=("shape", "tracking", "obstacle", "payload")
-    )
+    p.add_argument("--scenario", choices=tuple(_EVALUATIONS))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rollout", parents=[common], help="run one tracking episode")

@@ -4,8 +4,10 @@ The policy is an MLP whose output drives the pre-activation action state
 z through time; the emitted action is q = q_min + (tanh(z)+1)/2 *
 (q_max - q_min), so bounds hold exactly for all time.  A rollout
 alternates policy steps with shape-model solves: the observation at
-every horizon step is the model-predicted backbone (downsampled to nine
-equal-arc points), the predicted tip, the current action, and the goal.
+every horizon step is a backbone (downsampled to nine equal-arc points),
+its tip, the current action, and the goal.  The first backbone is the
+model's prediction at the start action in training and the observed
+robot at deployment; every later one is the model's prediction.
 Training minimizes an MPC-style loss over the horizon (tracking, action
 rate, shape consistency, terminal, optional obstacle proximity) through
 the full rollout.  One episode runner, :func:`closed_loop_track`, drives
@@ -265,30 +267,14 @@ def downsample_shape(points: list[Tensor], n_out: int = OBS_POINTS) -> list[Tens
     return out
 
 
-def downsample_backbone(points: Array, n_out: int = OBS_POINTS) -> Array:
-    """Value twin of :func:`downsample_shape` for a (1 + P, 3) backbone.
-
-    The input includes the base row, which the stencil never samples;
-    the arithmetic matches the tensor version bitwise.
-    """
-    pts = np.asarray(points, dtype=np.float64)[1:]
-    rows = []
-    for j0, j1, w in _downsample_plan(pts.shape[0], n_out):
-        if w == 0.0:
-            rows.append(pts[j0])
-        else:
-            rows.append(pts[j0] * (1.0 - w) + pts[j1] * w)
-    return np.stack(rows, axis=0)
-
-
 @dataclass
 class RolloutResult:
     """One differentiable policy rollout over the horizon.
 
     ``actions``/``tips`` hold the M post-step tensors; ``shapes_ds`` has
-    M+1 entries of nine backbone tensors each (index 0 is the initial
-    shape); ``rollouts[k]`` is the full shape solve behind step k (None
-    at index 0 when the initial observation came from outside).
+    M+1 entries of nine backbone tensors each (index 0 is the first
+    observation); ``rollouts[k]`` is the full shape solve behind step
+    k+1.  ``goal`` (batch, 3) holds over the whole horizon.
     ``policy_tensors`` is the tape-resident parameter set every step
     reused, so adjoints accumulate across the horizon.
     """
@@ -296,32 +282,14 @@ class RolloutResult:
     actions: list[Tensor]
     tips: list[Tensor]
     shapes_ds: list[list[Tensor]]
-    rollouts: list[ShapeRollout | None]
+    rollouts: list[ShapeRollout]
     policy_tensors: MlpTensors
     q0: Array
-    goals: Array
+    goal: Array
 
     @property
     def horizon(self) -> int:
         return len(self.actions)
-
-
-def _as_goal_array(goal, horizon: int, batch: int) -> Array:
-    """Normalize goal input to shape (horizon, batch, 3)."""
-    if callable(goal):
-        rows = [
-            np.broadcast_to(np.asarray(goal(k), dtype=np.float64), (batch, 3))
-            for k in range(horizon)
-        ]
-        return np.stack(rows, axis=0).copy()
-    arr = np.asarray(goal, dtype=np.float64)
-    if arr.ndim == 2:
-        if arr.shape != (batch, 3):
-            raise ValueError(f"goal must have shape ({batch}, 3)")
-        return np.broadcast_to(arr, (horizon, batch, 3)).copy()
-    if arr.shape != (horizon, batch, 3):
-        raise ValueError(f"goal must have shape ({horizon}, {batch}, 3)")
-    return arr
 
 
 def rollout_policy(
@@ -330,69 +298,48 @@ def rollout_policy(
     config: RobotConfig,
     tape: Tape,
     q0: Array,
-    goal,
-    horizon: int | None = None,
+    goal: Array,
+    initial_points: list[Tensor] | None = None,
     noise_rng: np.random.Generator | None = None,
     noise_std: float = 0.0,
     noise_first_only: bool = False,
-    initial_rollout: ShapeRollout | None = None,
-    initial_observation: tuple[Array, Array] | None = None,
     frozen_policy: bool = False,
 ) -> RolloutResult:
-    """Roll the policy for M horizon steps against the shape model.
+    """Roll the policy for ``policy.horizon`` steps against the shape model.
 
-    ``goal`` is a (batch, 3) array held fixed over the horizon, an
-    (M, batch, 3) array, or a callable step -> (batch, 3).  The initial
-    shape comes from ``initial_rollout`` (tensors already on this tape),
-    from ``initial_observation`` ((shape_ds, tip) value arrays, e.g. a
-    camera view of the real robot), or from a fresh shape solve at
-    ``q0``.  Gaussian noise of ``noise_std`` perturbs every component of
-    the observation; ``noise_first_only`` noises only the first step,
-    modeling sensor noise on real feedback with noise-free internal
-    predictions.
+    ``goal`` is a (batch, 3) array held fixed over the horizon.  The
+    first observation is read from ``initial_points``, backbone tensors
+    on this tape ordered base (excluded) to tip, such as the predicted
+    shape at ``q0`` during training or the observed robot at deployment;
+    without them a fresh shape solve at ``q0`` supplies it.  Gaussian
+    noise of ``noise_std`` perturbs every component of the observation;
+    ``noise_first_only`` noises only the first step, modeling sensor
+    noise on real feedback with noise-free internal predictions.
 
     The shape model is always frozen; ``frozen_policy`` freezes the
     policy weights too, which turns the rollout into a plan that records
     nothing to backpropagate.
     """
-    if initial_rollout is not None and initial_observation is not None:
-        raise ValueError("give either initial_rollout or initial_observation")
     q0 = np.asarray(q0, dtype=np.float64)
-    batch = q0.shape[0]
-    m = policy.horizon if horizon is None else horizon
-    if m < 1:
-        raise ValueError("horizon must be at least 1")
-    goals = _as_goal_array(goal, m, batch)
-
-    if initial_observation is not None:
-        ds_val, tip_val = initial_observation
-        ds_val = np.asarray(ds_val, dtype=np.float64)
-        if ds_val.shape != (batch, OBS_POINTS, 3):
-            raise ValueError(
-                f"initial shape must have shape ({batch}, {OBS_POINTS}, 3)"
-            )
-        shape_ds = [tape.constant(ds_val[:, i]) for i in range(OBS_POINTS)]
-        cur_tip = tape.constant(tip_val)
-        first_rollout = None
-    else:
-        first_rollout = (
-            initial_rollout
-            if initial_rollout is not None
-            else rollout_shape(shape_model, config, tape, q0, frozen=True)
-        )
-        shape_ds = downsample_shape(first_rollout.points)
-        cur_tip = first_rollout.tip
+    goal = np.asarray(goal, dtype=np.float64)
+    if goal.shape != (q0.shape[0], 3):
+        raise ValueError(f"goal must have shape ({q0.shape[0]}, 3)")
+    if initial_points is None:
+        initial_points = rollout_shape(
+            shape_model, config, tape, q0, frozen=True
+        ).points
+    cur_tip = initial_points[-1]
+    shapes_ds = [downsample_shape(initial_points)]
 
     pmt = policy.params.as_tensors(tape, frozen=frozen_policy)
     z = tape.constant(unbound_actions(q0, policy.q_min, policy.q_max))
     q_cur = tape.constant(q0)
+    goal_leaf = tape.constant(goal)
     actions: list[Tensor] = []
     tips: list[Tensor] = []
-    shapes_ds: list[list[Tensor]] = [shape_ds]
-    rollouts: list[ShapeRollout | None] = [first_rollout]
-    for k in range(m):
+    rollouts: list[ShapeRollout] = []
+    for k in range(policy.horizon):
         try:
-            goal_leaf = tape.constant(goals[k])
             obs = ad.concat(shapes_ds[k] + [cur_tip, q_cur, goal_leaf], axis=1)
             if (
                 noise_rng is not None
@@ -422,7 +369,7 @@ def rollout_policy(
         rollouts=rollouts,
         policy_tensors=pmt,
         q0=q0,
-        goals=goals,
+        goal=goal,
     )
 
 
@@ -468,7 +415,7 @@ def control_loss(
 
     for k in range(1, m + 1):
         if cfg.tracking_weight > 0.0:
-            tip_err = ad.add_const(result.tips[k - 1], -result.goals[k - 1])
+            tip_err = ad.add_const(result.tips[k - 1], -result.goal)
             accumulate(
                 ad.reduce_mean(ad.reduce_sum(ad.square(tip_err), axis=1)),
                 cfg.tracking_weight,
@@ -488,14 +435,14 @@ def control_loss(
                     cfg.shape_weight,
                 )
         if obstacle is not None and cfg.obstacle_weight > 0.0:
-            d2min = _min_sq_distance(result.rollouts[k].points, obstacle.center)
+            d2min = _min_sq_distance(result.rollouts[k - 1].points, obstacle.center)
             margin = ad.scale(
                 ad.add_const(ad.neg(d2min), cfg.obstacle_threshold_sq),
                 1.0 / cfg.tau,
             )
             accumulate(ad.reduce_mean(ad.sigmoid(margin)), cfg.obstacle_weight)
     if cfg.terminal_weight > 0.0:
-        tip_err = ad.add_const(result.tips[m - 1], -result.goals[m - 1])
+        tip_err = ad.add_const(result.tips[m - 1], -result.goal)
         accumulate(
             ad.reduce_mean(ad.reduce_sum(ad.square(tip_err), axis=1)),
             cfg.terminal_weight,
@@ -565,9 +512,9 @@ def train_control_node(
                 tape,
                 q0,
                 targets,
+                initial_points=roll0.points,
                 noise_rng=rng,
                 noise_std=loss_cfg.noise_std,
-                initial_rollout=roll0,
             )
             loss = control_loss(result, loss_cfg, loss_obstacle)
             train_loss = float(loss.value)
@@ -723,20 +670,20 @@ def closed_loop_track(
                 q = q + damped_pinv(jac) @ (g_next - g_now)
             else:
                 # the plan's tape is dropped as soon as its first action is read
+                tape = Tape()
                 q = rollout_policy(
                     policy,
                     shape_model,
                     config,
-                    Tape(),
+                    tape,
                     q[None],
                     g_next[None],
+                    initial_points=[
+                        tape.constant(p[None]) for p in achieved.points[1:]
+                    ],
                     noise_rng=rng if noise_std > 0.0 else None,
                     noise_std=noise_std,
                     noise_first_only=True,
-                    initial_observation=(
-                        downsample_backbone(achieved.points)[None],
-                        achieved.tip[None],
-                    ),
                     frozen_policy=True,
                 ).actions[0].value[0]
             # keep the applied action strictly inside the bounds: tanh can

@@ -9,14 +9,18 @@ All solvers take the same outer steps; only evaluations per step differ
 States are taped :class:`~shapectl.autodiff.Tensor` values so trajectories
 stay differentiable end to end.  Batched integration with per-sample end
 times freezes finished rows at their last valid state; frozen rows receive
-no gradient from later steps.
+no gradient from later steps.  Plain and masked integration share one step
+loop.
+
+Fields have the signature ``f(t, x, u)``; ``u`` is always None and is kept
+so fields written against that signature need no change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -26,7 +30,7 @@ SolverKind = Literal["euler", "rk4", "fixed-adams"]
 
 SOLVER_KINDS: tuple[str, ...] = ("euler", "rk4", "fixed-adams")
 
-# dx/dt = f(t, x, u); u is whatever the controls source yields for the step
+# dx/dt = f(t, x, u); u is always None
 DynamicsFn = Callable[[float, Tensor, object], Tensor]
 
 # coefficients of the 4-step Adams-Bashforth predictor, newest first
@@ -84,24 +88,16 @@ def _check_step(x: Tensor, step: int) -> None:
         raise FloatingPointError(f"non-finite state at integration step {step}")
 
 
-def _control_at(controls, step: int, x: Tensor):
-    if controls is None:
-        return None
-    if callable(controls):
-        return controls(step, x)
-    return controls[step]
-
-
-def _euler_step(f, t, h, x, u):
-    k1 = f(t, x, u)
+def _euler_step(f, t, h, x):
+    k1 = f(t, x, None)
     return add(x, scale(k1, h)), k1
 
 
-def _rk4_step(f, t, h, x, u):
-    k1 = f(t, x, u)
-    k2 = f(t + 0.5 * h, add(x, scale(k1, 0.5 * h)), u)
-    k3 = f(t + 0.5 * h, add(x, scale(k2, 0.5 * h)), u)
-    k4 = f(t + h, add(x, scale(k3, h)), u)
+def _rk4_step(f, t, h, x):
+    k1 = f(t, x, None)
+    k2 = f(t + 0.5 * h, add(x, scale(k1, 0.5 * h)), None)
+    k3 = f(t + 0.5 * h, add(x, scale(k2, 0.5 * h)), None)
+    k4 = f(t + h, add(x, scale(k3, h)), None)
     incr = add(add(k1, k4), scale(add(k2, k3), 2.0))
     return add(x, scale(incr, h / 6.0)), k1
 
@@ -113,20 +109,39 @@ def _ab4_step(x, h, hist):
     return add(x, incr)
 
 
-def _advance(f, kind, n, t, h, x, u, hist):
+def _advance(f, kind, n, t, h, x, hist):
     """One outer step of the named scheme; appends to the Adams history."""
     if kind == "euler":
-        x_new, _ = _euler_step(f, t, h, x, u)
+        x_new, _ = _euler_step(f, t, h, x)
     elif kind == "rk4":
-        x_new, _ = _rk4_step(f, t, h, x, u)
+        x_new, _ = _rk4_step(f, t, h, x)
     else:
         if n < 3:
-            x_new, k1 = _rk4_step(f, t, h, x, u)
+            x_new, k1 = _rk4_step(f, t, h, x)
             hist.append(k1)
         else:
-            hist.append(f(t, x, u))
+            hist.append(f(t, x, None))
             x_new = _ab4_step(x, h, hist[-4:])
     return x_new
+
+
+def _solve(f, x0, grid, kind, counts) -> list[Tensor]:
+    """The one step loop; with ``counts``, row ``i`` freezes after
+    ``counts[i]`` steps."""
+    h = grid.dt
+    x = x0
+    traj = [x0]
+    hist: list[Tensor] = []
+    for n in range(grid.n_steps):
+        x_new = _advance(f, kind, n, grid.t_start + n * h, h, x, hist)
+        _check_step(x_new, n)
+        if counts is None or n < counts.min():
+            x = x_new
+        else:
+            active = n < counts
+            x = add(select_rows(x_new, active), select_rows(x, ~active))
+        traj.append(x)
+    return traj
 
 
 def integrate(
@@ -134,26 +149,10 @@ def integrate(
     x0: Tensor,
     grid: IntegrationGrid,
     kind: SolverKind = "rk4",
-    controls: Sequence | Callable[[int, Tensor], object] | None = None,
 ) -> list[Tensor]:
-    """Integrate ``f`` from ``x0`` over ``grid``; returns n_steps+1 states.
-
-    ``controls`` may be None, a sequence indexed by step, or a callable
-    ``(step, state) -> u`` evaluated once at the start of each step.  The
-    control is held constant through a step's internal stages.
-    """
+    """Integrate ``f`` from ``x0`` over ``grid``; returns n_steps+1 states."""
     check_solver(kind, grid.n_steps)
-    h = grid.dt
-    x = x0
-    traj = [x0]
-    hist: list[Tensor] = []
-    for n in range(grid.n_steps):
-        t = grid.t_start + n * h
-        u = _control_at(controls, n, x)
-        x = _advance(f, kind, n, t, h, x, u, hist)
-        _check_step(x, n)
-        traj.append(x)
-    return traj
+    return _solve(f, x0, grid, kind, None)
 
 
 def masked_step_counts(grid: IntegrationGrid, ends: Array | None = None) -> np.ndarray:
@@ -178,7 +177,6 @@ def integrate_batch_masked(
     x0: Tensor,
     grid: IntegrationGrid,
     kind: SolverKind = "rk4",
-    controls: Sequence | Callable[[int, Tensor], object] | None = None,
 ) -> list[Tensor]:
     """Batched integration where sample ``i`` stops after its own span.
 
@@ -194,20 +192,4 @@ def integrate_batch_masked(
         raise ValueError("masked integration needs grid.per_sample_end")
     if grid.per_sample_end.size != x0.value.shape[0]:
         raise ValueError("per_sample_end length must match the batch size")
-    counts = masked_step_counts(grid)
-    h = grid.dt
-    x = x0
-    traj = [x0]
-    hist: list[Tensor] = []
-    for n in range(grid.n_steps):
-        t = grid.t_start + n * h
-        u = _control_at(controls, n, x)
-        x_new = _advance(f, kind, n, t, h, x, u, hist)
-        _check_step(x_new, n)
-        active = n < counts
-        if active.all():
-            x = x_new
-        else:
-            x = add(select_rows(x_new, active), select_rows(x, ~active))
-        traj.append(x)
-    return traj
+    return _solve(f, x0, grid, kind, masked_step_counts(grid))

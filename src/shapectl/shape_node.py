@@ -319,6 +319,21 @@ def _validation_loss(
     return total / q.shape[0]
 
 
+def validation_split(
+    n: int, val_fraction: float, rng: np.random.Generator
+) -> tuple[Array, Array]:
+    """(held-out, training) indices from one permutation drawn from ``rng``.
+
+    The first ``round(val_fraction * n)`` entries, at least one, are held
+    out; a split that leaves nothing to train on raises ``ValueError``.
+    """
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(val_fraction * n)))
+    if n_val >= n:
+        raise ValueError("dataset too small for the validation split")
+    return perm[:n_val], perm[n_val:]
+
+
 def train_shape_node(
     dataset,
     config: ShapeTrainConfig,
@@ -327,13 +342,14 @@ def train_shape_node(
 ) -> tuple[ShapeNodeModel, list[tuple[int, float, float]]]:
     """Fit the shape model to simulated samples.
 
-    Splits the dataset 90/10 (by ``val_fraction``) with the configured
-    seed, runs Adam over shuffled minibatches, evaluates validation loss
-    every ``val_interval`` iterations, and returns the best-validation
-    checkpoint plus history rows (iteration, train_loss, val_loss); the
-    val column repeats the latest measurement between evaluations.
-    Divergence raises ``FloatingPointError`` naming the iteration.
-    Training and validation compute on :data:`TRAIN_DTYPE` tapes.
+    Splits the dataset 90/10 (:func:`validation_split` by
+    ``val_fraction``) with the configured seed, runs Adam over shuffled
+    minibatches, evaluates validation loss every ``val_interval``
+    iterations, and returns the best-validation checkpoint plus history
+    rows (iteration, train_loss, val_loss); the val column repeats the
+    latest measurement between evaluations.  Divergence raises
+    ``FloatingPointError`` naming the iteration.  Training and
+    validation compute on :data:`TRAIN_DTYPE` tapes.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -342,11 +358,8 @@ def train_shape_node(
     q_all, truth_all = _dataset_arrays(dataset, robot, model.steps_per_segment)
     n = q_all.shape[0]
     rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(config.val_fraction * n)))
-    if n_val >= n:
-        raise ValueError("dataset too small for the validation split")
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    # the batch order continues the generator the split drew from
+    val_idx, train_idx = validation_split(n, config.val_fraction, rng)
     adam = AdamConfig(lr=config.learning_rate)
     batch = min(config.batch_size, train_idx.size)
 

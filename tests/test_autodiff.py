@@ -1,6 +1,9 @@
 """Unit tests for the tape engine: every primitive against finite
 differences, plus the accumulation corner cases the engine relies on."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import fd_grad_full, leaky_relu, matmul, mul, rel_err
 from shapectl import autodiff as ad
+from shapectl import control_node, shape_node
+from shapectl.control_node import ControlLossConfig, ControlTrainConfig
+from shapectl.robot import ObstacleSpec, RobotConfig, sample_dataset
 
 
 def _leaf(tape, rng, shape):
@@ -347,6 +353,57 @@ def test_float32_tape_keeps_dtype(rng, case):
     assert a.nid in grads
     for nid, g in grads.items():
         assert g.dtype == np.float32, (case, nid)
+
+
+def _tape_with_every_primitive(rng) -> weakref.ref:
+    tape = ad.Tape()
+    a, b, w = (tape.tensor(rng.standard_normal(s)) for s in ((4, 3), (4, 3), (3, 5)))
+    c = tape.tensor(rng.standard_normal(5))
+    total = None
+    for build in FLOAT32_CASES.values():
+        part = ad.reduce_sum(build(a, b, w, c))
+        total = part if total is None else ad.add(total, part)
+    ad.backward(total)
+    return weakref.ref(tape)
+
+
+def test_dropped_tapes_need_no_cycle_collector(rng, monkeypatch):
+    # a backward closure that held a tensor would hold the tape storing
+    # it; with the cycle collector off, every dropped tape must still go
+    made = [_tape_with_every_primitive(rng)]
+
+    class Watched(ad.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(shape_node, "Tape", Watched)
+    monkeypatch.setattr(control_node, "Tape", Watched)
+    robot = RobotConfig(n_segments=1)
+    data = sample_dataset(robot, 20, rng)
+    model = shape_node.init_shape_model(rng, robot, hidden=(8,), solver="rk4")
+    gc.collect()
+    gc.disable()
+    try:
+        made[0] = _tape_with_every_primitive(rng)
+        shape_node.train_shape_node(
+            data, shape_node.ShapeTrainConfig(batch_size=8, iterations=1), robot, model
+        )
+        control_node.train_control_node(
+            model,
+            robot,
+            ControlTrainConfig(batch_size=2, iterations=1),
+            ControlLossConfig(),
+            scenario="obstacle",
+            obstacle=ObstacleSpec(center=np.array([0.02, 0.0, 0.08])),
+            hidden=(8,),
+        )
+        alive = [i for i, ref in enumerate(made) if ref() is not None]
+    finally:
+        gc.enable()
+    # the primitives, one training and one validation tape, one policy tape
+    assert len(made) == 4
+    assert alive == []
 
 
 @given(

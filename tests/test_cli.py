@@ -454,6 +454,27 @@ def test_evaluate_obstacle_with_baseline(workdir, tmp_path, capsys):
     assert (tmp_path / "obstacle_circle.svg").exists()
 
 
+@pytest.mark.parametrize("scenario", ["tracking", "obstacle"])
+def test_evaluate_byte_identical(workdir, tmp_path, scenario, capsys):
+    # every file in --out, logs, plots and the resolved config (with the
+    # placed obstacle) included, repeats byte for byte
+    root, ini = workdir
+    args = ["evaluate", "--config", str(ini), "--scenario", scenario]
+    args += ["--shape-model", _shape_model_path(workdir)]
+    args += ["--control-model", _control_model_path(workdir)]
+    if scenario == "obstacle":
+        args += ["--baseline-model", _control_model_path(workdir)]
+    for name in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert {"metrics.csv", "resolved_config.ini"} <= set(files)
+    for name in files:
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
+    capsys.readouterr()
+
+
 def test_rollout_closed_loop(workdir, tmp_path):
     root, ini = workdir
     rc = main(

@@ -1,5 +1,7 @@
 """Control policy: bounding, observations, rollout loss, tracking loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from shapectl.control_node import (
     ControlNodeModel,
     ControlTrainConfig,
     TrackingLog,
-    _as_goal_array,
     _downsample_plan,
     _min_sq_distance,
     bound_actions,
@@ -21,7 +22,6 @@ from shapectl.control_node import (
     control_loss,
     count_violations,
     damped_pinv,
-    downsample_backbone,
     downsample_shape,
     evaluate_tracking,
     ik_solve,
@@ -113,16 +113,18 @@ def test_downsample_plan_exact_rows():
 
 
 def test_downsample_tensor_value_twins_bitwise(rng):
-    pts = rng.standard_normal((31, 3))  # base row + 30 grid points
+    # the tensor stencil gives its plain numpy arithmetic bit for bit
+    pts = rng.standard_normal((30, 3))  # 30 grid points, base excluded
     tape = Tape()
-    tensors = [tape.tensor(pts[None, i]) for i in range(1, 31)]
-    ds_t = downsample_shape(tensors)
-    ds_v = downsample_backbone(pts)
-    assert ds_v.shape == (9, 3)
-    for i in range(9):
-        assert np.array_equal(ds_t[i].value[0], ds_v[i])
-    # the final sample is the tip row exactly
-    assert np.array_equal(ds_v[8], pts[30])
+    ds = downsample_shape([tape.constant(pts[None, i]) for i in range(30)])
+    assert len(ds) == 9
+    for t, (j0, j1, w) in zip(ds, _downsample_plan(30)):
+        want = pts[j0] if w == 0.0 else pts[j0] * (1.0 - w) + pts[j1] * w
+        assert np.array_equal(t.value[0], want)
+    # every third sample is an exact grid row, the final one the tip
+    assert np.array_equal(ds[2].value[0], pts[9])
+    assert np.array_equal(ds[5].value[0], pts[19])
+    assert np.array_equal(ds[8].value[0], pts[29])
 
 
 def test_observation_dim():
@@ -205,14 +207,17 @@ def test_rollout_list_lengths_and_horizon_override(setup1, rng):
     cfg, sm, policy = setup1
     q0 = rng.uniform(-3.0, 3.0, (2, 2))
     tape = Tape()
-    res = rollout_policy(policy, sm, cfg, tape, q0, np.zeros((2, 3)), horizon=1)
+    short = dataclasses.replace(policy, horizon=1)
+    res = rollout_policy(short, sm, cfg, tape, q0, np.zeros((2, 3)))
     assert res.horizon == 1
     assert len(res.tips) == 1
     assert len(res.shapes_ds) == 2
-    assert len(res.rollouts) == 2
-    assert res.rollouts[0] is not None
+    assert len(res.rollouts) == 1
+    assert res.rollouts[0].tip is res.tips[0]
     with pytest.raises(ValueError):
-        rollout_policy(policy, sm, cfg, tape, q0, np.zeros((2, 3)), horizon=0)
+        dataclasses.replace(policy, horizon=0)
+    with pytest.raises(ValueError, match="goal"):
+        rollout_policy(policy, sm, cfg, tape, q0, np.zeros((3, 3)))
 
 
 def test_rollout_actions_stay_in_bounds(setup1, rng):
@@ -222,54 +227,62 @@ def test_rollout_actions_stay_in_bounds(setup1, rng):
         w *= 50.0
     q0 = rng.uniform(-14.0, 14.0, (3, 2))
     tape = Tape()
-    res = rollout_policy(policy, sm, cfg, tape, q0, np.zeros((3, 3)), horizon=6)
+    long = dataclasses.replace(policy, horizon=6)
+    res = rollout_policy(long, sm, cfg, tape, q0, np.zeros((3, 3)))
+    assert res.horizon == 6
     for qk in res.actions:
         assert np.all(qk.value >= policy.q_min)
         assert np.all(qk.value <= policy.q_max)
 
 
-def test_goal_forms(setup1, rng):
-    cfg, sm, policy = setup1
-    assert _as_goal_array(np.zeros((2, 3)), 3, 2).shape == (3, 2, 3)
-    assert _as_goal_array(np.zeros((3, 2, 3)), 3, 2).shape == (3, 2, 3)
-    got = _as_goal_array(lambda k: np.full((2, 3), float(k)), 3, 2)
-    assert np.array_equal(got[2], np.full((2, 3), 2.0))
-    with pytest.raises(ValueError):
-        _as_goal_array(np.zeros((4, 3)), 3, 2)
-    with pytest.raises(ValueError):
-        _as_goal_array(np.zeros((2, 2, 3)), 3, 2)
-
-
-def test_initial_observation_feeds_first_step(setup1, rng):
+def test_initial_points_feed_first_step(setup1, rng):
+    # an observed backbone, not the model's prediction, is what the
+    # first step sees
     cfg, sm, policy = setup1
     q0 = rng.uniform(-3.0, 3.0, (1, 2))
     shape = forward_kinematics(cfg, q0[0])
-    ds = downsample_backbone(shape.points)
     tape = Tape()
-    res = rollout_policy(
-        policy,
-        sm,
-        cfg,
-        tape,
-        q0,
-        np.zeros((1, 3)),
-        initial_observation=(ds[None], shape.tip[None]),
-    )
-    assert res.rollouts[0] is None
-    for i in range(9):
-        assert np.array_equal(res.shapes_ds[0][i].value[0], ds[i])
-    with pytest.raises(ValueError, match="either"):
-        ro = rollout_shape(sm, cfg, tape, q0)
-        rollout_policy(
+    observed = [tape.constant(p[None]) for p in shape.points[1:]]
+    goal = np.zeros((1, 3))
+    res = rollout_policy(policy, sm, cfg, tape, q0, goal, initial_points=observed)
+    assert len(res.rollouts) == policy.horizon
+    for got, want in zip(res.shapes_ds[0], downsample_shape(observed), strict=True):
+        assert np.array_equal(got.value, want.value)
+    assert np.array_equal(res.shapes_ds[0][-1].value[0], shape.tip)
+    fresh = rollout_policy(policy, sm, cfg, Tape(), q0, goal)
+    assert not np.array_equal(res.actions[0].value, fresh.actions[0].value)
+
+
+def test_given_shape_solve_equals_fresh_solve_bitwise(setup1, rng):
+    # training hands in the solve it already made at q0: the actions, the
+    # loss and the policy gradients must be the fresh solve's bit for bit
+    cfg, sm, policy = setup1
+    q0 = rng.uniform(-3.0, 3.0, (3, 2))
+    goal = rng.uniform(-0.02, 0.02, (3, 3)) + np.array([0.0, 0.0, 0.09])
+    obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.05]))
+
+    def run(given):
+        tape = Tape()
+        points = rollout_shape(sm, cfg, tape, q0, frozen=True).points if given else None
+        res = rollout_policy(
             policy,
             sm,
             cfg,
             tape,
             q0,
-            np.zeros((1, 3)),
-            initial_rollout=ro,
-            initial_observation=(ds[None], shape.tip[None]),
+            goal,
+            initial_points=points,
+            noise_rng=np.random.default_rng(4),
+            noise_std=1e-3,
         )
+        loss = control_loss(res, ControlLossConfig(), obstacle)
+        grads = collect_mlp_grads(ad.backward(loss), res.policy_tensors)
+        return [a.value for a in res.actions], float(loss.value), grads
+
+    fresh, given = run(False), run(True)
+    for a, b in zip(fresh[0] + fresh[2], given[0] + given[2], strict=True):
+        assert np.array_equal(a, b)
+    assert fresh[1] == given[1]
 
 
 def test_noise_first_only_and_determinism(setup1, rng):
@@ -317,10 +330,12 @@ def test_receding_horizon_consistency(setup1, rng):
     q0 = rng.uniform(-3.0, 3.0, (1, 2))
     goal = np.array([[0.01, -0.01, 0.09]])
     tape = Tape()
-    full = rollout_policy(policy, sm, cfg, tape, q0, goal, horizon=3)
+    full = rollout_policy(policy, sm, cfg, tape, q0, goal)
+    assert full.horizon == 3
     q1 = full.actions[0].value.copy()
     tape2 = Tape()
-    rest = rollout_policy(policy, sm, cfg, tape2, q1, goal, horizon=2)
+    rest_policy = dataclasses.replace(policy, horizon=2)
+    rest = rollout_policy(rest_policy, sm, cfg, tape2, q1, goal)
     for k in range(2):
         assert np.abs(rest.actions[k].value - full.actions[k + 1].value).max() < 1e-6
         assert np.abs(rest.tips[k].value - full.tips[k + 1].value).max() < 1e-6
@@ -337,7 +352,7 @@ def numpy_loss(result, cfg, obstacle=None):
     for k in range(1, m + 1):
         tip = result.tips[k - 1].value
         total += cfg.tracking_weight * np.mean(
-            ((tip - result.goals[k - 1]) ** 2).sum(axis=1)
+            ((tip - result.goal) ** 2).sum(axis=1)
         )
         prev_q = result.q0 if k == 1 else result.actions[k - 2].value
         dq = result.actions[k - 1].value - prev_q
@@ -346,14 +361,12 @@ def numpy_loss(result, cfg, obstacle=None):
             dp = cur_p.value - prev_p.value
             total += cfg.shape_weight * np.mean((dp**2).sum(axis=1))
         if obstacle is not None:
-            pts = np.stack([p.value for p in result.rollouts[k].points], axis=1)
+            pts = np.stack([p.value for p in result.rollouts[k - 1].points], axis=1)
             d2 = ((pts - obstacle.center) ** 2).sum(axis=2).min(axis=1)
             margin = (cfg.obstacle_threshold_sq - d2) / cfg.tau
             total += cfg.obstacle_weight * np.mean(1.0 / (1.0 + np.exp(-margin)))
     tip = result.tips[m - 1].value
-    total += cfg.terminal_weight * np.mean(
-        ((tip - result.goals[m - 1]) ** 2).sum(axis=1)
-    )
+    total += cfg.terminal_weight * np.mean(((tip - result.goal) ** 2).sum(axis=1))
     return total
 
 
@@ -372,18 +385,23 @@ def test_control_loss_matches_numpy_oracle(setup1, rng):
 
 def test_control_loss_perfect_tracking_and_terminal_only(setup1, rng):
     cfg, sm, policy = setup1
+    # a zeroed output layer holds the action, so every step reaches the
+    # same tip
+    policy.params.weights[-1][:] = 0.0
+    policy.params.biases[-1][:] = 0.0
     q0 = rng.uniform(-3.0, 3.0, (3, 2))
     tape = Tape()
     res = rollout_policy(policy, sm, cfg, tape, q0, np.zeros((3, 3)))
-    # goals equal to the achieved tips: tracking terms vanish exactly
-    res.goals = np.stack([t.value for t in res.tips], axis=0)
+    assert all(np.array_equal(t.value, res.tips[0].value) for t in res.tips)
+    # the goal equal to the achieved tips: tracking terms vanish exactly
+    res.goal = res.tips[0].value.copy()
     only_track = ControlLossConfig(
         action_rate_weight=0.0, shape_weight=0.0, obstacle_weight=0.0
     )
     assert float(control_loss(res, only_track).value) == 0.0
 
     off = np.array([0.002, -0.001, 0.003])
-    res.goals = res.goals + off
+    res.goal = res.goal + off
     terminal_only = ControlLossConfig(
         tracking_weight=0.0,
         action_rate_weight=0.0,
@@ -702,6 +720,20 @@ def test_tracking_loops_structure(setup1, rng):
 
     (empty,) = closed_loop_track(policy, sm, cfg, "circle", [None], duration=0.0)
     assert empty.n_ticks == 0
+
+
+def test_closed_loop_plans_from_the_observed_robot(setup1):
+    # a payload the shape model knows nothing of moves only the simulated
+    # backbone; a plan that observes it commands other actions
+    cfg, sm, policy = setup1
+
+    def actions(grams):
+        (log,) = closed_loop_track(
+            policy, sm, cfg, "circle", [None], duration=1.5, payload_grams=grams
+        )
+        return log.actions
+
+    assert not np.array_equal(actions(0.0), actions(20.0))
 
 
 @pytest.mark.parametrize("closed", [True, False])

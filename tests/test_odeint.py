@@ -23,9 +23,11 @@ def linear_f(a):
 
 
 def elementwise_f(t, x, u):
-    # control- and time-dependent dynamics built only from elementwise
-    # primitives, so results are bitwise identical for any batch shape
-    h = ad.add(ad.scale(ad.tanh(x), 0.5), ad.cmul(ad.sigmoid(x), u))
+    # time-dependent dynamics built only from elementwise primitives, so
+    # results are bitwise identical for any batch shape; every column
+    # sees its own drive, and the drive changes within and across steps
+    drive = np.sin(3.0 * t + np.arange(x.value.shape[1]))
+    h = ad.add(ad.scale(ad.tanh(x), 0.5), ad.cmul(ad.sigmoid(x), drive))
     return ad.add_const(h, 0.1 * np.cos(t))
 
 
@@ -73,7 +75,6 @@ def test_gradient_through_rk4_matches_exponential():
 def test_trajectory_prefix_matches_shorter_grid(rng):
     h = 0.125
     x0v = rng.standard_normal((2, 3))
-    u_seq = [rng.standard_normal(3) for _ in range(8)]
     for kind in SOLVER_KINDS:
         full_tape = ad.Tape()
         full = integrate(
@@ -81,7 +82,6 @@ def test_trajectory_prefix_matches_shorter_grid(rng):
             full_tape.tensor(x0v),
             IntegrationGrid(0.0, 8 * h, 8),
             kind=kind,
-            controls=u_seq,
         )
         ks = [4, 6] if kind == "fixed-adams" else [1, 3, 6]
         for k in ks:
@@ -91,27 +91,8 @@ def test_trajectory_prefix_matches_shorter_grid(rng):
                 tape.tensor(x0v),
                 IntegrationGrid(0.0, k * h, k),
                 kind=kind,
-                controls=u_seq[:k],
             )
             assert np.array_equal(part[-1].value, full[k].value)
-
-
-def test_controls_sequence_equals_callable(rng):
-    x0v = rng.standard_normal((2, 3))
-    seq = [rng.standard_normal(3) for _ in range(5)]
-    tape = ad.Tape()
-    a = integrate(
-        elementwise_f, tape.tensor(x0v), IntegrationGrid(0.0, 1.0, 5), "rk4", controls=seq
-    )
-    tape2 = ad.Tape()
-    b = integrate(
-        elementwise_f,
-        tape2.tensor(x0v),
-        IntegrationGrid(0.0, 1.0, 5),
-        "rk4",
-        controls=lambda step, x: seq[step],
-    )
-    assert np.array_equal(a[-1].value, b[-1].value)
 
 
 def test_grid_validation():
@@ -164,7 +145,6 @@ def test_masked_degenerate_equals_unmasked(rng):
             tape.tensor(x0v),
             IntegrationGrid(0.0, 1.0, 6),
             kind,
-            controls=lambda s, x: np.ones(2),
         )
         tape2 = ad.Tape()
         masked = integrate_batch_masked(
@@ -172,7 +152,6 @@ def test_masked_degenerate_equals_unmasked(rng):
             tape2.tensor(x0v),
             IntegrationGrid(0.0, 1.0, 6, per_sample_end=ends),
             kind,
-            controls=lambda s, x: np.ones(2),
         )
         for a, b in zip(plain, masked):
             assert np.array_equal(a.value, b.value)
@@ -214,12 +193,9 @@ def test_masked_matches_per_sample_bitwise(rng):
         counts[rng.integers(0, batch)] = n
         ends = counts * h
         x0v = rng.standard_normal((batch, dim))
-        u_seq = [rng.standard_normal(dim) for _ in range(n)]
         grid = IntegrationGrid(0.0, n * h, n, per_sample_end=ends)
         tape = ad.Tape()
-        traj = integrate_batch_masked(
-            elementwise_f, tape.tensor(x0v), grid, kind, controls=u_seq
-        )
+        traj = integrate_batch_masked(elementwise_f, tape.tensor(x0v), grid, kind)
         for i in range(batch):
             ci = int(counts[i])
             if ci == 0:
@@ -232,7 +208,6 @@ def test_masked_matches_per_sample_bitwise(rng):
                     solo_tape.tensor(x0v[i : i + 1]),
                     IntegrationGrid(0.0, ci * h, ci),
                     solo_kind,
-                    controls=u_seq[:ci],
                 )
                 solo_states = [s.value for s in solo]
             for k in range(ci + 1):
@@ -264,15 +239,11 @@ def test_masked_gradient_freezes(rng):
 
 
 def test_nonfinite_state_names_step(rng):
-    bad = np.array([1.0])
-
+    # the field blows up from t = 0.5 on, where step 3 of 6 starts
     def f(t, x, u):
-        return ad.cmul(x, u)
-
-    def controls(step, x):
-        return np.array([np.inf]) if step == 3 else bad
+        return ad.scale(x, np.inf if t > 0.4 else 1.0)
 
     tape = ad.Tape()
     x0 = tape.tensor(np.ones((1, 1)))
     with pytest.raises(FloatingPointError, match="step 3"):
-        integrate(f, x0, IntegrationGrid(0.0, 1.0, 6), "euler", controls=controls)
+        integrate(f, x0, IntegrationGrid(0.0, 1.0, 6), "euler")

@@ -34,6 +34,7 @@ from shapectl.shape_node import (
     shape_loss_tensor,
     tip_jacobian,
     train_shape_node,
+    validation_split,
 )
 
 
@@ -262,6 +263,20 @@ def test_training_reduces_validation_loss(rng):
     assert iters == tuple(range(1, 61))
     assert all(np.isfinite(train_losses))
     assert val_losses[-1] < val_losses[0]
+
+
+def test_validation_split_sizes_and_stream():
+    rng = np.random.default_rng(3)
+    val, train = validation_split(20, 0.1, rng)
+    assert len(val) == 2 and len(train) == 18
+    # one permutation drawn from the generator, which the trainer's batch
+    # order then continues
+    ref = np.random.default_rng(3)
+    assert np.array_equal(np.concatenate([val, train]), ref.permutation(20))
+    assert rng.random() == ref.random()
+    assert len(validation_split(5, 0.01, np.random.default_rng(0))[0]) == 1
+    with pytest.raises(ValueError, match="too small"):
+        validation_split(1, 0.1, np.random.default_rng(0))
 
 
 def test_training_empty_dataset():
