@@ -36,6 +36,7 @@ from .control_node import (
     load_control_model,
     place_obstacle,
     save_control_model,
+    tick_count,
     train_control_node,
 )
 from .reports import (
@@ -61,6 +62,7 @@ from .robot import (
 )
 from .shape_node import (
     ShapeNodeModel,
+    check_dataset,
     check_grid,
     evaluate_shape_rmse,
     init_shape_model,
@@ -176,11 +178,11 @@ def cmd_generate(args) -> int:
     with config_errors("shape grid"):
         check_grid(cfg.get("shape", "solver"), steps)
     seed = cfg.get("run", "seed")
-    samples = sample_dataset(
+    q, points = sample_dataset(
         robot, n, np.random.default_rng(seed), points_per_segment=steps
     )
     path = out / "dataset.csv"
-    write_dataset_csv(path, samples, robot)
+    write_dataset_csv(path, q, points, robot)
     print(f"wrote {n} samples (seed {seed}) to {path}")
     return EXIT_OK
 
@@ -190,7 +192,7 @@ def cmd_train_shape(args) -> int:
     _write_resolved(cfg, out)
     robot = cfg.robot_config()
     try:
-        dataset = read_dataset_csv(args.dataset, robot)
+        q, points = read_dataset_csv(args.dataset, robot)
     except ValueError as exc:
         raise ConfigError(f"cannot use dataset: {exc}") from exc
     train_cfg = cfg.shape_train_config()
@@ -205,24 +207,22 @@ def cmd_train_shape(args) -> int:
                 solver=cfg.get("shape", "solver"),
                 steps_per_segment=cfg.get("shape", "steps_per_segment"),
             )
-    grid = (dataset[0].shape.points.shape[0] - 1) // robot.n_segments
-    if grid != model.steps_per_segment:
-        raise ConfigError(
-            f"cannot use dataset: it has {grid} points per segment, the shape"
-            f" model integrates {model.steps_per_segment} steps per segment"
+    try:
+        check_dataset(model, robot, q, points)
+        # the same held-out split the trainer uses, reported on below
+        val_idx, _ = validation_split(
+            len(q), train_cfg.val_fraction, np.random.default_rng(train_cfg.seed)
         )
+    except ValueError as exc:
+        raise ConfigError(f"cannot use dataset: {exc}") from exc
     t0 = time.monotonic()
-    model, history = train_shape_node(dataset, train_cfg, robot, model=model)
+    model, history = train_shape_node(q, points, train_cfg, robot, model=model)
     minutes = (time.monotonic() - t0) / 60.0
     save_shape_model(out / "shape_model.json", model, robot)
     write_history_csv(
         out / "shape_history.csv", history, ["iteration", "train_loss", "val_loss"]
     )
-    # report on the same held-out split the trainer used
-    val_idx, _ = validation_split(
-        len(dataset), train_cfg.val_fraction, np.random.default_rng(train_cfg.seed)
-    )
-    res = evaluate_shape_rmse(model, [dataset[i] for i in val_idx], robot)
+    res = evaluate_shape_rmse(model, q[val_idx], points[val_idx], robot)
     rmse = res.rmse_mm
     print(f"trained {len(history)} iterations in {minutes:.1f} min")
     print(f"final train loss {history[-1][1]:.8f}")
@@ -333,6 +333,11 @@ def _trials(cfg: RunConfig, out: Path, args) -> _Trials:
         raise ConfigError(f"{scenario} evaluation needs --control-model")
     policy = _load_model(load_control_model, "control", args.control_model, robot)
     duration, period = _run_timing(cfg)
+    if tick_count(duration, period) == 0:
+        raise ConfigError(
+            f"run duration {duration:g} at period {period:g} gives 0 ticks;"
+            f" {cfg.get('run', 'scenario')} evaluation needs at least one"
+        )
     return _Trials(
         robot=robot,
         shape_model=shape_model,
@@ -359,18 +364,18 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
     robot = cfg.robot_config()
     model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     seed = cfg.get("run", "seed")
-    samples = []
-    for i in range(SHAPE_EVAL_TRIALS):
-        samples.extend(
-            sample_dataset(
-                robot,
-                1,
-                np.random.default_rng(seed + i),
-                points_per_segment=model.steps_per_segment,
-            )
+    draws = [
+        sample_dataset(
+            robot,
+            1,
+            np.random.default_rng(seed + i),
+            points_per_segment=model.steps_per_segment,
         )
-    truth = np.array([s.shape.points[1:] for s in samples])
-    pred = predict_shape_batch(model, np.array([s.action.q for s in samples]), robot)
+        for i in range(SHAPE_EVAL_TRIALS)
+    ]
+    q = np.concatenate([d[0] for d in draws])
+    truth = np.concatenate([d[1] for d in draws])
+    pred = predict_shape_batch(model, q, robot)
     write_shape_eval_csv(out / "shape_eval.csv", truth, pred)
     t, p = read_shape_eval_csv(out / "shape_eval.csv")
     err = (p - t).reshape(-1, 3)
@@ -610,14 +615,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # non-finite values are caught where they matter and reported in
+        # one line, so numpy's own warnings would only repeat them
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

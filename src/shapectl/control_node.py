@@ -42,7 +42,6 @@ from .nn import (
     mlp_forward,
 )
 from .robot import (
-    ActionVector,
     ObstacleSpec,
     RobotConfig,
     forward_kinematics,
@@ -164,17 +163,6 @@ class ControlNodeModel:
     @property
     def action_dim(self) -> int:
         return 2 * self.n_segments
-
-    def copy(self) -> "ControlNodeModel":
-        return ControlNodeModel(
-            params=self.params.copy(),
-            n_segments=self.n_segments,
-            q_min=self.q_min,
-            q_max=self.q_max,
-            horizon=self.horizon,
-            dt=self.dt,
-            rate_scale=self.rate_scale,
-        )
 
 
 def init_control_model(
@@ -615,10 +603,15 @@ def place_obstacle(
     """
     target = reference_trajectory(kind, phase * period, config.total_length, period)
     q = ik_solve(shape_model, config, target)
-    shape = forward_kinematics(config, ActionVector(q), mismatch=True)
+    shape = forward_kinematics(config, q, mismatch=True)
     arc_from_tip = shape.s[-1] - shape.s
     idx = int(np.argmin(np.abs(arc_from_tip - offset)))
     return np.array(shape.points[idx], dtype=np.float64)
+
+
+def tick_count(duration: float, period: float) -> int:
+    """Ticks of a tracking run: ``TICKS_PER_PERIOD`` per period, rounded."""
+    return int(round(duration / (period / TICKS_PER_PERIOD)))
 
 
 def closed_loop_track(
@@ -646,7 +639,7 @@ def closed_loop_track(
     g_now) on the model tip Jacobian, with no feedback.
     """
     tick = period / TICKS_PER_PERIOD
-    n = int(round(duration / tick))
+    n = tick_count(duration, period)
     length = config.total_length
     g_start = reference_trajectory(kind, 0.0, length, period)
     q_start = ik_solve(shape_model, config, g_start)
@@ -711,13 +704,6 @@ class TrackingMetrics:
     std_mm: Array
     aggregate_rmse_mm: float
     n_ticks: int
-
-    def as_rows(self) -> list[tuple[str, float, float]]:
-        axes = ("x", "y", "z")
-        return [
-            (axes[i], float(self.rmse_mm[i]), float(self.std_mm[i]))
-            for i in range(3)
-        ]
 
 
 def evaluate_tracking(logs) -> TrackingMetrics:

@@ -71,9 +71,6 @@ class IntegrationGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
 
-    def times(self) -> Array:
-        return self.t_start + self.dt * np.arange(self.n_steps + 1)
-
 
 def check_solver(kind: str, n_steps: int) -> None:
     """Raise ``ValueError`` unless ``kind`` can integrate ``n_steps`` steps."""

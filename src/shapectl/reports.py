@@ -1,9 +1,10 @@
 """Report emission: CSV schemas, metrics tables, and SVG path overlays.
 
-Every file format here is the canonical one: datasets rebuild into the
-exact samples they came from, tracking logs round-trip bit-for-bit
-through the 17-significant-digit float format, and metrics tables are
-always derived from emitted logs rather than computed independently.
+Every file format here is the canonical one: datasets read back into
+the exact ``(q, points)`` arrays they were written from, tracking logs
+round-trip bit-for-bit through the 17-significant-digit float format,
+and metrics tables are always derived from emitted logs rather than
+computed independently.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import numpy as np
 
 from .autodiff import Array
 from .control_node import TrackingLog
-from .robot import (
-    ActionVector,
-    BackboneShape,
-    RobotConfig,
-    ShapeSample,
-    backbone_arc_coords,
-)
+from .robot import RobotConfig
 
 
 def fmt(x: float) -> str:
@@ -34,7 +29,7 @@ def fmt(x: float) -> str:
 # dataset files
 
 
-def dataset_header(config: RobotConfig, points_per_segment: int = 10) -> list[str]:
+def dataset_header(config: RobotConfig, points_per_segment: int) -> list[str]:
     n = config.n_segments
     cols = [f"q{i}" for i in range(2 * n)]
     cols += [f"len{i}" for i in range(n)]
@@ -43,25 +38,32 @@ def dataset_header(config: RobotConfig, points_per_segment: int = 10) -> list[st
     return cols
 
 
-def write_dataset_csv(path, samples, config: RobotConfig) -> None:
-    """One row per sample: actions, segment lengths, grid points."""
-    if not samples:
+def write_dataset_csv(path, q: Array, points: Array, config: RobotConfig) -> None:
+    """One row per sample: actions, the config's segment lengths, grid points.
+
+    ``q`` is (n, action_dim) and ``points`` (n, n_segments * k, 3), base
+    excluded, as :func:`shapectl.robot.sample_dataset` returns them.
+    """
+    n, width = points.shape[:2]
+    if n == 0:
         raise ValueError("no samples to write")
-    pps = (samples[0].shape.points.shape[0] - 1) // config.n_segments
-    header = dataset_header(config, pps)
+    if q.shape != (n, config.action_dim) or width % config.n_segments:
+        raise ValueError("actions and points do not fit the robot config")
+    header = dataset_header(config, width // config.n_segments)
+    lengths = [fmt(v) for v in config.segment_lengths]
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in samples:
-            row = [fmt(v) for v in s.action.q]
-            row += [fmt(v) for v in s.lengths]
-            row += [fmt(v) for v in s.shape.points[1:].reshape(-1)]
-            writer.writerow(row)
+        for qi, pts in zip(q, points.reshape(n, -1)):
+            writer.writerow([fmt(v) for v in qi] + lengths + [fmt(v) for v in pts])
 
 
-def read_dataset_csv(path, config: RobotConfig) -> list[ShapeSample]:
-    """Rebuild samples; a header or segment lengths not matching
-    ``config`` are an error."""
+def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
+    """Inverse of :func:`write_dataset_csv`: the ``(q, points)`` arrays.
+
+    A header, segment lengths or actions not matching ``config`` are a
+    ``ValueError``; so is a row whose width differs from the header's.
+    """
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         try:
@@ -76,28 +78,28 @@ def read_dataset_csv(path, config: RobotConfig) -> list[ShapeSample]:
     if len(header) <= base or (len(header) - base) % (3 * n) != 0:
         raise ValueError("dataset width does not fit the robot config")
     pps = (len(header) - base) // (3 * n)
-    if header != dataset_header(config, pps) or pps < 1:
+    if header != dataset_header(config, pps):
         raise ValueError("dataset header does not match the robot config")
-    s_coords = backbone_arc_coords(config, pps)
-    out = []
-    for row in rows:
-        lengths = tuple(row[2 * n : 3 * n])
-        if lengths != config.segment_lengths:
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
             raise ValueError(
-                f"dataset segment lengths {list(lengths)} do not match the "
-                f"robot config's {list(config.segment_lengths)}"
+                f"dataset row {i + 1} has {len(row)} cells, the header {len(header)}"
             )
-        pts = np.array(row[base:]).reshape(-1, 3)
-        out.append(
-            ShapeSample(
-                action=ActionVector(np.array(row[: 2 * n])),
-                lengths=lengths,
-                shape=BackboneShape(
-                    s=s_coords, points=np.vstack([np.zeros((1, 3)), pts])
-                ),
-            )
+    data = np.array(rows)
+    lengths = data[:, 2 * n : base]
+    bad = np.any(lengths != config.segment_lengths, axis=1)
+    if bad.any():
+        raise ValueError(
+            f"dataset segment lengths {lengths[bad][0].tolist()} do not match the "
+            f"robot config's {list(config.segment_lengths)}"
         )
-    return out
+    q = data[:, : 2 * n]
+    if not np.all((q >= config.q_min) & (q <= config.q_max)):
+        raise ValueError(
+            f"dataset actions lie outside the robot config's bounds"
+            f" [{config.q_min:g}, {config.q_max:g}]"
+        )
+    return q, data[:, base:].reshape(len(rows), n * pps, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ point [b u_y, -b u_x, a] and turns it by R = I + a [u]x + b [u]x^2.
 The simulator composes those arcs segment by segment for a whole batch
 of actions at once.  It is what the learned models are trained against
 and evaluated on, and it shares no code with the taped solvers in
-:mod:`shapectl.odeint`.
+:mod:`shapectl.odeint`.  A dataset is two arrays and nothing else:
+actions ``q`` of shape (n, action_dim) and backbone ``points`` of shape
+(n, n_segments * points_per_segment, 3), base excluded.
 
 The action-to-curvature map has a deliberate mismatch term so that the
 commanded map (``mismatch=False``) and the simulated robot
@@ -109,27 +111,6 @@ class RobotConfig:
 
 
 @dataclass(frozen=True)
-class ActionVector:
-    """Flat action vector, two commands (q_x, q_y) per segment."""
-
-    q: Array
-
-    def __post_init__(self):
-        v = np.asarray(self.q, dtype=np.float64)
-        if v.ndim != 1 or v.size % 2 != 0 or v.size == 0:
-            raise ValueError("action must be a flat vector with 2 entries per segment")
-        object.__setattr__(self, "q", v)
-
-    @property
-    def n_segments(self) -> int:
-        return self.q.size // 2
-
-    @property
-    def per_segment(self) -> Array:
-        return self.q.reshape(-1, 2)
-
-
-@dataclass(frozen=True)
 class ObstacleSpec:
     """Spherical keep-out region: violation when any backbone point has
     squared distance to ``center`` below ``threshold_sq``."""
@@ -156,16 +137,6 @@ class BackboneShape:
     @property
     def tip(self) -> Array:
         return self.points[-1]
-
-
-@dataclass
-class ShapeSample:
-    """One supervised example: the action, the segment lengths, and the
-    simulated backbone."""
-
-    action: ActionVector
-    lengths: tuple[float, ...]
-    shape: BackboneShape
 
 
 def _saturate(u: Array, u_max: float) -> Array:
@@ -276,12 +247,12 @@ def backbone_arc_coords(config: RobotConfig, points_per_segment: int = 10) -> Ar
 
 def forward_kinematics(
     config: RobotConfig,
-    action: ActionVector | Array,
+    q: Array,
     mismatch: bool = True,
     payload_grams: float = 0.0,
     points_per_segment: int = 10,
 ) -> BackboneShape:
-    """Simulate the backbone for one action.
+    """Simulate the backbone for one action ``q``, shape (action_dim,).
 
     Returns the backbone sampled at ``points_per_segment`` points per
     segment plus the base point.  Each point is exact up to rounding:
@@ -291,8 +262,7 @@ def forward_kinematics(
     arc composition.  The action runs as a batch of one through the same
     code as :func:`sample_dataset`, so both give bitwise-equal backbones.
     """
-    q = action.q if isinstance(action, ActionVector) else np.asarray(action)
-    u = action_to_curvature(config, q.reshape(1, -1), mismatch=mismatch)
+    u = action_to_curvature(config, np.reshape(q, (1, -1)), mismatch=mismatch)
     shape = BackboneShape(
         s=backbone_arc_coords(config, points_per_segment),
         points=_arc_backbones(config, u, points_per_segment)[0],
@@ -326,30 +296,26 @@ def apply_payload(
     return BackboneShape(s=shape.s.copy(), points=points)
 
 
-def sample_actions(config: RobotConfig, n_samples: int, rng: np.random.Generator) -> Array:
-    """Uniform actions over the per-channel box [q_min, q_max]."""
-    return rng.uniform(config.q_min, config.q_max, size=(n_samples, config.action_dim))
-
-
 def sample_dataset(
     config: RobotConfig,
     n_samples: int,
     rng: np.random.Generator,
     points_per_segment: int = 10,
-) -> list[ShapeSample]:
-    """Draw random actions and simulate their backbones (with mismatch)."""
-    actions = sample_actions(config, n_samples, rng)
-    u = action_to_curvature(config, actions, mismatch=True)
-    points = _arc_backbones(config, u, points_per_segment)
-    s = backbone_arc_coords(config, points_per_segment)
-    return [
-        ShapeSample(
-            action=ActionVector(q),
-            lengths=config.segment_lengths,
-            shape=BackboneShape(s=s, points=pts),
-        )
-        for q, pts in zip(actions, points)
-    ]
+) -> tuple[Array, Array]:
+    """Draw uniform actions over [q_min, q_max] and simulate their
+    backbones (with mismatch).
+
+    Returns ``q``, shape (n_samples, action_dim), and ``points``, shape
+    (n_samples, n_segments * points_per_segment, 3), base excluded: the
+    layout of the dataset file and of the shape model's predictions.
+    A config whose backbones overflow raises ``FloatingPointError``.
+    """
+    q = rng.uniform(config.q_min, config.q_max, size=(n_samples, config.action_dim))
+    u = action_to_curvature(config, q, mismatch=True)
+    points = _arc_backbones(config, u, points_per_segment)[:, 1:]
+    if not np.isfinite(points).all():
+        raise FloatingPointError("simulated backbones are not finite")
+    return q, points
 
 
 def reference_trajectory(

@@ -40,11 +40,7 @@ from .nn import (
     params_to_dict,
 )
 from .odeint import IntegrationGrid, SolverKind, check_solver, integrate
-from .robot import (
-    ActionVector,
-    RobotConfig,
-    action_to_curvature,
-)
+from .robot import RobotConfig, action_to_curvature
 
 STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
 
@@ -86,17 +82,6 @@ class ShapeNodeModel:
         if sizes[0] != STATE_DIM or sizes[-1] != STATE_DIM:
             raise ValueError(f"shape model must map {STATE_DIM} -> {STATE_DIM}")
         check_grid(self.solver, self.steps_per_segment)
-
-    @property
-    def output_scale(self) -> Array:
-        return self.params.output_scale
-
-    def copy(self) -> "ShapeNodeModel":
-        return ShapeNodeModel(
-            params=self.params.copy(),
-            solver=self.solver,
-            steps_per_segment=self.steps_per_segment,
-        )
 
 
 @dataclass
@@ -291,15 +276,27 @@ def shape_loss_tensor(rollout: ShapeRollout, truth_points: Array) -> Tensor:
     return ad.scale(total, 1.0 / (n_points * batch))
 
 
-def _dataset_arrays(dataset, config: RobotConfig, steps_per_segment: int):
-    q = np.array([s.action.q for s in dataset])
-    truth = np.array([s.shape.points[1:] for s in dataset])
-    expect = config.n_segments * steps_per_segment
-    if truth.shape[1] != expect:
+def check_dataset(
+    model: ShapeNodeModel, config: RobotConfig, q: Array, points: Array
+) -> None:
+    """Raise ``ValueError`` unless ``model`` can fit the ``(q, points)`` dataset.
+
+    ``q`` must be (n, action_dim) and ``points`` (n, P, 3) on the grid the
+    model integrates, P = n_segments * steps_per_segment.
+    """
+    n = q.shape[0]
+    q_fits = q.shape == (n, config.action_dim)
+    if not q_fits or points.ndim != 3 or points.shape[::2] != (n, 3):
         raise ValueError(
-            f"dataset grid has {truth.shape[1]} points per shape, expected {expect}"
+            f"dataset arrays {q.shape} and {points.shape} do not fit"
+            f" (n, {config.action_dim}) actions and (n, P, 3) points"
         )
-    return q, truth
+    steps = model.steps_per_segment
+    if points.shape[1] != config.n_segments * steps:
+        raise ValueError(
+            f"it has {points.shape[1] / config.n_segments:g} points per segment,"
+            f" the shape model integrates {steps} steps per segment"
+        )
 
 
 def _validation_loss(
@@ -335,31 +332,30 @@ def validation_split(
 
 
 def train_shape_node(
-    dataset,
+    q: Array,
+    points: Array,
     config: ShapeTrainConfig,
     robot: RobotConfig,
     model: ShapeNodeModel | None = None,
 ) -> tuple[ShapeNodeModel, list[tuple[int, float, float]]]:
-    """Fit the shape model to simulated samples.
+    """Fit the shape model to the simulated ``(q, points)`` dataset.
 
-    Splits the dataset 90/10 (:func:`validation_split` by
-    ``val_fraction``) with the configured seed, runs Adam over shuffled
-    minibatches, evaluates validation loss every ``val_interval``
-    iterations, and returns the best-validation checkpoint plus history
-    rows (iteration, train_loss, val_loss); the val column repeats the
-    latest measurement between evaluations.  Divergence raises
+    :func:`check_dataset` must accept the arrays.  Splits the dataset
+    90/10 (:func:`validation_split` by ``val_fraction``) with the
+    configured seed, runs Adam over shuffled minibatches, evaluates
+    validation loss every ``val_interval`` iterations, and returns the
+    best-validation checkpoint plus history rows (iteration, train_loss,
+    val_loss); the val column repeats the latest measurement between
+    evaluations.  Divergence raises
     ``FloatingPointError`` naming the iteration.  Training and
     validation compute on :data:`TRAIN_DTYPE` tapes.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
     if model is None:
         model = init_shape_model(np.random.default_rng(config.seed + 1), robot)
-    q_all, truth_all = _dataset_arrays(dataset, robot, model.steps_per_segment)
-    n = q_all.shape[0]
+    check_dataset(model, robot, q, points)
     rng = np.random.default_rng(config.seed)
     # the batch order continues the generator the split drew from
-    val_idx, train_idx = validation_split(n, config.val_fraction, rng)
+    val_idx, train_idx = validation_split(q.shape[0], config.val_fraction, rng)
     adam = AdamConfig(lr=config.learning_rate)
     batch = min(config.batch_size, train_idx.size)
 
@@ -378,8 +374,8 @@ def train_shape_node(
         idx = next(stream)
         try:
             tape = Tape(TRAIN_DTYPE)
-            ro = rollout_shape(model, robot, tape, q_all[idx])
-            loss = shape_loss_tensor(ro, truth_all[idx])
+            ro = rollout_shape(model, robot, tape, q[idx])
+            loss = shape_loss_tensor(ro, points[idx])
             train_loss = float(loss.value)
             if not np.isfinite(train_loss):
                 raise FloatingPointError("loss is not finite")
@@ -387,7 +383,7 @@ def train_shape_node(
             adam_step(model.params, collect_mlp_grads(grads, ro.mt), adam)
             if it == 1 or it % config.val_interval == 0 or it == config.iterations:
                 last_val = _validation_loss(
-                    model, robot, q_all[val_idx], truth_all[val_idx], batch
+                    model, robot, q[val_idx], points[val_idx], batch
                 )
                 if last_val < best_val:
                     best_val = last_val
@@ -402,9 +398,7 @@ def train_shape_node(
     return model, history
 
 
-def tip_jacobian(
-    model: ShapeNodeModel, q: ActionVector | Array, config: RobotConfig
-) -> Array:
+def tip_jacobian(model: ShapeNodeModel, q: Array, config: RobotConfig) -> Array:
     """Sensitivity of the predicted tip to the action, shape (3, 2n).
 
     Backpropagates each tip coordinate to a taped action, so the chain
@@ -412,9 +406,8 @@ def tip_jacobian(
     :func:`rollout_shape` (identity inside the norm ball, the
     norm-projection Jacobian on it).
     """
-    q_arr = q.q if isinstance(q, ActionVector) else np.asarray(q, dtype=np.float64)
     tape = Tape()
-    q_leaf = tape.tensor(q_arr.reshape(1, -1))
+    q_leaf = tape.tensor(np.reshape(q, (1, -1)))
     tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
     jac = np.zeros((3, config.action_dim))
     for j in range(3):
@@ -431,21 +424,15 @@ class ShapeEvalResult:
     std_mm: Array
     n_samples: int
 
-    def as_rows(self) -> list[tuple[str, float, float]]:
-        axes = ("x", "y", "z")
-        return [
-            (axes[i], float(self.rmse_mm[i]), float(self.std_mm[i]))
-            for i in range(3)
-        ]
-
 
 def evaluate_shape_rmse(
-    model: ShapeNodeModel, samples, config: RobotConfig
+    model: ShapeNodeModel, q: Array, points: Array, config: RobotConfig
 ) -> ShapeEvalResult:
-    """Per-axis RMSE and error STD (mm) over all grid points of a test set."""
-    q, truth = _dataset_arrays(samples, config, model.steps_per_segment)
+    """Per-axis RMSE and error STD (mm) over all grid points of the
+    ``(q, points)`` test set."""
+    check_dataset(model, config, q, points)
     pred = predict_shape_batch(model, q, config)
-    err = (pred - truth).reshape(-1, 3)
+    err = (pred - points).reshape(-1, 3)
     rmse = np.sqrt((err * err).mean(axis=0)) * 1000.0
     std = err.std(axis=0) * 1000.0
     return ShapeEvalResult(rmse_mm=rmse, std_mm=std, n_samples=q.shape[0])

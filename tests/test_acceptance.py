@@ -512,12 +512,11 @@ def test_criterion_5_shape_accuracy(shape_runs):
     for n_seg in SEGMENT_COUNTS:
         run = shape_runs[n_seg]
         model, config = load_shape_model(run.model)
-        dataset = read_dataset_csv(run.dataset, config)
+        q, points = read_dataset_csv(run.dataset, config)
         # same held-out split the trainer validated and checkpointed on
-        perm = np.random.default_rng(0).permutation(len(dataset))
-        n_val = max(1, round(0.1 * len(dataset)))
-        held_out = [dataset[i] for i in perm[:n_val]]
-        result = evaluate_shape_rmse(model, held_out, config)
+        perm = np.random.default_rng(0).permutation(len(q))
+        held_out = perm[: max(1, round(0.1 * len(q)))]
+        result = evaluate_shape_rmse(model, q[held_out], points[held_out], config)
         limit = SHAPE_RMSE_LIMITS_MM[n_seg]
         ok = ok and bool(np.all(result.rmse_mm <= limit))
         axes = "/".join(f"{v:.2f}" for v in result.rmse_mm)

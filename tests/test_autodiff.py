@@ -380,14 +380,18 @@ def test_dropped_tapes_need_no_cycle_collector(rng, monkeypatch):
     monkeypatch.setattr(shape_node, "Tape", Watched)
     monkeypatch.setattr(control_node, "Tape", Watched)
     robot = RobotConfig(n_segments=1)
-    data = sample_dataset(robot, 20, rng)
+    q, points = sample_dataset(robot, 20, rng)
     model = shape_node.init_shape_model(rng, robot, hidden=(8,), solver="rk4")
     gc.collect()
     gc.disable()
     try:
         made[0] = _tape_with_every_primitive(rng)
         shape_node.train_shape_node(
-            data, shape_node.ShapeTrainConfig(batch_size=8, iterations=1), robot, model
+            q,
+            points,
+            shape_node.ShapeTrainConfig(batch_size=8, iterations=1),
+            robot,
+            model,
         )
         control_node.train_control_node(
             model,

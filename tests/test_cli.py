@@ -1,11 +1,18 @@
 """End-to-end command-line workflows on a one-segment toy setup."""
 
+import contextlib
+import io
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shapectl.control_node
 from shapectl.cli import main
-from shapectl.config import load_run_config
+from shapectl.config import ENV_PREFIX, SCHEMA, load_run_config
 from shapectl.control_node import load_control_model
 from shapectl.reports import (
     read_dataset_csv,
@@ -123,12 +130,11 @@ def test_generated_dataset_matches_library(workdir):
     root, ini = workdir
     cfg = load_run_config(ini)
     robot = cfg.robot_config()
-    back = read_dataset_csv(root / "gen" / "dataset.csv", robot)
-    direct = sample_dataset(robot, 80, np.random.default_rng(11))
-    assert len(back) == 80
-    for a, b in zip(direct, back):
-        assert np.array_equal(a.action.q, b.action.q)
-        assert np.array_equal(a.shape.points, b.shape.points)
+    q_back, points_back = read_dataset_csv(root / "gen" / "dataset.csv", robot)
+    q, points = sample_dataset(robot, 80, np.random.default_rng(11))
+    assert q_back.shape == (80, 2) and points_back.shape == (80, 10, 3)
+    assert np.array_equal(q, q_back)
+    assert np.array_equal(points, points_back)
 
 
 def test_env_override(workdir, tmp_path, monkeypatch):
@@ -667,7 +673,12 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
         ]
     )
     assert rc == 5
-    capsys.readouterr()
+    # one sample leaves nothing to train on after the validation split
+    one = tmp_path / "one.csv"
+    one.write_text("\n".join(lines[:2]))
+    args = ["train-shape", "--config", str(ini), "--dataset", str(one)]
+    assert main(args + ["--out", str(tmp_path / "f")]) == 3
+    assert "validation split" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["rollout", "evaluate"])
@@ -721,6 +732,10 @@ def test_bad_run_timing_is_config_error(
         ("generate", "SHAPECTL_ROBOT_U_MAX=nan", "u_max"),
         ("generate", "SHAPECTL_SHAPE_STEPS_PER_SEGMENT=0", "steps_per_segment"),
         ("generate", "SHAPECTL_SHAPE_SOLVER=midpoint", "solver"),
+        ("train-shape", "SHAPECTL_ROBOT_U_MAX=1", "outside the robot config's bounds"),
+        ("train-shape", "SHAPECTL_SHAPE_VAL_FRACTION=0.999", "validation split"),
+        ("evaluate", "SHAPECTL_RUN_DURATION=0", "0 ticks"),
+        ("evaluate", "SHAPECTL_RUN_PERIOD=1e308", "0 ticks"),
     ],
 )
 def test_bad_numeric_config_is_config_error(
@@ -736,9 +751,35 @@ def test_bad_numeric_config_is_config_error(
         args += ["--dataset", str(root / "gen" / "dataset.csv")]
     if command == "train-control":
         args += ["--shape-model", _shape_model_path(workdir)]
+    if command == "evaluate":
+        args += ["--shape-model", _shape_model_path(workdir)]
+        args += ["--control-model", _control_model_path(workdir)]
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("generate", "SHAPECTL_ROBOT_U_MAX=1e308"),
+        ("train-control", "SHAPECTL_CONTROL_TARGET_SCALE=1e308"),
+        ("generate", "SHAPECTL_ROBOT_SEGMENT_LENGTHS=1e300"),
+        ("generate", "SHAPECTL_ROBOT_MISMATCH_AMPLITUDE=1e308"),
+    ],
+)
+def test_overflowing_config_is_numeric_failure(
+    workdir, tmp_path, monkeypatch, capsys, command, setting
+):
+    # finite values whose sampling range or simulated backbone overflows
+    args = [command, "--config", str(workdir[1]), "--out", str(tmp_path)]
+    if command == "train-control":
+        args += ["--shape-model", _shape_model_path(workdir)]
+    monkeypatch.setenv(*setting.split("=", 1))
+    assert main(args) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -774,3 +815,84 @@ def test_unknown_config_key_is_config_error(workdir, tmp_path):
     bad.write_text("[robot]\nwheels = 4\n")
     rc = main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+# the tiny setup with the shortest runs: 2 shape and 1 control iterations,
+# one tracking tick per trial; the robot matches the prebuilt models
+FUZZ_INI = (
+    TINY_INI.replace("iterations = 40", "iterations = 2")
+    .replace("iterations = 6", "iterations = 1")
+    .replace("n_samples = 80", "n_samples = 20")
+    .replace("duration = 1.0", "duration = 0.5")
+)
+
+FUZZ_COMMANDS = (
+    "generate",
+    "train-shape",
+    "train-control",
+    "evaluate",
+    "rollout --closed-loop",
+    "rollout --open-loop",
+)
+
+FUZZ_KEYS = tuple((section, key) for section, keys in SCHEMA.items() for key in keys)
+
+# edge text of every kind a key can take, plus small numbers so that no
+# draw asks for a long run
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(
+        (
+            "", " ", "x", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308",
+            "0", "-0", "-1", "0.999", "1,2", "0.1,0.1,0.1", ",",
+            "shape", "payload", "obstacle", "euler", "helix",
+        )
+    ),
+    st.integers(-2, 3).map(str),
+    st.sampled_from((-0.5, 1e-9, 0.5, 2.5)).map(repr),
+)
+
+
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    key=st.sampled_from(FUZZ_KEYS),
+    value=FUZZ_VALUES,
+)
+@example(command="train-shape", key=("robot", "u_max"), value="1")
+@example(command="train-shape", key=("shape", "val_fraction"), value="0.999")
+@example(command="generate", key=("robot", "u_max"), value="1e308")
+@example(command="train-control", key=("control", "target_scale"), value="1e308")
+@example(command="evaluate", key=("run", "duration"), value="0")
+@example(command="evaluate", key=("run", "period"), value="1e308")
+@example(command="generate", key=("robot", "segment_lengths"), value="1e308")
+@settings(max_examples=30)
+def test_any_single_config_value_ends_in_a_documented_exit(
+    workdir, command, key, value
+):
+    # one SHAPECTL_* override per run: a documented exit code, at most one
+    # line on stderr, and neither an exception nor a warning out of main
+    root, _ = workdir
+    name, *flags = command.split()
+    args = [name, *flags]
+    if name == "train-shape":
+        args += ["--dataset", str(root / "gen" / "dataset.csv")]
+    if name in ("train-control", "evaluate", "rollout"):
+        args += ["--shape-model", _shape_model_path(workdir)]
+    if name in ("evaluate", "rollout"):
+        args += ["--control-model", _control_model_path(workdir)]
+    var = f"{ENV_PREFIX}_{key[0].upper()}_{key[1].upper()}"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        ini = f"{tmp}/fuzz.ini"
+        with open(ini, "w") as fh:
+            fh.write(FUZZ_INI)
+        mp.setenv(var, value)
+        with (
+            warnings.catch_warnings(record=True) as caught,
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("always")
+            rc = main(args + ["--config", ini, "--out", f"{tmp}/out"])
+    assert rc in (0, 2, 3, 4, 5), (rc, err.getvalue())
+    assert len(err.getvalue().strip().splitlines()) <= 1, err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

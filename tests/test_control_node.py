@@ -457,8 +457,7 @@ def test_loss_gradient_fd(setup1, rng):
     got = collect_mlp_grads(grads, res.policy_tensors)
 
     def loss_at(params):
-        probe = policy.copy()
-        probe.params = params
+        probe = dataclasses.replace(policy, params=params)
         t = Tape()
         r = rollout_policy(probe, sm, cfg, t, q0, goal)
         return float(control_loss(r, lcfg, obstacle).value)
@@ -635,7 +634,6 @@ def test_evaluate_tracking_examples():
     assert np.allclose(m.std_mm, 0.0, atol=1e-9)
     assert abs(m.aggregate_rmse_mm - 5.0) < 1e-9
     assert m.n_ticks == 2 * n
-    assert [r[0] for r in m.as_rows()] == ["x", "y", "z"]
 
     empty = TrackingLog(
         times=np.zeros(0),

@@ -26,16 +26,14 @@ from shapectl.robot import RobotConfig, sample_dataset
 
 def test_dataset_round_trip(tmp_path):
     cfg = RobotConfig(n_segments=2)
-    samples = sample_dataset(cfg, 5, np.random.default_rng(3))
+    q, points = sample_dataset(cfg, 5, np.random.default_rng(3))
     path = tmp_path / "data.csv"
-    write_dataset_csv(path, samples, cfg)
-    back = read_dataset_csv(path, cfg)
-    assert len(back) == 5
-    for a, b in zip(samples, back):
-        assert np.array_equal(a.action.q, b.action.q)
-        assert a.lengths == b.lengths
-        assert np.array_equal(a.shape.points, b.shape.points)
-        assert np.allclose(a.shape.s, b.shape.s, atol=1e-15)
+    write_dataset_csv(path, q, points, cfg)
+    q_back, points_back = read_dataset_csv(path, cfg)
+    assert np.array_equal(q, q_back)
+    assert np.array_equal(points, points_back)
+    lengths = [row.split(",")[4:6] for row in path.read_text().splitlines()[1:]]
+    assert lengths == [["0.10000000000000001"] * 2] * 5
 
 
 def test_dataset_header_widths():
@@ -50,13 +48,20 @@ def test_dataset_header_widths():
 
 def test_dataset_config_mismatch_rejected(tmp_path):
     cfg = RobotConfig(n_segments=2)
-    samples = sample_dataset(cfg, 3, np.random.default_rng(0))
+    q, points = sample_dataset(cfg, 3, np.random.default_rng(0))
     path = tmp_path / "data.csv"
-    write_dataset_csv(path, samples, cfg)
+    write_dataset_csv(path, q, points, cfg)
     with pytest.raises(ValueError):
         read_dataset_csv(path, RobotConfig(n_segments=3))
     with pytest.raises(ValueError, match="segment lengths"):
         read_dataset_csv(path, RobotConfig(n_segments=2, segment_lengths=(0.1, 0.2)))
+    with pytest.raises(ValueError, match="bounds"):
+        read_dataset_csv(path, RobotConfig(n_segments=2, u_max=1.0))
+    lines = path.read_text().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join([lines[0], lines[1].rsplit(",", 3)[0]]))
+    with pytest.raises(ValueError, match="row 1 has"):
+        read_dataset_csv(short, cfg)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import arc_backbone
 from shapectl.robot import (
-    ActionVector,
     BackboneShape,
     ObstacleSpec,
     RobotConfig,
@@ -44,17 +43,6 @@ def test_config_defaults_and_validation():
 def test_config_roundtrip():
     cfg = RobotConfig(n_segments=2, segment_lengths=(0.1, 0.15), u_max=12.0)
     assert RobotConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_action_vector_validation():
-    ActionVector(np.zeros(6))
-    with pytest.raises(ValueError):
-        ActionVector(np.zeros(5))
-    with pytest.raises(ValueError):
-        ActionVector(np.zeros((2, 2)))
-    av = ActionVector(np.arange(4.0))
-    assert av.n_segments == 2
-    assert av.per_segment.shape == (2, 2)
 
 
 def test_curvature_vector_torsion_must_be_zero(rng):
@@ -268,32 +256,31 @@ def test_payload_via_forward_kinematics():
 
 def test_dataset_determinism_and_count():
     cfg = RobotConfig(n_segments=1)
-    d1 = sample_dataset(cfg, 5, np.random.default_rng(3))
-    d2 = sample_dataset(cfg, 5, np.random.default_rng(3))
-    assert len(d1) == 5
-    for a, b in zip(d1, d2):
-        assert np.array_equal(a.action.q, b.action.q)
-        assert np.array_equal(a.shape.points, b.shape.points)
-    assert sample_dataset(cfg, 0, np.random.default_rng(0)) == []
+    q1, p1 = sample_dataset(cfg, 5, np.random.default_rng(3))
+    q2, p2 = sample_dataset(cfg, 5, np.random.default_rng(3))
+    assert q1.shape == (5, 2) and p1.shape == (5, 10, 3)
+    assert np.array_equal(q1, q2)
+    assert np.array_equal(p1, p2)
+    q0, p0 = sample_dataset(cfg, 0, np.random.default_rng(0))
+    assert q0.shape == (0, 2) and p0.shape == (0, 10, 3)
 
 
 def test_dataset_shapes_reproducible_from_actions():
     cfg = RobotConfig(n_segments=2)
-    data = sample_dataset(cfg, 3, np.random.default_rng(11))
-    for sample in data:
-        again = forward_kinematics(cfg, sample.action, mismatch=True)
-        assert np.array_equal(sample.shape.points, again.points)
-        assert sample.lengths == cfg.segment_lengths
+    q, points = sample_dataset(cfg, 3, np.random.default_rng(11))
+    for qi, pts in zip(q, points):
+        again = forward_kinematics(cfg, qi, mismatch=True)
+        assert np.array_equal(again.points[0], np.zeros(3))
+        assert np.array_equal(pts, again.points[1:])
 
 
 def test_dataset_action_marginals_uniform():
     cfg = RobotConfig(n_segments=1)
-    data = sample_dataset(cfg, 10_000, np.random.default_rng(21))
-    q = np.array([s.action.q for s in data])
+    q, _ = sample_dataset(cfg, 10_000, np.random.default_rng(21))
     edges = np.linspace(cfg.q_min, cfg.q_max, 11)
     for ch in range(2):
         counts, _ = np.histogram(q[:, ch], bins=edges)
-        frac = counts / len(data)
+        frac = counts / len(q)
         assert np.all(np.abs(frac - 0.1) < 0.02)
 
 

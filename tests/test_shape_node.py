@@ -13,7 +13,6 @@ from shapectl.autodiff import Tape
 from shapectl.nn import adam_step, collect_mlp_grads, init_mlp
 from shapectl.odeint import IntegrationGrid, integrate
 from shapectl.robot import (
-    BackboneShape,
     RobotConfig,
     action_to_curvature,
     forward_kinematics,
@@ -247,17 +246,17 @@ def test_shape_continuity_in_action(rng):
 
 def make_training_setup(rng, n_samples=240, mismatch_amplitude=0.1):
     cfg = RobotConfig(n_segments=1, mismatch_amplitude=mismatch_amplitude)
-    data = sample_dataset(cfg, n_samples, rng)
-    return cfg, data
+    q, points = sample_dataset(cfg, n_samples, rng)
+    return cfg, q, points
 
 
 def test_training_reduces_validation_loss(rng):
-    cfg, data = make_training_setup(rng)
+    cfg, q, points = make_training_setup(rng)
     train_cfg = ShapeTrainConfig(
         batch_size=64, iterations=60, val_interval=10, seed=5
     )
     model = small_model(np.random.default_rng(7), cfg)
-    model, history = train_shape_node(data, train_cfg, cfg, model=model)
+    model, history = train_shape_node(q, points, train_cfg, cfg, model=model)
     assert len(history) == 60
     iters, train_losses, val_losses = zip(*history)
     assert iters == tuple(range(1, 61))
@@ -280,28 +279,40 @@ def test_validation_split_sizes_and_stream():
 
 
 def test_training_empty_dataset():
-    with pytest.raises(ValueError):
-        train_shape_node([], ShapeTrainConfig(), RobotConfig(n_segments=1))
+    cfg = RobotConfig(n_segments=1)
+    with pytest.raises(ValueError, match="too small"):
+        train_shape_node(
+            np.zeros((0, 2)), np.zeros((0, 10, 3)), ShapeTrainConfig(), cfg
+        )
+
+
+def test_training_rejects_datasets_off_the_model_grid(rng):
+    cfg = RobotConfig(n_segments=1)
+    q, points = sample_dataset(cfg, 8, rng, points_per_segment=5)
+    with pytest.raises(ValueError, match="steps per segment"):
+        train_shape_node(q, points, ShapeTrainConfig(), cfg)
+    with pytest.raises(ValueError, match="do not fit"):
+        train_shape_node(q[:4], points, ShapeTrainConfig(), cfg)
 
 
 def test_training_divergence_names_iteration(rng):
-    cfg, data = make_training_setup(rng, n_samples=40)
+    cfg, q, points = make_training_setup(rng, n_samples=40)
     model = small_model(rng, cfg)
     model.params.weights[0][0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="iteration 1"):
         train_shape_node(
-            data, ShapeTrainConfig(batch_size=8, iterations=3), cfg, model=model
+            q, points, ShapeTrainConfig(batch_size=8, iterations=3), cfg, model=model
         )
 
 
 def test_training_persistence_roundtrip_is_transparent(rng, tmp_path):
-    cfg, data = make_training_setup(rng, n_samples=80)
+    cfg, q, points = make_training_setup(rng, n_samples=80)
     first = ShapeTrainConfig(batch_size=32, iterations=4, val_interval=2, seed=3)
     second = ShapeTrainConfig(batch_size=32, iterations=4, val_interval=2, seed=9)
 
     def leg_one():
         m = small_model(np.random.default_rng(11), cfg)
-        m, _ = train_shape_node(data, first, cfg, model=m)
+        m, _ = train_shape_node(q, points, first, cfg, model=m)
         return m
 
     # path A: save/load between the legs; path B: straight through
@@ -309,10 +320,10 @@ def test_training_persistence_roundtrip_is_transparent(rng, tmp_path):
     save_shape_model(tmp_path / "m.json", ma, cfg)
     ma, cfg_loaded = load_shape_model(tmp_path / "m.json")
     assert cfg_loaded == cfg
-    ma, _ = train_shape_node(data, second, cfg, model=ma)
+    ma, _ = train_shape_node(q, points, second, cfg, model=ma)
 
     mb = leg_one()
-    mb, _ = train_shape_node(data, second, cfg, model=mb)
+    mb, _ = train_shape_node(q, points, second, cfg, model=mb)
 
     for wa, wb in zip(ma.params.weights, mb.params.weights):
         assert np.array_equal(wa, wb)
@@ -321,7 +332,7 @@ def test_training_persistence_roundtrip_is_transparent(rng, tmp_path):
 
 
 def test_training_runs_float32_keeps_float64_state(rng, tmp_path, monkeypatch):
-    cfg, data = make_training_setup(rng, n_samples=80)
+    cfg, q, points = make_training_setup(rng, n_samples=80)
     seen = []
 
     def spy(params, grads, config):
@@ -331,7 +342,7 @@ def test_training_runs_float32_keeps_float64_state(rng, tmp_path, monkeypatch):
     monkeypatch.setattr(shape_node, "adam_step", spy)
     train_cfg = ShapeTrainConfig(batch_size=32, iterations=3, val_interval=2)
     model = small_model(np.random.default_rng(3), cfg)
-    model, _ = train_shape_node(data, train_cfg, cfg, model=model)
+    model, _ = train_shape_node(q, points, train_cfg, cfg, model=model)
     assert seen and set(seen) == {np.dtype(TRAIN_DTYPE)} == {np.dtype(np.float32)}
     p = model.params
     state = {
@@ -356,9 +367,7 @@ def test_float32_training_gradient_matches_float64(rng):
     # or a dropped term
     cfg = RobotConfig(n_segments=2)
     model = perturbed_model(rng, cfg)
-    data = sample_dataset(cfg, 32, rng)
-    q = np.array([s.action.q for s in data])
-    truth = np.array([s.shape.points[1:] for s in data])
+    q, truth = sample_dataset(cfg, 32, rng)
     grads = {}
     for dtype in (np.float64, TRAIN_DTYPE):
         ro = rollout_shape(model, cfg, Tape(dtype), q)
@@ -405,30 +414,13 @@ def test_model_file_errors(rng, tmp_path):
         load_shape_model(tmp_path / "other.json")
 
 
-def make_samples_with_points(cfg, q, points):
-    from shapectl.robot import ActionVector, ShapeSample
-
-    s_grid = np.linspace(0.0, cfg.total_length, points.shape[1] + 1)
-    out = []
-    for i in range(q.shape[0]):
-        full = np.vstack([np.zeros((1, 3)), points[i]])
-        out.append(
-            ShapeSample(
-                action=ActionVector(q[i]),
-                lengths=cfg.segment_lengths,
-                shape=BackboneShape(s=s_grid, points=full),
-            )
-        )
-    return out
-
-
 def test_evaluate_shape_rmse_zero_and_noise(rng):
     cfg = RobotConfig(n_segments=1)
     model = small_model(rng, cfg)
     # truth manufactured from the model's own batched predictions: RMSE 0
     q = rng.uniform(cfg.q_min, cfg.q_max, size=(20, 2))
     pred = predict_shape_batch(model, q, cfg)
-    res = evaluate_shape_rmse(model, make_samples_with_points(cfg, q, pred), cfg)
+    res = evaluate_shape_rmse(model, q, pred, cfg)
     assert np.all(res.rmse_mm == 0.0)
     assert res.n_samples == 20
 
@@ -436,12 +428,9 @@ def test_evaluate_shape_rmse_zero_and_noise(rng):
     big_q = rng.uniform(cfg.q_min, cfg.q_max, size=(400, 2))
     base = predict_shape_batch(model, big_q, cfg)
     noisy_pts = base + rng.normal(0.0, sigma, size=base.shape)
-    res = evaluate_shape_rmse(
-        model, make_samples_with_points(cfg, big_q, noisy_pts), cfg
-    )
+    res = evaluate_shape_rmse(model, big_q, noisy_pts, cfg)
     assert np.allclose(res.rmse_mm, sigma * 1000.0, rtol=0.05)
     assert np.allclose(res.std_mm, sigma * 1000.0, rtol=0.05)
-    assert [row[0] for row in res.as_rows()] == ["x", "y", "z"]
 
 
 def test_rollout_action_tensor_matches_array_path(rng):
