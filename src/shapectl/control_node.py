@@ -2,26 +2,21 @@
 
 The policy is an MLP whose output drives the pre-activation action state
 z through time; the emitted action is q = q_min + (tanh(z)+1)/2 *
-(q_max - q_min), so bounds hold exactly for all time.  A rollout
-alternates policy steps with shape-model solves: the observation at
-every horizon step is a backbone (downsampled to nine equal-arc points),
-its tip, the current action, and the goal.  The first backbone is the
-model's prediction at the start action in training and the observed
-robot at deployment; every later one is the model's prediction.
-Training minimizes an MPC-style loss over the horizon (tracking, action
-rate, shape consistency, terminal, optional obstacle proximity) through
-the full rollout.  One episode runner, :func:`closed_loop_track`, drives
-the simulated robot from an inverse-kinematics start with one of two
-step rules: the policy re-plans receding-horizon from the observed
-robot and applies the first action, or, as the open-loop baseline, the
-action integrates q' = J+ g' with the damped pseudo-inverse of the model
-tip Jacobian and no feedback.
-
-The policy state advances with one explicit Euler step per horizon step.
-With the observation frozen over the step the stage dynamics are
-constant, so any single-step scheme lands on the same value, and a
-memoryless step keeps re-planning from an achieved state consistent
-with continuing the previous plan.
+(q_max - q_min), so bounds hold exactly for all time.  One
+:func:`policy_step` observes a backbone (nine equal-arc points), its tip,
+the current action and the goal, and advances z by one explicit Euler
+step.  With the observation frozen over the step the stage dynamics are
+constant, so any single-step scheme lands on the same value, and the
+memoryless step makes acting from an achieved state continue the plan.
+Training rolls steps out against the shape model, each observing the
+previous step's predicted backbone, and minimizes an MPC-style loss
+(tracking, action rate, shape consistency, terminal, optional obstacle
+proximity) through the full rollout.  Only a plan's first action is ever
+applied, and it depends on the first observation alone, so the episode
+runner :func:`closed_loop_track` makes one step per tick from the
+observed robot; as the open-loop baseline it instead integrates
+q' = J+ g' with the damped pseudo-inverse of the model tip Jacobian and
+no feedback.  Both start from one inverse-kinematics solve.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tape, Tensor
+from .autodiff import Array, Tape, Tensor, check_finite
 from .nn import (
     AdamConfig,
     MlpParams,
@@ -255,6 +250,32 @@ def downsample_shape(points: list[Tensor], n_out: int = OBS_POINTS) -> list[Tens
     return out
 
 
+def policy_step(
+    policy: ControlNodeModel,
+    pmt: MlpTensors,
+    backbone: list[Tensor],
+    q: Tensor,
+    z: Tensor,
+    goal: Tensor,
+    noise_rng: np.random.Generator | None = None,
+    noise_std: float = 0.0,
+) -> tuple[Tensor, Tensor]:
+    """Observe ``backbone`` (nine tensors, tip last), tip, ``q`` and ``goal``,
+    add one draw of noise, advance ``z`` by one call of ``pmt`` and bound it.
+
+    Returns the new ``(z, q)``; a non-finite action raises
+    ``FloatingPointError``.
+    """
+    obs = ad.concat(backbone + [backbone[-1], q, goal], axis=1)
+    if noise_rng is not None and noise_std > 0.0:
+        obs = ad.add_const(obs, noise_rng.normal(0.0, noise_std, size=obs.value.shape))
+    drive = mlp_forward(pmt, obs)
+    z = ad.add(z, ad.scale(drive, policy.rate_scale * policy.dt))
+    q = bound_actions(z, policy.q_min, policy.q_max)
+    check_finite(q.value, "policy action")
+    return z, q
+
+
 @dataclass
 class RolloutResult:
     """One differentiable policy rollout over the horizon.
@@ -290,69 +311,46 @@ def rollout_policy(
     initial_points: list[Tensor] | None = None,
     noise_rng: np.random.Generator | None = None,
     noise_std: float = 0.0,
-    noise_first_only: bool = False,
-    frozen_policy: bool = False,
 ) -> RolloutResult:
     """Roll the policy for ``policy.horizon`` steps against the shape model.
 
-    ``goal`` is a (batch, 3) array held fixed over the horizon.  The
-    first observation is read from ``initial_points``, backbone tensors
-    on this tape ordered base (excluded) to tip, such as the predicted
-    shape at ``q0`` during training or the observed robot at deployment;
-    without them a fresh shape solve at ``q0`` supplies it.  Gaussian
-    noise of ``noise_std`` perturbs every component of the observation;
-    ``noise_first_only`` noises only the first step, modeling sensor
-    noise on real feedback with noise-free internal predictions.
-
-    The shape model is always frozen; ``frozen_policy`` freezes the
-    policy weights too, which turns the rollout into a plan that records
-    nothing to backpropagate.
+    The training rollout: each step is one :func:`policy_step` on the
+    trainable policy, then a frozen shape solve whose prediction is the
+    next observation.  ``goal`` (batch, 3) holds over the horizon.  The
+    first observation is ``initial_points``, backbone tensors on this tape
+    ordered base (excluded) to tip, or else a fresh shape solve at ``q0``.
+    Gaussian noise of ``noise_std`` perturbs every observation.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     goal = np.asarray(goal, dtype=np.float64)
     if goal.shape != (q0.shape[0], 3):
         raise ValueError(f"goal must have shape ({q0.shape[0]}, 3)")
     if initial_points is None:
-        initial_points = rollout_shape(
-            shape_model, config, tape, q0, frozen=True
-        ).points
-    cur_tip = initial_points[-1]
+        initial_points = rollout_shape(shape_model, config, tape, q0, frozen=True).points
     shapes_ds = [downsample_shape(initial_points)]
 
-    pmt = policy.params.as_tensors(tape, frozen=frozen_policy)
+    pmt = policy.params.as_tensors(tape)
     z = tape.constant(unbound_actions(q0, policy.q_min, policy.q_max))
     q_cur = tape.constant(q0)
     goal_leaf = tape.constant(goal)
     actions: list[Tensor] = []
-    tips: list[Tensor] = []
     rollouts: list[ShapeRollout] = []
     for k in range(policy.horizon):
         try:
-            obs = ad.concat(shapes_ds[k] + [cur_tip, q_cur, goal_leaf], axis=1)
-            if (
-                noise_rng is not None
-                and noise_std > 0.0
-                and (k == 0 or not noise_first_only)
-            ):
-                obs = ad.add_const(
-                    obs, noise_rng.normal(0.0, noise_std, size=obs.value.shape)
-                )
-            drive = mlp_forward(pmt, obs)
-            z = ad.add(z, ad.scale(drive, policy.rate_scale * policy.dt))
-            q_cur = bound_actions(z, policy.q_min, policy.q_max)
+            z, q_cur = policy_step(
+                policy, pmt, shapes_ds[k], q_cur, z, goal_leaf, noise_rng, noise_std
+            )
             ro = rollout_shape(shape_model, config, tape, q_cur, frozen=True)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"policy rollout failed at horizon step {k + 1}: {exc}"
             ) from exc
         actions.append(q_cur)
-        tips.append(ro.tip)
-        cur_tip = ro.tip
         shapes_ds.append(downsample_shape(ro.points))
         rollouts.append(ro)
     return RolloutResult(
         actions=actions,
-        tips=tips,
+        tips=[ro.tip for ro in rollouts],
         shapes_ds=shapes_ds,
         rollouts=rollouts,
         policy_tensors=pmt,
@@ -631,11 +629,11 @@ def closed_loop_track(
     Every trial starts from one inverse-kinematics solve for the
     reference at t = 0.  Each tick advances the action by the step rule
     and logs the achieved tip (payload applied) against the reference at
-    the new time.  With a ``policy`` the step observes the simulated
-    backbone, plans a full horizon with the models and applies only the
-    first action; ``noise_std`` perturbs that observation from the
-    trial's generator, which is what makes seeded trials distinct.  With
-    ``policy=None`` the step is the open-loop baseline q += J+ (g_next -
+    the new time.  With a ``policy`` the step is one frozen
+    :func:`policy_step` from the backbone the last tick achieved, noised
+    from the trial's generator (which makes seeded trials distinct); a
+    non-finite action raises ``FloatingPointError`` naming the tick.
+    With ``policy=None`` it is the open-loop baseline q += J+ (g_next -
     g_now) on the model tip Jacobian, with no feedback.
     """
     tick = period / TICKS_PER_PERIOD
@@ -662,25 +660,24 @@ def closed_loop_track(
                 jac = tip_jacobian(shape_model, q, config)
                 q = q + damped_pinv(jac) @ (g_next - g_now)
             else:
-                # the plan's tape is dropped as soon as its first action is read
                 tape = Tape()
-                q = rollout_policy(
-                    policy,
-                    shape_model,
-                    config,
-                    tape,
-                    q[None],
-                    g_next[None],
-                    initial_points=[
-                        tape.constant(p[None]) for p in achieved.points[1:]
-                    ],
-                    noise_rng=rng if noise_std > 0.0 else None,
-                    noise_std=noise_std,
-                    noise_first_only=True,
-                    frozen_policy=True,
-                ).actions[0].value[0]
+                leaf = tape.constant
+                try:
+                    _, q_next = policy_step(
+                        policy,
+                        policy.params.as_tensors(tape, frozen=True),
+                        downsample_shape([leaf(p[None]) for p in achieved.points[1:]]),
+                        leaf(q[None]),
+                        leaf(unbound_actions(q[None], policy.q_min, policy.q_max)),
+                        leaf(g_next[None]),
+                        rng,
+                        noise_std,
+                    )
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"closed-loop tick {k + 1}: {exc}") from exc
+                q = q_next.value[0]
             # keep the applied action strictly inside the bounds: tanh can
-            # hit the exact bound in float64, and a re-plan inverts it
+            # hit the exact bound in float64, and the next tick inverts it
             q = _clip_inside(q, config.q_min, config.q_max)
             achieved = forward_kinematics(config, q, payload_grams=payload_grams)
             log.times[k] = t_next

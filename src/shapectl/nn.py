@@ -173,7 +173,8 @@ def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None
     """One bias-corrected Adam update, in place on ``params``.
 
     Gradients are cast to float64 first (a no-op for float64 ones), so
-    the moments stay float64 whatever tape computed the gradients.
+    the moments stay float64 whatever tape computed the gradients.  A
+    step leaving a weight or moment non-finite raises FloatingPointError.
     """
     arrays = params.param_arrays()
     if len(grads) != len(arrays):
@@ -193,6 +194,8 @@ def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None
         v *= b2
         v += (1.0 - b2) * (g * g)
         a -= lr_t * m / (np.sqrt(v) + config.eps)
+    for a in (*arrays, *params.adam_m, *params.adam_v):
+        check_finite(a, "weights or Adam moments after the step")
 
 
 def collect_mlp_grads(grads: dict[int, Array], mt: MlpTensors) -> list[Array]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import shapectl.control_node
 from shapectl.cli import main
 from shapectl.config import ENV_PREFIX, SCHEMA, load_run_config
-from shapectl.control_node import load_control_model
+from shapectl.control_node import load_control_model, save_control_model
 from shapectl.reports import (
     read_dataset_csv,
     read_metrics_csv,
@@ -506,6 +506,31 @@ def test_rollout_closed_loop(workdir, tmp_path):
     assert log.min_obstacle_dist is None
 
 
+def test_non_finite_policy_action_is_numeric_failure(workdir, tmp_path, capsys):
+    root, ini = workdir
+    policy, config = load_control_model(_control_model_path(workdir))
+    policy.params.weights[0][0, 0] = np.nan
+    save_control_model(tmp_path / "nan_policy.json", policy, config)
+    rc = main(
+        [
+            "rollout",
+            "--config",
+            str(ini),
+            "--shape-model",
+            _shape_model_path(workdir),
+            "--control-model",
+            str(tmp_path / "nan_policy.json"),
+            "--closed-loop",
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: closed-loop tick 1: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("mode", ["--closed-loop", "--open-loop"])
 def test_rollout_byte_identical(workdir, tmp_path, mode, capsys):
     root, ini = workdir
@@ -760,6 +785,9 @@ def test_bad_numeric_config_is_config_error(
     assert len(err.strip().splitlines()) == 1
 
 
+ONE_ITERATION = "SHAPECTL_CONTROL_ITERATIONS=1"
+
+
 @pytest.mark.parametrize(
     "command, setting",
     [
@@ -767,16 +795,33 @@ def test_bad_numeric_config_is_config_error(
         ("train-control", "SHAPECTL_CONTROL_TARGET_SCALE=1e308"),
         ("generate", "SHAPECTL_ROBOT_SEGMENT_LENGTHS=1e300"),
         ("generate", "SHAPECTL_ROBOT_MISMATCH_AMPLITUDE=1e308"),
+        # a training step that would leave non-finite weights; with one
+        # iteration no later loss reads them
+        ("train-shape", "SHAPECTL_SHAPE_LEARNING_RATE=1e308"),
+        *(
+            ("train-control", f"SHAPECTL_CONTROL_{key}=1e308 {ONE_ITERATION}")
+            for key in (
+                "LEARNING_RATE",
+                "TRACKING_WEIGHT",
+                "SHAPE_WEIGHT",
+                "TERMINAL_WEIGHT",
+                "ACTION_RATE_WEIGHT",
+            )
+        ),
     ],
 )
 def test_overflowing_config_is_numeric_failure(
     workdir, tmp_path, monkeypatch, capsys, command, setting
 ):
-    # finite values whose sampling range or simulated backbone overflows
+    # finite values whose sampling range, simulated backbone or training
+    # step overflows
     args = [command, "--config", str(workdir[1]), "--out", str(tmp_path)]
+    if command == "train-shape":
+        args += ["--dataset", str(workdir[0] / "gen" / "dataset.csv")]
     if command == "train-control":
         args += ["--shape-model", _shape_model_path(workdir)]
-    monkeypatch.setenv(*setting.split("=", 1))
+    for assignment in setting.split():
+        monkeypatch.setenv(*assignment.split("=", 1))
     assert main(args) == 5
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ")

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import rel_err
 from shapectl import autodiff as ad
-from shapectl import control_node
+from shapectl import control_node, shape_node
 from shapectl.autodiff import Tape
 from shapectl.control_node import (
     ControlLossConfig,
@@ -28,13 +28,19 @@ from shapectl.control_node import (
     init_control_model,
     load_control_model,
     observation_dim,
+    policy_step,
     rollout_policy,
     save_control_model,
     train_control_node,
     unbound_actions,
 )
 from shapectl.nn import collect_mlp_grads, init_mlp
-from shapectl.robot import ObstacleSpec, RobotConfig, forward_kinematics
+from shapectl.robot import (
+    ObstacleSpec,
+    RobotConfig,
+    forward_kinematics,
+    reference_trajectory,
+)
 from shapectl.shape_node import init_shape_model, rollout_shape, tip_jacobian
 
 
@@ -285,35 +291,143 @@ def test_given_shape_solve_equals_fresh_solve_bitwise(setup1, rng):
     assert fresh[1] == given[1]
 
 
-def test_noise_first_only_and_determinism(setup1, rng):
+def test_noise_is_seeded_and_reaches_the_first_action(setup1, rng):
     cfg, sm, policy = setup1
     q0 = rng.uniform(-3.0, 3.0, (2, 2))
     goal = np.zeros((2, 3))
 
-    def run(seed, first_only, std=1e-3):
-        tape = Tape()
+    def run(seed, std=1e-3):
         res = rollout_policy(
             policy,
             sm,
             cfg,
-            tape,
+            Tape(),
             q0,
             goal,
             noise_rng=np.random.default_rng(seed),
             noise_std=std,
-            noise_first_only=first_only,
         )
         return [a.value.copy() for a in res.actions]
 
-    a1, a2 = run(5, True), run(5, True)
-    for x, y in zip(a1, a2):
+    a1, a2 = run(5), run(5)
+    for x, y in zip(a1, a2, strict=True):
         assert np.array_equal(x, y)
-    b = run(5, False)
-    # same stream: first step identical, later steps diverge
-    assert np.array_equal(a1[0], b[0])
-    assert not np.allclose(a1[-1], b[-1])
-    clean = run(5, True, std=0.0)
+    clean = run(5, std=0.0)
     assert not np.allclose(a1[0], clean[0])
+    assert not np.allclose(run(6)[0], a1[0])
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_action_is_the_rollouts_first_action(setup1, batch, seed):
+    # the runner's tick (one step, frozen policy) computes exactly the
+    # first action a full trainable rollout from the same observation takes
+    cfg, sm, policy = setup1
+    draw = np.random.default_rng(seed)
+    q0 = draw.uniform(-3.0, 3.0, (batch, 2))
+    goal = draw.uniform(-0.02, 0.02, (batch, 3)) + np.array([0.0, 0.0, 0.09])
+    observed = np.stack([forward_kinematics(cfg, q).points[1:] for q in q0], axis=1)
+
+    tape = Tape()
+    full = rollout_policy(
+        policy,
+        sm,
+        cfg,
+        tape,
+        q0,
+        goal,
+        initial_points=[tape.constant(p) for p in observed],
+        noise_rng=np.random.default_rng(100 + seed),
+        noise_std=1e-3,
+    )
+    tape = Tape()
+    _, q1 = policy_step(
+        policy,
+        policy.params.as_tensors(tape, frozen=True),
+        downsample_shape([tape.constant(p) for p in observed]),
+        tape.constant(q0),
+        tape.constant(unbound_actions(q0, policy.q_min, policy.q_max)),
+        tape.constant(goal),
+        np.random.default_rng(100 + seed),
+        1e-3,
+    )
+    assert np.array_equal(q1.value, full.actions[0].value)
+
+
+def test_first_tick_is_the_plans_first_action(setup1):
+    cfg, sm, policy = setup1
+    (log,) = closed_loop_track(
+        policy,
+        sm,
+        cfg,
+        "circle",
+        [np.random.default_rng(3)],
+        duration=0.5,
+        noise_std=1e-3,
+    )
+    q0 = ik_solve(sm, cfg, reference_trajectory("circle", 0.0, cfg.total_length))
+    goal = reference_trajectory("circle", 0.5, cfg.total_length)
+    tape = Tape()
+    plan = rollout_policy(
+        policy,
+        sm,
+        cfg,
+        tape,
+        q0[None],
+        goal[None],
+        initial_points=[
+            tape.constant(p[None]) for p in forward_kinematics(cfg, q0).points[1:]
+        ],
+        noise_rng=np.random.default_rng(3),
+        noise_std=1e-3,
+    )
+    want = control_node._clip_inside(plan.actions[0].value[0], cfg.q_min, cfg.q_max)
+    assert np.array_equal(log.actions[0], want)
+
+
+def test_policy_ticks_make_no_shape_solves(setup1, monkeypatch):
+    # a tick acts on the observed robot; the only model solves of a
+    # closed-loop run are the inverse-kinematics start's
+    cfg, sm, policy = setup1
+    solve, ik = control_node.rollout_shape, control_node.ik_solve
+    in_ik, outside, starts = [], [], []
+
+    def counted_solve(*args, **kwargs):
+        if not in_ik:
+            outside.append(args[3])
+        return solve(*args, **kwargs)
+
+    def counted_ik(*args, **kwargs):
+        starts.append(args[2])
+        in_ik.append(True)
+        try:
+            return ik(*args, **kwargs)
+        finally:
+            in_ik.pop()
+
+    monkeypatch.setattr(control_node, "rollout_shape", counted_solve)
+    monkeypatch.setattr(shape_node, "rollout_shape", counted_solve)
+    monkeypatch.setattr(control_node, "ik_solve", counted_ik)
+    for duration in (0.5, 3.0):
+        logs = closed_loop_track(
+            policy,
+            sm,
+            cfg,
+            "circle",
+            [np.random.default_rng(1), None],
+            duration=duration,
+            noise_std=1e-3,
+        )
+        assert [log.n_ticks for log in logs] == [2 * duration] * 2
+    assert len(starts) == 2
+    assert outside == []
+
+
+def test_non_finite_tick_names_the_tick(setup1):
+    cfg, sm, policy = setup1
+    policy.params.weights[0][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="tick 1: .*policy action"):
+        closed_loop_track(policy, sm, cfg, "circle", [None], duration=0.5)
 
 
 def test_rollout_failure_names_horizon_step(setup1, rng):

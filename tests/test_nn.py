@@ -162,6 +162,25 @@ def test_adam_shape_mismatch(rng):
         nn.adam_step(p, bad, nn.AdamConfig())
 
 
+@pytest.mark.parametrize("grad", [np.inf, np.nan, 1e308])
+def test_adam_refuses_gradients_that_break_the_moments(grad):
+    p = nn.MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="after the step"):
+            nn.adam_step(p, [np.full((1, 1), grad), np.zeros(1)], nn.AdamConfig())
+
+
+def test_adam_refuses_a_step_that_overflows_the_weights():
+    p = nn.MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    cfg = nn.AdamConfig(lr=1e308)
+    # the first step lands near -1e308; the second one overflows
+    nn.adam_step(p, [np.ones((1, 1)), np.zeros(1)], cfg)
+    assert np.isfinite(p.weights[0]).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="after the step"):
+            nn.adam_step(p, [np.ones((1, 1)), np.zeros(1)], cfg)
+
+
 def test_adam_config_validation():
     with pytest.raises(ValueError):
         nn.AdamConfig(lr=0.0)
