@@ -563,14 +563,16 @@ def ik_solve(
     Starts from the zero action and returns the best iterate seen; stops
     early once within ``tol`` of the target or when the error stalls,
     which is what happens at the closest approach to an unreachable
-    target.
+    target.  Each iteration is one shape solve: one :func:`tip_jacobian`
+    call gives both the tip, which the error and the stop test read, and
+    the Jacobian of the step.
     """
     target = np.asarray(target, dtype=np.float64)
     q = np.zeros(config.action_dim)
     best_q, best_norm, stalled = q, np.inf, 0
     for _ in range(max_iters):
-        ro = rollout_shape(shape_model, config, Tape(), q[None], frozen=True)
-        err = target - ro.tip.value[0]
+        tip, jac = tip_jacobian(shape_model, q, config)
+        err = target - tip
         norm = float(np.linalg.norm(err))
         if norm < (1.0 - 1e-3) * best_norm:
             best_q, best_norm, stalled = q, norm, 0
@@ -578,7 +580,6 @@ def ik_solve(
             stalled += 1
         if best_norm < tol or stalled >= 5:
             break
-        jac = tip_jacobian(shape_model, q, config)
         q = _clip_inside(q + damped_pinv(jac) @ err, config.q_min, config.q_max)
     return best_q
 
@@ -657,7 +658,7 @@ def closed_loop_track(
             t_next = (k + 1) * tick
             g_next = reference_trajectory(kind, t_next, length, period)
             if policy is None:
-                jac = tip_jacobian(shape_model, q, config)
+                _, jac = tip_jacobian(shape_model, q, config)
                 q = q + damped_pinv(jac) @ (g_next - g_now)
             else:
                 tape = Tape()

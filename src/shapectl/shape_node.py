@@ -398,22 +398,23 @@ def train_shape_node(
     return model, history
 
 
-def tip_jacobian(model: ShapeNodeModel, q: Array, config: RobotConfig) -> Array:
-    """Sensitivity of the predicted tip to the action, shape (3, 2n).
+def tip_jacobian(
+    model: ShapeNodeModel, q: Array, config: RobotConfig
+) -> tuple[Array, Array]:
+    """Predicted tip, shape (3,), and its sensitivity to the action, (3, 2n).
 
-    Backpropagates each tip coordinate to a taped action, so the chain
-    runs through the saturating action-to-curvature map of
+    One frozen solve and one reverse sweep: the action is taped as three
+    identical rows, row j of the predicted tips is weighted by the unit
+    vector e_j, and the action adjoint's row j is then d tip_j / d q.  The
+    chain runs through the saturating action-to-curvature map of
     :func:`rollout_shape` (identity inside the norm ball, the
     norm-projection Jacobian on it).
     """
     tape = Tape()
-    q_leaf = tape.tensor(np.reshape(q, (1, -1)))
+    q_leaf = tape.tensor(np.repeat(np.reshape(q, (1, -1)), 3, axis=0))
     tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
-    jac = np.zeros((3, config.action_dim))
-    for j in range(3):
-        grads = ad.backward(ad.reduce_sum(ad.slice_cols(tip, j, j + 1)))
-        jac[j] = ad.grad_of(grads, q_leaf)[0]
-    return jac
+    grads = ad.backward(ad.reduce_sum(ad.cmul(tip, np.eye(3))))
+    return tip.value[0], ad.grad_of(grads, q_leaf)
 
 
 @dataclass

@@ -6,12 +6,16 @@ checks: finite differences only call a loss closure, the arc
 composition uses the matrix-exponential formulas rather than any
 integrator, and the unfused primitives (elementwise product, matrix
 product, LeakyReLU) rebuild what the fused ``dense`` computes from
-one operation per node.
+one operation per node.  The per-coordinate tip Jacobian backpropagates
+each tip coordinate on its own, where the library weights all three in
+one reverse sweep.
 """
 
 import numpy as np
 
-from shapectl.autodiff import Tensor, _unbroadcast
+from shapectl import autodiff as ad
+from shapectl.autodiff import Tape, Tensor, _unbroadcast
+from shapectl.shape_node import rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -146,3 +150,16 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
         return (grad * np.where(av > 0.0, 1.0, slope),)
 
     return a.tape._record(np.maximum(av, slope * av), (a.nid,), bk)
+
+
+def per_coordinate_tip_jacobian(model, q: np.ndarray, config) -> np.ndarray:
+    """Tip Jacobian (3, 2n) from one batch-1 solve and three reverse
+    sweeps, one per tip coordinate."""
+    tape = Tape()
+    q_leaf = tape.tensor(np.reshape(q, (1, -1)))
+    tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
+    jac = np.zeros((3, config.action_dim))
+    for j in range(3):
+        grads = ad.backward(ad.reduce_sum(ad.slice_cols(tip, j, j + 1)))
+        jac[j] = ad.grad_of(grads, q_leaf)[0]
+    return jac

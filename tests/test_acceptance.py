@@ -535,7 +535,7 @@ def test_trained_tip_jacobian_matches_arc_geometry(shape_runs):
     # a bent arc of length l has d x_tip / d q_y = l^2/2 at zero action,
     # and the simulator's mismatch term has zero slope there
     model, config = load_shape_model(shape_runs[1].model)
-    jac = tip_jacobian(model, np.zeros(config.action_dim), config)
+    _, jac = tip_jacobian(model, np.zeros(config.action_dim), config)
     expected = config.segment_lengths[0] ** 2 / 2.0
     assert abs(jac[0, 1] - expected) <= 0.1 * expected
 

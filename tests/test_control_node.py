@@ -41,7 +41,12 @@ from shapectl.robot import (
     forward_kinematics,
     reference_trajectory,
 )
-from shapectl.shape_node import init_shape_model, rollout_shape, tip_jacobian
+from shapectl.shape_node import (
+    init_shape_model,
+    predict_shape_batch,
+    rollout_shape,
+    tip_jacobian,
+)
 
 
 def small_shape_model(rng, cfg, **kw):
@@ -657,7 +662,7 @@ def test_frozen_jacobian_and_plan_match_trainable_tape(setup1, rng, monkeypatch)
     q[0] = 0.8 * cfg.q_max  # outside the curvature norm ball
 
     def run():
-        jacs = [tip_jacobian(sm, qi, cfg) for qi in q]
+        jacs = [tip_jacobian(sm, qi, cfg)[1] for qi in q]
         (log,) = closed_loop_track(
             policy,
             sm,
@@ -785,6 +790,32 @@ def test_ik_solve_reaches_model_tip(setup1, rng):
     assert np.linalg.norm(tip - target) < 2e-4
     assert np.all(q > cfg.q_min)
     assert np.all(q < cfg.q_max)
+
+
+def test_ik_makes_one_shape_solve_per_iteration(setup1, rng, monkeypatch):
+    # the tip the error reads comes from the Jacobian's own solve
+    cfg, sm, _ = setup1
+    solve, jacobian = shape_node.rollout_shape, control_node.tip_jacobian
+    solves, jacobians = [], []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[3])
+        return solve(*args, **kwargs)
+
+    def counted_jacobian(*args, **kwargs):
+        jacobians.append(args[1])
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(control_node, "rollout_shape", counted_solve)
+    monkeypatch.setattr(shape_node, "rollout_shape", counted_solve)
+    monkeypatch.setattr(control_node, "tip_jacobian", counted_jacobian)
+    reachable = predict_shape_batch(sm, rng.uniform(-5.0, 5.0, (2, 2)), cfg)[:, -1]
+    unreachable = np.array([0.0, 0.0, 2.0 * cfg.total_length])
+    for target in (*reachable, unreachable):
+        del solves[:], jacobians[:]
+        ik_solve(sm, cfg, target)
+        assert len(jacobians) >= 1
+        assert len(solves) == len(jacobians)
 
 
 def test_tracking_loops_structure(setup1, rng):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fd_grad_at, rel_err, sample_coords
+from helpers import fd_grad_at, per_coordinate_tip_jacobian, rel_err, sample_coords
 from shapectl import autodiff as ad
 from shapectl import shape_node
 from shapectl.autodiff import Tape
@@ -207,7 +207,7 @@ def test_loss_gradient_matches_finite_differences(rng):
 def test_tip_jacobian_zero_for_prior(rng):
     cfg = RobotConfig(n_segments=2)
     model = small_model(rng, cfg)
-    jac = tip_jacobian(model, np.array([1.0, 2.0, -3.0, 0.5]), cfg)
+    _, jac = tip_jacobian(model, np.array([1.0, 2.0, -3.0, 0.5]), cfg)
     assert jac.shape == (3, 4)
     assert np.all(jac == 0.0)
 
@@ -219,7 +219,7 @@ def test_tip_jacobian_matches_finite_differences(rng):
         rng.uniform(-8.0, 8.0, size=4),  # interior: clamp inactive
         np.array([12.0, 12.0, -13.0, 9.0]),  # norms > u_max: clamp active
     ):
-        jac = tip_jacobian(model, q, cfg)
+        _, jac = tip_jacobian(model, q, cfg)
         q_work = q.copy()
         for j in range(3):
             for c in range(4):
@@ -231,12 +231,33 @@ def test_tip_jacobian_matches_finite_differences(rng):
                 assert rel_err(jac[j, c], fd) < 1e-3, (j, c)
 
 
+@pytest.mark.parametrize("n_segments", [1, 2, 3, 4])
+def test_tip_jacobian_single_sweep_equals_per_coordinate_sweeps(rng, n_segments):
+    cfg = RobotConfig(n_segments=n_segments)
+    model = perturbed_model(rng, cfg)
+    signs = rng.choice([-1.0, 1.0], size=2 * n_segments)
+    for q in (
+        rng.uniform(-8.0, 8.0, size=2 * n_segments),  # clamp inactive
+        signs * rng.uniform(11.0, 15.0, size=2 * n_segments),  # norms > u_max
+    ):
+        tip, jac = tip_jacobian(model, q, cfg)
+        want = per_coordinate_tip_jacobian(model, q, cfg)
+        assert jac.shape == (3, 2 * n_segments)
+        assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
+        pred = predict_shape_batch(model, q[None], cfg)[0, -1]
+        assert tip.shape == (3,)
+        assert np.abs(tip - pred).max() <= 1e-15
+        tip2, jac2 = tip_jacobian(model, q, cfg)
+        assert np.array_equal(tip, tip2) and np.array_equal(jac, jac2)
+
+
 def test_shape_continuity_in_action(rng):
     cfg = RobotConfig(n_segments=2)
     model = perturbed_model(rng, cfg)
     q = rng.uniform(-8.0, 8.0, size=4)
     base = predict_shape_batch(model, q[None], cfg)[0]
-    jac_norm = np.linalg.norm(tip_jacobian(model, q, cfg), 2)
+    _, jac = tip_jacobian(model, q, cfg)
+    jac_norm = np.linalg.norm(jac, 2)
     delta = 1e-3 * rng.standard_normal(4)
     delta /= np.linalg.norm(delta) * 1e3  # exactly 1e-3
     moved = predict_shape_batch(model, (q + delta)[None], cfg)[0]
