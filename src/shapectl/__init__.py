@@ -4,8 +4,8 @@ The package is organized in layers:
 
 ``autodiff``
     A small tape-based reverse-mode engine over dense arrays in one
-    compute dtype per tape: float64 by default, float32 for shape
-    training.
+    compute dtype per tape: float64 by default, float32 for shape and
+    policy training.
 ``nn``
     MLP parameters (float64 master weights), forward pass, Adam, RNG
     helpers, persistence.

@@ -4,7 +4,7 @@ A :class:`Tape` records every primitive applied to :class:`Tensor` values.
 Calling :func:`backward` on a scalar loss walks the recording in reverse and
 returns a gradient for every node reachable from the loss.  Values are plain
 ``numpy.ndarray`` in the tape's one compute dtype (float64 unless the tape
-is built with another, such as float32 for shape training); there is no
+is built with another, such as float32 for training); there is no
 broadcasting magic beyond what the individual primitives declare.
 
 Leaves are cast to the compute dtype where they enter the tape, and

@@ -44,6 +44,7 @@ from .robot import (
     reference_trajectory,
 )
 from .shape_node import (
+    TRAIN_DTYPE,
     ShapeNodeModel,
     ShapeRollout,
     _read_model_file,
@@ -381,6 +382,7 @@ def control_loss(
     result: RolloutResult,
     cfg: ControlLossConfig,
     obstacle: ObstacleSpec | None = None,
+    term_values: list[float] | None = None,
 ) -> Tensor:
     """Batch-mean MPC loss over the rollout, as a scalar tensor.
 
@@ -388,6 +390,11 @@ def control_loss(
     consistency terms, a terminal tracking term, and (when an obstacle
     is given) a smooth proximity penalty on the closest predicted
     backbone point, standing in for the hard violation indicator.
+
+    A ``term_values`` list receives each weighted term as a python
+    float, in the order the tape adds them: their sum is the loss in
+    float64 whatever the tape's dtype, so a term far below the total
+    still counts (on a float64 tape it equals the tensor bitwise).
     """
     m = result.horizon
     tape = result.actions[0].tape
@@ -398,6 +405,8 @@ def control_loss(
         nonlocal total
         part = ad.scale(term, weight)
         total = part if total is None else ad.add(total, part)
+        if term_values is not None:
+            term_values.append(float(term.value) * weight)
 
     for k in range(1, m + 1):
         if cfg.tracking_weight > 0.0:
@@ -465,7 +474,15 @@ def train_control_node(
     predicted tip perturbed by +-target_scale per axis and clamped to
     the workspace.  The obstacle scenario adds the proximity penalty
     around a fixed obstacle.  Returns the model and the history rows
-    (iteration, train_loss).
+    (iteration, train_loss); ``train_loss`` is the float64 sum of the
+    weighted loss terms.
+
+    Every iteration computes on a :data:`~shapectl.shape_node.TRAIN_DTYPE`
+    (float32) tape, the frozen shape model's weights and the taped
+    actions included, while the policy weights, the Adam moments and the
+    model file stay float64 (mixed precision).  Deployment, from
+    :func:`ik_solve` to every tick of :func:`closed_loop_track`, computes
+    in float64.
     """
     if scenario not in ("tracking", "obstacle"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -483,7 +500,7 @@ def train_control_node(
             -reset_span, reset_span, (train_cfg.batch_size, config.action_dim)
         )
         try:
-            tape = Tape()
+            tape = Tape(TRAIN_DTYPE)
             roll0 = rollout_shape(shape_model, config, tape, q0, frozen=True)
             targets = roll0.tip.value + rng.uniform(
                 -train_cfg.target_scale,
@@ -502,8 +519,9 @@ def train_control_node(
                 noise_rng=rng,
                 noise_std=loss_cfg.noise_std,
             )
-            loss = control_loss(result, loss_cfg, loss_obstacle)
-            train_loss = float(loss.value)
+            term_values: list[float] = []
+            loss = control_loss(result, loss_cfg, loss_obstacle, term_values)
+            train_loss = sum(term_values)
             if not np.isfinite(train_loss):
                 raise FloatingPointError("loss is not finite")
             grads = ad.backward(loss)

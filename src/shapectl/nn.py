@@ -7,11 +7,12 @@ the tape's compute dtype, runs any number of forward passes that share
 those leaves, calls :func:`shapectl.autodiff.backward`, and hands the
 collected gradients to :func:`adam_step`, which updates the arrays in
 place.  The float64 arrays are the master copy: a float32 tape (shape
-training) computes in float32, while the weights, the moments and the
-saved files stay float64.  A model that is only evaluated, or that other
-gradients flow through unchanged, is wrapped ``frozen``: its weights
-become constant leaves, so no weight gradient is computed, and a forward
-pass on constant inputs records nothing to backpropagate.
+and policy training) computes in float32, while the weights, the
+moments and the saved files stay float64.  A model that is only
+evaluated, or that other gradients flow through unchanged, is wrapped
+``frozen``: its weights become constant leaves, so no weight gradient is
+computed, and a forward pass on constant inputs records nothing to
+backpropagate.
 """
 
 from __future__ import annotations

@@ -49,8 +49,10 @@ LOSS_EPS_SQ = 1e-24
 
 SHAPE_MODEL_FORMAT = "shape-node-v1"
 
-# compute dtype of the training and validation tapes; the weights, the
-# Adam moments and the model file stay float64 (mixed precision)
+# compute dtype of every training tape: shape training and its
+# validation, and policy training through the frozen shape model; the
+# weights, the Adam moments and the model files stay float64 (mixed
+# precision), and every prediction, IK solve and tick computes in float64
 TRAIN_DTYPE = np.float32
 
 
@@ -141,10 +143,10 @@ def _curvature_node(
     """Tape node for one segment's commanded curvature of a taped action.
 
     Forward value is the precomputed ``u_value`` slice of the commanded
-    (mismatch-free) :func:`action_to_curvature`; backward chains through
-    the norm saturation in closed form (identity inside the ball, the
-    scaled projection on it), routing into the segment's two action
-    columns.
+    (mismatch-free) :func:`action_to_curvature`, cast to the tape's
+    dtype; backward chains through the norm saturation in closed form
+    (identity inside the ball, the scaled projection on it), routing
+    into the segment's two action columns in the adjoint's dtype.
     """
     qv = q.value[:, 2 * seg : 2 * seg + 2]
     norms = np.sqrt((qv * qv).sum(axis=1, keepdims=True))
@@ -158,11 +160,11 @@ def _curvature_node(
         qhat = qv / safe
         proj = qhat * (qhat * g2).sum(axis=1, keepdims=True)
         d2 = np.where(over, (um / safe) * (g2 - proj), g2)
-        out = np.zeros((grad.shape[0], action_dim))
+        out = np.zeros((grad.shape[0], action_dim), dtype=grad.dtype)
         out[:, 2 * seg : 2 * seg + 2] = d2
         return (out,)
 
-    return tape._record(u_value, (q.nid,), bk)
+    return tape._record(np.asarray(u_value, dtype=tape.dtype), (q.nid,), bk)
 
 
 @dataclass
@@ -207,11 +209,12 @@ def rollout_shape(
     records nothing to backpropagate.
     """
     q_tensor = q_batch if isinstance(q_batch, Tensor) else None
-    q = (
-        q_tensor.value
-        if q_tensor is not None
-        else np.asarray(q_batch, dtype=np.float64)
-    )
+    if q_tensor is None:
+        q = np.asarray(q_batch, dtype=np.float64)
+    else:
+        # a float32 tape rounds a bound such as 12.3 up, so a saturated
+        # policy action can sit one float32 ulp past it
+        q = np.clip(q_tensor.value.astype(np.float64), config.q_min, config.q_max)
     u0 = action_to_curvature(config, q, mismatch=False)
     batch = q.shape[0]
     mt = model.params.as_tensors(tape, frozen=frozen)

@@ -1,6 +1,8 @@
 """Control policy: bounding, observations, rollout loss, tracking loops."""
 
+import base64
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from shapectl.robot import (
     reference_trajectory,
 )
 from shapectl.shape_node import (
+    TRAIN_DTYPE,
     init_shape_model,
     predict_shape_batch,
     rollout_shape,
@@ -680,6 +683,103 @@ def test_frozen_jacobian_and_plan_match_trainable_tape(setup1, rng, monkeypatch)
     for got, want in zip(frozen_jacs, jacs):
         assert np.array_equal(got, want)
     assert np.array_equal(frozen_actions, actions)
+
+
+@pytest.mark.parametrize("scenario", ["tracking", "obstacle"])
+def test_float32_policy_gradient_matches_float64(scenario):
+    # policy training computes on a float32 tape; over 2 segments, 32x32
+    # models, batch 16 and the full horizon, the per-array policy
+    # gradients agree with float64 to <= 8.4e-7 relative on these 4 seeds
+    # (<= 1.3e-6 over 12), so 1e-5 leaves a 12x margin and still catches
+    # a float16 or a dropped term
+    cfg = RobotConfig(n_segments=2)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        sm = init_shape_model(rng, cfg, hidden=(32, 32))
+        sm.params.weights[-1][:] = 0.05 * rng.standard_normal((32, 7))
+        policy = init_control_model(rng, cfg, hidden=(32, 32))
+        q0 = rng.uniform(-3.0, 3.0, (16, cfg.action_dim))
+        points = predict_shape_batch(sm, q0, cfg)
+        goal = points[:, -1] + rng.uniform(-0.03, 0.03, (16, 3))
+        obstacle = None
+        if scenario == "obstacle":
+            # 1 cm off the mean mid-backbone point: inside the penalty's band
+            center = points[:, points.shape[1] // 2].mean(axis=0) + [0.01, 0.0, 0.0]
+            obstacle = ObstacleSpec(center=center)
+        grads = {}
+        for dtype in (np.float64, TRAIN_DTYPE):
+            res = rollout_policy(policy, sm, cfg, Tape(dtype), q0, goal)
+            loss = control_loss(res, ControlLossConfig(noise_std=0.0), obstacle)
+            grads[dtype] = collect_mlp_grads(ad.backward(loss), res.policy_tensors)
+        for g32, g64 in zip(grads[TRAIN_DTYPE], grads[np.float64], strict=True):
+            assert g32.dtype == np.float32
+            assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+
+
+def test_policy_training_runs_float32_keeps_float64_state(setup1, tmp_path, monkeypatch):
+    cfg, sm, policy = setup1
+    seen = []
+    adam_step = control_node.adam_step
+
+    def spy(params, grads, config):
+        seen.extend(g.dtype for g in grads)
+        return adam_step(params, grads, config)
+
+    monkeypatch.setattr(control_node, "adam_step", spy)
+    obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.08]))
+    tcfg = ControlTrainConfig(batch_size=4, iterations=3, seed=2)
+    model, _ = train_control_node(
+        sm, cfg, tcfg, ControlLossConfig(), "obstacle", obstacle, model=policy
+    )
+    assert seen and set(seen) == {np.dtype(TRAIN_DTYPE)} == {np.dtype(np.float32)}
+    p = model.params
+    state = {
+        "weights": p.weights, "biases": p.biases, "adam_m": p.adam_m, "adam_v": p.adam_v
+    }
+    for arrays in state.values():
+        assert arrays and all(a.dtype == np.float64 for a in arrays)
+    path = tmp_path / "control_model.json"
+    save_control_model(path, model, cfg)
+    saved = json.loads(path.read_text())["params"]
+    for key, arrays in state.items():
+        for enc, a in zip(saved[key], arrays, strict=True):
+            raw = base64.b64decode(enc["data"])
+            assert len(raw) == 8 * a.size
+            assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(a.shape), a)
+
+
+def test_saturated_float32_actions_past_an_unrepresentable_bound_train(rng):
+    # float32(12.3) > 12.3, so a policy driving tanh to 1 on the float32
+    # tape emits an action past q_max; the frozen shape solve must take it
+    cfg = RobotConfig(n_segments=1, u_max=12.3)
+    sm = small_shape_model(rng, cfg)
+    policy = small_policy(rng, cfg, horizon=10)  # z reaches 10: tanh is 1
+    policy.params.biases[-1][:] = 50.0
+    tape = Tape(TRAIN_DTYPE)
+    res = rollout_policy(policy, sm, cfg, tape, np.zeros((2, 2)), np.zeros((2, 3)))
+    assert res.actions[-1].value.astype(np.float64).max() > cfg.q_max
+    tcfg = ControlTrainConfig(batch_size=2, iterations=1)
+    train_control_node(sm, cfg, tcfg, ControlLossConfig(), model=policy)
+
+
+def test_deployment_tapes_are_float64(setup1, monkeypatch):
+    # only training computes in float32: IK, the tip Jacobian and every
+    # tick, closed- and open-loop, build float64 tapes
+    cfg, sm, policy = setup1
+    dtypes = []
+    init = Tape.__init__
+
+    def spy(tape, *args, **kwargs):
+        init(tape, *args, **kwargs)
+        dtypes.append(tape.dtype)
+
+    monkeypatch.setattr(Tape, "__init__", spy)
+    for step in (policy, None):
+        closed_loop_track(step, sm, cfg, "circle", [None], duration=1.5)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        dtypes.clear()
+    tip_jacobian(sm, np.zeros(cfg.action_dim), cfg)
+    assert dtypes == [np.dtype(np.float64)]
 
 
 def test_training_scenario_validation(setup1):

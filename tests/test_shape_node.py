@@ -454,6 +454,45 @@ def test_evaluate_shape_rmse_zero_and_noise(rng):
     assert np.allclose(res.std_mm, sigma * 1000.0, rtol=0.05)
 
 
+@pytest.mark.parametrize("n_segments", [1, 2, 3, 4])
+def test_float32_rollout_with_taped_action_keeps_dtype(rng, n_segments, monkeypatch):
+    # policy training tapes the action on a float32 tape; a float64
+    # curvature value or action adjoint would turn the whole shape solve
+    # float64, so every recorded value and every adjoint is checked
+    cfg = RobotConfig(n_segments=n_segments)
+    model = perturbed_model(rng, cfg)
+    recorded = []
+    record = Tape._record
+
+    def spy(tape, value, parents, backfn):
+        recorded.append(value.dtype)
+        if backfn is not None:
+            inner = backfn
+
+            def backfn(grad):
+                contribs = inner(grad)
+                recorded.extend(c.dtype for c in contribs if c is not None)
+                return contribs
+
+        return record(tape, value, parents, backfn)
+
+    monkeypatch.setattr(Tape, "_record", spy)
+    signs = rng.choice([-1.0, 1.0], size=(3, 2 * n_segments))
+    for q in (
+        rng.uniform(-8.0, 8.0, size=(3, 2 * n_segments)),  # clamp inactive
+        signs * rng.uniform(11.0, 15.0, size=(3, 2 * n_segments)),  # norms > u_max
+    ):
+        tape = Tape(np.float32)
+        q_leaf = tape.tensor(q)
+        ro = rollout_shape(model, cfg, tape, q_leaf)
+        loss = ad.reduce_sum(ad.concat(ro.points, axis=1))
+        grads = ad.backward(loss)
+        assert q_leaf.nid in grads
+        assert all(p.value.dtype == np.float32 for p in ro.points)
+        assert all(g.dtype == np.float32 for g in grads.values())
+    assert recorded and set(recorded) == {np.dtype(np.float32)}
+
+
 def test_rollout_action_tensor_matches_array_path(rng):
     cfg = RobotConfig(n_segments=2)
     model = perturbed_model(rng, cfg, solver="rk4", steps_per_segment=5)
