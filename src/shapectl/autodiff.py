@@ -258,6 +258,23 @@ def cmul(a: Tensor, c) -> Tensor:
     return a.tape._record(a.value * c, (a.nid,), bk)
 
 
+def _leaky_factor(z: Array, slope: float) -> Array:
+    """LeakyReLU derivative of ``z``: 1 where ``z > 0``, else ``slope``.
+
+    Bit for bit ``np.where(z > 0.0, 1, slope)`` in ``z``'s dtype, built
+    without a per-element branch (which costs more than the matmul in
+    front of it): the mask, as unsigned integers, picks the bit pattern
+    of 1 or ``slope``.  Modular arithmetic keeps that exact for any
+    slope, above 1 too.
+    """
+    uint = np.dtype(f"u{z.itemsize}")
+    one, low = np.array([1.0, slope], dtype=z.dtype).view(uint).tolist()
+    factor = (z > 0.0).astype(uint)
+    factor *= uint.type((one - low) % (1 << (8 * z.itemsize)))
+    factor += uint.type(low)
+    return factor.view(z.dtype)
+
+
 def dense(
     x: Tensor, w: Tensor, b: Tensor, activation: str = "identity", slope: float = 0.01
 ) -> Tensor:
@@ -272,8 +289,7 @@ def dense(
     z = x.value @ w.value
     z += b.value
     if activation == "leaky":
-        # typed scalars: python floats would give a float64 factor
-        factor = np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(slope))
+        factor = _leaky_factor(z, slope)
         out = np.multiply(z, factor, out=z)
     elif activation == "tanh":
         out = np.tanh(z, out=z)

@@ -32,6 +32,7 @@ from .control_node import (
     closed_loop_track,
     count_violations,
     evaluate_tracking,
+    ik_solve,
     init_control_model,
     load_control_model,
     place_obstacle,
@@ -289,16 +290,26 @@ class _Trials:
     period: float
     noise_std: float
 
+    def starts(self, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
+        """Each kind's start action, from one lock-step IK solve for the
+        references at t = 0 of all ``kinds``."""
+        length = self.robot.total_length
+        goals = [reference_trajectory(k, 0.0, length, self.period) for k in kinds]
+        q = ik_solve(self.shape_model, self.robot, np.array(goals))
+        return dict(zip(kinds, q))
+
     def run(
         self,
         prefix: str,
         policy: ControlNodeModel,
         kind: str,
+        q_start: np.ndarray,
         payload_grams: float = 0.0,
         obstacle: ObstacleSpec | None = None,
     ) -> list[TrackingLog]:
-        """One runner call for all trials; trial i uses seed + i, writes
-        ``<prefix>_trial{i}.csv``, and its log is read back from there."""
+        """One runner call for all trials, from ``q_start``; trial i uses
+        seed + i, writes ``<prefix>_trial{i}.csv``, and its log is read
+        back from there."""
         logs = closed_loop_track(
             policy,
             self.shape_model,
@@ -310,6 +321,7 @@ class _Trials:
             payload_grams=payload_grams,
             obstacle=obstacle,
             noise_std=self.noise_std,
+            q_start=q_start,
         )
         paths = []
         for i, log in enumerate(logs):
@@ -401,8 +413,9 @@ def _eval_tracking(cfg: RunConfig, out: Path, args) -> MetricsTable:
     _write_resolved(cfg, out)
     trials = _trials(cfg, out, args)
     rows: list[MetricsRow] = []
+    starts = trials.starts(TRACKING_KINDS)
     for kind in TRACKING_KINDS:
-        logs = trials.run(f"track_{kind}", trials.policy, kind)
+        logs = trials.run(f"track_{kind}", trials.policy, kind, starts[kind])
         _tracking_rows(kind, logs, rows)
         svg_path_overlay(
             out / f"track_{kind}.svg",
@@ -418,9 +431,10 @@ def _eval_payload(cfg: RunConfig, out: Path, args) -> MetricsTable:
     kind = "helix"
     rows: list[MetricsRow] = []
     first_logs = {}
+    q_start = trials.starts((kind,))[kind]
     for grams in PAYLOAD_GRAMS:
         logs = trials.run(
-            f"payload_{grams:g}g", trials.policy, kind, payload_grams=grams
+            f"payload_{grams:g}g", trials.policy, kind, q_start, payload_grams=grams
         )
         first_logs[grams] = logs[0]
         err = np.concatenate([log.errors for log in logs], axis=0)
@@ -457,11 +471,14 @@ def _eval_obstacle(cfg: RunConfig, out: Path, args) -> MetricsTable:
     _write_resolved(cfg, out)
     rows: list[MetricsRow] = []
     summary = []
+    starts = trials.starts(OBSTACLE_KINDS)
     for kind in OBSTACLE_KINDS:
         for label, m in (("", trials.policy), ("baseline_", baseline)):
             if m is None:
                 continue
-            logs = trials.run(f"obstacle_{label}{kind}", m, kind, obstacle=obstacle)
+            logs = trials.run(
+                f"obstacle_{label}{kind}", m, kind, starts[kind], obstacle=obstacle
+            )
             _tracking_rows(label + kind, logs, rows)
             violations = sum(count_violations(log, obstacle) for log in logs)
             ticks = sum(log.n_ticks for log in logs)

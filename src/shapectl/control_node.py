@@ -578,28 +578,43 @@ def ik_solve(
 ) -> Array:
     """Damped least-squares inverse kinematics on the model tip.
 
-    Starts from the zero action and returns the best iterate seen; stops
-    early once within ``tol`` of the target or when the error stalls,
-    which is what happens at the closest approach to an unreachable
-    target.  Each iteration is one shape solve: one :func:`tip_jacobian`
-    call gives both the tip, which the error and the stop test read, and
-    the Jacobian of the step.
+    ``target`` is one tip, (3,), giving one action, (2n,), or m of them,
+    (m, 3), giving (m, 2n).  Each target starts from the zero action and
+    gets the best iterate it has seen; it stops once within ``tol`` or
+    when its error stalls, which is what happens at the closest approach
+    to an unreachable target.  The targets run in lock step, each with
+    its own best iterate, stall count and stop test, and a target drops
+    out of the batch once it stops.  Each iteration is one shape solve:
+    one :func:`tip_jacobian` call on the actions still running gives
+    both their tips, which the errors and the stop tests read, and the
+    Jacobians of their steps.
     """
     target = np.asarray(target, dtype=np.float64)
-    q = np.zeros(config.action_dim)
-    best_q, best_norm, stalled = q, np.inf, 0
+    targets = np.reshape(target, (-1, 3))
+    q = np.zeros((targets.shape[0], config.action_dim))
+    best_q = q.copy()
+    best_norm = [np.inf] * len(targets)
+    stalled = [0] * len(targets)
+    live = list(range(len(targets)))
     for _ in range(max_iters):
-        tip, jac = tip_jacobian(shape_model, q, config)
-        err = target - tip
-        norm = float(np.linalg.norm(err))
-        if norm < (1.0 - 1e-3) * best_norm:
-            best_q, best_norm, stalled = q, norm, 0
-        else:
-            stalled += 1
-        if best_norm < tol or stalled >= 5:
+        if not live:
             break
-        q = _clip_inside(q + damped_pinv(jac) @ err, config.q_min, config.q_max)
-    return best_q
+        tips, jacs = tip_jacobian(shape_model, q[live], config)
+        running = []
+        for i, tip, jac in zip(live, tips, jacs):
+            err = targets[i] - tip
+            norm = float(np.linalg.norm(err))
+            if norm < (1.0 - 1e-3) * best_norm[i]:
+                best_q[i], best_norm[i], stalled[i] = q[i], norm, 0
+            else:
+                stalled[i] += 1
+            if best_norm[i] < tol or stalled[i] >= 5:
+                continue
+            step = damped_pinv(jac) @ err
+            q[i] = _clip_inside(q[i] + step, config.q_min, config.q_max)
+            running.append(i)
+        live = running
+    return best_q[0] if target.ndim == 1 else best_q
 
 
 def place_obstacle(
@@ -642,11 +657,14 @@ def closed_loop_track(
     payload_grams: float = 0.0,
     obstacle: ObstacleSpec | None = None,
     noise_std: float = 0.0,
+    q_start: Array | None = None,
 ) -> list[TrackingLog]:
     """Track the reference on the simulated robot, one log per ``rngs`` entry.
 
-    Every trial starts from one inverse-kinematics solve for the
-    reference at t = 0.  Each tick advances the action by the step rule
+    Every trial starts from ``q_start``, by default one
+    inverse-kinematics solve for the reference at t = 0; a caller that
+    runs several trajectories can pass starts it solved together in one
+    :func:`ik_solve` call.  Each tick advances the action by the step rule
     and logs the achieved tip (payload applied) against the reference at
     the new time.  With a ``policy`` the step is one frozen
     :func:`policy_step` from the backbone the last tick achieved, noised
@@ -659,7 +677,8 @@ def closed_loop_track(
     n = tick_count(duration, period)
     length = config.total_length
     g_start = reference_trajectory(kind, 0.0, length, period)
-    q_start = ik_solve(shape_model, config, g_start)
+    if q_start is None:
+        q_start = ik_solve(shape_model, config, g_start)
     logs = []
     for rng in rngs:
         q, g_now = q_start, g_start

@@ -51,11 +51,17 @@ def write_dataset_csv(path, q: Array, points: Array, config: RobotConfig) -> Non
         raise ValueError("actions and points do not fit the robot config")
     header = dataset_header(config, width // config.n_segments)
     lengths = [fmt(v) for v in config.segment_lengths]
+    # rows as csv.writer would write them (no field needs quoting, rows
+    # end in "\r\n"); one tolist() per array keeps numpy scalars, slow to
+    # format one by one, out of the loop
+    q_rows = np.asarray(q, dtype=np.float64).tolist()
+    point_rows = np.asarray(points, dtype=np.float64).reshape(n, -1).tolist()
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for qi, pts in zip(q, points.reshape(n, -1)):
-            writer.writerow([fmt(v) for v in qi] + lengths + [fmt(v) for v in pts])
+        fh.write(",".join(header) + "\r\n")
+        for qi, pts in zip(q_rows, point_rows):
+            row = [format(v, ".17g") for v in qi] + lengths
+            row += [format(v, ".17g") for v in pts]
+            fh.write(",".join(row) + "\r\n")
 
 
 def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:

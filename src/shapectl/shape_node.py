@@ -404,20 +404,28 @@ def train_shape_node(
 def tip_jacobian(
     model: ShapeNodeModel, q: Array, config: RobotConfig
 ) -> tuple[Array, Array]:
-    """Predicted tip, shape (3,), and its sensitivity to the action, (3, 2n).
+    """Predicted tips and their sensitivity to the actions.
 
-    One frozen solve and one reverse sweep: the action is taped as three
-    identical rows, row j of the predicted tips is weighted by the unit
-    vector e_j, and the action adjoint's row j is then d tip_j / d q.  The
-    chain runs through the saturating action-to-curvature map of
-    :func:`rollout_shape` (identity inside the norm ball, the
-    norm-projection Jacobian on it).
+    ``q`` is one action, (2n,), or m of them, (m, 2n); the result is the
+    tip (3,) and Jacobian (3, 2n), or m of each, (m, 3) and (m, 3, 2n).
+    One frozen solve and one reverse sweep for all of them: each action
+    is taped as three identical rows, row j of an action's three
+    predicted tips is weighted by the unit vector e_j, and the action
+    adjoint's row j is then d tip_j / d q.  The rows of a solve do not
+    mix, so a batched action's tip and Jacobian are the single call's up
+    to how BLAS rounds a larger batch.  The chain runs through the
+    saturating action-to-curvature map of :func:`rollout_shape`
+    (identity inside the norm ball, the norm-projection Jacobian on it).
     """
+    q = np.asarray(q, dtype=np.float64)
+    m = 1 if q.ndim == 1 else q.shape[0]
     tape = Tape()
-    q_leaf = tape.tensor(np.repeat(np.reshape(q, (1, -1)), 3, axis=0))
+    q_leaf = tape.tensor(np.repeat(np.reshape(q, (m, -1)), 3, axis=0))
     tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
-    grads = ad.backward(ad.reduce_sum(ad.cmul(tip, np.eye(3))))
-    return tip.value[0], ad.grad_of(grads, q_leaf)
+    grads = ad.backward(ad.reduce_sum(ad.cmul(tip, np.tile(np.eye(3), (m, 1)))))
+    tips = tip.value[::3]
+    jacs = ad.grad_of(grads, q_leaf).reshape(m, 3, -1)
+    return (tips[0], jacs[0]) if q.ndim == 1 else (tips, jacs)
 
 
 @dataclass

@@ -8,13 +8,16 @@ integrator, and the unfused primitives (elementwise product, matrix
 product, LeakyReLU) rebuild what the fused ``dense`` computes from
 one operation per node.  The per-coordinate tip Jacobian backpropagates
 each tip coordinate on its own, where the library weights all three in
-one reverse sweep.
+one reverse sweep.  The single-action tip Jacobian and the one-target
+IK solve are the library's arithmetic for one action or target, without
+the batch: a single call of the library must equal them bit for bit.
 """
 
 import numpy as np
 
 from shapectl import autodiff as ad
 from shapectl.autodiff import Tape, Tensor, _unbroadcast
+from shapectl.control_node import _clip_inside, damped_pinv
 from shapectl.shape_node import rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -163,3 +166,32 @@ def per_coordinate_tip_jacobian(model, q: np.ndarray, config) -> np.ndarray:
         grads = ad.backward(ad.reduce_sum(ad.slice_cols(tip, j, j + 1)))
         jac[j] = ad.grad_of(grads, q_leaf)[0]
     return jac
+
+
+def single_tip_jacobian(model, q: np.ndarray, config) -> tuple[np.ndarray, np.ndarray]:
+    """Tip (3,) and Jacobian (3, 2n) of one action from its own solve:
+    the action taped as three rows, tip row j weighted by e_j."""
+    tape = Tape()
+    q_leaf = tape.tensor(np.repeat(np.reshape(q, (1, -1)), 3, axis=0))
+    tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
+    grads = ad.backward(ad.reduce_sum(ad.cmul(tip, np.eye(3))))
+    return tip.value[0], ad.grad_of(grads, q_leaf)
+
+
+def single_ik_solve(model, config, target: np.ndarray, max_iters=200, tol=1e-4):
+    """Damped least-squares IK for one target on its own solves: best
+    iterate, stop within ``tol`` or after five non-improving solves."""
+    q = np.zeros(config.action_dim)
+    best_q, best_norm, stalled = q, np.inf, 0
+    for _ in range(max_iters):
+        tip, jac = single_tip_jacobian(model, q, config)
+        err = target - tip
+        norm = float(np.linalg.norm(err))
+        if norm < (1.0 - 1e-3) * best_norm:
+            best_q, best_norm, stalled = q, norm, 0
+        else:
+            stalled += 1
+        if best_norm < tol or stalled >= 5:
+            break
+        q = _clip_inside(q + damped_pinv(jac) @ err, config.q_min, config.q_max)
+    return best_q

@@ -310,6 +310,29 @@ def test_leaf_values_are_float64():
     assert x.shape == (2, 2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.01, 0.2, 3.0])
+def test_leaky_factor_is_np_where_bit_for_bit(rng, dtype, slope):
+    # 3.0 has a larger bit pattern than 1.0, so the selection wraps around
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny]
+    special += [info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
+    z = np.concatenate(
+        [
+            np.array(special),
+            rng.standard_normal(200),
+            rng.standard_normal(200) * (1000.0 * float(tiny)),  # subnormals
+        ]
+    ).astype(dtype)
+    uint = np.dtype(f"u{z.itemsize}")
+    for zz in (z, z.reshape(2, -1)):
+        want = np.where(zz > 0.0, dtype(1.0), dtype(slope))
+        got = ad._leaky_factor(zz, slope)
+        assert got.dtype == dtype and got.shape == zz.shape
+        assert np.array_equal(got.view(uint), want.view(uint))
+
+
 # every primitive on a float32 tape; a and b are (4, 3) trainable
 # leaves, w (3, 5) and c (5,) too; constant operands are float64 arrays,
 # numpy float64 scalars or python scalars

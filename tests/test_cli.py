@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shapectl.cli
 import shapectl.control_node
 from shapectl.cli import main
 from shapectl.config import ENV_PREFIX, SCHEMA, load_run_config
@@ -363,36 +364,49 @@ def test_evaluate_tracking_table_matches_logs(workdir, tmp_path, capsys):
     ).read_bytes()
 
 
-def test_evaluate_tracking_solves_ik_once_per_trajectory(
-    workdir, tmp_path, monkeypatch, capsys
+# targets of each ik_solve call an evaluation makes, in order
+IK_TARGETS_PER_CALL = {
+    # the four kinds' starts, solved in lock step
+    "tracking": [4],
+    # one helix start shared by the five payloads
+    "payload": [1],
+    # the obstacle's placement, then each kind's start, shared by the
+    # policy and the baseline
+    "obstacle": [1, 2],
+}
+
+
+@pytest.mark.parametrize("scenario", list(IK_TARGETS_PER_CALL))
+def test_evaluate_solves_every_ik_start_in_one_call(
+    workdir, tmp_path, monkeypatch, capsys, scenario
 ):
     calls = []
     solve = shapectl.control_node.ik_solve
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counted(shape_model, config, target, **kwargs):
+        calls.append(np.reshape(target, (-1, 3)).shape[0])
+        return solve(shape_model, config, target, **kwargs)
 
     monkeypatch.setattr(shapectl.control_node, "ik_solve", counted)
+    monkeypatch.setattr(shapectl.cli, "ik_solve", counted)
     root, ini = workdir
-    rc = main(
-        [
-            "evaluate",
-            "--config",
-            str(ini),
-            "--shape-model",
-            _shape_model_path(workdir),
-            "--control-model",
-            _control_model_path(workdir),
-            "--scenario",
-            "tracking",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 0
-    # one start per trajectory kind, shared by its five seeded trials
-    assert len(calls) == 4
+    args = [
+        "evaluate",
+        "--config",
+        str(ini),
+        "--shape-model",
+        _shape_model_path(workdir),
+        "--control-model",
+        _control_model_path(workdir),
+        "--scenario",
+        scenario,
+        "--out",
+        str(tmp_path),
+    ]
+    if scenario == "obstacle":
+        args += ["--baseline-model", _control_model_path(workdir)]
+    assert main(args) == 0
+    assert calls == IK_TARGETS_PER_CALL[scenario]
     capsys.readouterr()
 
 

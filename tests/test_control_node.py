@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import rel_err
+from helpers import rel_err, single_ik_solve
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
 from shapectl.autodiff import Tape
@@ -916,6 +916,60 @@ def test_ik_makes_one_shape_solve_per_iteration(setup1, rng, monkeypatch):
         ik_solve(sm, cfg, target)
         assert len(jacobians) >= 1
         assert len(solves) == len(jacobians)
+
+
+def test_batched_ik_runs_each_target_as_its_own_solve(setup1, rng, monkeypatch):
+    # lock step: each target keeps its own best iterate, stall count and
+    # stop test, and leaves the batch once it stops
+    cfg, sm, _ = setup1
+    jacobian = control_node.tip_jacobian
+    batch_sizes = []
+
+    def counted_jacobian(model, q, config):
+        batch_sizes.append(len(q))
+        return jacobian(model, q, config)
+
+    monkeypatch.setattr(control_node, "tip_jacobian", counted_jacobian)
+    reachable = predict_shape_batch(sm, rng.uniform(-5.0, 5.0, (2, 2)), cfg)[:, -1]
+    unreachable = np.array([0.0, 0.0, 2.0 * cfg.total_length])
+    targets = np.array([*reachable, unreachable])
+    solo, iterations = [], []
+    for target in targets:
+        del batch_sizes[:]
+        q = ik_solve(sm, cfg, target)
+        assert q.shape == (cfg.action_dim,)
+        # a single target's solve is the one-target arithmetic, bit for bit
+        assert np.array_equal(q, single_ik_solve(sm, cfg, target))
+        solo.append(q)
+        iterations.append(len(batch_sizes))
+    del batch_sizes[:]
+    both = ik_solve(sm, cfg, targets)
+    assert both.shape == (3, cfg.action_dim)
+    for got, want in zip(both, solo):
+        assert np.abs(got - want).max() <= 1e-9
+    # a target stays in the batch for exactly its own solve's iterations
+    assert batch_sizes == [
+        sum(n > k for n in iterations) for k in range(max(iterations))
+    ]
+    # the unreachable target stalls first, and the others go on
+    assert iterations[2] < min(iterations[:2])
+
+
+def test_runner_starts_from_a_given_ik_start(setup1, monkeypatch):
+    cfg, sm, policy = setup1
+    start = ik_solve(sm, cfg, reference_trajectory("ellipse", 0.0, cfg.total_length))
+    for step in (policy, None):
+        args = (step, sm, cfg, "ellipse")
+        kw = dict(duration=1.5, noise_std=1e-3)
+        (own,) = closed_loop_track(*args, [np.random.default_rng(5)], **kw)
+        with monkeypatch.context() as patch:
+            # a runner given its start solves no IK of its own
+            patch.setattr(control_node, "ik_solve", None)
+            (given,) = closed_loop_track(
+                *args, [np.random.default_rng(5)], q_start=start, **kw
+            )
+        for field in ("goals", "tips", "actions"):
+            assert np.array_equal(getattr(own, field), getattr(given, field)), field
 
 
 def test_tracking_loops_structure(setup1, rng):

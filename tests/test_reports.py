@@ -1,5 +1,6 @@
 """CSV schemas, metrics tables, and SVG emission."""
 
+import csv
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +11,7 @@ from shapectl.reports import (
     MetricsRow,
     MetricsTable,
     dataset_header,
+    fmt,
     read_dataset_csv,
     read_metrics_csv,
     read_shape_eval_csv,
@@ -34,6 +36,32 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(points, points_back)
     lengths = [row.split(",")[4:6] for row in path.read_text().splitlines()[1:]]
     assert lengths == [["0.10000000000000001"] * 2] * 5
+
+
+def write_dataset_csv_oracle(path, q, points, config):
+    """The dataset file as csv.writer writes it from one numpy scalar
+    per value."""
+    n = q.shape[0]
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset_header(config, points.shape[1] // config.n_segments))
+        lengths = [fmt(v) for v in config.segment_lengths]
+        for qi, pts in zip(q, points.reshape(n, -1)):
+            writer.writerow([fmt(v) for v in qi] + lengths + [fmt(v) for v in pts])
+
+
+def test_dataset_bytes_equal_the_csv_writer_oracle(tmp_path):
+    cfg = RobotConfig(n_segments=3)
+    q, points = sample_dataset(cfg, 40, np.random.default_rng(7))
+    # signed zeros, extreme exponents and short decimals format too
+    q[0, :3] = [-0.0, 0.5, -12.3]
+    points[0, 0] = [5e-324, -1e30, 0.0]
+    for dtype in (np.float64, np.float32):
+        qd, pd = q.astype(dtype), points.astype(dtype)
+        write_dataset_csv(tmp_path / "data.csv", qd, pd, cfg)
+        write_dataset_csv_oracle(tmp_path / "oracle.csv", qd, pd, cfg)
+        got = (tmp_path / "data.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_dataset_header_widths():

@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fd_grad_at, per_coordinate_tip_jacobian, rel_err, sample_coords
+from helpers import (
+    fd_grad_at,
+    per_coordinate_tip_jacobian,
+    rel_err,
+    sample_coords,
+    single_tip_jacobian,
+)
 from shapectl import autodiff as ad
 from shapectl import shape_node
 from shapectl.autodiff import Tape
@@ -249,6 +255,24 @@ def test_tip_jacobian_single_sweep_equals_per_coordinate_sweeps(rng, n_segments)
         assert np.abs(tip - pred).max() <= 1e-15
         tip2, jac2 = tip_jacobian(model, q, cfg)
         assert np.array_equal(tip, tip2) and np.array_equal(jac, jac2)
+        # a single action's call is the one-action arithmetic, bit for bit
+        tip3, jac3 = single_tip_jacobian(model, q, cfg)
+        assert np.array_equal(tip, tip3) and np.array_equal(jac, jac3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_batched_tip_jacobian_rows_match_single_calls(rng, m):
+    cfg = RobotConfig(n_segments=3)
+    model = perturbed_model(rng, cfg)
+    # norms up to 14 * sqrt(2): some segments saturate, some do not
+    q = rng.uniform(-14.0, 14.0, size=(m, cfg.action_dim))
+    tips, jacs = tip_jacobian(model, q, cfg)
+    assert tips.shape == (m, 3)
+    assert jacs.shape == (m, 3, cfg.action_dim)
+    for qi, tip, jac in zip(q, tips, jacs):
+        tip1, jac1 = tip_jacobian(model, qi, cfg)
+        assert np.array_equal(tip, tip1)
+        assert np.abs(jac - jac1).max() <= 1e-12 * np.abs(jac1).max()
 
 
 def test_shape_continuity_in_action(rng):
