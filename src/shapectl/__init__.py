@@ -7,8 +7,8 @@ The package is organized in layers:
     compute dtype per tape: float64 by default, float32 for shape and
     policy training.
 ``nn``
-    MLP parameters (float64 master weights), forward pass, Adam, RNG
-    helpers, persistence.
+    MLP parameters (float64 master weights) with their structure
+    checks, forward pass, Adam, persistence.
 ``odeint``
     Fixed-step ODE solvers (euler, rk4, fixed-adams) and batched
     integration over per-sample sub-intervals.

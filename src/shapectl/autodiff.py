@@ -22,13 +22,13 @@ a no-record call into the same primitives, and ``backward`` sends no
 contribution to a constant.  Primitives whose backward is costly (the
 fused ``dense``) also skip the products an inactive parent would get.
 
-The engine favors a small, explicit primitive set over operator coverage.
-Tensors support ``+``, ``-``, unary ``-`` and scalar or constant-array
-``*`` for readability; everything else is a named function (``dense``,
-``tanh``, ``reduce_sum``, ...).  Backward closures return one array (or
-None) per parent; the accumulator treats first contributions as borrowed
-and copies on the second write, so closures may hand back the upstream
-adjoint itself without defensive copies.
+The engine favors a small, explicit primitive set over operator coverage:
+tensors define no arithmetic operators, and every operation is a named
+function (``add``, ``scale``, ``dense``, ``reduce_sum``, ...).  Backward
+closures return one array (or None) per parent; the accumulator treats
+first contributions as borrowed and copies on the second write, so
+closures may hand back the upstream adjoint itself without defensive
+copies.
 """
 
 from __future__ import annotations
@@ -54,34 +54,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(nid={self.nid}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_const(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_const(self, np.negative(other))
-
-    def __rsub__(self, other):
-        return add_const(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return NotImplemented
-        other = np.asarray(other)
-        if other.ndim == 0:
-            return scale(self, float(other))
-        return cmul(self, other)
-
-    __rmul__ = __mul__
 
 
 class Tape:

@@ -48,9 +48,9 @@ from .reports import (
     read_tracking_log_csv,
     svg_path_overlay,
     write_dataset_csv,
-    write_history_csv,
     write_metrics_csv,
     write_shape_eval_csv,
+    write_table,
     write_tracking_log_csv,
 )
 from .robot import (
@@ -220,8 +220,8 @@ def cmd_train_shape(args) -> int:
     model, history = train_shape_node(q, points, train_cfg, robot, model=model)
     minutes = (time.monotonic() - t0) / 60.0
     save_shape_model(out / "shape_model.json", model, robot)
-    write_history_csv(
-        out / "shape_history.csv", history, ["iteration", "train_loss", "val_loss"]
+    write_table(
+        out / "shape_history.csv", ["iteration", "train_loss", "val_loss"], history
     )
     res = evaluate_shape_rmse(model, q[val_idx], points[val_idx], robot)
     rmse = res.rmse_mm
@@ -267,7 +267,7 @@ def cmd_train_control(args) -> int:
     )
     minutes = (time.monotonic() - t0) / 60.0
     save_control_model(out / "control_model.json", model, robot)
-    write_history_csv(out / "control_history.csv", history, ["iteration", "train_loss"])
+    write_table(out / "control_history.csv", ["iteration", "train_loss"], history)
     if obstacle is not None:
         c = obstacle.center
         print(f"obstacle at ({c[0]:.4f}, {c[1]:.4f}, {c[2]:.4f})")

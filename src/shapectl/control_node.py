@@ -28,7 +28,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor, check_finite
 from .nn import (
-    AdamConfig,
     MlpParams,
     MlpTensors,
     adam_step,
@@ -59,10 +58,22 @@ CONTROL_MODEL_FORMAT = "control-node-v1"
 
 TICKS_PER_PERIOD = 200
 
+# damped least squares: Tikhonov damping of the pseudo-inverse, and the
+# inverse-kinematics iteration cap and tip tolerance (meters)
+PINV_DAMPING = 1e-6
+IK_MAX_ITERS = 200
+IK_TOL = 1e-4
+
+
+def observation_blocks(action_dim: int) -> tuple[int, int, int]:
+    """Widths of the observation's blocks: the nine backbone points and
+    the tip, the action, the goal."""
+    return 3 * OBS_POINTS + 3, action_dim, 3
+
 
 def observation_dim(config: RobotConfig) -> int:
     """Observation width: 9 backbone points, tip, action, goal."""
-    return 3 * OBS_POINTS + 3 + config.action_dim + 3
+    return sum(observation_blocks(config.action_dim))
 
 
 @dataclass
@@ -75,7 +86,6 @@ class ControlLossConfig:
     terminal_weight: float = 1000.0
     obstacle_weight: float = 100.0
     obstacle_threshold_sq: float = 1e-4
-    obstacle_sharpness: float | None = None
     noise_std: float = 0.00033
 
     def __post_init__(self):
@@ -90,16 +100,12 @@ class ControlLossConfig:
             raise ValueError("loss weights must be non-negative")
         if self.obstacle_threshold_sq <= 0:
             raise ValueError("obstacle threshold must be positive")
-        if self.obstacle_sharpness is not None and self.obstacle_sharpness <= 0:
-            raise ValueError("obstacle sharpness must be positive")
         if self.noise_std < 0:
             raise ValueError("noise stddev must be non-negative")
 
     @property
     def tau(self) -> float:
-        """Width of the smooth obstacle surrogate; defaults to thr/10."""
-        if self.obstacle_sharpness is not None:
-            return self.obstacle_sharpness
+        """Width of the smooth obstacle surrogate: a tenth of the threshold."""
         return self.obstacle_threshold_sq / 10.0
 
 
@@ -141,7 +147,7 @@ class ControlNodeModel:
 
     def __post_init__(self):
         sizes = self.params.sizes
-        expect_in = 3 * OBS_POINTS + 3 + 2 * self.n_segments + 3
+        expect_in = sum(observation_blocks(self.action_dim))
         if sizes[0] != expect_in or sizes[-1] != 2 * self.n_segments:
             raise ValueError(
                 f"policy must map {expect_in} -> {2 * self.n_segments}, "
@@ -170,19 +176,13 @@ def init_control_model(
     rate_scale: float = 1.0,
 ) -> ControlNodeModel:
     """Fresh Glorot-initialized policy for one robot geometry."""
-    in_dim = observation_dim(config)
     out_dim = config.action_dim
     # positions in meters get x10, actions normalize by the bound
-    input_scale = np.concatenate(
-        [
-            np.full(3 * OBS_POINTS + 3, 10.0),
-            np.full(out_dim, 1.0 / config.u_max),
-            np.full(3, 10.0),
-        ]
-    )
+    blocks = observation_blocks(out_dim)
+    input_scale = np.repeat([10.0, 1.0 / config.u_max, 10.0], blocks)
     params = init_mlp(
         rng,
-        [in_dim, *hidden, out_dim],
+        [observation_dim(config), *hidden, out_dim],
         out_activation="tanh",
         input_scale=input_scale,
     )
@@ -214,21 +214,19 @@ def unbound_actions(q: Array, q_min: float, q_max: float) -> Array:
     return np.arctanh((q - mid) / half)
 
 
-def _downsample_plan(
-    n_points: int, n_out: int = OBS_POINTS
-) -> list[tuple[int, int, float]]:
+def _downsample_plan(n_points: int) -> list[tuple[int, int, float]]:
     """Interpolation stencil mapping the solver grid to equal-arc samples.
 
-    Output i targets arc fraction (i+1)/n_out; with grid point j sitting
-    at fraction (j+1)/n_points, each entry gives (j0, j1, w) for the
-    convex combination (1-w) point[j0] + w point[j1].  The final entry
-    is always the tip exactly.
+    Output i targets arc fraction (i+1)/OBS_POINTS; with grid point j
+    sitting at fraction (j+1)/n_points, each entry gives (j0, j1, w) for
+    the convex combination (1-w) point[j0] + w point[j1].  The final
+    entry is always the tip exactly.
     """
-    if n_points < n_out:
+    if n_points < OBS_POINTS:
         raise ValueError("grid has fewer points than the downsample asks for")
     plan = []
-    for i in range(1, n_out + 1):
-        target = i * n_points / n_out - 1.0
+    for i in range(1, OBS_POINTS + 1):
+        target = i * n_points / OBS_POINTS - 1.0
         j0 = min(int(np.floor(target)), n_points - 1)
         w = target - j0
         if w < 1e-12:
@@ -238,10 +236,10 @@ def _downsample_plan(
     return plan
 
 
-def downsample_shape(points: list[Tensor], n_out: int = OBS_POINTS) -> list[Tensor]:
+def downsample_shape(points: list[Tensor]) -> list[Tensor]:
     """Nine equal-arc backbone tensors (tip last) from rollout points."""
     out = []
-    for j0, j1, w in _downsample_plan(len(points), n_out):
+    for j0, j1, w in _downsample_plan(len(points)):
         if w == 0.0:
             out.append(points[j0])
         else:
@@ -464,10 +462,10 @@ def train_control_node(
     loss_cfg: ControlLossConfig,
     scenario: str = "tracking",
     obstacle: ObstacleSpec | None = None,
-    model: ControlNodeModel | None = None,
-    hidden: tuple[int, ...] = (256, 256),
+    *,
+    model: ControlNodeModel,
 ) -> tuple[ControlNodeModel, list[tuple[int, float]]]:
-    """Train the policy MPC-style against the frozen shape model.
+    """Train the policy ``model`` MPC-style against the frozen shape model.
 
     Every iteration draws a fresh batch of episodes: reset actions
     uniform within +-reset_scale * u_max, goals the episode's initial
@@ -490,9 +488,6 @@ def train_control_node(
         raise ValueError("obstacle scenario needs an obstacle")
     loss_obstacle = obstacle if scenario == "obstacle" else None
     rng = np.random.default_rng(train_cfg.seed)
-    if model is None:
-        model = init_control_model(rng, config, hidden=hidden)
-    adam = AdamConfig(lr=train_cfg.learning_rate)
     reset_span = train_cfg.reset_scale * config.u_max
     history: list[tuple[int, float]] = []
     for it in range(1, train_cfg.iterations + 1):
@@ -526,7 +521,7 @@ def train_control_node(
                 raise FloatingPointError("loss is not finite")
             grads = ad.backward(loss)
             policy_grads = collect_mlp_grads(grads, result.policy_tensors)
-            adam_step(model.params, policy_grads, adam)
+            adam_step(model.params, policy_grads, train_cfg.learning_rate)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"control training diverged at iteration {it}: {exc}"
@@ -558,33 +553,29 @@ class TrackingLog:
         return self.tips - self.goals
 
 
-def damped_pinv(jac: Array, damping: float = 1e-6) -> Array:
-    """J+ = J^T (J J^T + damping I)^-1, safe at singular configurations."""
+def damped_pinv(jac: Array) -> Array:
+    """J+ = J^T (J J^T + d I)^-1 with d = :data:`PINV_DAMPING`, safe at
+    singular configurations."""
     jac = np.asarray(jac, dtype=np.float64)
-    gram = jac @ jac.T + damping * np.eye(jac.shape[0])
+    gram = jac @ jac.T + PINV_DAMPING * np.eye(jac.shape[0])
     return np.linalg.solve(gram, jac).T
 
 
-def _clip_inside(q: Array, q_min: float, q_max: float, margin: float = 1e-6) -> Array:
-    return np.clip(q, q_min + margin, q_max - margin)
+def _clip_inside(q: Array, q_min: float, q_max: float) -> Array:
+    return np.clip(q, q_min + 1e-6, q_max - 1e-6)
 
 
-def ik_solve(
-    shape_model: ShapeNodeModel,
-    config: RobotConfig,
-    target: Array,
-    max_iters: int = 200,
-    tol: float = 1e-4,
-) -> Array:
+def ik_solve(shape_model: ShapeNodeModel, config: RobotConfig, target: Array) -> Array:
     """Damped least-squares inverse kinematics on the model tip.
 
     ``target`` is one tip, (3,), giving one action, (2n,), or m of them,
     (m, 3), giving (m, 2n).  Each target starts from the zero action and
-    gets the best iterate it has seen; it stops once within ``tol`` or
-    when its error stalls, which is what happens at the closest approach
-    to an unreachable target.  The targets run in lock step, each with
-    its own best iterate, stall count and stop test, and a target drops
-    out of the batch once it stops.  Each iteration is one shape solve:
+    gets the best iterate it has seen; it stops once within
+    :data:`IK_TOL`, after :data:`IK_MAX_ITERS` iterations, or when its
+    error stalls, which is what happens at the closest approach to an
+    unreachable target.  The targets run in lock step, each with its own
+    best iterate, stall count and stop test, and a target drops out of
+    the batch once it stops.  Each iteration is one shape solve:
     one :func:`tip_jacobian` call on the actions still running gives
     both their tips, which the errors and the stop tests read, and the
     Jacobians of their steps.
@@ -596,7 +587,7 @@ def ik_solve(
     best_norm = [np.inf] * len(targets)
     stalled = [0] * len(targets)
     live = list(range(len(targets)))
-    for _ in range(max_iters):
+    for _ in range(IK_MAX_ITERS):
         if not live:
             break
         tips, jacs = tip_jacobian(shape_model, q[live], config)
@@ -608,7 +599,7 @@ def ik_solve(
                 best_q[i], best_norm[i], stalled[i] = q[i], norm, 0
             else:
                 stalled[i] += 1
-            if best_norm[i] < tol or stalled[i] >= 5:
+            if best_norm[i] < IK_TOL or stalled[i] >= 5:
                 continue
             step = damped_pinv(jac) @ err
             q[i] = _clip_inside(q[i] + step, config.q_min, config.q_max)
@@ -622,22 +613,21 @@ def place_obstacle(
     config: RobotConfig,
     kind: str,
     period: float = 100.0,
-    phase: float = 0.125,
-    offset: float = 0.04,
 ) -> Array:
-    """Obstacle center on the swept body, an arc offset back from the tip.
+    """Obstacle center on the swept body, 4 cm of arc back from the tip.
 
-    Solves inverse kinematics for one reference point, then walks the
-    ground-truth backbone at that action back from the tip by ``offset``
-    meters of arc length.  A plain tip-tracking controller sweeps its
-    body through this point even though its tip path stays clear of it,
-    so whole-body avoidance is what a policy has to learn.
+    Solves inverse kinematics for the reference point an eighth of the
+    way through the period, then walks the ground-truth backbone at that
+    action back from the tip by 0.04 m of arc length.  A plain
+    tip-tracking controller sweeps its body through this point even
+    though its tip path stays clear of it, so whole-body avoidance is
+    what a policy has to learn.
     """
-    target = reference_trajectory(kind, phase * period, config.total_length, period)
+    target = reference_trajectory(kind, 0.125 * period, config.total_length, period)
     q = ik_solve(shape_model, config, target)
     shape = forward_kinematics(config, q, mismatch=True)
     arc_from_tip = shape.s[-1] - shape.s
-    idx = int(np.argmin(np.abs(arc_from_tip - offset)))
+    idx = int(np.argmin(np.abs(arc_from_tip - 0.04)))
     return np.array(shape.points[idx], dtype=np.float64)
 
 

@@ -6,13 +6,14 @@ weights once into tape leaves (:meth:`MlpParams.as_tensors`), cast to
 the tape's compute dtype, runs any number of forward passes that share
 those leaves, calls :func:`shapectl.autodiff.backward`, and hands the
 collected gradients to :func:`adam_step`, which updates the arrays in
-place.  The float64 arrays are the master copy: a float32 tape (shape
-and policy training) computes in float32, while the weights, the
-moments and the saved files stay float64.  A model that is only
-evaluated, or that other gradients flow through unchanged, is wrapped
-``frozen``: its weights become constant leaves, so no weight gradient is
-computed, and a forward pass on constant inputs records nothing to
-backpropagate.
+place with the given learning rate and the fixed :data:`ADAM_BETAS` and
+:data:`ADAM_EPS`.  The float64 arrays are the master copy: a float32
+tape (shape and policy training) computes in float32, while the
+weights, the moments and the saved files stay float64.  A model that is
+only evaluated, or that other gradients flow through unchanged, is
+wrapped ``frozen``: its weights become constant leaves, so no weight
+gradient is computed, and a forward pass on constant inputs records
+nothing to backpropagate.
 """
 
 from __future__ import annotations
@@ -25,20 +26,10 @@ import numpy as np
 from .autodiff import Array, Tape, Tensor, check_finite, cmul, dense, grad_of
 
 
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+# Adam's moment decay rates and denominator guard: the defaults of
+# Kingma & Ba (arXiv:1412.6980), which every model here trains with
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -51,6 +42,11 @@ class MlpParams:
     values, and they persist alongside the weights.  ``adam_m`` /
     ``adam_v`` / ``step_count`` hold the optimizer state so a saved
     model resumes training exactly where it left off.
+
+    Construction checks the structure, so a model file that is not one
+    network fails to load: the output activation is tanh or identity,
+    the weights chain, each bias and scale has its layer's width, and
+    any moments have the parameters' shapes.
     """
 
     weights: list[Array]
@@ -62,6 +58,27 @@ class MlpParams:
     adam_m: list[Array] = field(default_factory=list)
     adam_v: list[Array] = field(default_factory=list)
     step_count: int = 0
+
+    def __post_init__(self):
+        if self.out_activation not in ("tanh", "identity"):
+            raise ValueError(f"unknown output activation {self.out_activation!r}")
+        if not self.weights or any(w.ndim != 2 for w in self.weights):
+            raise ValueError("weights must be one or more matrices")
+        sizes = self.sizes
+        want = list(zip(sizes, sizes[1:])) + [(n,) for n in sizes[1:]]
+        got = [w.shape for w in self.weights] + [b.shape for b in self.biases]
+        scales = ((self.input_scale, sizes[0]), (self.output_scale, sizes[-1]))
+        for scale, width in scales:
+            if scale is not None:
+                want.append((width,))
+                got.append(scale.shape)
+        if got != want:
+            raise ValueError(f"layer shapes {got} do not chain as {want}")
+        shapes = [a.shape for a in self.param_arrays()]
+        if (self.adam_m or self.adam_v) and not (
+            [m.shape for m in self.adam_m] == [v.shape for v in self.adam_v] == shapes
+        ):
+            raise ValueError("Adam moments do not match the parameter shapes")
 
     @property
     def sizes(self) -> list[int]:
@@ -119,7 +136,6 @@ class MlpTensors:
 def init_mlp(
     rng: np.random.Generator,
     sizes: list[int],
-    hidden_slope: float = 0.01,
     out_activation: str = "tanh",
     input_scale: Array | None = None,
     output_scale: Array | None = None,
@@ -127,8 +143,6 @@ def init_mlp(
     """Glorot-uniform weights, zero biases."""
     if min(sizes) < 1:
         raise ValueError(f"layer widths must be positive, got {list(sizes)}")
-    if out_activation not in ("tanh", "identity"):
-        raise ValueError(f"unknown output activation {out_activation!r}")
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -138,7 +152,6 @@ def init_mlp(
     return MlpParams(
         weights=weights,
         biases=biases,
-        hidden_slope=hidden_slope,
         out_activation=out_activation,
         input_scale=None if input_scale is None else np.asarray(input_scale, dtype=np.float64),
         output_scale=None if output_scale is None else np.asarray(output_scale, dtype=np.float64),
@@ -154,8 +167,6 @@ def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
             f"first layer width {p.weights[0].shape[0]}"
         )
     check_finite(x.value, "mlp input")
-    if p.out_activation not in ("tanh", "identity"):
-        raise ValueError(f"unknown output activation {p.out_activation!r}")
     h = x
     if p.input_scale is not None:
         h = cmul(h, p.input_scale)
@@ -170,13 +181,17 @@ def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
     return h
 
 
-def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None:
-    """One bias-corrected Adam update, in place on ``params``.
+def adam_step(params: MlpParams, grads: list[Array], lr: float) -> None:
+    """One bias-corrected Adam update with learning rate ``lr``, in place
+    on ``params``; the decay rates and guard are :data:`ADAM_BETAS` and
+    :data:`ADAM_EPS`.
 
     Gradients are cast to float64 first (a no-op for float64 ones), so
     the moments stay float64 whatever tape computed the gradients.  A
     step leaving a weight or moment non-finite raises FloatingPointError.
     """
+    if lr <= 0:
+        raise ValueError("learning rate must be positive")
     arrays = params.param_arrays()
     if len(grads) != len(arrays):
         raise ValueError("gradient count does not match parameter count")
@@ -186,15 +201,15 @@ def adam_step(params: MlpParams, grads: list[Array], config: AdamConfig) -> None
     params.ensure_moments()
     params.step_count += 1
     t = params.step_count
-    b1, b2 = config.beta1, config.beta2
-    lr_t = config.lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    b1, b2 = ADAM_BETAS
+    lr_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
     for a, g, m, v in zip(arrays, grads, params.adam_m, params.adam_v):
         g = np.asarray(g, dtype=np.float64)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        a -= lr_t * m / (np.sqrt(v) + config.eps)
+        a -= lr_t * m / (np.sqrt(v) + ADAM_EPS)
     for a in (*arrays, *params.adam_m, *params.adam_v):
         check_finite(a, "weights or Adam moments after the step")
 

@@ -19,14 +19,11 @@ so fields written against that signature need no change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import Array, Tensor, add, scale, select_rows
-
-SolverKind = Literal["euler", "rk4", "fixed-adams"]
 
 SOLVER_KINDS: tuple[str, ...] = ("euler", "rk4", "fixed-adams")
 
@@ -145,25 +142,23 @@ def integrate(
     f: DynamicsFn,
     x0: Tensor,
     grid: IntegrationGrid,
-    kind: SolverKind = "rk4",
+    kind: str = "rk4",
 ) -> list[Tensor]:
     """Integrate ``f`` from ``x0`` over ``grid``; returns n_steps+1 states."""
     check_solver(kind, grid.n_steps)
     return _solve(f, x0, grid, kind, None)
 
 
-def masked_step_counts(grid: IntegrationGrid, ends: Array | None = None) -> np.ndarray:
+def masked_step_counts(grid: IntegrationGrid) -> np.ndarray:
     """Number of active steps per sample for the grid's end times.
 
     Each end time is snapped to the nearest grid node, so a sample's
     integrated span differs from its requested span by at most half a
     step.
     """
-    if ends is None:
-        ends = grid.per_sample_end
+    ends = grid.per_sample_end
     if ends is None:
         raise ValueError("grid has no per_sample_end")
-    ends = np.asarray(ends, dtype=np.float64)
     frac = (ends - grid.t_start) / (grid.t_end - grid.t_start)
     counts = np.rint(frac * grid.n_steps).astype(np.int64)
     return np.clip(counts, 0, grid.n_steps)
@@ -173,7 +168,7 @@ def integrate_batch_masked(
     f: DynamicsFn,
     x0: Tensor,
     grid: IntegrationGrid,
-    kind: SolverKind = "rk4",
+    kind: str = "rk4",
 ) -> list[Tensor]:
     """Batched integration where sample ``i`` stops after its own span.
 

@@ -4,7 +4,9 @@ Every file format here is the canonical one: datasets read back into
 the exact ``(q, points)`` arrays they were written from, tracking logs
 round-trip bit-for-bit through the 17-significant-digit float format,
 and metrics tables are always derived from emitted logs rather than
-computed independently.
+computed independently.  The all-number tables (datasets, training
+histories, tracking logs, shape evaluation records) are written by one
+:func:`write_table` and read by one :func:`read_table`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,28 @@ from .robot import RobotConfig
 def fmt(x: float) -> str:
     """Float text at 17 significant digits: lossless for doubles."""
     return format(float(x), ".17g")
+
+
+def write_table(path, header: list[str], table) -> None:
+    """``header``, then the rows of the 2-d ``table`` in :func:`fmt`'s format
+    (whole numbers print as integers), as ``csv.writer`` writes them."""
+    # no field needs quoting; one tolist() keeps numpy scalars, slow to
+    # format one by one, out of the loop
+    rows = np.asarray(table, dtype=np.float64).tolist()
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join([format(v, ".17g") for v in row]) + "\r\n")
+
+
+def read_table(path) -> tuple[list[str] | None, list[list[float]]]:
+    """The header (None for an empty file) and the non-empty rows, as
+    floats, of a file :func:`write_table` wrote; rows keep their widths."""
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = [[float(v) for v in row] for row in reader if row]
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +73,12 @@ def write_dataset_csv(path, q: Array, points: Array, config: RobotConfig) -> Non
         raise ValueError("no samples to write")
     if q.shape != (n, config.action_dim) or width % config.n_segments:
         raise ValueError("actions and points do not fit the robot config")
-    header = dataset_header(config, width // config.n_segments)
-    lengths = [fmt(v) for v in config.segment_lengths]
-    # rows as csv.writer would write them (no field needs quoting, rows
-    # end in "\r\n"); one tolist() per array keeps numpy scalars, slow to
-    # format one by one, out of the loop
-    q_rows = np.asarray(q, dtype=np.float64).tolist()
-    point_rows = np.asarray(points, dtype=np.float64).reshape(n, -1).tolist()
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for qi, pts in zip(q_rows, point_rows):
-            row = [format(v, ".17g") for v in qi] + lengths
-            row += [format(v, ".17g") for v in pts]
-            fh.write(",".join(row) + "\r\n")
+    lengths = np.broadcast_to(config.segment_lengths, (n, config.n_segments))
+    write_table(
+        path,
+        dataset_header(config, width // config.n_segments),
+        np.hstack([q, lengths, points.reshape(n, -1)]),
+    )
 
 
 def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
@@ -70,13 +87,9 @@ def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
     A header, segment lengths or actions not matching ``config`` are a
     ``ValueError``; so is a row whose width differs from the header's.
     """
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("dataset file is empty") from None
-        rows = [[float(v) for v in row] for row in reader if row]
+    header, rows = read_table(path)
+    if header is None:
+        raise ValueError("dataset file is empty")
     if not rows:
         raise ValueError("dataset has no samples")
     n = config.n_segments
@@ -109,19 +122,6 @@ def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# training history
-
-
-def write_history_csv(path, rows, columns: list[str]) -> None:
-    """Loss history rows, first column the iteration number."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([str(int(row[0]))] + [fmt(v) for v in row[1:]])
-
-
-# ---------------------------------------------------------------------------
 # tracking logs
 
 
@@ -136,25 +136,15 @@ def tracking_log_header(action_dim: int, with_obstacle: bool) -> list[str]:
 def write_tracking_log_csv(path, log: TrackingLog) -> None:
     """Tick rows: time, goal, achieved tip, actions, obstacle distance."""
     with_obs = log.min_obstacle_dist is not None
+    columns = [log.times, log.goals, log.tips, log.actions]
+    if with_obs:
+        columns.append(log.min_obstacle_dist)
     header = tracking_log_header(log.actions.shape[1], with_obs)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(log.n_ticks):
-            row = [fmt(log.times[k])]
-            row += [fmt(v) for v in log.goals[k]]
-            row += [fmt(v) for v in log.tips[k]]
-            row += [fmt(v) for v in log.actions[k]]
-            if with_obs:
-                row.append(fmt(log.min_obstacle_dist[k]))
-            writer.writerow(row)
+    write_table(path, header, np.column_stack(columns))
 
 
 def read_tracking_log_csv(path) -> TrackingLog:
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
+    header, rows = read_table(path)
     with_obs = header[-1] == "min_obstacle_dist"
     action_dim = len(header) - 7 - (1 if with_obs else 0)
     if header != tracking_log_header(action_dim, with_obs):
@@ -251,28 +241,23 @@ def read_metrics_csv(path) -> MetricsTable:
 # shape evaluation records
 
 
+SHAPE_EVAL_HEADER = ["sample", "point", "tx", "ty", "tz", "mx", "my", "mz"]
+
+
 def write_shape_eval_csv(path, truths: Array, predictions: Array) -> None:
     """Per-sample, per-grid-point truth and prediction coordinates."""
     if truths.shape != predictions.shape:
         raise ValueError("truth and prediction shapes differ")
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "point", "tx", "ty", "tz", "mx", "my", "mz"])
-        for i in range(truths.shape[0]):
-            for p in range(truths.shape[1]):
-                row = [str(i), str(p)]
-                row += [fmt(v) for v in truths[i, p]]
-                row += [fmt(v) for v in predictions[i, p]]
-                writer.writerow(row)
+    n, p = truths.shape[:2]
+    sample, point = np.divmod(np.arange(n * p), p)
+    table = [sample, point, truths.reshape(-1, 3), predictions.reshape(-1, 3)]
+    write_table(path, SHAPE_EVAL_HEADER, np.column_stack(table))
 
 
 def read_shape_eval_csv(path) -> tuple[Array, Array]:
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["sample", "point", "tx", "ty", "tz", "mx", "my", "mz"]:
-            raise ValueError("not a shape evaluation file")
-        rows = [[float(v) for v in r] for r in reader if r]
+    header, rows = read_table(path)
+    if header != SHAPE_EVAL_HEADER:
+        raise ValueError("not a shape evaluation file")
     data = np.array(rows)
     n = int(data[:, 0].max()) + 1
     p = int(data[:, 1].max()) + 1

@@ -273,24 +273,20 @@ def forward_kinematics(
 
 
 def apply_payload(
-    shape: BackboneShape,
-    grams: float,
-    total_length: float,
-    coeff: float = PAYLOAD_COEFF,
+    shape: BackboneShape, grams: float, total_length: float
 ) -> BackboneShape:
     """Droop the backbone under a tip payload.
 
-    Each point drops by ``coeff * grams * (s / L)^2``: zero at the base,
-    ``coeff * grams`` meters at the tip, linear in the payload mass.
-    ``grams`` must lie in [0, :data:`PAYLOAD_MAX_GRAMS`].
+    Each point drops by ``c * grams * (s / L)^2`` with c =
+    :data:`PAYLOAD_COEFF`: zero at the base, ``c * grams`` meters at the
+    tip, linear in the payload mass.  ``grams`` must lie in [0,
+    :data:`PAYLOAD_MAX_GRAMS`].
     """
     if not 0.0 <= grams <= PAYLOAD_MAX_GRAMS:
         raise ValueError(
             f"payload must lie in [0, {PAYLOAD_MAX_GRAMS:g}] g, got {grams:g}"
         )
-    if grams == 0.0:
-        return BackboneShape(s=shape.s.copy(), points=shape.points.copy())
-    droop = coeff * grams * (shape.s / total_length) ** 2
+    droop = PAYLOAD_COEFF * grams * (shape.s / total_length) ** 2
     points = shape.points.copy()
     points[:, 2] -= droop
     return BackboneShape(s=shape.s.copy(), points=points)

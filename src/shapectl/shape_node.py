@@ -29,7 +29,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
 from .nn import (
-    AdamConfig,
     MlpParams,
     MlpTensors,
     adam_step,
@@ -39,7 +38,7 @@ from .nn import (
     params_from_dict,
     params_to_dict,
 )
-from .odeint import IntegrationGrid, SolverKind, check_solver, integrate
+from .odeint import IntegrationGrid, check_solver, integrate
 from .robot import RobotConfig, action_to_curvature
 
 STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
@@ -76,7 +75,7 @@ class ShapeNodeModel:
     """
 
     params: MlpParams
-    solver: SolverKind = "fixed-adams"
+    solver: str = "fixed-adams"
     steps_per_segment: int = 10
 
     def __post_init__(self):
@@ -114,7 +113,7 @@ def init_shape_model(
     rng: np.random.Generator,
     config: RobotConfig,
     hidden: tuple[int, ...] = (256, 256),
-    solver: SolverKind = "fixed-adams",
+    solver: str = "fixed-adams",
     steps_per_segment: int = 10,
 ) -> ShapeNodeModel:
     """Fresh model whose dynamics start at the straight-backbone prior."""
@@ -339,9 +338,10 @@ def train_shape_node(
     points: Array,
     config: ShapeTrainConfig,
     robot: RobotConfig,
-    model: ShapeNodeModel | None = None,
+    model: ShapeNodeModel,
 ) -> tuple[ShapeNodeModel, list[tuple[int, float, float]]]:
-    """Fit the shape model to the simulated ``(q, points)`` dataset.
+    """Fit ``model``, fresh or resumed, to the simulated ``(q, points)``
+    dataset.
 
     :func:`check_dataset` must accept the arrays.  Splits the dataset
     90/10 (:func:`validation_split` by ``val_fraction``) with the
@@ -353,13 +353,10 @@ def train_shape_node(
     ``FloatingPointError`` naming the iteration.  Training and
     validation compute on :data:`TRAIN_DTYPE` tapes.
     """
-    if model is None:
-        model = init_shape_model(np.random.default_rng(config.seed + 1), robot)
     check_dataset(model, robot, q, points)
     rng = np.random.default_rng(config.seed)
     # the batch order continues the generator the split drew from
     val_idx, train_idx = validation_split(q.shape[0], config.val_fraction, rng)
-    adam = AdamConfig(lr=config.learning_rate)
     batch = min(config.batch_size, train_idx.size)
 
     def batches():
@@ -382,8 +379,8 @@ def train_shape_node(
             train_loss = float(loss.value)
             if not np.isfinite(train_loss):
                 raise FloatingPointError("loss is not finite")
-            grads = ad.backward(loss)
-            adam_step(model.params, collect_mlp_grads(grads, ro.mt), adam)
+            grads = collect_mlp_grads(ad.backward(loss), ro.mt)
+            adam_step(model.params, grads, config.learning_rate)
             if it == 1 or it % config.val_interval == 0 or it == config.iterations:
                 last_val = _validation_loss(
                     model, robot, q[val_idx], points[val_idx], batch
@@ -478,8 +475,8 @@ def _read_model_file(path, fmt: str, kind: str, build):
 
     ``build(doc, params)`` makes the model from the document fields;
     returns (model, robot config).  Malformed files, another format, a
-    robot config that does not match its hash, and missing fields raise
-    ``ValueError``.
+    robot config that does not match its hash, missing fields and
+    weights that are not one network raise ``ValueError``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))

@@ -17,7 +17,7 @@ import numpy as np
 
 from shapectl import autodiff as ad
 from shapectl.autodiff import Tape, Tensor, _unbroadcast
-from shapectl.control_node import _clip_inside, damped_pinv
+from shapectl.control_node import IK_MAX_ITERS, IK_TOL, _clip_inside, damped_pinv
 from shapectl.shape_node import rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -178,12 +178,13 @@ def single_tip_jacobian(model, q: np.ndarray, config) -> tuple[np.ndarray, np.nd
     return tip.value[0], ad.grad_of(grads, q_leaf)
 
 
-def single_ik_solve(model, config, target: np.ndarray, max_iters=200, tol=1e-4):
+def single_ik_solve(model, config, target: np.ndarray):
     """Damped least-squares IK for one target on its own solves: best
-    iterate, stop within ``tol`` or after five non-improving solves."""
+    iterate, stop within ``IK_TOL``, after ``IK_MAX_ITERS`` solves or after
+    five non-improving ones."""
     q = np.zeros(config.action_dim)
     best_q, best_norm, stalled = q, np.inf, 0
-    for _ in range(max_iters):
+    for _ in range(IK_MAX_ITERS):
         tip, jac = single_tip_jacobian(model, q, config)
         err = target - tip
         norm = float(np.linalg.norm(err))
@@ -191,7 +192,7 @@ def single_ik_solve(model, config, target: np.ndarray, max_iters=200, tol=1e-4):
             best_q, best_norm, stalled = q, norm, 0
         else:
             stalled += 1
-        if best_norm < tol or stalled >= 5:
+        if best_norm < IK_TOL or stalled >= 5:
             break
         q = _clip_inside(q + damped_pinv(jac) @ err, config.q_min, config.q_max)
     return best_q

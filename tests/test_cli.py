@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import json
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import shapectl.control_node
 from shapectl.cli import main
 from shapectl.config import ENV_PREFIX, SCHEMA, load_run_config
 from shapectl.control_node import load_control_model, save_control_model
+from shapectl.nn import array_to_b64
 from shapectl.reports import (
     read_dataset_csv,
     read_metrics_csv,
@@ -718,6 +721,63 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
     args = ["train-shape", "--config", str(ini), "--dataset", str(one)]
     assert main(args + ["--out", str(tmp_path / "f")]) == 3
     assert "validation split" in capsys.readouterr().err
+
+
+def _set_params(key, value):
+    def tamper(params):
+        params[key] = value
+
+    return tamper
+
+
+def _widen_second_layer(params):
+    # its input grows by one: the weights no longer chain
+    shape = params["weights"][1]["shape"]
+    params["weights"][1] = array_to_b64(np.zeros((shape[0] + 1, shape[1])))
+
+
+def _misshape_first_moment(params):
+    params["adam_m"][0] = array_to_b64(np.zeros(3))
+
+
+# (model, tampering) -> a model file that parses but is not one network
+TAMPERED_MODELS = {
+    "relu_output": ("shape", _set_params("out_activation", "relu")),
+    "widths_do_not_chain": ("shape", _widen_second_layer),
+    "input_scale_length": ("shape", _set_params("input_scale", array_to_b64(np.ones(6)))),
+    "output_scale_length_1": ("shape", _set_params("output_scale", array_to_b64([1.0]))),
+    "adam_moment_shape": ("shape", _misshape_first_moment),
+    "control_input_scale_length": (
+        "control",
+        _set_params("input_scale", array_to_b64(np.ones(4))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED_MODELS))
+def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
+    root, ini = workdir
+    kind, tamper = TAMPERED_MODELS[case]
+    path = _shape_model_path if kind == "shape" else _control_model_path
+    doc = json.loads(Path(path(workdir)).read_text())
+    tamper(doc["params"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if case == "adam_moment_shape":
+        # only a resumed training reads the moments
+        args = ["train-shape", "--dataset", str(root / "gen" / "dataset.csv")]
+        args += ["--init-model", str(bad)]
+    elif kind == "shape":
+        args = ["evaluate", "--scenario", "shape", "--shape-model", str(bad)]
+    else:
+        args = ["rollout", "--closed-loop", "--shape-model", _shape_model_path(workdir)]
+        args += ["--control-model", str(bad)]
+    capsys.readouterr()
+    rc = main(args + ["--config", str(ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: cannot load {kind} model: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["rollout", "evaluate"])

@@ -154,7 +154,6 @@ def test_observation_dim():
 def test_loss_config_validation():
     cfg = ControlLossConfig()
     assert cfg.tau == cfg.obstacle_threshold_sq / 10.0
-    assert ControlLossConfig(obstacle_sharpness=0.5).tau == 0.5
     with pytest.raises(ValueError):
         ControlLossConfig(tracking_weight=-1.0)
     with pytest.raises(ValueError):
@@ -604,7 +603,7 @@ def test_training_reduces_loss(setup1, rng):
     tcfg = ControlTrainConfig(batch_size=8, iterations=40, seed=3)
     lcfg = ControlLossConfig(noise_std=0.0)
     model, history = train_control_node(
-        sm, cfg, tcfg, lcfg, hidden=(16,)
+        sm, cfg, tcfg, lcfg, model=init_control_model(rng, cfg, hidden=(16,))
     )
     assert len(history) == 40
     first = np.mean([h[1] for h in history[:5]])
@@ -629,9 +628,9 @@ def test_frozen_shape_model_leaves_policy_gradients_bitwise(setup1, monkeypatch)
             seen["leaf_adjoints"].append(sum(not parents[nid] for nid in grads))
             return grads
 
-        def recording_adam_step(params, grads, config):
+        def recording_adam_step(params, grads, lr):
             seen["grads"].append([g.copy() for g in grads])
-            adam_step(params, grads, config)
+            adam_step(params, grads, lr)
 
         with monkeypatch.context() as m:
             m.setattr(ad, "backward", counting_backward)
@@ -643,7 +642,7 @@ def test_frozen_shape_model_leaves_policy_gradients_bitwise(setup1, monkeypatch)
                 ControlLossConfig(),
                 scenario="obstacle",
                 obstacle=obstacle,
-                hidden=(12,),
+                model=init_control_model(np.random.default_rng(5), cfg, hidden=(12,)),
             )
         return seen
 
@@ -721,9 +720,9 @@ def test_policy_training_runs_float32_keeps_float64_state(setup1, tmp_path, monk
     seen = []
     adam_step = control_node.adam_step
 
-    def spy(params, grads, config):
+    def spy(params, grads, lr):
         seen.extend(g.dtype for g in grads)
-        return adam_step(params, grads, config)
+        return adam_step(params, grads, lr)
 
     monkeypatch.setattr(control_node, "adam_step", spy)
     obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.08]))
@@ -783,12 +782,13 @@ def test_deployment_tapes_are_float64(setup1, monkeypatch):
 
 
 def test_training_scenario_validation(setup1):
-    cfg, sm, _ = setup1
+    cfg, sm, policy = setup1
     tcfg = ControlTrainConfig(batch_size=2, iterations=1)
+    loss_cfg = ControlLossConfig()
     with pytest.raises(ValueError, match="scenario"):
-        train_control_node(sm, cfg, tcfg, ControlLossConfig(), scenario="flying")
+        train_control_node(sm, cfg, tcfg, loss_cfg, scenario="flying", model=policy)
     with pytest.raises(ValueError, match="obstacle"):
-        train_control_node(sm, cfg, tcfg, ControlLossConfig(), scenario="obstacle")
+        train_control_node(sm, cfg, tcfg, loss_cfg, scenario="obstacle", model=policy)
 
 
 def test_training_divergence_names_iteration(setup1, rng):
@@ -818,12 +818,14 @@ def test_clamp_to_workspace():
 # deployment loops
 
 
-def test_damped_pinv_matches_exact_pseudoinverse(rng):
+def test_damped_pinv_matches_exact_pseudoinverse(rng, monkeypatch):
     jac = rng.standard_normal((3, 6))
     exact = np.linalg.pinv(jac)
-    assert np.abs(damped_pinv(jac, damping=0.0) - exact).max() < 1e-8
+    monkeypatch.setattr(control_node, "PINV_DAMPING", 0.0)
+    assert np.abs(damped_pinv(jac) - exact).max() < 1e-8
     # Moore-Penrose identity on the damped variant, small damping
-    jp = damped_pinv(jac, damping=1e-12)
+    monkeypatch.setattr(control_node, "PINV_DAMPING", 1e-12)
+    jp = damped_pinv(jac)
     assert np.abs(jac @ jp @ jac - jac).max() < 1e-6
 
 

@@ -18,9 +18,9 @@ from shapectl.reports import (
     read_tracking_log_csv,
     svg_path_overlay,
     write_dataset_csv,
-    write_history_csv,
     write_metrics_csv,
     write_shape_eval_csv,
+    write_table,
     write_tracking_log_csv,
 )
 from shapectl.robot import RobotConfig, sample_dataset
@@ -98,8 +98,8 @@ def test_dataset_config_mismatch_rejected(tmp_path):
 
 def test_history_csv(tmp_path):
     path = tmp_path / "hist.csv"
-    write_history_csv(
-        path, [(1, 0.5, 0.25), (2, 0.4, 0.25)], ["iteration", "train_loss", "val_loss"]
+    write_table(
+        path, ["iteration", "train_loss", "val_loss"], [(1, 0.5, 0.25), (2, 0.4, 0.25)]
     )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,train_loss,val_loss"
@@ -184,6 +184,55 @@ def test_metrics_table_display_axes():
     text = table.format_table()
     assert "x̃" in text and "ỹ" in text and "z̃" in text
     assert "RMSE (mm)" in text
+
+
+def _csv_writer_oracle(path, header, rows):
+    """A table as the per-format writers wrote it before write_table:
+    csv.writer, one fmt call per numpy scalar, counters as str(int)."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+
+
+def _odd_values(a):
+    # signed zeros, extreme exponents, whole numbers and short decimals
+    a.flat[:5] = [-0.0, 5e-324, -1e30, 3.0, 0.1]
+    return a
+
+
+@pytest.mark.parametrize("table", ["history", "log", "log_obstacle", "shape_eval"])
+def test_table_bytes_equal_the_csv_writer_oracle(tmp_path, table):
+    path, oracle = tmp_path / "got.csv", tmp_path / "oracle.csv"
+    if table == "history":
+        rows = [(1, 0.5, np.nan), (2, -0.0, 1e-300), (10, 3.0, 0.1)]
+        header = ["iteration", "train_loss", "val_loss"]
+        write_table(path, header, rows)
+        _csv_writer_oracle(oracle, header, [[str(r[0]), *r[1:]] for r in rows])
+    elif table.startswith("log"):
+        log = _example_log(table == "log_obstacle")
+        _odd_values(log.goals)
+        write_tracking_log_csv(path, log)
+        columns = [log.times[:, None], log.goals, log.tips, log.actions]
+        if log.min_obstacle_dist is not None:
+            columns.append(log.min_obstacle_dist[:, None])
+        rows = [[v for c in columns for v in c[k]] for k in range(log.n_ticks)]
+        header = path.read_text().splitlines()[0].split(",")
+        _csv_writer_oracle(oracle, header, rows)
+    else:
+        rng = np.random.default_rng(4)
+        truth = _odd_values(rng.standard_normal((3, 12, 3)))
+        pred = rng.standard_normal((3, 12, 3))
+        write_shape_eval_csv(path, truth, pred)
+        rows = [
+            [str(i), str(p), *truth[i, p], *pred[i, p]]
+            for i in range(3)
+            for p in range(12)
+        ]
+        header = ["sample", "point", "tx", "ty", "tz", "mx", "my", "mz"]
+        _csv_writer_oracle(oracle, header, rows)
+    assert path.read_bytes() == oracle.read_bytes()
 
 
 def test_shape_eval_round_trip(tmp_path):

@@ -323,21 +323,23 @@ def test_validation_split_sizes_and_stream():
         validation_split(1, 0.1, np.random.default_rng(0))
 
 
-def test_training_empty_dataset():
+def test_training_empty_dataset(rng):
     cfg = RobotConfig(n_segments=1)
+    model = small_model(rng, cfg)
     with pytest.raises(ValueError, match="too small"):
         train_shape_node(
-            np.zeros((0, 2)), np.zeros((0, 10, 3)), ShapeTrainConfig(), cfg
+            np.zeros((0, 2)), np.zeros((0, 10, 3)), ShapeTrainConfig(), cfg, model
         )
 
 
 def test_training_rejects_datasets_off_the_model_grid(rng):
     cfg = RobotConfig(n_segments=1)
     q, points = sample_dataset(cfg, 8, rng, points_per_segment=5)
+    model = small_model(rng, cfg)  # 10 steps per segment
     with pytest.raises(ValueError, match="steps per segment"):
-        train_shape_node(q, points, ShapeTrainConfig(), cfg)
+        train_shape_node(q, points, ShapeTrainConfig(), cfg, model)
     with pytest.raises(ValueError, match="do not fit"):
-        train_shape_node(q[:4], points, ShapeTrainConfig(), cfg)
+        train_shape_node(q[:4], points, ShapeTrainConfig(), cfg, model)
 
 
 def test_training_divergence_names_iteration(rng):
@@ -380,9 +382,9 @@ def test_training_runs_float32_keeps_float64_state(rng, tmp_path, monkeypatch):
     cfg, q, points = make_training_setup(rng, n_samples=80)
     seen = []
 
-    def spy(params, grads, config):
+    def spy(params, grads, lr):
         seen.extend(g.dtype for g in grads)
-        return adam_step(params, grads, config)
+        return adam_step(params, grads, lr)
 
     monkeypatch.setattr(shape_node, "adam_step", spy)
     train_cfg = ShapeTrainConfig(batch_size=32, iterations=3, val_interval=2)
