@@ -58,6 +58,7 @@ from .robot import (
     TRAJECTORY_KINDS,
     ObstacleSpec,
     RobotConfig,
+    per_axis_error_mm,
     reference_trajectory,
     sample_dataset,
 )
@@ -390,9 +391,7 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
     pred = predict_shape_batch(model, q, robot)
     write_shape_eval_csv(out / "shape_eval.csv", truth, pred)
     t, p = read_shape_eval_csv(out / "shape_eval.csv")
-    err = (p - t).reshape(-1, 3)
-    rmse = np.sqrt((err * err).mean(axis=0)) * 1000.0
-    std = err.std(axis=0) * 1000.0
+    rmse, std = per_axis_error_mm(p - t)
     rows = [
         MetricsRow("shape", axis, float(rmse[j]), float(std[j]), SHAPE_EVAL_TRIALS)
         for j, axis in enumerate("xyz")

@@ -215,7 +215,6 @@ class RunConfig:
                 shape_weight=self.get("control", "shape_weight"),
                 terminal_weight=self.get("control", "terminal_weight"),
                 obstacle_weight=self.get("control", "obstacle_weight"),
-                obstacle_threshold_sq=self.get("control", "obstacle_threshold_sq"),
                 noise_std=self.get("control", "noise_std"),
             )
 

@@ -2,12 +2,13 @@
 
 The policy is an MLP whose output drives the pre-activation action state
 z through time; the emitted action is q = q_min + (tanh(z)+1)/2 *
-(q_max - q_min), so bounds hold exactly for all time.  One
-:func:`policy_step` observes a backbone (nine equal-arc points), its tip,
-the current action and the goal, and advances z by one explicit Euler
-step.  With the observation frozen over the step the stage dynamics are
-constant, so any single-step scheme lands on the same value, and the
-memoryless step makes acting from an achieved state continue the plan.
+(q_max - q_min) in the robot config's box, so bounds hold exactly for
+all time.  One :func:`policy_step` observes a backbone (nine points
+evenly spaced in grid index), its tip, the current action and the goal,
+and advances z by one explicit Euler step.  With the observation frozen
+over the step the stage dynamics are constant, so any single-step
+scheme lands on the same value, and the memoryless step makes acting
+from an achieved state continue the plan.
 Training rolls steps out against the shape model, each observing the
 previous step's predicted backbone, and minimizes an MPC-style loss
 (tracking, action rate, shape consistency, terminal, optional obstacle
@@ -40,6 +41,7 @@ from .robot import (
     RobotConfig,
     forward_kinematics,
     min_obstacle_distance,
+    per_axis_error_mm,
     reference_trajectory,
 )
 from .shape_node import (
@@ -85,7 +87,6 @@ class ControlLossConfig:
     shape_weight: float = 200.0
     terminal_weight: float = 1000.0
     obstacle_weight: float = 100.0
-    obstacle_threshold_sq: float = 1e-4
     noise_std: float = 0.00033
 
     def __post_init__(self):
@@ -98,15 +99,8 @@ class ControlLossConfig:
         )
         if any(w < 0 for w in weights):
             raise ValueError("loss weights must be non-negative")
-        if self.obstacle_threshold_sq <= 0:
-            raise ValueError("obstacle threshold must be positive")
         if self.noise_std < 0:
             raise ValueError("noise stddev must be non-negative")
-
-    @property
-    def tau(self) -> float:
-        """Width of the smooth obstacle surrogate: a tenth of the threshold."""
-        return self.obstacle_threshold_sq / 10.0
 
 
 @dataclass
@@ -135,12 +129,10 @@ class ControlTrainConfig:
 
 @dataclass
 class ControlNodeModel:
-    """Policy network plus the action-space and horizon it was built for."""
+    """Policy network plus the horizon and step it was built for; the
+    robot config passed alongside owns the action box."""
 
     params: MlpParams
-    n_segments: int
-    q_min: float
-    q_max: float
     horizon: int = 10
     dt: float = 1.0
     rate_scale: float = 1.0
@@ -148,15 +140,13 @@ class ControlNodeModel:
     def __post_init__(self):
         sizes = self.params.sizes
         expect_in = sum(observation_blocks(self.action_dim))
-        if sizes[0] != expect_in or sizes[-1] != 2 * self.n_segments:
+        if sizes[0] != expect_in:
             raise ValueError(
-                f"policy must map {expect_in} -> {2 * self.n_segments}, "
-                f"got {sizes[0]} -> {sizes[-1]}"
+                f"policy must map {expect_in} -> {self.action_dim}, "
+                f"got {sizes[0]} inputs"
             )
         if self.params.out_activation != "tanh":
             raise ValueError("policy output activation must be tanh")
-        if not self.q_min < self.q_max:
-            raise ValueError("q_min must be below q_max")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.dt <= 0 or self.rate_scale <= 0:
@@ -164,7 +154,7 @@ class ControlNodeModel:
 
     @property
     def action_dim(self) -> int:
-        return 2 * self.n_segments
+        return self.params.sizes[-1]
 
 
 def init_control_model(
@@ -187,13 +177,7 @@ def init_control_model(
         input_scale=input_scale,
     )
     return ControlNodeModel(
-        params=params,
-        n_segments=config.n_segments,
-        q_min=config.q_min,
-        q_max=config.q_max,
-        horizon=horizon,
-        dt=dt,
-        rate_scale=rate_scale,
+        params=params, horizon=horizon, dt=dt, rate_scale=rate_scale
     )
 
 
@@ -215,12 +199,14 @@ def unbound_actions(q: Array, q_min: float, q_max: float) -> Array:
 
 
 def _downsample_plan(n_points: int) -> list[tuple[int, int, float]]:
-    """Interpolation stencil mapping the solver grid to equal-arc samples.
+    """Interpolation stencil mapping the solver grid to nine samples.
 
-    Output i targets arc fraction (i+1)/OBS_POINTS; with grid point j
-    sitting at fraction (j+1)/n_points, each entry gives (j0, j1, w) for
-    the convex combination (1-w) point[j0] + w point[j1].  The final
-    entry is always the tip exactly.
+    Output i targets index fraction (i+1)/OBS_POINTS; with grid point j
+    at fraction (j+1)/n_points, each entry gives (j0, j1, w) for the
+    convex combination (1-w) point[j0] + w point[j1].  The final entry
+    is always the tip exactly.  Every segment has the same number of
+    grid points, so the samples are equal in arc only when the segments
+    are equal in length.
     """
     if n_points < OBS_POINTS:
         raise ValueError("grid has fewer points than the downsample asks for")
@@ -237,7 +223,7 @@ def _downsample_plan(n_points: int) -> list[tuple[int, int, float]]:
 
 
 def downsample_shape(points: list[Tensor]) -> list[Tensor]:
-    """Nine equal-arc backbone tensors (tip last) from rollout points."""
+    """Nine backbone tensors (tip last), evenly spaced in grid index."""
     out = []
     for j0, j1, w in _downsample_plan(len(points)):
         if w == 0.0:
@@ -251,6 +237,7 @@ def downsample_shape(points: list[Tensor]) -> list[Tensor]:
 
 def policy_step(
     policy: ControlNodeModel,
+    config: RobotConfig,
     pmt: MlpTensors,
     backbone: list[Tensor],
     q: Tensor,
@@ -260,7 +247,8 @@ def policy_step(
     noise_std: float = 0.0,
 ) -> tuple[Tensor, Tensor]:
     """Observe ``backbone`` (nine tensors, tip last), tip, ``q`` and ``goal``,
-    add one draw of noise, advance ``z`` by one call of ``pmt`` and bound it.
+    add one draw of noise, advance ``z`` by one call of ``pmt`` and bound
+    it to ``config``'s action box.
 
     Returns the new ``(z, q)``; a non-finite action raises
     ``FloatingPointError``.
@@ -270,7 +258,7 @@ def policy_step(
         obs = ad.add_const(obs, noise_rng.normal(0.0, noise_std, size=obs.value.shape))
     drive = mlp_forward(pmt, obs)
     z = ad.add(z, ad.scale(drive, policy.rate_scale * policy.dt))
-    q = bound_actions(z, policy.q_min, policy.q_max)
+    q = bound_actions(z, config.q_min, config.q_max)
     check_finite(q.value, "policy action")
     return z, q
 
@@ -329,7 +317,7 @@ def rollout_policy(
     shapes_ds = [downsample_shape(initial_points)]
 
     pmt = policy.params.as_tensors(tape)
-    z = tape.constant(unbound_actions(q0, policy.q_min, policy.q_max))
+    z = tape.constant(unbound_actions(q0, config.q_min, config.q_max))
     q_cur = tape.constant(q0)
     goal_leaf = tape.constant(goal)
     actions: list[Tensor] = []
@@ -337,7 +325,8 @@ def rollout_policy(
     for k in range(policy.horizon):
         try:
             z, q_cur = policy_step(
-                policy, pmt, shapes_ds[k], q_cur, z, goal_leaf, noise_rng, noise_std
+                policy, config, pmt, shapes_ds[k], q_cur, z, goal_leaf, noise_rng,
+                noise_std,
             )
             ro = rollout_shape(shape_model, config, tape, q_cur, frozen=True)
         except FloatingPointError as exc:
@@ -387,7 +376,9 @@ def control_loss(
     Sum over horizon steps of tracking, action-rate, and shape
     consistency terms, a terminal tracking term, and (when an obstacle
     is given) a smooth proximity penalty on the closest predicted
-    backbone point, standing in for the hard violation indicator.
+    backbone point, standing in for the hard violation indicator:
+    sigmoid((thr - d2_min) / tau) with thr the obstacle's
+    ``threshold_sq`` and the surrogate width tau a tenth of it.
 
     A ``term_values`` list receives each weighted term as a python
     float, in the order the tape adds them: their sum is the loss in
@@ -429,10 +420,8 @@ def control_loss(
                 )
         if obstacle is not None and cfg.obstacle_weight > 0.0:
             d2min = _min_sq_distance(result.rollouts[k - 1].points, obstacle.center)
-            margin = ad.scale(
-                ad.add_const(ad.neg(d2min), cfg.obstacle_threshold_sq),
-                1.0 / cfg.tau,
-            )
+            thr = obstacle.threshold_sq
+            margin = ad.scale(ad.add_const(ad.neg(d2min), thr), 1.0 / (thr / 10.0))
             accumulate(ad.reduce_mean(ad.sigmoid(margin)), cfg.obstacle_weight)
     if cfg.terminal_weight > 0.0:
         tip_err = ad.add_const(result.tips[m - 1], -result.goal)
@@ -625,7 +614,7 @@ def place_obstacle(
     """
     target = reference_trajectory(kind, 0.125 * period, config.total_length, period)
     q = ik_solve(shape_model, config, target)
-    shape = forward_kinematics(config, q, mismatch=True)
+    shape = forward_kinematics(config, q)
     arc_from_tip = shape.s[-1] - shape.s
     idx = int(np.argmin(np.abs(arc_from_tip - 0.04)))
     return np.array(shape.points[idx], dtype=np.float64)
@@ -693,10 +682,11 @@ def closed_loop_track(
                 try:
                     _, q_next = policy_step(
                         policy,
+                        config,
                         policy.params.as_tensors(tape, frozen=True),
                         downsample_shape([leaf(p[None]) for p in achieved.points[1:]]),
                         leaf(q[None]),
-                        leaf(unbound_actions(q[None], policy.q_min, policy.q_max)),
+                        leaf(unbound_actions(q[None], config.q_min, config.q_max)),
                         leaf(g_next[None]),
                         rng,
                         noise_std,
@@ -738,8 +728,7 @@ def evaluate_tracking(logs) -> TrackingMetrics:
     if not logs or all(log.n_ticks == 0 for log in logs):
         raise ValueError("tracking log is empty")
     err = np.concatenate([log.errors for log in logs], axis=0)
-    rmse = np.sqrt((err * err).mean(axis=0)) * 1000.0
-    std = err.std(axis=0) * 1000.0
+    rmse, std = per_axis_error_mm(err)
     aggregate = float(np.sqrt((err * err).sum(axis=1).mean()) * 1000.0)
     return TrackingMetrics(
         rmse_mm=rmse, std_mm=std, aggregate_rmse_mm=aggregate, n_ticks=err.shape[0]
@@ -763,32 +752,30 @@ def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> No
     _write_model_file(
         path,
         CONTROL_MODEL_FORMAT,
-        {
-            "n_segments": model.n_segments,
-            "q_min": model.q_min,
-            "q_max": model.q_max,
-            "horizon": model.horizon,
-            "dt": model.dt,
-            "rate_scale": model.rate_scale,
-        },
+        {"horizon": model.horizon, "dt": model.dt, "rate_scale": model.rate_scale},
         model.params,
         config,
     )
 
 
 def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
-    """Load a saved policy; malformed files raise ``ValueError``."""
-    return _read_model_file(
+    """Load a saved policy; malformed files and a policy whose width does
+    not fit the file's robot config raise ``ValueError``.  The top-level
+    ``n_segments``, ``q_min`` and ``q_max`` of older files are ignored."""
+    model, config = _read_model_file(
         path,
         CONTROL_MODEL_FORMAT,
         "control",
         lambda doc, params: ControlNodeModel(
             params=params,
-            n_segments=int(doc["n_segments"]),
-            q_min=float(doc["q_min"]),
-            q_max=float(doc["q_max"]),
             horizon=int(doc["horizon"]),
             dt=float(doc["dt"]),
             rate_scale=float(doc["rate_scale"]),
         ),
     )
+    if model.action_dim != config.action_dim:
+        raise ValueError(
+            f"policy emits {model.action_dim} actions, its robot config"
+            f" has {config.action_dim}"
+        )
+    return model, config

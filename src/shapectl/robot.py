@@ -26,9 +26,10 @@ actions ``q`` of shape (n, action_dim) and backbone ``points`` of shape
 
 The action-to-curvature map has a deliberate mismatch term so that the
 commanded map (``mismatch=False``) and the simulated robot
-(``mismatch=True``) disagree; learning that residual is the point of the
-shape model.  A payload droops the backbone quadratically in arc length,
-and obstacles are spheres measured against every backbone point.
+(``mismatch=True``; ``mismatch_amplitude=0`` simulates the commanded
+arc) disagree; learning that residual is the point of the shape model.
+A payload droops the backbone quadratically in arc length, and
+obstacles are spheres measured against every backbone point.
 """
 from __future__ import annotations
 
@@ -45,17 +46,20 @@ PAYLOAD_COEFF = 0.001
 
 PAYLOAD_MAX_GRAMS = 20.0
 
+# simulator output grid: points per segment of every simulated backbone
+SIM_POINTS_PER_SEGMENT = 10
+
 
 @dataclass(frozen=True)
 class RobotConfig:
-    """Geometry, actuation limits, and action bounds for one robot."""
+    """Geometry and actuation limit for one robot.  Every action channel
+    lies in the read-only box [q_min, q_max] = [-u_max, u_max], which
+    :meth:`to_dict` writes and :meth:`from_dict` ignores."""
 
     n_segments: int = 3
     segment_lengths: tuple[float, ...] | None = None
     u_max: float = 15.0
     mismatch_amplitude: float = 0.1
-    q_min: float | None = None
-    q_max: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.n_segments <= 4:
@@ -66,19 +70,21 @@ class RobotConfig:
             lengths = tuple(float(x) for x in self.segment_lengths)
             if len(lengths) != self.n_segments:
                 raise ValueError("segment_lengths must have n_segments entries")
-            if any(x <= 0 for x in lengths):
+            if not all(x > 0 for x in lengths):
                 raise ValueError("segment lengths must be positive")
             object.__setattr__(self, "segment_lengths", lengths)
-        if self.u_max <= 0:
+        if not self.u_max > 0:
             raise ValueError("u_max must be positive")
-        if self.mismatch_amplitude < 0:
+        if not self.mismatch_amplitude >= 0:
             raise ValueError("mismatch_amplitude must be non-negative")
-        if self.q_min is None:
-            object.__setattr__(self, "q_min", -self.u_max)
-        if self.q_max is None:
-            object.__setattr__(self, "q_max", self.u_max)
-        if not self.q_min < self.q_max:
-            raise ValueError("q_min must be below q_max")
+
+    @property
+    def q_min(self) -> float:
+        return -self.u_max
+
+    @property
+    def q_max(self) -> float:
+        return self.u_max
 
     @property
     def total_length(self) -> float:
@@ -105,8 +111,6 @@ class RobotConfig:
             segment_lengths=tuple(d["segment_lengths"]),
             u_max=float(d["u_max"]),
             mismatch_amplitude=float(d["mismatch_amplitude"]),
-            q_min=float(d["q_min"]),
-            q_max=float(d["q_max"]),
         )
 
 
@@ -234,38 +238,33 @@ def _arc_backbones(config: RobotConfig, u: Array, points_per_segment: int) -> Ar
     return np.concatenate(points, axis=1)
 
 
-def backbone_arc_coords(config: RobotConfig, points_per_segment: int = 10) -> Array:
-    """Arc coordinates of the standard output grid, base included."""
-    s = [0.0]
-    start = 0.0
-    for length in config.segment_lengths:
-        for k in range(1, points_per_segment + 1):
-            s.append(start + length * k / points_per_segment)
-        start += length
-    return np.array(s)
+def backbone_arc_coords(config: RobotConfig) -> Array:
+    """Arc coordinates of the simulator grid, base included."""
+    lengths = np.asarray(config.segment_lengths)
+    starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
+    k = SIM_POINTS_PER_SEGMENT
+    local = lengths[:, None] * np.arange(1, k + 1) / k
+    return np.concatenate(([0.0], (starts[:, None] + local).ravel()))
 
 
 def forward_kinematics(
-    config: RobotConfig,
-    q: Array,
-    mismatch: bool = True,
-    payload_grams: float = 0.0,
-    points_per_segment: int = 10,
+    config: RobotConfig, q: Array, payload_grams: float = 0.0
 ) -> BackboneShape:
-    """Simulate the backbone for one action ``q``, shape (action_dim,).
+    """Simulate the backbone, mismatch included, for one action ``q``,
+    shape (action_dim,), at :data:`SIM_POINTS_PER_SEGMENT` points per
+    segment plus the base point.
 
-    Returns the backbone sampled at ``points_per_segment`` points per
-    segment plus the base point.  Each point is exact up to rounding:
-    with the curvature constant over a segment, the frame ODE has the
-    closed-form arc solution, so there is no step size to choose.
-    ``payload_grams`` droops the resulting curve; it does not enter the
-    arc composition.  The action runs as a batch of one through the same
-    code as :func:`sample_dataset`, so both give bitwise-equal backbones.
+    Each point is exact up to rounding: with the curvature constant over
+    a segment, the frame ODE has the closed-form arc solution, so there
+    is no step size to choose.  ``payload_grams`` droops the resulting
+    curve; it does not enter the arc composition.  The action runs as a
+    batch of one through the same code as :func:`sample_dataset`, so
+    both give bitwise-equal backbones.
     """
-    u = action_to_curvature(config, np.reshape(q, (1, -1)), mismatch=mismatch)
+    u = action_to_curvature(config, np.reshape(q, (1, -1)), mismatch=True)
     shape = BackboneShape(
-        s=backbone_arc_coords(config, points_per_segment),
-        points=_arc_backbones(config, u, points_per_segment)[0],
+        s=backbone_arc_coords(config),
+        points=_arc_backbones(config, u, SIM_POINTS_PER_SEGMENT)[0],
     )
     if payload_grams != 0.0:
         shape = apply_payload(shape, payload_grams, config.total_length)
@@ -296,7 +295,7 @@ def sample_dataset(
     config: RobotConfig,
     n_samples: int,
     rng: np.random.Generator,
-    points_per_segment: int = 10,
+    points_per_segment: int = SIM_POINTS_PER_SEGMENT,
 ) -> tuple[Array, Array]:
     """Draw uniform actions over [q_min, q_max] and simulate their
     backbones (with mismatch).
@@ -376,3 +375,8 @@ def min_obstacle_distance(points: Array, obstacle: ObstacleSpec) -> float:
     d = np.linalg.norm(points - obstacle.center, axis=-1)
     return float(d.min())
 
+
+def per_axis_error_mm(err: Array) -> tuple[Array, Array]:
+    """Per-axis RMSE and error STD, in mm, over error rows (..., 3) in m."""
+    err = np.reshape(err, (-1, 3))
+    return np.sqrt((err * err).mean(axis=0)) * 1000.0, err.std(axis=0) * 1000.0

@@ -39,7 +39,7 @@ from .nn import (
     params_to_dict,
 )
 from .odeint import IntegrationGrid, check_solver, integrate
-from .robot import RobotConfig, action_to_curvature
+from .robot import RobotConfig, action_to_curvature, per_axis_error_mm
 
 STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
 
@@ -440,10 +440,7 @@ def evaluate_shape_rmse(
     """Per-axis RMSE and error STD (mm) over all grid points of the
     ``(q, points)`` test set."""
     check_dataset(model, config, q, points)
-    pred = predict_shape_batch(model, q, config)
-    err = (pred - points).reshape(-1, 3)
-    rmse = np.sqrt((err * err).mean(axis=0)) * 1000.0
-    std = err.std(axis=0) * 1000.0
+    rmse, std = per_axis_error_mm(predict_shape_batch(model, q, config) - points)
     return ShapeEvalResult(rmse_mm=rmse, std_mm=std, n_samples=q.shape[0])
 
 

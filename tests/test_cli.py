@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a one-segment toy setup."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -16,7 +17,11 @@ import shapectl.cli
 import shapectl.control_node
 from shapectl.cli import main
 from shapectl.config import ENV_PREFIX, SCHEMA, load_run_config
-from shapectl.control_node import load_control_model, save_control_model
+from shapectl.control_node import (
+    init_control_model,
+    load_control_model,
+    save_control_model,
+)
 from shapectl.nn import array_to_b64
 from shapectl.reports import (
     read_dataset_csv,
@@ -24,8 +29,8 @@ from shapectl.reports import (
     read_shape_eval_csv,
     read_tracking_log_csv,
 )
-from shapectl.robot import sample_dataset
-from shapectl.shape_node import load_shape_model
+from shapectl.robot import RobotConfig, sample_dataset
+from shapectl.shape_node import init_shape_model, load_shape_model, save_shape_model
 
 TINY_INI = """\
 [robot]
@@ -724,23 +729,32 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
 
 
 def _set_params(key, value):
-    def tamper(params):
-        params[key] = value
+    def tamper(doc):
+        doc["params"][key] = value
 
     return tamper
 
 
-def _widen_second_layer(params):
+def _widen_second_layer(doc):
     # its input grows by one: the weights no longer chain
-    shape = params["weights"][1]["shape"]
-    params["weights"][1] = array_to_b64(np.zeros((shape[0] + 1, shape[1])))
+    shape = doc["params"]["weights"][1]["shape"]
+    doc["params"]["weights"][1] = array_to_b64(np.zeros((shape[0] + 1, shape[1])))
 
 
-def _misshape_first_moment(params):
-    params["adam_m"][0] = array_to_b64(np.zeros(3))
+def _misshape_first_moment(doc):
+    doc["params"]["adam_m"][0] = array_to_b64(np.zeros(3))
+
+
+def _narrow_action_box(doc):
+    # the hash is recomputed over the edited robot config, so only the
+    # box itself disagrees with the file's robot
+    doc["robot_config"]["q_min"] = -3.0
+    blob = json.dumps(doc["robot_config"], sort_keys=True).encode("ascii")
+    doc["robot_config_hash"] = hashlib.sha256(blob).hexdigest()
 
 
 # (model, tampering) -> a model file that parses but is not one network
+# bound to one robot
 TAMPERED_MODELS = {
     "relu_output": ("shape", _set_params("out_activation", "relu")),
     "widths_do_not_chain": ("shape", _widen_second_layer),
@@ -751,6 +765,7 @@ TAMPERED_MODELS = {
         "control",
         _set_params("input_scale", array_to_b64(np.ones(4))),
     ),
+    "action_box": ("shape", _narrow_action_box),
 }
 
 
@@ -760,7 +775,7 @@ def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
     kind, tamper = TAMPERED_MODELS[case]
     path = _shape_model_path if kind == "shape" else _control_model_path
     doc = json.loads(Path(path(workdir)).read_text())
-    tamper(doc["params"])
+    tamper(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     if case == "adam_moment_shape":
@@ -778,6 +793,49 @@ def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
     assert rc == 3
     assert err.startswith(f"error: cannot load {kind} model: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_old_control_file_fields_are_ignored(workdir, tmp_path, capsys):
+    # older control files carry the segment count and the action box at
+    # top level; the robot config owns both, so a box that disagrees with
+    # it changes nothing
+    root, ini = workdir
+    doc = json.loads(Path(_control_model_path(workdir)).read_text())
+    doc.update(n_segments=1, q_min=-0.5, q_max=0.5)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    args = ["rollout", "--closed-loop", "--config", str(ini)]
+    args += ["--shape-model", _shape_model_path(workdir)]
+    for name, path in (("new", _control_model_path(workdir)), ("old", str(old))):
+        args_out = ["--control-model", path, "--out", str(tmp_path / name)]
+        assert main(args + args_out) == 0
+    rollout = (tmp_path / "old" / "rollout.csv").read_bytes()
+    assert rollout == (tmp_path / "new" / "rollout.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_policy_for_another_segment_count_is_config_error(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    # a two-segment policy in a file whose robot config says three
+    root, ini = workdir
+    rng = np.random.default_rng(0)
+    robot = RobotConfig(n_segments=3)
+    shape_model = init_shape_model(rng, robot, hidden=(16, 16), solver="rk4")
+    save_shape_model(tmp_path / "shape.json", shape_model, robot)
+    policy = init_control_model(rng, RobotConfig(n_segments=2), hidden=(16,))
+    save_control_model(tmp_path / "policy.json", policy, robot)
+    monkeypatch.setenv("SHAPECTL_ROBOT_N_SEGMENTS", "3")
+    args = ["rollout", "--closed-loop", "--config", str(ini)]
+    args += ["--shape-model", str(tmp_path / "shape.json")]
+    args += ["--control-model", str(tmp_path / "policy.json")]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: cannot load control model:"
+        " policy emits 4 actions, its robot config has 6\n"
+    )
+
 
 
 @pytest.mark.parametrize("command", ["rollout", "evaluate"])

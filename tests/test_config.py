@@ -1,9 +1,38 @@
 """Run-configuration parsing, overrides, and typed views."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from shapectl.config import ConfigError, RunConfig, load_run_config
+from shapectl.config import SCHEMA, ConfigError, RunConfig, load_run_config
+from shapectl.control_node import (
+    ControlLossConfig,
+    ControlTrainConfig,
+    closed_loop_track,
+    init_control_model,
+)
+from shapectl.robot import ObstacleSpec, RobotConfig
+from shapectl.shape_node import ShapeTrainConfig, init_shape_model
+
+# library object -> (section, {its setting: config key, if named otherwise});
+# every field of a dataclass, the named keywords of a function
+LIBRARY_DEFAULTS = {
+    RobotConfig: ("robot", {}),
+    ShapeTrainConfig: ("shape", {"seed": ("run", "seed")}),
+    init_shape_model: ("shape", {}),
+    ControlTrainConfig: ("control", {"seed": ("run", "seed")}),
+    ControlLossConfig: ("control", {}),
+    init_control_model: ("control", {}),
+    closed_loop_track: ("run", {}),
+    ObstacleSpec: ("control", {"threshold_sq": ("control", "obstacle_threshold_sq")}),
+}
+KEYWORDS = {
+    init_shape_model: ("hidden", "solver", "steps_per_segment"),
+    init_control_model: ("hidden", "horizon", "dt", "rate_scale"),
+    closed_loop_track: ("duration", "period", "payload_grams"),
+}
 
 
 def test_defaults_match_standard_setup():
@@ -114,3 +143,26 @@ def test_invalid_typed_values_become_config_errors():
     cfg.set_raw("control", "iterations", "0")
     with pytest.raises(ConfigError):
         cfg.control_train_config()
+
+
+@pytest.mark.parametrize("owner", list(LIBRARY_DEFAULTS), ids=lambda o: o.__name__)
+def test_schema_defaults_equal_library_defaults(owner):
+    # an empty run config and a library call without that setting must
+    # run the same standard setup
+    section, renamed = LIBRARY_DEFAULTS[owner]
+    if dataclasses.is_dataclass(owner):
+        defaults = {
+            f.name: f.default
+            for f in dataclasses.fields(owner)
+            if f.default is not dataclasses.MISSING
+        }
+    else:
+        params = inspect.signature(owner).parameters
+        defaults = {name: params[name].default for name in KEYWORDS[owner]}
+    assert defaults
+    for name, default in defaults.items():
+        key = renamed.get(name, (section, name))
+        schema_default = SCHEMA[key[0]][key[1]][1]
+        if owner is RobotConfig and name == "segment_lengths":
+            default = ()  # None and the empty list both mean 0.1 per segment
+        assert schema_default == default, (key, schema_default, default)

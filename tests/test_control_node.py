@@ -47,6 +47,7 @@ from shapectl.shape_node import (
     TRAIN_DTYPE,
     init_shape_model,
     predict_shape_batch,
+    robot_config_hash,
     rollout_shape,
     tip_jacobian,
 )
@@ -152,12 +153,9 @@ def test_observation_dim():
 
 
 def test_loss_config_validation():
-    cfg = ControlLossConfig()
-    assert cfg.tau == cfg.obstacle_threshold_sq / 10.0
+    ControlLossConfig()
     with pytest.raises(ValueError):
         ControlLossConfig(tracking_weight=-1.0)
-    with pytest.raises(ValueError):
-        ControlLossConfig(obstacle_threshold_sq=0.0)
     with pytest.raises(ValueError):
         ControlLossConfig(noise_std=-0.1)
 
@@ -175,24 +173,11 @@ def test_train_config_validation():
 def test_model_validation(rng):
     cfg = RobotConfig(n_segments=2)
     with pytest.raises(ValueError, match="must map"):
-        ControlNodeModel(
-            params=init_mlp(rng, [10, 8, 4]), n_segments=2, q_min=-15, q_max=15
-        )
+        ControlNodeModel(params=init_mlp(rng, [10, 8, 4]))
     with pytest.raises(ValueError, match="tanh"):
-        ControlNodeModel(
-            params=init_mlp(rng, [37, 8, 4], out_activation="identity"),
-            n_segments=2,
-            q_min=-15,
-            q_max=15,
-        )
+        ControlNodeModel(params=init_mlp(rng, [37, 8, 4], out_activation="identity"))
     with pytest.raises(ValueError):
-        ControlNodeModel(
-            params=init_mlp(rng, [37, 8, 4]),
-            n_segments=2,
-            q_min=-15,
-            q_max=15,
-            horizon=0,
-        )
+        ControlNodeModel(params=init_mlp(rng, [37, 8, 4]), horizon=0)
     m = init_control_model(rng, cfg)
     assert m.params.sizes == [37, 256, 256, 4]
     assert m.action_dim == 4
@@ -244,8 +229,8 @@ def test_rollout_actions_stay_in_bounds(setup1, rng):
     res = rollout_policy(long, sm, cfg, tape, q0, np.zeros((3, 3)))
     assert res.horizon == 6
     for qk in res.actions:
-        assert np.all(qk.value >= policy.q_min)
-        assert np.all(qk.value <= policy.q_max)
+        assert np.all(qk.value >= cfg.q_min)
+        assert np.all(qk.value <= cfg.q_max)
 
 
 def test_initial_points_feed_first_step(setup1, rng):
@@ -350,10 +335,11 @@ def test_step_action_is_the_rollouts_first_action(setup1, batch, seed):
     tape = Tape()
     _, q1 = policy_step(
         policy,
+        cfg,
         policy.params.as_tensors(tape, frozen=True),
         downsample_shape([tape.constant(p) for p in observed]),
         tape.constant(q0),
-        tape.constant(unbound_actions(q0, policy.q_min, policy.q_max)),
+        tape.constant(unbound_actions(q0, cfg.q_min, cfg.q_max)),
         tape.constant(goal),
         np.random.default_rng(100 + seed),
         1e-3,
@@ -484,7 +470,8 @@ def numpy_loss(result, cfg, obstacle=None):
         if obstacle is not None:
             pts = np.stack([p.value for p in result.rollouts[k - 1].points], axis=1)
             d2 = ((pts - obstacle.center) ** 2).sum(axis=2).min(axis=1)
-            margin = (cfg.obstacle_threshold_sq - d2) / cfg.tau
+            thr = obstacle.threshold_sq
+            margin = (thr - d2) / (thr / 10.0)
             total += cfg.obstacle_weight * np.mean(1.0 / (1.0 + np.exp(-margin)))
     tip = result.tips[m - 1].value
     total += cfg.terminal_weight * np.mean(((tip - result.goal) ** 2).sum(axis=1))
@@ -1079,7 +1066,9 @@ def test_save_load_roundtrip(setup1, tmp_path):
     assert loaded.horizon == policy.horizon
     assert loaded.dt == policy.dt
     assert loaded.rate_scale == policy.rate_scale
-    assert loaded.q_min == policy.q_min
+    assert loaded.action_dim == cfg.action_dim
+    # the robot config owns the segment count and the action box
+    assert not {"n_segments", "q_min", "q_max"} & set(json.loads(path.read_text()))
     for a, b in zip(loaded.params.param_arrays(), policy.params.param_arrays()):
         assert np.array_equal(a, b)
     assert np.array_equal(loaded.params.input_scale, policy.params.input_scale)
@@ -1113,3 +1102,11 @@ def test_load_rejects_malformed(setup1, tmp_path):
     (tmp_path / "partial.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_control_model(tmp_path / "partial.json")
+
+    # a one-segment policy bound to a two-segment robot, hash and all
+    doc = json.loads(path.read_text())
+    doc["robot_config"] = RobotConfig(n_segments=2).to_dict()
+    doc["robot_config_hash"] = robot_config_hash(RobotConfig(n_segments=2))
+    (tmp_path / "wider_robot.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="emits 2 actions, its robot config has 4"):
+        load_control_model(tmp_path / "wider_robot.json")

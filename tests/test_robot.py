@@ -36,8 +36,25 @@ def test_config_defaults_and_validation():
         RobotConfig(u_max=0.0)
     with pytest.raises(ValueError):
         RobotConfig(mismatch_amplitude=-0.1)
+    for nan in ("u_max", "mismatch_amplitude"):
+        with pytest.raises(ValueError):
+            RobotConfig(**{nan: float("nan")})
     with pytest.raises(ValueError):
-        RobotConfig(q_min=5.0, q_max=5.0)
+        RobotConfig(n_segments=1, segment_lengths=(float("nan"),))
+
+
+def test_action_box_is_read_only_and_not_read_back():
+    cfg = RobotConfig(n_segments=2, u_max=12.0)
+    assert (cfg.q_min, cfg.q_max) == (-12.0, 12.0)
+    with pytest.raises(AttributeError):
+        cfg.q_min = -3.0
+    with pytest.raises(TypeError):
+        RobotConfig(q_min=-3.0)
+    # the written dict keeps the bounds (model files and hashes do not
+    # change); reading ignores them
+    d = cfg.to_dict()
+    assert (d["q_min"], d["q_max"]) == (-12.0, 12.0)
+    assert RobotConfig.from_dict({**d, "q_min": -3.0, "q_max": 5.0}) == cfg
 
 
 def test_config_roundtrip():
@@ -127,34 +144,35 @@ def test_curvature_norm_never_exceeds_bound(rng):
 def test_zero_action_straight_robot():
     for n in range(1, 5):
         cfg = RobotConfig(n_segments=n)
-        shape = forward_kinematics(cfg, np.zeros(2 * n), mismatch=True)
+        shape = forward_kinematics(cfg, np.zeros(2 * n))
         assert np.linalg.norm(shape.tip - [0.0, 0.0, cfg.total_length]) < 1e-9
         assert np.allclose(shape.points[:, :2], 0.0, atol=1e-12)
 
 
 def test_single_arc_closed_form_example():
-    cfg = RobotConfig(n_segments=1)
-    shape = forward_kinematics(cfg, np.array([0.0, 10.0]), mismatch=False)
+    cfg = RobotConfig(n_segments=1, mismatch_amplitude=0.0)
+    shape = forward_kinematics(cfg, np.array([0.0, 10.0]))
     expected = np.array([(1.0 - np.cos(1.0)) / 10.0, 0.0, np.sin(1.0) / 10.0])
     assert np.linalg.norm(shape.tip - expected) < 1e-6
 
 
 def test_forward_kinematics_matches_arc_composition(rng):
+    # a zero mismatch amplitude simulates the commanded arc
     for n in range(1, 5):
-        cfg = RobotConfig(n_segments=n)
-        for _ in range(6):
-            q = rng.uniform(cfg.q_min, cfg.q_max, size=2 * n)
-            for mismatch in (False, True):
-                curv = action_to_curvature(cfg, q, mismatch=mismatch)
-                shape = forward_kinematics(cfg, q, mismatch=mismatch)
+        for amp in (0.0, 0.1):
+            cfg = RobotConfig(n_segments=n, mismatch_amplitude=amp)
+            for _ in range(6):
+                q = rng.uniform(cfg.q_min, cfg.q_max, size=2 * n)
+                curv = action_to_curvature(cfg, q, mismatch=amp > 0.0)
+                shape = forward_kinematics(cfg, q)
                 oracle = arc_backbone(curv, cfg.segment_lengths, 10)
                 err = np.abs(shape.points - oracle).max()
-                assert err < 1e-6, f"n={n} mismatch={mismatch}: {err}"
+                assert err < 1e-6, f"n={n} amplitude={amp}: {err}"
 
 
 def test_straight_second_segment_is_tangent_line():
-    cfg = RobotConfig(n_segments=2)
-    shape = forward_kinematics(cfg, np.array([0.0, 10.0, 0.0, 0.0]), mismatch=False)
+    cfg = RobotConfig(n_segments=2, mismatch_amplitude=0.0)
+    shape = forward_kinematics(cfg, np.array([0.0, 10.0, 0.0, 0.0]))
     seg2 = shape.points[10:]
     d = seg2[1:] - seg2[:-1]
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -182,16 +200,16 @@ def test_point_spacing_bound(rng):
 def test_mirror_symmetry_without_mismatch(rng):
     # flipping the sign of every q_y bending channel mirrors the curve
     # across the y-z plane; flipping q_x mirrors across x-z
-    cfg = RobotConfig(n_segments=3)
+    cfg = RobotConfig(n_segments=3, mismatch_amplitude=0.0)
     q = rng.uniform(cfg.q_min, cfg.q_max, size=6)
-    base = forward_kinematics(cfg, q, mismatch=False).points
+    base = forward_kinematics(cfg, q).points
     qy_flip = q.copy()
     qy_flip[1::2] *= -1.0
-    mirrored = forward_kinematics(cfg, qy_flip, mismatch=False).points
+    mirrored = forward_kinematics(cfg, qy_flip).points
     assert np.array_equal(mirrored * np.array([-1.0, 1.0, 1.0]), base)
     qx_flip = q.copy()
     qx_flip[0::2] *= -1.0
-    mirrored2 = forward_kinematics(cfg, qx_flip, mismatch=False).points
+    mirrored2 = forward_kinematics(cfg, qx_flip).points
     assert np.array_equal(mirrored2 * np.array([1.0, -1.0, 1.0]), base)
 
 
@@ -208,14 +226,23 @@ def test_tangent_continuity_at_segment_boundary(rng):
     assert np.all(cosines >= np.cos(2.0 * cfg.u_max * h))
 
 
-def test_backbone_arc_coords():
+def test_backbone_arc_coords(rng):
     cfg = RobotConfig(n_segments=2, segment_lengths=(0.1, 0.2))
-    s = backbone_arc_coords(cfg, 10)
+    s = backbone_arc_coords(cfg)
     assert s.shape == (21,)
     assert s[0] == 0.0
     assert s[-1] == pytest.approx(0.3)
     assert np.all(np.diff(s) > 0)
     assert s[10] == pytest.approx(0.1)
+    # the scalar loop it replaced, bit for bit: payload droop reads s
+    for n in range(1, 5):
+        lengths = tuple(rng.uniform(0.01, 0.5, n))
+        want, start = [0.0], 0.0
+        for length in lengths:
+            want += [start + length * k / 10 for k in range(1, 11)]
+            start += length
+        got = backbone_arc_coords(RobotConfig(n_segments=n, segment_lengths=lengths))
+        assert got.tolist() == want
 
 
 def test_tip_is_last_point(rng):
@@ -269,7 +296,7 @@ def test_dataset_shapes_reproducible_from_actions():
     cfg = RobotConfig(n_segments=2)
     q, points = sample_dataset(cfg, 3, np.random.default_rng(11))
     for qi, pts in zip(q, points):
-        again = forward_kinematics(cfg, qi, mismatch=True)
+        again = forward_kinematics(cfg, qi)
         assert np.array_equal(again.points[0], np.zeros(3))
         assert np.array_equal(pts, again.points[1:])
 

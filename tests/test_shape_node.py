@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    arc_backbone,
     fd_grad_at,
     per_coordinate_tip_jacobian,
     rel_err,
@@ -184,8 +185,12 @@ def test_loss_gradient_matches_finite_differences(rng):
     cfg = RobotConfig(n_segments=1)
     model = perturbed_model(rng, cfg, solver="rk4", steps_per_segment=2)
     q = rng.uniform(-10.0, 10.0, size=(3, 2))
+    # the simulated robot on the model's 2-point grid
     truth = np.stack(
-        [forward_kinematics(cfg, qi, points_per_segment=2).points[1:] for qi in q]
+        [
+            arc_backbone(action_to_curvature(cfg, qi, True), cfg.segment_lengths, 2)[1:]
+            for qi in q
+        ]
     )
 
     def loss_value():
