@@ -2,10 +2,13 @@
 
 A :class:`Tape` records every primitive applied to :class:`Tensor` values.
 Calling :func:`backward` on a scalar loss walks the recording in reverse and
-returns a gradient for every node reachable from the loss.  Values are plain
-``numpy.ndarray`` in the tape's one compute dtype (float64 unless the tape
-is built with another, such as float32 for training); there is no
-broadcasting magic beyond what the individual primitives declare.
+returns the gradients of the loss and of the leaves reachable from it.
+The sweep is one-shot: it releases each closure it calls, and with it
+the forward values the closure held, so a tape is swept once.  Values
+are plain ``numpy.ndarray`` in the tape's one compute dtype (float64
+unless the tape is built with another, such as float32 for training);
+there is no broadcasting magic beyond what the individual primitives
+declare.
 
 Leaves are cast to the compute dtype where they enter the tape, and
 constant operands (``add_const``, ``cmul``, ``select_rows``) where they
@@ -37,6 +40,9 @@ import numpy as np
 
 Array = np.ndarray
 
+# Stands in a tape's closure slot once a backward sweep has called it.
+_RELEASED = object()
+
 
 class Tensor:
     """A node in the tape: an array in the tape's dtype plus its slot."""
@@ -61,11 +67,12 @@ class Tape:
 
     ``parents[i]`` holds the node ids feeding node ``i``, ``backfns[i]``
     the closure mapping the adjoint of node ``i`` to one contribution per
-    parent, and ``active[i]`` whether node ``i`` needs an adjoint.  Leaves
-    and inactive nodes have no parents and no closure.  Node ids are
-    assigned in creation order, so every parent id is smaller than its
-    child id and a reverse sweep over ids is a valid reverse topological
-    order.  ``dtype`` is the compute dtype of every value on the tape.
+    parent until a sweep releases it, and ``active[i]`` whether node ``i``
+    needs an adjoint.  Leaves and inactive nodes have no parents and no
+    closure.  Node ids are assigned in creation order, so every parent id
+    is smaller than its child id and a reverse sweep over ids is a valid
+    reverse topological order.  ``dtype`` is the compute dtype of every
+    value on the tape.
     """
 
     def __init__(self, dtype=np.float64):
@@ -108,9 +115,13 @@ class Tape:
 def backward(loss: Tensor) -> dict[int, Array]:
     """Reverse sweep from ``loss``; returns adjoints keyed by node id.
 
-    ``loss`` must hold exactly one element.  Only ``loss`` and the active
-    nodes reachable from it appear in the map.  Arrays in the map may be
-    shared between entries; callers must treat them as read-only.
+    ``loss`` must hold exactly one element.  The map holds ``loss`` and
+    the active leaves reachable from it; arrays in it may be shared
+    between entries, so callers must treat them as read-only.  The sweep
+    releases every closure it calls and drops each interior adjoint once
+    its closure has used it, so a node's forward residuals are freed as
+    the sweep passes.  A later sweep that reaches a released node raises
+    ``ValueError``: build a new tape to differentiate again.
     """
     if loss.value.size != 1:
         raise ValueError("backward needs a scalar loss")
@@ -129,7 +140,12 @@ def backward(loss: Tensor) -> dict[int, Array]:
         backfn = backfns[nid]
         if backfn is None:
             continue
+        if backfn is _RELEASED:
+            raise ValueError(f"node {nid} was released by an earlier backward sweep")
+        backfns[nid] = _RELEASED
         contribs = backfn(grad)
+        if nid != loss.nid:
+            del adj[nid], owned[nid]
         for pid, contrib in zip(parents[nid], contribs):
             if contrib is None or not active[pid]:
                 continue
@@ -147,7 +163,8 @@ def backward(loss: Tensor) -> dict[int, Array]:
 
 
 def grad_of(grads: dict[int, Array], t: Tensor) -> Array:
-    """Gradient for ``t`` from a :func:`backward` result, zeros if unused."""
+    """Gradient for the leaf ``t`` from a :func:`backward` result, zeros
+    if unused."""
     g = grads.get(t.nid)
     if g is None:
         return np.zeros_like(t.value)

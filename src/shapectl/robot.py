@@ -73,6 +73,8 @@ class RobotConfig:
             if not all(x > 0 for x in lengths):
                 raise ValueError("segment lengths must be positive")
             object.__setattr__(self, "segment_lengths", lengths)
+        for name in ("u_max", "mismatch_amplitude"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not self.u_max > 0:
             raise ValueError("u_max must be positive")
         if not self.mismatch_amplitude >= 0:
@@ -109,8 +111,8 @@ class RobotConfig:
         return cls(
             n_segments=int(d["n_segments"]),
             segment_lengths=tuple(d["segment_lengths"]),
-            u_max=float(d["u_max"]),
-            mismatch_amplitude=float(d["mismatch_amplitude"]),
+            u_max=d["u_max"],
+            mismatch_amplitude=d["mismatch_amplitude"],
         )
 
 

@@ -156,13 +156,13 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
 
 
 def per_coordinate_tip_jacobian(model, q: np.ndarray, config) -> np.ndarray:
-    """Tip Jacobian (3, 2n) from one batch-1 solve and three reverse
-    sweeps, one per tip coordinate."""
-    tape = Tape()
-    q_leaf = tape.tensor(np.reshape(q, (1, -1)))
-    tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
+    """Tip Jacobian (3, 2n) from three batch-1 solves, one per tip
+    coordinate, each with its own reverse sweep."""
     jac = np.zeros((3, config.action_dim))
     for j in range(3):
+        tape = Tape()
+        q_leaf = tape.tensor(np.reshape(q, (1, -1)))
+        tip = rollout_shape(model, config, tape, q_leaf, frozen=True).tip
         grads = ad.backward(ad.reduce_sum(ad.slice_cols(tip, j, j + 1)))
         jac[j] = ad.grad_of(grads, q_leaf)[0]
     return jac

@@ -110,15 +110,17 @@ def test_dense_matches_unfused_chain(rng):
     x = rng.standard_normal((6, 4))
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal(3)
-    tape = ad.Tape()
-    xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
-    pre = ad.add(matmul(xt, wt), bt)
-    pairs = [
-        (ad.dense(xt, wt, bt, "leaky", 0.01), leaky_relu(pre, 0.01)),
-        (ad.dense(xt, wt, bt, "tanh"), ad.tanh(pre)),
-        (ad.dense(xt, wt, bt, "identity"), pre),
+    chains = [
+        ("leaky", lambda pre: leaky_relu(pre, 0.01)),
+        ("tanh", ad.tanh),
+        ("identity", lambda pre: pre),
     ]
-    for fused, ref in pairs:
+    for act, chain in chains:
+        # one tape per pair: the two sweeps share only the leaves
+        tape = ad.Tape()
+        xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
+        fused = ad.dense(xt, wt, bt, act, 0.01)
+        ref = chain(ad.add(matmul(xt, wt), bt))
         assert np.array_equal(fused.value, ref.value)
         gf = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(fused))), xt)
         gr = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(ref))), xt)
@@ -196,12 +198,13 @@ def test_frozen_dense_parent_gets_no_adjoint(rng, frozen):
             for name, v in (("x", x), ("w", w), ("b", b))
         ]
         y = ad.dense(*leaves, "tanh")
-        return tape, leaves, y, ad.backward(ad.reduce_sum(ad.square(y)))
+        # the sweep releases the closure, so read what it holds first
+        held = [c.cell_contents for c in tape.backfns[y.nid].__closure__]
+        return leaves, held, ad.backward(ad.reduce_sum(ad.square(y)))
 
     const = ("w", "b") if frozen == "weights" else ("x",)
-    tape, (xt, wt, bt), y, grads = run(const)
-    _, ref_leaves, _, ref = run(())
-    held = [c.cell_contents for c in tape.backfns[y.nid].__closure__]
+    (xt, wt, bt), held, grads = run(const)
+    ref_leaves, _, ref = run(())
     for name, leaf, ref_leaf in zip("xwb", (xt, wt, bt), ref_leaves):
         if name in const:
             assert leaf.nid not in grads
@@ -269,12 +272,65 @@ def test_grad_of_unused_leaf(rng):
 
 
 def test_backward_twice_identical(rng):
-    tape = ad.Tape()
-    x = tape.tensor(rng.standard_normal((3, 3)))
-    loss = ad.reduce_sum(ad.sigmoid(ad.square(x)))
+    # a tape is swept once: a second sweep raises instead of returning
+    # zeros, and a rebuilt tape gives bitwise the same gradient
+    a = rng.standard_normal((3, 3))
+
+    def build():
+        tape = ad.Tape()
+        x = tape.tensor(a)
+        return x, ad.reduce_sum(ad.sigmoid(ad.square(x)))
+
+    x, loss = build()
     g1 = ad.grad_of(ad.backward(loss), x)
-    g2 = ad.grad_of(ad.backward(loss), x)
+    with pytest.raises(ValueError, match=f"node {loss.nid} was released"):
+        ad.backward(loss)
+    x2, loss2 = build()
+    g2 = ad.grad_of(ad.backward(loss2), x2)
     assert np.array_equal(g1, g2)
+
+
+def test_sweep_reaching_released_node_raises(rng):
+    # a second loss on the same tape may not reuse a swept interior node
+    tape = ad.Tape()
+    x = tape.tensor(rng.standard_normal((2, 3)))
+    h = ad.tanh(x)
+    ad.backward(ad.reduce_sum(h))
+    with pytest.raises(ValueError, match=f"node {h.nid} was released"):
+        ad.backward(ad.reduce_sum(ad.square(h)))
+
+
+def test_backward_releases_closures_and_interior_adjoints(rng):
+    # every closure the sweep calls is released, and the map keeps only
+    # the loss and the active leaves it reached
+    tape = ad.Tape()
+    x = tape.tensor(rng.standard_normal((4, 3)))
+    w = tape.tensor(rng.standard_normal((3, 5)))
+    b = tape.constant(rng.standard_normal(5))
+    tape.tensor(rng.standard_normal(5))  # an active leaf the loss never reaches
+    h = ad.dense(x, w, b, "leaky")
+    loss = ad.reduce_sum(ad.square(ad.add(h, ad.tanh(h))))
+    reached = [nid for nid in range(len(tape)) if tape.backfns[nid] is not None]
+    grads = ad.backward(loss)
+    assert reached and all(tape.backfns[nid] is ad._RELEASED for nid in reached)
+    assert sorted(grads) == [x.nid, w.nid, loss.nid]
+
+
+def test_dense_residual_freed_by_sweep(rng):
+    # the leaky factor lives only in the dense closure; the sweep frees it
+    tape = ad.Tape()
+    x = tape.tensor(rng.standard_normal((4, 3)))
+    w = tape.tensor(rng.standard_normal((3, 5)))
+    b = tape.tensor(rng.standard_normal(5))
+    y = ad.dense(x, w, b, "leaky")
+    bk = tape.backfns[y.nid]
+    cells = dict(zip(bk.__code__.co_freevars, bk.__closure__))
+    factor = weakref.ref(cells["factor"].cell_contents)
+    del bk, cells
+    loss = ad.reduce_sum(ad.square(y))
+    assert factor() is not None
+    ad.backward(loss)
+    assert factor() is None
 
 
 def test_sigmoid_extreme_inputs():

@@ -2,7 +2,9 @@
 
 import base64
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -641,6 +643,36 @@ def test_frozen_shape_model_leaves_policy_gradients_bitwise(setup1, monkeypatch)
             assert np.array_equal(g, w)
     assert frozen["leaf_adjoints"] == [4, 4]
     assert min(trainable["leaf_adjoints"]) > 4
+
+
+def test_policy_training_peak_memory_does_not_grow_per_iteration():
+    # the sweep frees each iteration's forward residuals, so a second
+    # iteration adds only the first one's tape bookkeeping (node ids and
+    # parent tuples, about 0.6 MB here) to the traced peak; with the
+    # residuals kept until the tape dies the ratio is above 1.5
+    def traced_peak(iterations):
+        cfg = RobotConfig(n_segments=2)
+        rng = np.random.default_rng(0)
+        sm = init_shape_model(rng, cfg, hidden=(32, 32), solver="rk4", steps_per_segment=5)
+        policy = init_control_model(rng, cfg, hidden=(32, 32))
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            train_control_node(
+                sm,
+                cfg,
+                ControlTrainConfig(batch_size=64, iterations=iterations),
+                ControlLossConfig(),
+                model=policy,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    one, two = traced_peak(1), traced_peak(2)
+    assert two <= 1.1 * one, (one, two)
 
 
 def test_frozen_jacobian_and_plan_match_trainable_tape(setup1, rng, monkeypatch):

@@ -466,6 +466,19 @@ def test_model_file_errors(rng, tmp_path):
         load_shape_model(tmp_path / "other.json")
 
 
+def test_int_robot_limits_round_trip(rng, tmp_path):
+    # python ints for u_max and mismatch_amplitude are stored as floats,
+    # so the saved hash matches the config the file loads back
+    cfg = RobotConfig(n_segments=1, u_max=15, mismatch_amplitude=0)
+    assert cfg == RobotConfig(n_segments=1, u_max=15.0, mismatch_amplitude=0.0)
+    assert isinstance(cfg.u_max, float) and isinstance(cfg.mismatch_amplitude, float)
+    path = tmp_path / "model.json"
+    save_shape_model(path, small_model(rng, cfg), cfg)
+    _, loaded_cfg = load_shape_model(path)
+    assert loaded_cfg == cfg
+    assert '"u_max": 15.0' in path.read_text()
+
+
 def test_evaluate_shape_rmse_zero_and_noise(rng):
     cfg = RobotConfig(n_segments=1)
     model = small_model(rng, cfg)
