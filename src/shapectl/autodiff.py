@@ -43,6 +43,9 @@ Array = np.ndarray
 # Stands in a tape's closure slot once a backward sweep has called it.
 _RELEASED = object()
 
+# negative-side slope of the LeakyReLU hidden layers of every network
+LEAKY_SLOPE = 0.01
+
 
 class Tensor:
     """A node in the tape: an array in the tape's dtype plus its slot."""
@@ -264,10 +267,9 @@ def _leaky_factor(z: Array, slope: float) -> Array:
     return factor.view(z.dtype)
 
 
-def dense(
-    x: Tensor, w: Tensor, b: Tensor, activation: str = "identity", slope: float = 0.01
-) -> Tensor:
-    """Fused ``activation(x @ w + b)`` as a single tape node.
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """Fused ``activation(x @ w + b)`` as a single tape node, with
+    ``activation`` ``"leaky"`` (slope :data:`LEAKY_SLOPE`) or ``"tanh"``.
 
     Values are identical to the x @ w + b plus activation chain; fusing
     caches the activation derivative at forward time and cuts the
@@ -278,14 +280,11 @@ def dense(
     z = x.value @ w.value
     z += b.value
     if activation == "leaky":
-        factor = _leaky_factor(z, slope)
+        factor = _leaky_factor(z, LEAKY_SLOPE)
         out = np.multiply(z, factor, out=z)
     elif activation == "tanh":
         out = np.tanh(z, out=z)
         factor = 1.0 - out * out
-    elif activation == "identity":
-        out = z
-        factor = None
     else:
         raise ValueError(f"unknown activation {activation!r}")
     active = x.tape.active
@@ -294,7 +293,7 @@ def dense(
     wv = w.value if x_on else None
 
     def bk(grad):
-        dz = grad if factor is None else grad * factor
+        dz = grad * factor
         return (
             dz @ wv.T if x_on else None,
             xv.T @ dz if w_on else None,

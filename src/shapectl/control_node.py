@@ -145,8 +145,6 @@ class ControlNodeModel:
                 f"policy must map {expect_in} -> {self.action_dim}, "
                 f"got {sizes[0]} inputs"
             )
-        if self.params.out_activation != "tanh":
-            raise ValueError("policy output activation must be tanh")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.dt <= 0 or self.rate_scale <= 0:
@@ -170,12 +168,8 @@ def init_control_model(
     # positions in meters get x10, actions normalize by the bound
     blocks = observation_blocks(out_dim)
     input_scale = np.repeat([10.0, 1.0 / config.u_max, 10.0], blocks)
-    params = init_mlp(
-        rng,
-        [observation_dim(config), *hidden, out_dim],
-        out_activation="tanh",
-        input_scale=input_scale,
-    )
+    sizes = [observation_dim(config), *hidden, out_dim]
+    params = init_mlp(rng, sizes, input_scale=input_scale)
     return ControlNodeModel(
         params=params, horizon=horizon, dt=dt, rate_scale=rate_scale
     )
@@ -243,12 +237,12 @@ def policy_step(
     q: Tensor,
     z: Tensor,
     goal: Tensor,
-    noise_rng: np.random.Generator | None = None,
-    noise_std: float = 0.0,
+    noise_rng: np.random.Generator | None,
+    noise_std: float,
 ) -> tuple[Tensor, Tensor]:
     """Observe ``backbone`` (nine tensors, tip last), tip, ``q`` and ``goal``,
-    add one draw of noise, advance ``z`` by one call of ``pmt`` and bound
-    it to ``config``'s action box.
+    add one draw of noise (none without ``noise_rng``), advance ``z`` by
+    one call of ``pmt`` and bound it to ``config``'s action box.
 
     Returns the new ``(z, q)``; a non-finite action raises
     ``FloatingPointError``.
@@ -276,7 +270,6 @@ class RolloutResult:
     """
 
     actions: list[Tensor]
-    tips: list[Tensor]
     shapes_ds: list[list[Tensor]]
     rollouts: list[ShapeRollout]
     policy_tensors: MlpTensors
@@ -286,6 +279,10 @@ class RolloutResult:
     @property
     def horizon(self) -> int:
         return len(self.actions)
+
+    @property
+    def tips(self) -> list[Tensor]:
+        return [ro.tip for ro in self.rollouts]
 
 
 def rollout_policy(
@@ -338,7 +335,6 @@ def rollout_policy(
         rollouts.append(ro)
     return RolloutResult(
         actions=actions,
-        tips=[ro.tip for ro in rollouts],
         shapes_ds=shapes_ds,
         rollouts=rollouts,
         policy_tensors=pmt,
@@ -478,39 +474,45 @@ def train_control_node(
     loss_obstacle = obstacle if scenario == "obstacle" else None
     rng = np.random.default_rng(train_cfg.seed)
     reset_span = train_cfg.reset_scale * config.u_max
+
+    def step(q0: Array) -> float:
+        # the tape and its tensors die on return, before the next rollout
+        tape = Tape(TRAIN_DTYPE)
+        roll0 = rollout_shape(shape_model, config, tape, q0, frozen=True)
+        targets = roll0.tip.value + rng.uniform(
+            -train_cfg.target_scale,
+            train_cfg.target_scale,
+            (train_cfg.batch_size, 3),
+        )
+        targets = clamp_to_workspace(targets, config)
+        result = rollout_policy(
+            model,
+            shape_model,
+            config,
+            tape,
+            q0,
+            targets,
+            initial_points=roll0.points,
+            noise_rng=rng,
+            noise_std=loss_cfg.noise_std,
+        )
+        term_values: list[float] = []
+        loss = control_loss(result, loss_cfg, loss_obstacle, term_values)
+        train_loss = sum(term_values)
+        if not np.isfinite(train_loss):
+            raise FloatingPointError("loss is not finite")
+        grads = ad.backward(loss)
+        policy_grads = collect_mlp_grads(grads, result.policy_tensors)
+        adam_step(model.params, policy_grads, train_cfg.learning_rate)
+        return train_loss
+
     history: list[tuple[int, float]] = []
     for it in range(1, train_cfg.iterations + 1):
         q0 = rng.uniform(
             -reset_span, reset_span, (train_cfg.batch_size, config.action_dim)
         )
         try:
-            tape = Tape(TRAIN_DTYPE)
-            roll0 = rollout_shape(shape_model, config, tape, q0, frozen=True)
-            targets = roll0.tip.value + rng.uniform(
-                -train_cfg.target_scale,
-                train_cfg.target_scale,
-                (train_cfg.batch_size, 3),
-            )
-            targets = clamp_to_workspace(targets, config)
-            result = rollout_policy(
-                model,
-                shape_model,
-                config,
-                tape,
-                q0,
-                targets,
-                initial_points=roll0.points,
-                noise_rng=rng,
-                noise_std=loss_cfg.noise_std,
-            )
-            term_values: list[float] = []
-            loss = control_loss(result, loss_cfg, loss_obstacle, term_values)
-            train_loss = sum(term_values)
-            if not np.isfinite(train_loss):
-                raise FloatingPointError("loss is not finite")
-            grads = ad.backward(loss)
-            policy_grads = collect_mlp_grads(grads, result.policy_tensors)
-            adam_step(model.params, policy_grads, train_cfg.learning_rate)
+            train_loss = step(q0)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"control training diverged at iteration {it}: {exc}"
@@ -601,7 +603,7 @@ def place_obstacle(
     shape_model: ShapeNodeModel,
     config: RobotConfig,
     kind: str,
-    period: float = 100.0,
+    period: float,
 ) -> Array:
     """Obstacle center on the swept body, 4 cm of arc back from the tip.
 

@@ -1,5 +1,9 @@
 """MLP parameters, forward pass, Adam, and array serialization.
 
+Every network has one form, LeakyReLU(0.01) hidden layers into a tanh
+output layer.  A model file names it (``hidden_slope`` 0.01,
+``out_activation`` ``"tanh"``), and loading refuses any other.
+
 Parameters live outside any tape as plain float64 arrays, together with
 their Adam moment buffers and step count.  A training iteration wraps the
 weights once into tape leaves (:meth:`MlpParams.as_tensors`), cast to
@@ -19,11 +23,12 @@ nothing to backpropagate.
 from __future__ import annotations
 
 import base64
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Array, Tape, Tensor, check_finite, cmul, dense, grad_of
+from .autodiff import LEAKY_SLOPE, Array, Tape, Tensor, check_finite, cmul, dense, grad_of
 
 
 # Adam's moment decay rates and denominator guard: the defaults of
@@ -34,7 +39,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class MlpParams:
-    """Fully connected network with LeakyReLU hidden layers.
+    """Fully connected network: LeakyReLU hidden layers, tanh output.
 
     ``input_scale`` and ``output_scale`` are constant per-component
     multipliers applied before the first layer and after the output
@@ -44,15 +49,13 @@ class MlpParams:
     model resumes training exactly where it left off.
 
     Construction checks the structure, so a model file that is not one
-    network fails to load: the output activation is tanh or identity,
-    the weights chain, each bias and scale has its layer's width, and
-    any moments have the parameters' shapes.
+    network fails to load: the weights chain, each bias and scale has
+    its layer's width, and any moments have the parameters' shapes.  No
+    field names the form; :func:`params_from_dict` checks what a file names.
     """
 
     weights: list[Array]
     biases: list[Array]
-    hidden_slope: float = 0.01
-    out_activation: str = "tanh"
     input_scale: Array | None = None
     output_scale: Array | None = None
     adam_m: list[Array] = field(default_factory=list)
@@ -60,8 +63,6 @@ class MlpParams:
     step_count: int = 0
 
     def __post_init__(self):
-        if self.out_activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown output activation {self.out_activation!r}")
         if not self.weights or any(w.ndim != 2 for w in self.weights):
             raise ValueError("weights must be one or more matrices")
         sizes = self.sizes
@@ -105,17 +106,7 @@ class MlpParams:
         return MlpTensors(self, layers)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            hidden_slope=self.hidden_slope,
-            out_activation=self.out_activation,
-            input_scale=None if self.input_scale is None else self.input_scale.copy(),
-            output_scale=None if self.output_scale is None else self.output_scale.copy(),
-            adam_m=[m.copy() for m in self.adam_m],
-            adam_v=[v.copy() for v in self.adam_v],
-            step_count=self.step_count,
-        )
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -136,7 +127,6 @@ class MlpTensors:
 def init_mlp(
     rng: np.random.Generator,
     sizes: list[int],
-    out_activation: str = "tanh",
     input_scale: Array | None = None,
     output_scale: Array | None = None,
 ) -> MlpParams:
@@ -152,14 +142,14 @@ def init_mlp(
     return MlpParams(
         weights=weights,
         biases=biases,
-        out_activation=out_activation,
         input_scale=None if input_scale is None else np.asarray(input_scale, dtype=np.float64),
         output_scale=None if output_scale is None else np.asarray(output_scale, dtype=np.float64),
     )
 
 
 def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
-    """Evaluate the network on a batch ``x`` of shape (batch, in_dim)."""
+    """Evaluate the network on a batch ``x`` of shape (batch, in_dim):
+    LeakyReLU hidden layers, then the tanh output layer."""
     p = mt.params
     if x.value.shape[-1] != p.weights[0].shape[0]:
         raise ValueError(
@@ -172,10 +162,7 @@ def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
         h = cmul(h, p.input_scale)
     last = len(mt.layers) - 1
     for i, (w, b) in enumerate(mt.layers):
-        if i < last:
-            h = dense(h, w, b, "leaky", p.hidden_slope)
-        else:
-            h = dense(h, w, b, p.out_activation)
+        h = dense(h, w, b, "leaky" if i < last else "tanh")
     if p.output_scale is not None:
         h = cmul(h, p.output_scale)
     return h
@@ -240,8 +227,8 @@ def b64_to_array(d: dict) -> Array:
 def params_to_dict(p: MlpParams) -> dict:
     return {
         "sizes": p.sizes,
-        "hidden_slope": p.hidden_slope,
-        "out_activation": p.out_activation,
+        "hidden_slope": LEAKY_SLOPE,
+        "out_activation": "tanh",
         "weights": [array_to_b64(w) for w in p.weights],
         "biases": [array_to_b64(b) for b in p.biases],
         "input_scale": None if p.input_scale is None else array_to_b64(p.input_scale),
@@ -253,11 +240,14 @@ def params_to_dict(p: MlpParams) -> dict:
 
 
 def params_from_dict(d: dict) -> MlpParams:
+    """Inverse of :func:`params_to_dict`; another network form raises ``ValueError``."""
+    form = (float(d["hidden_slope"]), d["out_activation"])
+    if form != (LEAKY_SLOPE, "tanh"):
+        got = f"LeakyReLU({form[0]:g}) into {form[1]!r}"
+        raise ValueError(f"network is {got}, not LeakyReLU({LEAKY_SLOPE:g}) into 'tanh'")
     return MlpParams(
         weights=[b64_to_array(w) for w in d["weights"]],
         biases=[b64_to_array(b) for b in d["biases"]],
-        hidden_slope=float(d["hidden_slope"]),
-        out_activation=d["out_activation"],
         input_scale=None if d.get("input_scale") is None else b64_to_array(d["input_scale"]),
         output_scale=None if d.get("output_scale") is None else b64_to_array(d["output_scale"]),
         adam_m=[b64_to_array(m) for m in d.get("adam_m", [])],

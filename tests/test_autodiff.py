@@ -97,7 +97,7 @@ def test_dense_fd(rng):
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 5))
     b = rng.standard_normal(5)
-    for act in ("leaky", "tanh", "identity"):
+    for act in ("leaky", "tanh"):
         _check_primitive(
             lambda t, l, a=act: ad.reduce_sum(ad.square(ad.dense(l[0], l[1], l[2], a))),
             [x.copy(), w.copy(), b.copy()],
@@ -113,13 +113,12 @@ def test_dense_matches_unfused_chain(rng):
     chains = [
         ("leaky", lambda pre: leaky_relu(pre, 0.01)),
         ("tanh", ad.tanh),
-        ("identity", lambda pre: pre),
     ]
     for act, chain in chains:
         # one tape per pair: the two sweeps share only the leaves
         tape = ad.Tape()
         xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
-        fused = ad.dense(xt, wt, bt, act, 0.01)
+        fused = ad.dense(xt, wt, bt, act)
         ref = chain(ad.add(matmul(xt, wt), bt))
         assert np.array_equal(fused.value, ref.value)
         gf = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(fused))), xt)
@@ -385,16 +384,15 @@ def test_leaky_factor_is_np_where_bit_for_bit(rng, dtype, slope):
 F64 = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
 FLOAT32_CASES = {
     "add": lambda a, b, w, c: ad.add(a, b),
-    "add_broadcast": lambda a, b, w, c: ad.add(ad.dense(a, w, c), c),
+    "add_broadcast": lambda a, b, w, c: ad.add(ad.dense(a, w, c, "leaky"), c),
     "sub": lambda a, b, w, c: ad.sub(a, b),
     "neg": lambda a, b, w, c: ad.neg(a),
     "scale": lambda a, b, w, c: ad.scale(a, np.float64(0.3)),
     "add_const_array": lambda a, b, w, c: ad.add_const(a, F64),
     "add_const_scalar": lambda a, b, w, c: ad.add_const(a, 0.5),
     "cmul": lambda a, b, w, c: ad.cmul(a, F64),
-    "dense_leaky": lambda a, b, w, c: ad.dense(a, w, c, "leaky", 0.01),
+    "dense_leaky": lambda a, b, w, c: ad.dense(a, w, c, "leaky"),
     "dense_tanh": lambda a, b, w, c: ad.dense(a, w, c, "tanh"),
-    "dense_identity": lambda a, b, w, c: ad.dense(a, w, c),
     "tanh": lambda a, b, w, c: ad.tanh(a),
     "sigmoid": lambda a, b, w, c: ad.sigmoid(a),
     "sqrt": lambda a, b, w, c: ad.sqrt(ad.add_const(ad.square(a), 1.0)),

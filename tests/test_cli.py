@@ -757,6 +757,8 @@ def _narrow_action_box(doc):
 # bound to one robot
 TAMPERED_MODELS = {
     "relu_output": ("shape", _set_params("out_activation", "relu")),
+    "hidden_slope": ("shape", _set_params("hidden_slope", 0.02)),
+    "identity_output": ("shape", _set_params("out_activation", "identity")),
     "widths_do_not_chain": ("shape", _widen_second_layer),
     "input_scale_length": ("shape", _set_params("input_scale", array_to_b64(np.ones(6)))),
     "output_scale_length_1": ("shape", _set_params("output_scale", array_to_b64([1.0]))),

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -176,8 +177,6 @@ def test_model_validation(rng):
     cfg = RobotConfig(n_segments=2)
     with pytest.raises(ValueError, match="must map"):
         ControlNodeModel(params=init_mlp(rng, [10, 8, 4]))
-    with pytest.raises(ValueError, match="tanh"):
-        ControlNodeModel(params=init_mlp(rng, [37, 8, 4], out_activation="identity"))
     with pytest.raises(ValueError):
         ControlNodeModel(params=init_mlp(rng, [37, 8, 4]), horizon=0)
     m = init_control_model(rng, cfg)
@@ -673,6 +672,30 @@ def test_policy_training_peak_memory_does_not_grow_per_iteration():
 
     one, two = traced_peak(1), traced_peak(2)
     assert two <= 1.1 * one, (one, two)
+
+
+def test_policy_training_frees_each_iteration_tape(setup1, monkeypatch):
+    # iteration k's tape and every tensor on it are gone, with the cycle
+    # collector off, before iteration k+1 starts its first shape rollout
+    cfg, sm, policy = setup1
+    seen: list[weakref.ref] = []
+
+    def watched(model, config, tape, q_batch, frozen=False):
+        alive = [i for i, ref in enumerate(seen) if ref() not in (None, tape)]
+        assert alive == [], f"training tapes {alive} outlive their iteration"
+        if not any(ref() is tape for ref in seen):
+            seen.append(weakref.ref(tape))
+        return rollout_shape(model, config, tape, q_batch, frozen)
+
+    monkeypatch.setattr(control_node, "rollout_shape", watched)
+    train_cfg = ControlTrainConfig(batch_size=2, iterations=3)
+    gc.collect()
+    gc.disable()
+    try:
+        train_control_node(sm, cfg, train_cfg, ControlLossConfig(), model=policy)
+    finally:
+        gc.enable()
+    assert len(seen) == 3
 
 
 def test_frozen_jacobian_and_plan_match_trainable_tape(setup1, rng, monkeypatch):
