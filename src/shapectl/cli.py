@@ -44,8 +44,6 @@ from .reports import (
     MetricsRow,
     MetricsTable,
     read_dataset_csv,
-    read_shape_eval_csv,
-    read_tracking_log_csv,
     svg_path_overlay,
     write_dataset_csv,
     write_metrics_csv,
@@ -253,8 +251,6 @@ def cmd_train_control(args) -> int:
             robot,
             hidden=cfg.get("control", "hidden"),
             horizon=cfg.get("control", "horizon"),
-            dt=cfg.get("control", "dt"),
-            rate_scale=cfg.get("control", "rate_scale"),
         )
     t0 = time.monotonic()
     model, history = train_control_node(
@@ -262,7 +258,6 @@ def cmd_train_control(args) -> int:
         robot,
         train_cfg,
         loss_cfg,
-        scenario=scenario,
         obstacle=obstacle,
         model=model,
     )
@@ -309,8 +304,7 @@ class _Trials:
         obstacle: ObstacleSpec | None = None,
     ) -> list[TrackingLog]:
         """One runner call for all trials, from ``q_start``; trial i uses
-        seed + i, writes ``<prefix>_trial{i}.csv``, and its log is read
-        back from there."""
+        seed + i and writes its log to ``<prefix>_trial{i}.csv``."""
         logs = closed_loop_track(
             policy,
             self.shape_model,
@@ -324,12 +318,9 @@ class _Trials:
             noise_std=self.noise_std,
             q_start=q_start,
         )
-        paths = []
         for i, log in enumerate(logs):
-            path = self.out / f"{prefix}_trial{i}.csv"
-            write_tracking_log_csv(path, log)
-            paths.append(path)
-        return [read_tracking_log_csv(p) for p in paths]
+            write_tracking_log_csv(self.out / f"{prefix}_trial{i}.csv", log)
+        return logs
 
     def reference(self, kind: str) -> np.ndarray:
         """The reference path sampled densely for plotting."""
@@ -390,8 +381,7 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
     truth = np.concatenate([d[1] for d in draws])
     pred = predict_shape_batch(model, q, robot)
     write_shape_eval_csv(out / "shape_eval.csv", truth, pred)
-    t, p = read_shape_eval_csv(out / "shape_eval.csv")
-    rmse, std = per_axis_error_mm(p - t)
+    rmse, std = per_axis_error_mm(pred - truth)
     rows = [
         MetricsRow("shape", axis, float(rmse[j]), float(std[j]), SHAPE_EVAL_TRIALS)
         for j, axis in enumerate("xyz")
@@ -401,7 +391,7 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
         out / "shape_eval.svg",
         [
             ("simulated", side([truth[0, :, 0], truth[0, :, 2]])),
-            ("model", side([p[0, :, 0], p[0, :, 2]])),
+            ("model", side([pred[0, :, 0], pred[0, :, 2]])),
         ],
         "backbone, first evaluation sample",
     )
@@ -562,7 +552,7 @@ def cmd_rollout(args) -> int:
     path = out / "rollout.csv"
     write_tracking_log_csv(path, log)
     if log.n_ticks > 0:
-        m = evaluate_tracking(read_tracking_log_csv(path))
+        m = evaluate_tracking(log)
         print(
             f"{mode} {kind}: {m.n_ticks} ticks,"
             f" aggregate RMSE {m.aggregate_rmse_mm:.3f} mm"

@@ -108,8 +108,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "control": {
         "hidden": ("intlist", (256, 256)),
         "horizon": ("int", 10),
-        "dt": ("float", 1.0),
-        "rate_scale": ("float", 1.0),
         "batch_size": ("int", 256),
         "iterations": ("int", 10_000),
         "learning_rate": ("float", 1e-3),

@@ -5,10 +5,10 @@ z through time; the emitted action is q = q_min + (tanh(z)+1)/2 *
 (q_max - q_min) in the robot config's box, so bounds hold exactly for
 all time.  One :func:`policy_step` observes a backbone (nine points
 evenly spaced in grid index), its tip, the current action and the goal,
-and advances z by one explicit Euler step.  With the observation frozen
-over the step the stage dynamics are constant, so any single-step
-scheme lands on the same value, and the memoryless step makes acting
-from an achieved state continue the plan.
+and adds the policy output to z.  With the observation frozen over the
+step the stage dynamics are constant, so any single-step scheme lands
+on the same value, and the memoryless step makes acting from an
+achieved state continue the plan.
 Training rolls steps out against the shape model, each observing the
 previous step's predicted backbone, and minimizes an MPC-style loss
 (tracking, action rate, shape consistency, terminal, optional obstacle
@@ -73,11 +73,6 @@ def observation_blocks(action_dim: int) -> tuple[int, int, int]:
     return 3 * OBS_POINTS + 3, action_dim, 3
 
 
-def observation_dim(config: RobotConfig) -> int:
-    """Observation width: 9 backbone points, tip, action, goal."""
-    return sum(observation_blocks(config.action_dim))
-
-
 @dataclass
 class ControlLossConfig:
     """Weights and noise settings for the MPC-style rollout loss."""
@@ -129,13 +124,11 @@ class ControlTrainConfig:
 
 @dataclass
 class ControlNodeModel:
-    """Policy network plus the horizon and step it was built for; the
-    robot config passed alongside owns the action box."""
+    """Policy network plus the horizon it was built for; the robot
+    config passed alongside owns the action box."""
 
     params: MlpParams
     horizon: int = 10
-    dt: float = 1.0
-    rate_scale: float = 1.0
 
     def __post_init__(self):
         sizes = self.params.sizes
@@ -147,8 +140,6 @@ class ControlNodeModel:
             )
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.dt <= 0 or self.rate_scale <= 0:
-            raise ValueError("dt and rate_scale must be positive")
 
     @property
     def action_dim(self) -> int:
@@ -160,19 +151,15 @@ def init_control_model(
     config: RobotConfig,
     hidden: tuple[int, ...] = (256, 256),
     horizon: int = 10,
-    dt: float = 1.0,
-    rate_scale: float = 1.0,
 ) -> ControlNodeModel:
     """Fresh Glorot-initialized policy for one robot geometry."""
     out_dim = config.action_dim
     # positions in meters get x10, actions normalize by the bound
     blocks = observation_blocks(out_dim)
     input_scale = np.repeat([10.0, 1.0 / config.u_max, 10.0], blocks)
-    sizes = [observation_dim(config), *hidden, out_dim]
+    sizes = [sum(blocks), *hidden, out_dim]
     params = init_mlp(rng, sizes, input_scale=input_scale)
-    return ControlNodeModel(
-        params=params, horizon=horizon, dt=dt, rate_scale=rate_scale
-    )
+    return ControlNodeModel(params=params, horizon=horizon)
 
 
 def bound_actions(z: Tensor, q_min: float, q_max: float) -> Tensor:
@@ -230,7 +217,6 @@ def downsample_shape(points: list[Tensor]) -> list[Tensor]:
 
 
 def policy_step(
-    policy: ControlNodeModel,
     config: RobotConfig,
     pmt: MlpTensors,
     backbone: list[Tensor],
@@ -241,8 +227,8 @@ def policy_step(
     noise_std: float,
 ) -> tuple[Tensor, Tensor]:
     """Observe ``backbone`` (nine tensors, tip last), tip, ``q`` and ``goal``,
-    add one draw of noise (none without ``noise_rng``), advance ``z`` by
-    one call of ``pmt`` and bound it to ``config``'s action box.
+    add one draw of noise (none without ``noise_rng``), add one call of
+    ``pmt`` to ``z`` and bound it to ``config``'s action box.
 
     Returns the new ``(z, q)``; a non-finite action raises
     ``FloatingPointError``.
@@ -250,8 +236,7 @@ def policy_step(
     obs = ad.concat(backbone + [backbone[-1], q, goal], axis=1)
     if noise_rng is not None and noise_std > 0.0:
         obs = ad.add_const(obs, noise_rng.normal(0.0, noise_std, size=obs.value.shape))
-    drive = mlp_forward(pmt, obs)
-    z = ad.add(z, ad.scale(drive, policy.rate_scale * policy.dt))
+    z = ad.add(z, mlp_forward(pmt, obs))
     q = bound_actions(z, config.q_min, config.q_max)
     check_finite(q.value, "policy action")
     return z, q
@@ -322,8 +307,7 @@ def rollout_policy(
     for k in range(policy.horizon):
         try:
             z, q_cur = policy_step(
-                policy, config, pmt, shapes_ds[k], q_cur, z, goal_leaf, noise_rng,
-                noise_std,
+                config, pmt, shapes_ds[k], q_cur, z, goal_leaf, noise_rng, noise_std
             )
             ro = rollout_shape(shape_model, config, tape, q_cur, frozen=True)
         except FloatingPointError as exc:
@@ -445,7 +429,6 @@ def train_control_node(
     config: RobotConfig,
     train_cfg: ControlTrainConfig,
     loss_cfg: ControlLossConfig,
-    scenario: str = "tracking",
     obstacle: ObstacleSpec | None = None,
     *,
     model: ControlNodeModel,
@@ -455,10 +438,10 @@ def train_control_node(
     Every iteration draws a fresh batch of episodes: reset actions
     uniform within +-reset_scale * u_max, goals the episode's initial
     predicted tip perturbed by +-target_scale per axis and clamped to
-    the workspace.  The obstacle scenario adds the proximity penalty
-    around a fixed obstacle.  Returns the model and the history rows
-    (iteration, train_loss); ``train_loss`` is the float64 sum of the
-    weighted loss terms.
+    the workspace.  An ``obstacle`` adds the proximity penalty around
+    it; without one the policy learns to track.  Returns the model and
+    the history rows (iteration, train_loss); ``train_loss`` is the
+    float64 sum of the weighted loss terms.
 
     Every iteration computes on a :data:`~shapectl.shape_node.TRAIN_DTYPE`
     (float32) tape, the frozen shape model's weights and the taped
@@ -467,11 +450,6 @@ def train_control_node(
     :func:`ik_solve` to every tick of :func:`closed_loop_track`, computes
     in float64.
     """
-    if scenario not in ("tracking", "obstacle"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if scenario == "obstacle" and obstacle is None:
-        raise ValueError("obstacle scenario needs an obstacle")
-    loss_obstacle = obstacle if scenario == "obstacle" else None
     rng = np.random.default_rng(train_cfg.seed)
     reset_span = train_cfg.reset_scale * config.u_max
 
@@ -497,7 +475,7 @@ def train_control_node(
             noise_std=loss_cfg.noise_std,
         )
         term_values: list[float] = []
-        loss = control_loss(result, loss_cfg, loss_obstacle, term_values)
+        loss = control_loss(result, loss_cfg, obstacle, term_values)
         train_loss = sum(term_values)
         if not np.isfinite(train_loss):
             raise FloatingPointError("loss is not finite")
@@ -683,7 +661,6 @@ def closed_loop_track(
                 leaf = tape.constant
                 try:
                     _, q_next = policy_step(
-                        policy,
                         config,
                         policy.params.as_tensors(tape, frozen=True),
                         downsample_shape([leaf(p[None]) for p in achieved.points[1:]]),
@@ -750,31 +727,33 @@ def count_violations(log: TrackingLog, obstacle: ObstacleSpec) -> int:
 
 
 def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> None:
-    """Write the policy plus its robot binding as a single JSON document."""
+    """Write the policy plus its robot binding as a single JSON document;
+    the step's ``dt`` and ``rate_scale`` are written as 1, the only value
+    they take, so the file keeps the layout older readers expect."""
     _write_model_file(
         path,
         CONTROL_MODEL_FORMAT,
-        {"horizon": model.horizon, "dt": model.dt, "rate_scale": model.rate_scale},
+        {"horizon": model.horizon, "dt": 1.0, "rate_scale": 1.0},
         model.params,
         config,
     )
 
 
 def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
-    """Load a saved policy; malformed files and a policy whose width does
-    not fit the file's robot config raise ``ValueError``.  The top-level
-    ``n_segments``, ``q_min`` and ``q_max`` of older files are ignored."""
-    model, config = _read_model_file(
-        path,
-        CONTROL_MODEL_FORMAT,
-        "control",
-        lambda doc, params: ControlNodeModel(
-            params=params,
-            horizon=int(doc["horizon"]),
-            dt=float(doc["dt"]),
-            rate_scale=float(doc["rate_scale"]),
-        ),
-    )
+    """Load a saved policy; malformed files, a ``dt`` or ``rate_scale``
+    other than 1 and a policy whose width does not fit the file's robot
+    config raise ``ValueError``.  The top-level ``n_segments``, ``q_min``
+    and ``q_max`` of older files are ignored."""
+
+    def build(doc, params):
+        step = (float(doc["dt"]), float(doc["rate_scale"]))
+        if step != (1.0, 1.0):
+            raise ValueError(
+                f"policy step has dt {step[0]:g} and rate_scale {step[1]:g}, not 1 and 1"
+            )
+        return ControlNodeModel(params=params, horizon=int(doc["horizon"]))
+
+    model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build)
     if model.action_dim != config.action_dim:
         raise ValueError(
             f"policy emits {model.action_dim} actions, its robot config"

@@ -1,10 +1,11 @@
 """Report emission: CSV schemas, metrics tables, and SVG path overlays.
 
 Every file format here is the canonical one: datasets read back into
-the exact ``(q, points)`` arrays they were written from, tracking logs
-round-trip bit-for-bit through the 17-significant-digit float format,
-and metrics tables are always derived from emitted logs rather than
-computed independently.  The all-number tables (datasets, training
+the exact ``(q, points)`` arrays they were written from, and tracking
+logs and shape evaluation records round-trip bit-for-bit through the
+17-significant-digit float format.  So the metrics, computed from the
+same arrays the logs and records are written from, are the metrics of
+the emitted files.  The all-number tables (datasets, training
 histories, tracking logs, shape evaluation records) are written by one
 :func:`write_table` and read by one :func:`read_table`.
 """
@@ -252,18 +253,6 @@ def write_shape_eval_csv(path, truths: Array, predictions: Array) -> None:
     sample, point = np.divmod(np.arange(n * p), p)
     table = [sample, point, truths.reshape(-1, 3), predictions.reshape(-1, 3)]
     write_table(path, SHAPE_EVAL_HEADER, np.column_stack(table))
-
-
-def read_shape_eval_csv(path) -> tuple[Array, Array]:
-    header, rows = read_table(path)
-    if header != SHAPE_EVAL_HEADER:
-        raise ValueError("not a shape evaluation file")
-    data = np.array(rows)
-    n = int(data[:, 0].max()) + 1
-    p = int(data[:, 1].max()) + 1
-    truths = data[:, 2:5].reshape(n, p, 3)
-    predictions = data[:, 5:8].reshape(n, p, 3)
-    return truths, predictions
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,14 @@ def init_shape_model(
 def _curvature_node(
     tape: Tape, q: Tensor, u_value: Array, seg: int, config: RobotConfig
 ) -> Tensor:
-    """Tape node for one segment's commanded curvature of a taped action.
+    """Tape node for one segment's commanded curvature of the action ``q``.
 
     Forward value is the precomputed ``u_value`` slice of the commanded
     (mismatch-free) :func:`action_to_curvature`, cast to the tape's
     dtype; backward chains through the norm saturation in closed form
     (identity inside the ball, the scaled projection on it), routing
-    into the segment's two action columns in the adjoint's dtype.
+    into the segment's two action columns in the adjoint's dtype.  A
+    constant ``q`` makes the node a constant.
     """
     qv = q.value[:, 2 * seg : 2 * seg + 2]
     norms = np.sqrt((qv * qv).sum(axis=1, keepdims=True))
@@ -203,17 +204,19 @@ def rollout_shape(
 
     ``q_batch`` may be a tape tensor, in which case gradients flow from
     the predicted points back into the actions through the saturating
-    curvature map.  ``frozen`` wraps the model weights as constants: no
-    weight gradient is computed, and with array actions the rollout
-    records nothing to backpropagate.
+    curvature map; an array enters the tape as a constant.  ``frozen``
+    wraps the model weights as constants: no weight gradient is
+    computed, and with array actions the rollout records nothing to
+    backpropagate.  Array actions outside the bounds raise ``ValueError``.
     """
-    q_tensor = q_batch if isinstance(q_batch, Tensor) else None
-    if q_tensor is None:
-        q = np.asarray(q_batch, dtype=np.float64)
-    else:
+    if isinstance(q_batch, Tensor):
+        q_leaf = q_batch
         # a float32 tape rounds a bound such as 12.3 up, so a saturated
         # policy action can sit one float32 ulp past it
-        q = np.clip(q_tensor.value.astype(np.float64), config.q_min, config.q_max)
+        q = np.clip(q_leaf.value.astype(np.float64), config.q_min, config.q_max)
+    else:
+        q = np.asarray(q_batch, dtype=np.float64)
+        q_leaf = tape.constant(q)
     u0 = action_to_curvature(config, q, mismatch=False)
     batch = q.shape[0]
     mt = model.params.as_tensors(tape, frozen=frozen)
@@ -225,10 +228,7 @@ def rollout_shape(
     aug = tape.constant(np.zeros((batch, 1)))
     points: list[Tensor] = []
     for seg in range(config.n_segments):
-        if q_tensor is not None:
-            u_leaf = _curvature_node(tape, q_tensor, u0[:, seg], seg, config)
-        else:
-            u_leaf = tape.constant(u0[:, seg])
+        u_leaf = _curvature_node(tape, q_leaf, u0[:, seg], seg, config)
         x0 = ad.concat([p, u_leaf, aug], axis=1)
         grid = IntegrationGrid(
             0.0, config.segment_lengths[seg], model.steps_per_segment

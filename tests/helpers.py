@@ -11,6 +11,8 @@ each tip coordinate on its own, where the library weights all three in
 one reverse sweep.  The single-action tip Jacobian and the one-target
 IK solve are the library's arithmetic for one action or target, without
 the batch: a single call of the library must equal them bit for bit.
+The shape evaluation reader inverts the record file that ``evaluate
+--scenario shape`` writes, which the library itself never reads back.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from shapectl import autodiff as ad
 from shapectl.autodiff import Tape, Tensor, _unbroadcast
 from shapectl.control_node import IK_MAX_ITERS, IK_TOL, _clip_inside, damped_pinv
+from shapectl.reports import SHAPE_EVAL_HEADER, read_table
 from shapectl.shape_node import rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -196,3 +199,15 @@ def single_ik_solve(model, config, target: np.ndarray):
             break
         q = _clip_inside(q + damped_pinv(jac) @ err, config.q_min, config.q_max)
     return best_q
+
+
+def read_shape_eval_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (truth, prediction) arrays of a shape evaluation record, each
+    (samples, points, 3)."""
+    header, rows = read_table(path)
+    if header != SHAPE_EVAL_HEADER:
+        raise ValueError("not a shape evaluation file")
+    data = np.array(rows)
+    n = int(data[:, 0].max()) + 1
+    p = int(data[:, 1].max()) + 1
+    return data[:, 2:5].reshape(n, p, 3), data[:, 5:8].reshape(n, p, 3)

@@ -464,7 +464,6 @@ def test_dropped_tapes_need_no_cycle_collector(rng, monkeypatch):
             robot,
             ControlTrainConfig(batch_size=2, iterations=1),
             ControlLossConfig(),
-            scenario="obstacle",
             obstacle=ObstacleSpec(center=np.array([0.02, 0.0, 0.08])),
             model=control_node.init_control_model(rng, robot, hidden=(8,)),
         )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import read_shape_eval_csv
 import shapectl.cli
 import shapectl.control_node
 from shapectl.cli import main
@@ -26,7 +27,6 @@ from shapectl.nn import array_to_b64
 from shapectl.reports import (
     read_dataset_csv,
     read_metrics_csv,
-    read_shape_eval_csv,
     read_tracking_log_csv,
 )
 from shapectl.robot import RobotConfig, sample_dataset
@@ -267,6 +267,21 @@ def test_train_control_zero_iterations_rejected(workdir, tmp_path, monkeypatch):
         ]
     )
     assert rc == 3
+
+
+def test_train_control_unknown_scenario_is_config_error(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    # the library trains whatever it is given; the CLI alone checks the
+    # scenario the user asked for
+    monkeypatch.setenv("SHAPECTL_RUN_SCENARIO", "payload")
+    args = ["train-control", "--config", str(workdir[1])]
+    args += ["--shape-model", _shape_model_path(workdir), "--out", str(tmp_path)]
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "error: unknown scenario 'payload' for train-control\n"
+    assert not (tmp_path / "control_model.json").exists()
 
 
 def test_obstacle_flag_changes_training_loss(workdir, tmp_path, monkeypatch, capsys):
@@ -735,6 +750,13 @@ def _set_params(key, value):
     return tamper
 
 
+def _set_field(key, value):
+    def tamper(doc):
+        doc[key] = value
+
+    return tamper
+
+
 def _widen_second_layer(doc):
     # its input grows by one: the weights no longer chain
     shape = doc["params"]["weights"][1]["shape"]
@@ -768,6 +790,8 @@ TAMPERED_MODELS = {
         _set_params("input_scale", array_to_b64(np.ones(4))),
     ),
     "action_box": ("shape", _narrow_action_box),
+    "policy_dt": ("control", _set_field("dt", 0.5)),
+    "policy_rate_scale": ("control", _set_field("rate_scale", 0.5)),
 }
 
 

@@ -30,7 +30,7 @@ LIBRARY_DEFAULTS = {
 }
 KEYWORDS = {
     init_shape_model: ("hidden", "solver", "steps_per_segment"),
-    init_control_model: ("hidden", "horizon", "dt", "rate_scale"),
+    init_control_model: ("hidden", "horizon"),
     closed_loop_track: ("duration", "period", "payload_grams"),
 }
 

@@ -32,7 +32,7 @@ from shapectl.control_node import (
     ik_solve,
     init_control_model,
     load_control_model,
-    observation_dim,
+    observation_blocks,
     policy_step,
     rollout_policy,
     save_control_model,
@@ -146,9 +146,11 @@ def test_downsample_tensor_value_twins_bitwise(rng):
 
 
 def test_observation_dim():
-    assert observation_dim(RobotConfig(n_segments=1)) == 35
-    assert observation_dim(RobotConfig(n_segments=3)) == 39
-    assert observation_dim(RobotConfig(n_segments=4)) == 41
+    # 9 backbone points and the tip, the action, the goal
+    assert observation_blocks(2) == (30, 2, 3)
+    for n_segments, width in ((1, 35), (3, 39), (4, 41)):
+        cfg = RobotConfig(n_segments=n_segments)
+        assert sum(observation_blocks(cfg.action_dim)) == width
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,6 @@ def test_step_action_is_the_rollouts_first_action(setup1, batch, seed):
     )
     tape = Tape()
     _, q1 = policy_step(
-        policy,
         cfg,
         policy.params.as_tensors(tape, frozen=True),
         downsample_shape([tape.constant(p) for p in observed]),
@@ -628,7 +629,6 @@ def test_frozen_shape_model_leaves_policy_gradients_bitwise(setup1, monkeypatch)
                 cfg,
                 ControlTrainConfig(batch_size=3, iterations=2, seed=5),
                 ControlLossConfig(),
-                scenario="obstacle",
                 obstacle=obstacle,
                 model=init_control_model(np.random.default_rng(5), cfg, hidden=(12,)),
             )
@@ -645,10 +645,10 @@ def test_frozen_shape_model_leaves_policy_gradients_bitwise(setup1, monkeypatch)
 
 
 def test_policy_training_peak_memory_does_not_grow_per_iteration():
-    # the sweep frees each iteration's forward residuals, so a second
-    # iteration adds only the first one's tape bookkeeping (node ids and
-    # parent tuples, about 0.6 MB here) to the traced peak; with the
-    # residuals kept until the tape dies the ratio is above 1.5
+    # each iteration's tape, residuals and bookkeeping die when its Adam
+    # step ends, so a second iteration adds next to nothing to the traced
+    # peak (the ratio reads about 1.004 here); with the residuals kept
+    # until the tape dies the ratio is above 1.5
     def traced_peak(iterations):
         cfg = RobotConfig(n_segments=2)
         rng = np.random.default_rng(0)
@@ -770,7 +770,7 @@ def test_policy_training_runs_float32_keeps_float64_state(setup1, tmp_path, monk
     obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.08]))
     tcfg = ControlTrainConfig(batch_size=4, iterations=3, seed=2)
     model, _ = train_control_node(
-        sm, cfg, tcfg, ControlLossConfig(), "obstacle", obstacle, model=policy
+        sm, cfg, tcfg, ControlLossConfig(), obstacle, model=policy
     )
     assert seen and set(seen) == {np.dtype(TRAIN_DTYPE)} == {np.dtype(np.float32)}
     p = model.params
@@ -821,16 +821,6 @@ def test_deployment_tapes_are_float64(setup1, monkeypatch):
         dtypes.clear()
     tip_jacobian(sm, np.zeros(cfg.action_dim), cfg)
     assert dtypes == [np.dtype(np.float64)]
-
-
-def test_training_scenario_validation(setup1):
-    cfg, sm, policy = setup1
-    tcfg = ControlTrainConfig(batch_size=2, iterations=1)
-    loss_cfg = ControlLossConfig()
-    with pytest.raises(ValueError, match="scenario"):
-        train_control_node(sm, cfg, tcfg, loss_cfg, scenario="flying", model=policy)
-    with pytest.raises(ValueError, match="obstacle"):
-        train_control_node(sm, cfg, tcfg, loss_cfg, scenario="obstacle", model=policy)
 
 
 def test_training_divergence_names_iteration(setup1, rng):
@@ -1119,11 +1109,12 @@ def test_save_load_roundtrip(setup1, tmp_path):
     loaded, cfg2 = load_control_model(path)
     assert cfg2 == cfg
     assert loaded.horizon == policy.horizon
-    assert loaded.dt == policy.dt
-    assert loaded.rate_scale == policy.rate_scale
     assert loaded.action_dim == cfg.action_dim
+    doc = json.loads(path.read_text())
+    # the step is z + policy(obs): the file names it as dt = rate_scale = 1
+    assert (doc["dt"], doc["rate_scale"]) == (1.0, 1.0)
     # the robot config owns the segment count and the action box
-    assert not {"n_segments", "q_min", "q_max"} & set(json.loads(path.read_text()))
+    assert not {"n_segments", "q_min", "q_max"} & set(doc)
     for a, b in zip(loaded.params.param_arrays(), policy.params.param_arrays()):
         assert np.array_equal(a, b)
     assert np.array_equal(loaded.params.input_scale, policy.params.input_scale)

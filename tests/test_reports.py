@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from helpers import read_shape_eval_csv
 from shapectl.control_node import TrackingLog
 from shapectl.reports import (
     MetricsRow,
@@ -14,7 +15,6 @@ from shapectl.reports import (
     fmt,
     read_dataset_csv,
     read_metrics_csv,
-    read_shape_eval_csv,
     read_tracking_log_csv,
     svg_path_overlay,
     write_dataset_csv,

@@ -548,6 +548,24 @@ def test_rollout_action_tensor_matches_array_path(rng):
         assert np.array_equal(pa.value, pt.value)
 
 
+def test_rollout_clips_only_taped_actions(rng):
+    # a taped action may sit a float32 ulp past a bound and is clipped;
+    # an array action past a bound is the caller's error
+    cfg = RobotConfig(n_segments=2)
+    model = perturbed_model(rng, cfg, solver="rk4", steps_per_segment=5)
+    q = np.zeros((2, 4))
+    q[1, 3] = np.nextafter(cfg.q_max, np.inf)
+    with pytest.raises(ValueError, match="outside configured bounds"):
+        rollout_shape(model, cfg, Tape(), q, frozen=True)
+    tape = Tape()
+    clipped = rollout_shape(model, cfg, tape, np.minimum(q, cfg.q_max), frozen=True)
+    # frozen weights and an array action: every node is a constant
+    assert not any(tape.active)
+    taped = rollout_shape(model, cfg, tape, tape.tensor(q), frozen=True)
+    for pc, pt in zip(clipped.points, taped.points, strict=True):
+        assert np.array_equal(pc.value, pt.value)
+
+
 def test_rollout_action_gradient_fd(rng):
     # rows both inside and beyond the curvature clamp, away from the edge
     cfg = RobotConfig(n_segments=2)
