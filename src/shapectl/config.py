@@ -3,25 +3,33 @@
 A run is configured by a flat INI-style file with ``[robot]``,
 ``[shape]``, ``[control]``, and ``[run]`` sections.  Every key has a
 default matching the standard training setup, so an empty (or missing)
-file reproduces it; unknown sections or keys are rejected.  After the
-file, environment variables named ``SHAPECTL_<SECTION>_<KEY>``
-(uppercase) override single values, and explicit command-line flags
-override both.  Every command writes its fully resolved configuration
-next to its outputs so a run can be reproduced from the output
-directory alone.
+file reproduces it; unknown sections or keys are rejected.  A key that
+a library object takes reads its default from that object, so each
+default is stated once, and the typed views build those objects from
+the keys named after their parameters.  After the file, environment
+variables named ``SHAPECTL_<SECTION>_<KEY>`` (uppercase) override single
+values, and explicit command-line flags override both.  Every command
+writes its fully resolved configuration next to its outputs so a run can
+be reproduced from the output directory alone.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .control_node import ControlLossConfig, ControlTrainConfig
+from .control_node import (
+    ControlLossConfig,
+    ControlTrainConfig,
+    closed_loop_track,
+    init_control_model,
+)
 from .robot import ObstacleSpec, RobotConfig
-from .shape_node import ShapeTrainConfig
+from .shape_node import ShapeTrainConfig, init_shape_model
 
 ENV_PREFIX = "SHAPECTL"
 
@@ -87,48 +95,54 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# every key: (type name, default value)
+def _default(owner, name: str):
+    """The default of parameter ``name`` of ``owner``, a dataclass or a function."""
+    return inspect.signature(owner).parameters[name].default
+
+
+# every key: (type name, default value).  A key that a library object
+# takes reads its default from that object, so each default is stated once.
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "robot": {
-        "n_segments": ("int", 3),
-        "segment_lengths": ("floatlist", ()),  # empty: 0.1 per segment
-        "u_max": ("float", 15.0),
-        "mismatch_amplitude": ("float", 0.1),
+        "n_segments": ("int", _default(RobotConfig, "n_segments")),
+        "segment_lengths": ("floatlist", _default(RobotConfig, "segment_lengths")),
+        "u_max": ("float", _default(RobotConfig, "u_max")),
+        "mismatch_amplitude": ("float", _default(RobotConfig, "mismatch_amplitude")),
     },
     "shape": {
-        "hidden": ("intlist", (256, 256)),
-        "solver": ("str", "fixed-adams"),
-        "steps_per_segment": ("int", 10),
-        "batch_size": ("int", 256),
-        "iterations": ("int", 10_000),
-        "learning_rate": ("float", 1e-3),
-        "val_fraction": ("float", 0.1),
-        "val_interval": ("int", 100),
+        "hidden": ("intlist", _default(init_shape_model, "hidden")),
+        "solver": ("str", _default(init_shape_model, "solver")),
+        "steps_per_segment": ("int", _default(init_shape_model, "steps_per_segment")),
+        "batch_size": ("int", _default(ShapeTrainConfig, "batch_size")),
+        "iterations": ("int", _default(ShapeTrainConfig, "iterations")),
+        "learning_rate": ("float", _default(ShapeTrainConfig, "learning_rate")),
+        "val_fraction": ("float", _default(ShapeTrainConfig, "val_fraction")),
+        "val_interval": ("int", _default(ShapeTrainConfig, "val_interval")),
     },
     "control": {
-        "hidden": ("intlist", (256, 256)),
-        "horizon": ("int", 10),
-        "batch_size": ("int", 256),
-        "iterations": ("int", 10_000),
-        "learning_rate": ("float", 1e-3),
-        "reset_scale": ("float", 0.2),
-        "target_scale": ("float", 0.03),
-        "tracking_weight": ("float", 5000.0),
-        "action_rate_weight": ("float", 100.0),
-        "shape_weight": ("float", 200.0),
-        "terminal_weight": ("float", 1000.0),
-        "obstacle_weight": ("float", 100.0),
-        "obstacle_threshold_sq": ("float", 1e-4),
-        "noise_std": ("float", 0.00033),
+        "hidden": ("intlist", _default(init_control_model, "hidden")),
+        "horizon": ("int", _default(init_control_model, "horizon")),
+        "batch_size": ("int", _default(ControlTrainConfig, "batch_size")),
+        "iterations": ("int", _default(ControlTrainConfig, "iterations")),
+        "learning_rate": ("float", _default(ControlTrainConfig, "learning_rate")),
+        "reset_scale": ("float", _default(ControlTrainConfig, "reset_scale")),
+        "target_scale": ("float", _default(ControlTrainConfig, "target_scale")),
+        "tracking_weight": ("float", _default(ControlLossConfig, "tracking_weight")),
+        "action_rate_weight": ("float", _default(ControlLossConfig, "action_rate_weight")),
+        "shape_weight": ("float", _default(ControlLossConfig, "shape_weight")),
+        "terminal_weight": ("float", _default(ControlLossConfig, "terminal_weight")),
+        "obstacle_weight": ("float", _default(ControlLossConfig, "obstacle_weight")),
+        "obstacle_threshold_sq": ("float", _default(ObstacleSpec, "threshold_sq")),
+        "noise_std": ("float", _default(ControlLossConfig, "noise_std")),
     },
     "run": {
-        "seed": ("int", 0),
+        "seed": ("int", _default(ShapeTrainConfig, "seed")),
         "n_samples": ("int", 10_000),
         "scenario": ("str", "tracking"),
         "trajectory": ("str", "circle"),
-        "period": ("float", 100.0),
-        "duration": ("float", 100.0),
-        "payload_grams": ("float", 0.0),
+        "period": ("float", _default(closed_loop_track, "period")),
+        "duration": ("float", _default(closed_loop_track, "duration")),
+        "payload_grams": ("float", _default(closed_loop_track, "payload_grams")),
         "obstacle": ("floatlist", ()),  # empty: no obstacle
     },
 }
@@ -173,48 +187,26 @@ class RunConfig:
     # ------------------------------------------------------------------
     # typed views
 
+    def _build(self, owner, section: str, what: str, **given):
+        """``owner`` from the ``section`` keys named after its parameters, and ``given``."""
+        params = inspect.signature(owner).parameters
+        kwargs = {key: self.get(section, key) for key in SCHEMA[section] if key in params}
+        with config_errors(what):
+            return owner(**kwargs, **given)
+
     def robot_config(self) -> RobotConfig:
-        lengths = self.get("robot", "segment_lengths")
-        with config_errors("robot config"):
-            return RobotConfig(
-                n_segments=self.get("robot", "n_segments"),
-                segment_lengths=lengths if lengths else None,
-                u_max=self.get("robot", "u_max"),
-                mismatch_amplitude=self.get("robot", "mismatch_amplitude"),
-            )
+        return self._build(RobotConfig, "robot", "robot config")
 
     def shape_train_config(self) -> ShapeTrainConfig:
-        with config_errors("shape training config"):
-            return ShapeTrainConfig(
-                batch_size=self.get("shape", "batch_size"),
-                iterations=self.get("shape", "iterations"),
-                learning_rate=self.get("shape", "learning_rate"),
-                val_fraction=self.get("shape", "val_fraction"),
-                val_interval=self.get("shape", "val_interval"),
-                seed=self.get("run", "seed"),
-            )
+        seed = self.get("run", "seed")
+        return self._build(ShapeTrainConfig, "shape", "shape training config", seed=seed)
 
     def control_train_config(self) -> ControlTrainConfig:
-        with config_errors("control training config"):
-            return ControlTrainConfig(
-                batch_size=self.get("control", "batch_size"),
-                iterations=self.get("control", "iterations"),
-                learning_rate=self.get("control", "learning_rate"),
-                reset_scale=self.get("control", "reset_scale"),
-                target_scale=self.get("control", "target_scale"),
-                seed=self.get("run", "seed"),
-            )
+        seed = self.get("run", "seed")
+        return self._build(ControlTrainConfig, "control", "control training config", seed=seed)
 
     def control_loss_config(self) -> ControlLossConfig:
-        with config_errors("control loss config"):
-            return ControlLossConfig(
-                tracking_weight=self.get("control", "tracking_weight"),
-                action_rate_weight=self.get("control", "action_rate_weight"),
-                shape_weight=self.get("control", "shape_weight"),
-                terminal_weight=self.get("control", "terminal_weight"),
-                obstacle_weight=self.get("control", "obstacle_weight"),
-                noise_std=self.get("control", "noise_std"),
-            )
+        return self._build(ControlLossConfig, "control", "control loss config")
 
     def obstacle_spec(self) -> ObstacleSpec | None:
         center = self.get("run", "obstacle")

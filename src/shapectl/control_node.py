@@ -34,6 +34,7 @@ from .nn import (
     adam_step,
     collect_mlp_grads,
     init_mlp,
+    json_int,
     mlp_forward,
 )
 from .robot import (
@@ -128,7 +129,7 @@ class ControlNodeModel:
     config passed alongside owns the action box."""
 
     params: MlpParams
-    horizon: int = 10
+    horizon: int
 
     def __post_init__(self):
         sizes = self.params.sizes
@@ -751,7 +752,7 @@ def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
             raise ValueError(
                 f"policy step has dt {step[0]:g} and rate_scale {step[1]:g}, not 1 and 1"
             )
-        return ControlNodeModel(params=params, horizon=int(doc["horizon"]))
+        return ControlNodeModel(params=params, horizon=json_int(doc["horizon"], "horizon"))
 
     model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build)
     if model.action_dim != config.action_dim:

@@ -224,6 +224,13 @@ def b64_to_array(d: dict) -> Array:
     return a.reshape(d["shape"])
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool or a fraction raises ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def params_to_dict(p: MlpParams) -> dict:
     return {
         "sizes": p.sizes,
@@ -252,5 +259,5 @@ def params_from_dict(d: dict) -> MlpParams:
         output_scale=None if d.get("output_scale") is None else b64_to_array(d["output_scale"]),
         adam_m=[b64_to_array(m) for m in d.get("adam_m", [])],
         adam_v=[b64_to_array(v) for v in d.get("adam_v", [])],
-        step_count=int(d.get("step_count", 0)),
+        step_count=json_int(d.get("step_count", 0), "step_count"),
     )

@@ -85,8 +85,8 @@ def write_dataset_csv(path, q: Array, points: Array, config: RobotConfig) -> Non
 def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
     """Inverse of :func:`write_dataset_csv`: the ``(q, points)`` arrays.
 
-    A header, segment lengths or actions not matching ``config`` are a
-    ``ValueError``; so is a row whose width differs from the header's.
+    A header, segment lengths or actions not matching ``config``, a row
+    of another width than the header and a non-finite cell are a ``ValueError``.
     """
     header, rows = read_table(path)
     if header is None:
@@ -106,6 +106,9 @@ def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
                 f"dataset row {i + 1} has {len(row)} cells, the header {len(header)}"
             )
     data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"dataset row {np.argmin(finite) + 1} has a non-finite cell")
     lengths = data[:, 2 * n : base]
     bad = np.any(lengths != config.segment_lengths, axis=1)
     if bad.any():

@@ -38,8 +38,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Array
+from .nn import json_int
 
 TRAJECTORY_KINDS: tuple[str, ...] = ("circle", "square", "s_shape", "ellipse", "helix")
+
+# the square's corners (x, y), in the order the reference visits them
+_SQUARE_CORNERS = np.array([[0.03, 0.03], [-0.03, 0.03], [-0.03, -0.03], [0.03, -0.03]])
+
+# every other path is x = ax cos(phase), y = ay sin(fy phase): (ax, ay, fy)
+_SMOOTH_PATHS = {
+    "circle": (0.05, 0.05, 1.0),
+    "s_shape": (0.03, 0.05, 2.0),
+    "ellipse": (0.05, 0.03, 1.0),
+    "helix": (0.05, 0.05, 1.0),
+}
 
 # payload droop per gram at the tip, in meters
 PAYLOAD_COEFF = 0.001
@@ -57,22 +69,20 @@ class RobotConfig:
     :meth:`to_dict` writes and :meth:`from_dict` ignores."""
 
     n_segments: int = 3
-    segment_lengths: tuple[float, ...] | None = None
+    segment_lengths: tuple[float, ...] = ()  # empty: 0.1 m per segment
     u_max: float = 15.0
     mismatch_amplitude: float = 0.1
 
     def __post_init__(self):
         if not 1 <= self.n_segments <= 4:
             raise ValueError("n_segments must be between 1 and 4")
-        if self.segment_lengths is None:
-            object.__setattr__(self, "segment_lengths", (0.1,) * self.n_segments)
-        else:
-            lengths = tuple(float(x) for x in self.segment_lengths)
-            if len(lengths) != self.n_segments:
-                raise ValueError("segment_lengths must have n_segments entries")
-            if not all(x > 0 for x in lengths):
-                raise ValueError("segment lengths must be positive")
-            object.__setattr__(self, "segment_lengths", lengths)
+        lengths = tuple(float(x) for x in self.segment_lengths)
+        lengths = lengths or (0.1,) * self.n_segments
+        if len(lengths) != self.n_segments:
+            raise ValueError("segment_lengths must have n_segments entries")
+        if not all(x > 0 for x in lengths):
+            raise ValueError("segment lengths must be positive")
+        object.__setattr__(self, "segment_lengths", lengths)
         for name in ("u_max", "mismatch_amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not self.u_max > 0:
@@ -108,8 +118,12 @@ class RobotConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobotConfig":
+        """Inverse of :meth:`to_dict`; a file states every segment length."""
+        n_segments = json_int(d["n_segments"], "n_segments")
+        if len(d["segment_lengths"]) != n_segments:
+            raise ValueError("segment_lengths must have n_segments entries")
         return cls(
-            n_segments=int(d["n_segments"]),
+            n_segments=n_segments,
             segment_lengths=tuple(d["segment_lengths"]),
             u_max=d["u_max"],
             mismatch_amplitude=d["mismatch_amplitude"],
@@ -319,7 +333,7 @@ def reference_trajectory(
     kind: str,
     times: Array,
     total_length: float,
-    period: float = 100.0,
+    period: float,
 ) -> Array:
     """Goal positions g(t) for the named reference path.
 
@@ -331,44 +345,24 @@ def reference_trajectory(
     t_in = np.asarray(times, dtype=np.float64)
     if np.any(t_in < -1e-9) or np.any(t_in > period + 1e-9):
         raise ValueError("trajectory time outside [0, period]")
+    if kind not in TRAJECTORY_KINDS:
+        raise ValueError(f"unknown trajectory kind {kind!r}")
     t = t_in.reshape(-1)
-    cz = total_length - 0.02
-    phase = 2.0 * np.pi * t / period
     out = np.zeros(t.shape + (3,))
-    out[..., 2] = cz
-    if kind == "circle":
-        out[..., 0] = 0.05 * np.cos(phase)
-        out[..., 1] = 0.05 * np.sin(phase)
-    elif kind == "ellipse":
-        out[..., 0] = 0.05 * np.cos(phase)
-        out[..., 1] = 0.03 * np.sin(phase)
-    elif kind == "s_shape":
-        out[..., 0] = 0.03 * np.cos(phase)
-        out[..., 1] = 0.05 * np.sin(2.0 * phase)
-    elif kind == "helix":
-        out[..., 0] = 0.05 * np.cos(phase)
-        out[..., 1] = 0.05 * np.sin(phase)
-        out[..., 2] = cz - 0.01 + 0.02 * (t / period)
-    elif kind == "square":
-        half = 0.03
-        side = 2.0 * half
+    out[..., 2] = total_length - 0.02
+    if kind == "square":
+        # from corner to corner, one edge per quarter period
         u = np.mod(t / period, 1.0) * 4.0
         edge = np.floor(u).astype(int)
-        frac = u - edge
-        x = np.empty_like(t, dtype=np.float64)
-        y = np.empty_like(t, dtype=np.float64)
-        m = edge == 0
-        x[m], y[m] = half - side * frac[m], np.full_like(frac[m], half)
-        m = edge == 1
-        x[m], y[m] = np.full_like(frac[m], -half), half - side * frac[m]
-        m = edge == 2
-        x[m], y[m] = -half + side * frac[m], np.full_like(frac[m], -half)
-        m = edge == 3
-        x[m], y[m] = np.full_like(frac[m], half), -half + side * frac[m]
-        out[..., 0] = x
-        out[..., 1] = y
+        start, end = _SQUARE_CORNERS[edge % 4], _SQUARE_CORNERS[(edge + 1) % 4]
+        out[..., :2] = start + (u - edge)[:, None] * (end - start)
     else:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
+        ax, ay, fy = _SMOOTH_PATHS[kind]
+        phase = 2.0 * np.pi * t / period
+        out[..., 0] = ax * np.cos(phase)
+        out[..., 1] = ay * np.sin(fy * phase)
+    if kind == "helix":
+        out[..., 2] = out[..., 2] - 0.01 + 0.02 * (t / period)
     return out.reshape(t_in.shape + (3,))
 
 

@@ -34,6 +34,7 @@ from .nn import (
     adam_step,
     collect_mlp_grads,
     init_mlp,
+    json_int,
     mlp_forward,
     params_from_dict,
     params_to_dict,
@@ -75,8 +76,8 @@ class ShapeNodeModel:
     """
 
     params: MlpParams
-    solver: str = "fixed-adams"
-    steps_per_segment: int = 10
+    solver: str
+    steps_per_segment: int
 
     def __post_init__(self):
         sizes = self.params.sizes
@@ -511,6 +512,6 @@ def load_shape_model(path) -> tuple[ShapeNodeModel, RobotConfig]:
         lambda doc, params: ShapeNodeModel(
             params=params,
             solver=doc["solver"],
-            steps_per_segment=int(doc["steps_per_segment"]),
+            steps_per_segment=json_int(doc["steps_per_segment"], "steps_per_segment"),
         ),
     )

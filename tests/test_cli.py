@@ -717,7 +717,7 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
         ]
     )
     assert rc == 3
-    # dataset whose points hold NaN: numeric failure while training
+    # dataset whose points hold NaN: refused as it is read
     lines = (root / "gen" / "dataset.csv").read_text().splitlines()
     cells = lines[1].split(",")
     cells[5] = "nan"
@@ -734,13 +734,29 @@ def test_cli_error_codes(workdir, tmp_path, capsys):
             str(tmp_path / "e"),
         ]
     )
-    assert rc == 5
+    assert rc == 3
     # one sample leaves nothing to train on after the validation split
     one = tmp_path / "one.csv"
     one.write_text("\n".join(lines[:2]))
     args = ["train-shape", "--config", str(ini), "--dataset", str(one)]
     assert main(args + ["--out", str(tmp_path / "f")]) == 3
     assert "validation split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [(5, "nan"), (3, "inf"), (0, "-inf")])
+def test_non_finite_dataset_cell_is_config_error(workdir, tmp_path, column, value, capsys):
+    # a point or an action that is not a number must not reach training
+    root, ini = workdir
+    lines = (root / "gen" / "dataset.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[column] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]))
+    capsys.readouterr()
+    args = ["train-shape", "--config", str(ini), "--dataset", str(bad)]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: cannot use dataset: dataset row 3 has a non-finite cell\n"
 
 
 def _set_params(key, value):
@@ -767,12 +783,15 @@ def _misshape_first_moment(doc):
     doc["params"]["adam_m"][0] = array_to_b64(np.zeros(3))
 
 
-def _narrow_action_box(doc):
+def _set_robot(key, value):
     # the hash is recomputed over the edited robot config, so only the
-    # box itself disagrees with the file's robot
-    doc["robot_config"]["q_min"] = -3.0
-    blob = json.dumps(doc["robot_config"], sort_keys=True).encode("ascii")
-    doc["robot_config_hash"] = hashlib.sha256(blob).hexdigest()
+    # field itself disagrees with the file's robot
+    def tamper(doc):
+        doc["robot_config"][key] = value
+        blob = json.dumps(doc["robot_config"], sort_keys=True).encode("ascii")
+        doc["robot_config_hash"] = hashlib.sha256(blob).hexdigest()
+
+    return tamper
 
 
 # (model, tampering) -> a model file that parses but is not one network
@@ -789,9 +808,17 @@ TAMPERED_MODELS = {
         "control",
         _set_params("input_scale", array_to_b64(np.ones(4))),
     ),
-    "action_box": ("shape", _narrow_action_box),
+    "action_box": ("shape", _set_robot("q_min", -3.0)),
     "policy_dt": ("control", _set_field("dt", 0.5)),
     "policy_rate_scale": ("control", _set_field("rate_scale", 0.5)),
+    # integer fields hold JSON integers: no fraction, no bool
+    "steps_per_segment_fraction": ("shape", _set_field("steps_per_segment", 5.9)),
+    "steps_per_segment_bool": ("shape", _set_field("steps_per_segment", True)),
+    "step_count_bool": ("shape", _set_params("step_count", True)),
+    "horizon_fraction": ("control", _set_field("horizon", 2.5)),
+    "n_segments_fraction": ("shape", _set_robot("n_segments", 2.5)),
+    # a file states every segment length; none is not the default
+    "no_segment_lengths": ("shape", _set_robot("segment_lengths", [])),
 }
 
 

@@ -130,6 +130,69 @@ def test_typed_views():
         cfg.obstacle_spec()
 
 
+def test_typed_views_pass_every_key_to_its_field():
+    # each key a view reads, set away from its default and from the
+    # same key of the other section, reaches the field of the same name
+    settings = {
+        ("robot", "n_segments"): "2",
+        ("robot", "segment_lengths"): "0.12,0.09",
+        ("robot", "u_max"): "11.5",
+        ("robot", "mismatch_amplitude"): "0.25",
+        ("shape", "batch_size"): "17",
+        ("shape", "iterations"): "23",
+        ("shape", "learning_rate"): "0.002",
+        ("shape", "val_fraction"): "0.3",
+        ("shape", "val_interval"): "7",
+        ("control", "batch_size"): "19",
+        ("control", "iterations"): "29",
+        ("control", "learning_rate"): "0.0005",
+        ("control", "reset_scale"): "0.4",
+        ("control", "target_scale"): "0.02",
+        ("control", "tracking_weight"): "1.5",
+        ("control", "action_rate_weight"): "2.5",
+        ("control", "shape_weight"): "3.5",
+        ("control", "terminal_weight"): "4.5",
+        ("control", "obstacle_weight"): "5.5",
+        ("control", "obstacle_threshold_sq"): "0.0004",
+        ("control", "noise_std"): "0.001",
+        ("run", "seed"): "13",
+        ("run", "obstacle"): "0.01,0.02,0.03",
+    }
+    cfg = RunConfig()
+    for (section, key), raw in settings.items():
+        cfg.set_raw(section, key, raw)
+    assert dataclasses.asdict(cfg.robot_config()) == dict(
+        n_segments=2, segment_lengths=(0.12, 0.09), u_max=11.5, mismatch_amplitude=0.25
+    )
+    assert dataclasses.asdict(cfg.shape_train_config()) == dict(
+        batch_size=17,
+        iterations=23,
+        learning_rate=0.002,
+        val_fraction=0.3,
+        val_interval=7,
+        seed=13,
+    )
+    assert dataclasses.asdict(cfg.control_train_config()) == dict(
+        batch_size=19,
+        iterations=29,
+        learning_rate=0.0005,
+        reset_scale=0.4,
+        target_scale=0.02,
+        seed=13,
+    )
+    assert dataclasses.asdict(cfg.control_loss_config()) == dict(
+        tracking_weight=1.5,
+        action_rate_weight=2.5,
+        shape_weight=3.5,
+        terminal_weight=4.5,
+        obstacle_weight=5.5,
+        noise_std=0.001,
+    )
+    spec = cfg.obstacle_spec()
+    assert spec.center.tolist() == [0.01, 0.02, 0.03]
+    assert spec.threshold_sq == 0.0004
+
+
 def test_invalid_typed_values_become_config_errors():
     cfg = RunConfig()
     cfg.set_raw("robot", "n_segments", "9")

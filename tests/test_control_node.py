@@ -178,7 +178,7 @@ def test_train_config_validation():
 def test_model_validation(rng):
     cfg = RobotConfig(n_segments=2)
     with pytest.raises(ValueError, match="must map"):
-        ControlNodeModel(params=init_mlp(rng, [10, 8, 4]))
+        ControlNodeModel(params=init_mlp(rng, [10, 8, 4]), horizon=10)
     with pytest.raises(ValueError):
         ControlNodeModel(params=init_mlp(rng, [37, 8, 4]), horizon=0)
     m = init_control_model(rng, cfg)
@@ -360,8 +360,8 @@ def test_first_tick_is_the_plans_first_action(setup1):
         duration=0.5,
         noise_std=1e-3,
     )
-    q0 = ik_solve(sm, cfg, reference_trajectory("circle", 0.0, cfg.total_length))
-    goal = reference_trajectory("circle", 0.5, cfg.total_length)
+    q0 = ik_solve(sm, cfg, reference_trajectory("circle", 0.0, cfg.total_length, 100.0))
+    goal = reference_trajectory("circle", 0.5, cfg.total_length, 100.0)
     tape = Tape()
     plan = rollout_policy(
         policy,
@@ -991,7 +991,7 @@ def test_batched_ik_runs_each_target_as_its_own_solve(setup1, rng, monkeypatch):
 
 def test_runner_starts_from_a_given_ik_start(setup1, monkeypatch):
     cfg, sm, policy = setup1
-    start = ik_solve(sm, cfg, reference_trajectory("ellipse", 0.0, cfg.total_length))
+    start = ik_solve(sm, cfg, reference_trajectory("ellipse", 0.0, cfg.total_length, 100.0))
     for step in (policy, None):
         args = (step, sm, cfg, "ellipse")
         kw = dict(duration=1.5, noise_std=1e-3)

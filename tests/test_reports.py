@@ -96,6 +96,20 @@ def test_dataset_config_mismatch_rejected(tmp_path):
         read_dataset_csv(empty, cfg)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dataset_non_finite_cell_rejected(tmp_path, value):
+    cfg = RobotConfig(n_segments=1)
+    q, points = sample_dataset(cfg, 3, np.random.default_rng(0))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, q, points, cfg)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[-1] = value
+    path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]))
+    with pytest.raises(ValueError, match="^dataset row 2 has a non-finite cell$"):
+        read_dataset_csv(path, cfg)
+
+
 def test_history_csv(tmp_path):
     path = tmp_path / "hist.csv"
     write_table(

@@ -62,6 +62,17 @@ def test_config_roundtrip():
     assert RobotConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_empty_segment_lengths_mean_the_default_only_in_the_constructor():
+    cfg = RobotConfig(n_segments=2, segment_lengths=())
+    assert cfg == RobotConfig(n_segments=2)
+    assert cfg.segment_lengths == (0.1, 0.1)
+    # a written config states every length and an integer segment count
+    d = cfg.to_dict()
+    for bad in ({"segment_lengths": []}, {"n_segments": 2.0}, {"n_segments": True}):
+        with pytest.raises(ValueError):
+            RobotConfig.from_dict({**d, **bad})
+
+
 def test_curvature_vector_torsion_must_be_zero(rng):
     # the arc composition is written out for u_z = 0
     cfg = RobotConfig(n_segments=4)
@@ -315,19 +326,19 @@ def test_reference_trajectory_shapes_and_bounds():
     L = 0.3
     cz = L - 0.02
     t = np.linspace(0.0, 100.0, 401)
-    circle = reference_trajectory("circle", t, L)
+    circle = reference_trajectory("circle", t, L, 100.0)
     assert np.allclose(np.linalg.norm(circle[:, :2], axis=1), 0.05, atol=1e-12)
     assert np.allclose(circle[:, 2], cz)
     assert np.allclose(circle[0], circle[-1], atol=1e-12)
 
-    ellipse = reference_trajectory("ellipse", t, L)
+    ellipse = reference_trajectory("ellipse", t, L, 100.0)
     assert np.max(np.abs(ellipse[:, 0])) == pytest.approx(0.05, abs=1e-6)
     assert np.max(np.abs(ellipse[:, 1])) == pytest.approx(0.03, abs=1e-6)
 
-    s = reference_trajectory("s_shape", np.array([0.0]), L)
+    s = reference_trajectory("s_shape", np.array([0.0]), L, 100.0)
     assert np.allclose(s[0], [0.03, 0.0, cz])
 
-    helix = reference_trajectory("helix", t, L)
+    helix = reference_trajectory("helix", t, L, 100.0)
     assert helix[:, 2].min() == pytest.approx(cz - 0.01)
     assert helix[:, 2].max() == pytest.approx(cz + 0.01)
     dz = np.diff(helix[:, 2])
@@ -337,7 +348,7 @@ def test_reference_trajectory_shapes_and_bounds():
 def test_reference_square_geometry():
     L = 0.3
     t = np.linspace(0.0, 100.0, 201)
-    sq = reference_trajectory("square", t, L)
+    sq = reference_trajectory("square", t, L, 100.0)
     assert np.allclose(sq[0, :2], [0.03, 0.03])
     assert np.allclose(sq[0], sq[-1], atol=1e-12)
     seglen = np.linalg.norm(np.diff(sq, axis=0), axis=1)
@@ -347,17 +358,23 @@ def test_reference_square_geometry():
     assert np.max(np.abs(sq[:, 1])) == pytest.approx(0.03)
 
 
+def test_reference_square_just_before_zero_is_its_first_corner():
+    # within the tolerance below 0, t / period mod 1 rounds up to 1
+    g = reference_trajectory("square", np.array([-1e-20, 0.0]), 0.3, 100.0)
+    assert g.tolist() == [[0.03, 0.03, 0.3 - 0.02]] * 2
+
+
 def test_reference_trajectory_errors():
     with pytest.raises(ValueError):
-        reference_trajectory("circle", np.array([-1.0]), 0.3)
+        reference_trajectory("circle", np.array([-1.0]), 0.3, 100.0)
     with pytest.raises(ValueError):
-        reference_trajectory("circle", np.array([101.0]), 0.3)
+        reference_trajectory("circle", np.array([101.0]), 0.3, 100.0)
     with pytest.raises(ValueError):
-        reference_trajectory("lemniscate", np.array([0.0]), 0.3)
+        reference_trajectory("lemniscate", np.array([0.0]), 0.3, 100.0)
 
 
 def test_reference_trajectory_scalar_input():
-    g = reference_trajectory("circle", 0.0, 0.3)
+    g = reference_trajectory("circle", 0.0, 0.3, 100.0)
     assert g.shape == (3,)
     assert np.allclose(g, [0.05, 0.0, 0.28])
 

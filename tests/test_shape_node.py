@@ -58,9 +58,13 @@ def perturbed_model(rng, cfg, scale=0.05, **kw):
 
 def test_model_width_validation(rng):
     with pytest.raises(ValueError):
-        ShapeNodeModel(params=init_mlp(rng, [6, 8, 7]))
+        ShapeNodeModel(
+            params=init_mlp(rng, [6, 8, 7]), solver="fixed-adams", steps_per_segment=10
+        )
     with pytest.raises(ValueError):
-        ShapeNodeModel(params=init_mlp(rng, [7, 8, 7]), steps_per_segment=0)
+        ShapeNodeModel(
+            params=init_mlp(rng, [7, 8, 7]), solver="fixed-adams", steps_per_segment=0
+        )
 
 
 def test_train_config_validation():
