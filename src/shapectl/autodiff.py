@@ -24,6 +24,10 @@ closure would have held.  A forward pass on constants alone is therefore
 a no-record call into the same primitives, and ``backward`` sends no
 contribution to a constant.  Primitives whose backward is costly (the
 fused ``dense``) also skip the products an inactive parent would get.
+Until the sweep reaches it, a recorded ``dense`` node keeps its operands
+for active parents' products and one bit per hidden unit for a LeakyReLU
+layer (the packed sign mask its backward rebuilds the slope from), or
+the float derivative for a tanh layer.
 
 The engine favors a small, explicit primitive set over operator coverage:
 tensors define no arithmetic operators, and every operation is a named
@@ -250,50 +254,73 @@ def cmul(a: Tensor, c) -> Tensor:
     return a.tape._record(a.value * c, (a.nid,), bk)
 
 
-def _leaky_factor(z: Array, slope: float) -> Array:
-    """LeakyReLU derivative of ``z``: 1 where ``z > 0``, else ``slope``.
+# per dtype: the unsigned type of its width, and the bit patterns of
+# 1 - LEAKY_SLOPE (as a difference of patterns) and of LEAKY_SLOPE
+_LEAKY_BITS: dict[np.dtype, tuple] = {}
 
-    Bit for bit ``np.where(z > 0.0, 1, slope)`` in ``z``'s dtype, built
-    without a per-element branch (which costs more than the matmul in
-    front of it): the mask, as unsigned integers, picks the bit pattern
-    of 1 or ``slope``.  Modular arithmetic keeps that exact for any
-    slope, above 1 too.
+
+def _leaky_factor(mask: Array, dtype: np.dtype) -> Array:
+    """LeakyReLU derivative from the unpacked sign mask of ``z > 0``
+    (0 or 1 per unit): 1 where set, else :data:`LEAKY_SLOPE`, in ``dtype``.
+
+    Bit for bit ``np.where(mask, 1, LEAKY_SLOPE)``, built without a
+    per-element branch (which costs more than the matmul in front of
+    it): the mask, as unsigned integers, picks the bit pattern of 1 or
+    the slope.  With ``0 < LEAKY_SLOPE < 1`` the slope's pattern is the
+    smaller, so the step between them does not wrap.
     """
-    uint = np.dtype(f"u{z.itemsize}")
-    one, low = np.array([1.0, slope], dtype=z.dtype).view(uint).tolist()
-    factor = (z > 0.0).astype(uint)
-    factor *= uint.type((one - low) % (1 << (8 * z.itemsize)))
-    factor += uint.type(low)
-    return factor.view(z.dtype)
+    bits = _LEAKY_BITS.get(dtype)
+    if bits is None:
+        uint = np.dtype(f"u{dtype.itemsize}")
+        one, low = np.array([1.0, LEAKY_SLOPE], dtype=dtype).view(uint)
+        bits = _LEAKY_BITS[dtype] = (uint, one - low, low)
+    uint, step, low = bits
+    factor = mask.astype(uint)
+    factor *= step
+    factor += low
+    return factor.view(dtype)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
     """Fused ``activation(x @ w + b)`` as a single tape node, with
     ``activation`` ``"leaky"`` (slope :data:`LEAKY_SLOPE`) or ``"tanh"``.
 
-    Values are identical to the x @ w + b plus activation chain; fusing
-    caches the activation derivative at forward time and cuts the
-    per-layer node count, which dominates training cost.  The backward
-    closure keeps ``x`` only for an active ``w`` and ``w`` only for an
-    active ``x``, and computes no product for an inactive parent.
+    Values are identical to the x @ w + b plus activation chain, and
+    fusing cuts the per-layer node count, which dominates training cost.
+    A recorded node keeps what its backward needs of the activation: a
+    ``"leaky"`` node one bit per unit, the packed sign mask of ``z > 0``
+    from which the sweep rebuilds the derivative; a ``"tanh"`` node the
+    float derivative ``1 - out**2``.  A node with no active parent keeps
+    neither.  The backward closure keeps ``x`` only for an active ``w``
+    and ``w`` only for an active ``x``, and computes no product for an
+    inactive parent.
     """
     z = x.value @ w.value
     z += b.value
-    if activation == "leaky":
-        factor = _leaky_factor(z, LEAKY_SLOPE)
-        out = np.multiply(z, factor, out=z)
-    elif activation == "tanh":
-        out = np.tanh(z, out=z)
-        factor = 1.0 - out * out
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
     active = x.tape.active
     x_on, w_on, b_on = active[x.nid], active[w.nid], active[b.nid]
+    recorded = x_on or w_on or b_on
+    mask = factor = None
+    if activation == "leaky":
+        # z * where(z > 0, 1, slope), bit for bit, because 0 < slope < 1
+        out = np.maximum(z, z * LEAKY_SLOPE, out=z)
+        if recorded:
+            mask = np.packbits(out > 0.0)
+    elif activation == "tanh":
+        out = np.tanh(z, out=z)
+        if recorded:
+            factor = 1.0 - out * out
+    else:
+        raise ValueError(f"unknown activation {activation!r}")
     xv = x.value if w_on else None
     wv = w.value if x_on else None
 
     def bk(grad):
-        dz = grad * factor
+        if mask is None:
+            dz = grad * factor
+        else:
+            bits = np.unpackbits(mask, count=grad.size).reshape(grad.shape)
+            dz = grad * _leaky_factor(bits, grad.dtype)
         return (
             dz @ wv.T if x_on else None,
             xv.T @ dz if w_on else None,

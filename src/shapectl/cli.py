@@ -199,14 +199,13 @@ def cmd_train_shape(args) -> int:
     if args.init_model is not None:
         model = _load_model(load_shape_model, "shape", args.init_model, robot)
     else:
-        with config_errors("shape model config"):
-            model = init_shape_model(
-                np.random.default_rng(train_cfg.seed + 1),
-                robot,
-                hidden=cfg.get("shape", "hidden"),
-                solver=cfg.get("shape", "solver"),
-                steps_per_segment=cfg.get("shape", "steps_per_segment"),
-            )
+        model = cfg._build(
+            init_shape_model,
+            "shape",
+            "shape model config",
+            rng=np.random.default_rng(train_cfg.seed + 1),
+            config=robot,
+        )
     try:
         check_dataset(model, robot, q, points)
         # the same held-out split the trainer uses, reported on below
@@ -245,13 +244,13 @@ def cmd_train_control(args) -> int:
     _write_resolved(cfg, out)
     train_cfg = cfg.control_train_config()
     loss_cfg = cfg.control_loss_config()
-    with config_errors("control model config"):
-        model = init_control_model(
-            np.random.default_rng(train_cfg.seed + 1),
-            robot,
-            hidden=cfg.get("control", "hidden"),
-            horizon=cfg.get("control", "horizon"),
-        )
+    model = cfg._build(
+        init_control_model,
+        "control",
+        "control model config",
+        rng=np.random.default_rng(train_cfg.seed + 1),
+        config=robot,
+    )
     t0 = time.monotonic()
     model, history = train_control_node(
         shape_model,

@@ -187,31 +187,56 @@ def test_constant_forward_records_no_closure(rng):
 def test_frozen_dense_parent_gets_no_adjoint(rng, frozen):
     # active parents get bitwise the all-trainable tape's adjoints,
     # constant parents get none, and the closure drops the operand that
-    # only a constant parent's product would need
+    # only a constant parent's product would need; every closure cell is
+    # bound, whichever activation the node has
     x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
 
-    def run(const):
+    def run(const, activation):
         tape = ad.Tape()
         leaves = [
             (tape.constant if name in const else tape.tensor)(v)
             for name, v in (("x", x), ("w", w), ("b", b))
         ]
-        y = ad.dense(*leaves, "tanh")
+        y = ad.dense(*leaves, activation)
         # the sweep releases the closure, so read what it holds first
         held = [c.cell_contents for c in tape.backfns[y.nid].__closure__]
         return leaves, held, ad.backward(ad.reduce_sum(ad.square(y)))
 
     const = ("w", "b") if frozen == "weights" else ("x",)
-    (xt, wt, bt), held, grads = run(const)
-    ref_leaves, _, ref = run(())
-    for name, leaf, ref_leaf in zip("xwb", (xt, wt, bt), ref_leaves):
-        if name in const:
-            assert leaf.nid not in grads
-        else:
-            assert np.array_equal(grads[leaf.nid], ref[ref_leaf.nid])
-    # dW = x.T @ dz needs x, dx = dz @ w.T needs w
-    dropped = xt.value if frozen == "weights" else wt.value
-    assert not any(v is dropped for v in held)
+    for activation in ("tanh", "leaky"):
+        (xt, wt, bt), held, grads = run(const, activation)
+        ref_leaves, _, ref = run((), activation)
+        for name, leaf, ref_leaf in zip("xwb", (xt, wt, bt), ref_leaves):
+            if name in const:
+                assert leaf.nid not in grads
+            else:
+                assert np.array_equal(grads[leaf.nid], ref[ref_leaf.nid])
+        # dW = x.T @ dz needs x, dx = dz @ w.T needs w
+        dropped = xt.value if frozen == "weights" else wt.value
+        assert not any(v is dropped for v in held)
+
+
+def test_dense_on_constants_keeps_no_residual(rng, monkeypatch):
+    # a dense node with only constant parents is a constant: no closure,
+    # no sign mask built for it, and bitwise the recorded node's value
+    x, w, b = rng.standard_normal((5, 4)), rng.standard_normal((4, 9)), rng.standard_normal(9)
+    packed = []
+    packbits = np.packbits
+
+    def spy(a):
+        packed.append(a.shape)
+        return packbits(a)
+
+    monkeypatch.setattr(ad.np, "packbits", spy)
+    for activation in ("leaky", "tanh"):
+        const_tape, tape = ad.Tape(), ad.Tape()
+        y0 = ad.dense(*(const_tape.constant(v) for v in (x, w, b)), activation)
+        y1 = ad.dense(*(tape.tensor(v) for v in (x, w, b)), activation)
+        assert const_tape.backfns[y0.nid] is None and not const_tape.active[y0.nid]
+        assert tape.backfns[y1.nid] is not None
+        assert np.array_equal(y0.value, y1.value)
+    # only the recorded leaky node packed a mask
+    assert packed == [(5, 9)]
 
 
 def test_select_rows_gradient(rng):
@@ -316,7 +341,7 @@ def test_backward_releases_closures_and_interior_adjoints(rng):
 
 
 def test_dense_residual_freed_by_sweep(rng):
-    # the leaky factor lives only in the dense closure; the sweep frees it
+    # the leaky sign mask lives only in the dense closure; the sweep frees it
     tape = ad.Tape()
     x = tape.tensor(rng.standard_normal((4, 3)))
     w = tape.tensor(rng.standard_normal((3, 5)))
@@ -324,12 +349,12 @@ def test_dense_residual_freed_by_sweep(rng):
     y = ad.dense(x, w, b, "leaky")
     bk = tape.backfns[y.nid]
     cells = dict(zip(bk.__code__.co_freevars, bk.__closure__))
-    factor = weakref.ref(cells["factor"].cell_contents)
+    mask = weakref.ref(cells["mask"].cell_contents)
     del bk, cells
     loss = ad.reduce_sum(ad.square(y))
-    assert factor() is not None
+    assert mask() is not None
     ad.backward(loss)
-    assert factor() is None
+    assert mask() is None
 
 
 def test_sigmoid_extreme_inputs():
@@ -355,27 +380,52 @@ def test_leaf_values_are_float64():
     assert x.shape == (2, 2)
 
 
+def test_leaky_slope_is_between_zero_and_one():
+    # dense's max(z, slope * z) is z * where(z > 0, 1, slope) only then
+    assert 0.0 < ad.LEAKY_SLOPE < 1.0
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("slope", [0.01, 0.2, 3.0])
-def test_leaky_factor_is_np_where_bit_for_bit(rng, dtype, slope):
-    # 3.0 has a larger bit pattern than 1.0, so the selection wraps around
+@pytest.mark.parametrize("shape", [(1, 7), (3, 5), (2, 43)], ids=["1x7", "3x5", "2x43"])
+def test_dense_leaky_is_np_where_chain_bit_for_bit(rng, dtype, shape):
+    # value and adjoints of a leaky dense against z * where(z > 0, 1,
+    # slope) and its chain rule, including special values of z; widths
+    # that are not multiples of 8 leave the packed mask padded
+    rows, cols = shape
     info = np.finfo(dtype)
     tiny = info.smallest_subnormal
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny]
     special += [info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
-    z = np.concatenate(
-        [
-            np.array(special),
-            rng.standard_normal(200),
-            rng.standard_normal(200) * (1000.0 * float(tiny)),  # subnormals
-        ]
-    ).astype(dtype)
-    uint = np.dtype(f"u{z.itemsize}")
-    for zz in (z, z.reshape(2, -1)):
-        want = np.where(zz > 0.0, dtype(1.0), dtype(slope))
-        got = ad._leaky_factor(zz, slope)
-        assert got.dtype == dtype and got.shape == zz.shape
-        assert np.array_equal(got.view(uint), want.view(uint))
+    pool = np.concatenate([special, rng.standard_normal(15) * (1000.0 * float(tiny))])
+    # row 0 of x is zero, so row 0 of z is b itself (-0.0 there turns +0.0)
+    x = rng.standard_normal((rows, 3))
+    x[0] = 0.0
+    w = rng.standard_normal((3, cols))
+    b = np.resize(pool, cols)
+    g = rng.standard_normal(shape)
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+
+    tape = ad.Tape(dtype)
+    xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
+    y = ad.dense(xt, wt, bt, "leaky")
+    with np.errstate(over="ignore", invalid="ignore"):  # the loss is not finite
+        grads = ad.backward(ad.reduce_sum(ad.cmul(y, g)))
+
+    xv, wv, gv = xt.value, wt.value, g.astype(dtype)
+    z = xv @ wv
+    z += bt.value
+    assert np.array_equal(z[0], bt.value, equal_nan=True)
+    factor = np.where(z > 0.0, dtype(1.0), dtype(ad.LEAKY_SLOPE))
+    dz = gv * factor
+    want = {
+        "value": (y.value, z * factor),
+        "x": (grads[xt.nid], dz @ wv.T),
+        "w": (grads[wt.nid], xv.T @ dz),
+        "b": (grads[bt.nid], dz.sum(axis=0)),
+    }
+    for name, (got, ref) in want.items():
+        assert got.dtype == dtype and got.shape == ref.shape, name
+        assert np.array_equal(got.view(uint), ref.view(uint)), name
 
 
 # every primitive on a float32 tape; a and b are (4, 3) trainable
