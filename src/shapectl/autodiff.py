@@ -375,14 +375,14 @@ def square(a: Tensor) -> Tensor:
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over everything when ``axis`` is None."""
-    av = a.value
-    out = av.sum(axis=axis)
+    shape = a.value.shape
+    out = a.value.sum(axis=axis)
 
     def bk(grad):
         if axis is None:
-            return (np.full(av.shape, grad),)
+            return (np.full(shape, grad),)
         g = np.expand_dims(grad, axis)
-        return (np.broadcast_to(g, av.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return a.tape._record(out, (a.nid,), bk)
 
@@ -407,14 +407,25 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return tape._record(out, tuple(t.nid for t in tensors), bk)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Take columns ``start:stop`` of a 2-d tensor."""
-    av = a.value
-    out = av[:, start:stop].copy()
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in ``shape``; backward reshapes the adjoint back."""
+    ash = a.value.shape
 
     def bk(grad):
-        full = np.zeros_like(av)
-        full[:, start:stop] = grad
+        return (grad.reshape(ash),)
+
+    return a.tape._record(a.value.reshape(shape), (a.nid,), bk)
+
+
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Take entries ``start:stop`` of the last axis of a tensor of any rank."""
+    av = a.value
+    shape, dtype = av.shape, av.dtype
+    out = av[..., start:stop].copy()
+
+    def bk(grad):
+        full = np.zeros(shape, dtype=dtype)
+        full[..., start:stop] = grad
         return (full,)
 
     return a.tape._record(out, (a.nid,), bk)

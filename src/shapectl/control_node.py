@@ -3,12 +3,13 @@
 The policy is an MLP whose output drives the pre-activation action state
 z through time; the emitted action is q = q_min + (tanh(z)+1)/2 *
 (q_max - q_min) in the robot config's box, so bounds hold exactly for
-all time.  One :func:`policy_step` observes a backbone (nine points
-evenly spaced in grid index), its tip, the current action and the goal,
-and adds the policy output to z.  With the observation frozen over the
-step the stage dynamics are constant, so any single-step scheme lands
-on the same value, and the memoryless step makes acting from an
-achieved state continue the plan.
+all time.  One :func:`policy_step` observes a (batch, 9, 3) backbone
+(nine points evenly spaced in grid index, one weighted sum over a shape
+rollout's (batch, P, 3) points), its tip, the current action and the
+goal, and adds the policy output to z.  With the observation frozen
+over the step the stage dynamics are constant, so any single-step
+scheme lands on the same value, and the memoryless step makes acting
+from an achieved state continue the plan.
 Training rolls steps out against the shape model, each observing the
 previous step's predicted backbone, and minimizes an MPC-style loss
 (tracking, action rate, shape consistency, terminal, optional obstacle
@@ -204,37 +205,38 @@ def _downsample_plan(n_points: int) -> list[tuple[int, int, float]]:
     return plan
 
 
-def downsample_shape(points: list[Tensor]) -> list[Tensor]:
-    """Nine backbone tensors (tip last), evenly spaced in grid index."""
-    out = []
-    for j0, j1, w in _downsample_plan(len(points)):
-        if w == 0.0:
-            out.append(points[j0])
-        else:
-            out.append(
-                ad.add(ad.scale(points[j0], 1.0 - w), ad.scale(points[j1], w))
-            )
-    return out
+def downsample_shape(points: Tensor) -> Tensor:
+    """Nine backbone points (tip last), evenly spaced in grid index:
+    (batch, P, 3) to (batch, 9, 3), one weighted sum over the grid."""
+    batch, n_points, _ = points.shape
+    weights = np.zeros((OBS_POINTS, n_points, 1))
+    for i, (j0, j1, w) in enumerate(_downsample_plan(n_points)):
+        weights[i, j0] += 1.0 - w
+        weights[i, j1] += w
+    spread = ad.reshape(points, (batch, 1, n_points, 3))
+    return ad.reduce_sum(ad.cmul(spread, weights), axis=2)
 
 
 def policy_step(
     config: RobotConfig,
     pmt: MlpTensors,
-    backbone: list[Tensor],
+    backbone: Tensor,
     q: Tensor,
     z: Tensor,
     goal: Tensor,
     noise_rng: np.random.Generator | None,
     noise_std: float,
 ) -> tuple[Tensor, Tensor]:
-    """Observe ``backbone`` (nine tensors, tip last), tip, ``q`` and ``goal``,
-    add one draw of noise (none without ``noise_rng``), add one call of
-    ``pmt`` to ``z`` and bound it to ``config``'s action box.
+    """Observe ``backbone`` (batch, 9, 3), tip last, then its tip, ``q``
+    and ``goal``, add one draw of noise (none without ``noise_rng``), add
+    one call of ``pmt`` to ``z`` and bound it to ``config``'s action box.
 
     Returns the new ``(z, q)``; a non-finite action raises
     ``FloatingPointError``.
     """
-    obs = ad.concat(backbone + [backbone[-1], q, goal], axis=1)
+    width = 3 * OBS_POINTS
+    flat = ad.reshape(backbone, (backbone.shape[0], width))
+    obs = ad.concat([flat, ad.slice_cols(flat, width - 3, width), q, goal], axis=1)
     if noise_rng is not None and noise_std > 0.0:
         obs = ad.add_const(obs, noise_rng.normal(0.0, noise_std, size=obs.value.shape))
     z = ad.add(z, mlp_forward(pmt, obs))
@@ -248,15 +250,15 @@ class RolloutResult:
     """One differentiable policy rollout over the horizon.
 
     ``actions``/``tips`` hold the M post-step tensors; ``shapes_ds`` has
-    M+1 entries of nine backbone tensors each (index 0 is the first
-    observation); ``rollouts[k]`` is the full shape solve behind step
-    k+1.  ``goal`` (batch, 3) holds over the whole horizon.
+    M+1 (batch, 9, 3) backbones (index 0 is the first observation);
+    ``rollouts[k]`` is the full shape solve behind step k+1.  ``goal``
+    (batch, 3) holds over the whole horizon.
     ``policy_tensors`` is the tape-resident parameter set every step
     reused, so adjoints accumulate across the horizon.
     """
 
     actions: list[Tensor]
-    shapes_ds: list[list[Tensor]]
+    shapes_ds: list[Tensor]
     rollouts: list[ShapeRollout]
     policy_tensors: MlpTensors
     q0: Array
@@ -278,7 +280,7 @@ def rollout_policy(
     tape: Tape,
     q0: Array,
     goal: Array,
-    initial_points: list[Tensor] | None = None,
+    initial_points: Tensor | None = None,
     noise_rng: np.random.Generator | None = None,
     noise_std: float = 0.0,
 ) -> RolloutResult:
@@ -287,8 +289,9 @@ def rollout_policy(
     The training rollout: each step is one :func:`policy_step` on the
     trainable policy, then a frozen shape solve whose prediction is the
     next observation.  ``goal`` (batch, 3) holds over the horizon.  The
-    first observation is ``initial_points``, backbone tensors on this tape
-    ordered base (excluded) to tip, or else a fresh shape solve at ``q0``.
+    first observation is ``initial_points``, a (batch, P, 3) backbone on
+    this tape ordered base (excluded) to tip, or else a fresh shape solve
+    at ``q0``.
     Gaussian noise of ``noise_std`` perturbs every observation.
     """
     q0 = np.asarray(q0, dtype=np.float64)
@@ -328,22 +331,18 @@ def rollout_policy(
     )
 
 
-def _min_sq_distance(points: list[Tensor], center: Array) -> Tensor:
-    """Min squared obstacle distance per sample, subgradient at argmin."""
-    d2 = [
-        ad.reduce_sum(ad.square(ad.add_const(p, -center)), axis=1)
-        for p in points
-    ]
-    stacked = np.stack([t.value for t in d2], axis=1)
-    idx = np.argmin(stacked, axis=1)
-    total: Tensor | None = None
-    for j, t in enumerate(d2):
-        mask = (idx == j).astype(np.float64)
-        if not mask.any():
-            continue
-        part = ad.cmul(t, mask)
-        total = part if total is None else ad.add(total, part)
-    return total
+def _min_sq_distance(points: Tensor, center: Array) -> Tensor:
+    """Min squared obstacle distance per sample of a (batch, P, 3)
+    backbone; the subgradient goes to the first closest point."""
+    d2 = ad.reduce_sum(ad.square(ad.add_const(points, -center)), axis=2)
+    nearest = np.argmin(d2.value, axis=1)
+    onehot = np.arange(d2.shape[1]) == nearest[:, None]
+    return ad.reduce_sum(ad.cmul(d2, onehot), axis=1)
+
+
+def _mean_sq(x: Tensor) -> Tensor:
+    """Batch mean of each sample's sum of squares."""
+    return ad.scale(ad.reduce_sum(ad.square(x)), 1.0 / x.shape[0])
 
 
 def control_loss(
@@ -381,24 +380,14 @@ def control_loss(
     for k in range(1, m + 1):
         if cfg.tracking_weight > 0.0:
             tip_err = ad.add_const(result.tips[k - 1], -result.goal)
-            accumulate(
-                ad.reduce_mean(ad.reduce_sum(ad.square(tip_err), axis=1)),
-                cfg.tracking_weight,
-            )
+            accumulate(_mean_sq(tip_err), cfg.tracking_weight)
         if cfg.action_rate_weight > 0.0:
             prev_q = q0_leaf if k == 1 else result.actions[k - 2]
             dq = ad.sub(result.actions[k - 1], prev_q)
-            accumulate(
-                ad.reduce_mean(ad.reduce_sum(ad.square(dq), axis=1)),
-                cfg.action_rate_weight,
-            )
+            accumulate(_mean_sq(dq), cfg.action_rate_weight)
         if cfg.shape_weight > 0.0:
-            for prev_p, cur_p in zip(result.shapes_ds[k - 1], result.shapes_ds[k]):
-                dp = ad.sub(cur_p, prev_p)
-                accumulate(
-                    ad.reduce_mean(ad.reduce_sum(ad.square(dp), axis=1)),
-                    cfg.shape_weight,
-                )
+            dp = ad.sub(result.shapes_ds[k], result.shapes_ds[k - 1])
+            accumulate(_mean_sq(dp), cfg.shape_weight)
         if obstacle is not None and cfg.obstacle_weight > 0.0:
             d2min = _min_sq_distance(result.rollouts[k - 1].points, obstacle.center)
             thr = obstacle.threshold_sq
@@ -406,10 +395,7 @@ def control_loss(
             accumulate(ad.reduce_mean(ad.sigmoid(margin)), cfg.obstacle_weight)
     if cfg.terminal_weight > 0.0:
         tip_err = ad.add_const(result.tips[m - 1], -result.goal)
-        accumulate(
-            ad.reduce_mean(ad.reduce_sum(ad.square(tip_err), axis=1)),
-            cfg.terminal_weight,
-        )
+        accumulate(_mean_sq(tip_err), cfg.terminal_weight)
     if total is None:
         raise ValueError("every loss term has zero weight")
     return total
@@ -664,7 +650,7 @@ def closed_loop_track(
                     _, q_next = policy_step(
                         config,
                         policy.params.as_tensors(tape, frozen=True),
-                        downsample_shape([leaf(p[None]) for p in achieved.points[1:]]),
+                        downsample_shape(leaf(achieved.points[None, 1:])),
                         leaf(q[None]),
                         leaf(unbound_actions(q[None], config.q_min, config.q_max)),
                         leaf(g_next[None]),

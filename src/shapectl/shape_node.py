@@ -7,7 +7,9 @@ segment's predicted end position, the segment's commanded (mismatch-free)
 curvature, and a zero augmentation coordinate.  Training regresses the
 integrated positions onto simulated backbones; the mismatch between the
 commanded curvature map and the simulated robot is exactly what the
-network has to absorb.
+network has to absorb.  A rollout's backbone is one (batch, P, 3)
+tensor sliced from the integrated states, so the loss and the policy's
+observations compute on it with no loop over points.
 
 The derivative MLP uses LeakyReLU hidden layers and a Tanh output with
 per-component scales: position derivatives scaled by 2 (unit tangent),
@@ -172,17 +174,16 @@ def _curvature_node(
 class ShapeRollout:
     """Tape-resident prediction for one batch of actions.
 
-    ``points`` holds one (batch, 3) tensor per integration output node,
-    base excluded, ordered base to tip, ``steps_per_segment`` of them per
-    segment.
+    ``points`` is one (batch, P, 3) tensor: the integration output
+    nodes, base excluded, ordered base to tip, ``steps_per_segment`` of
+    them per segment.  ``tip`` (batch, 3) holds the values of
+    ``points[:, -1]`` on the node the segment chaining slices from the
+    last state.
     """
 
-    points: list[Tensor]
+    points: Tensor
+    tip: Tensor
     mt: MlpTensors
-
-    @property
-    def tip(self) -> Tensor:
-        return self.points[-1]
 
 
 def rollout_shape(
@@ -227,19 +228,18 @@ def rollout_shape(
 
     p = tape.constant(np.zeros((batch, 3)))
     aug = tape.constant(np.zeros((batch, 1)))
-    points: list[Tensor] = []
+    states: list[Tensor] = []
     for seg in range(config.n_segments):
         u_leaf = _curvature_node(tape, q_leaf, u0[:, seg], seg, config)
         x0 = ad.concat([p, u_leaf, aug], axis=1)
         grid = IntegrationGrid(
             0.0, config.segment_lengths[seg], model.steps_per_segment
         )
-        states = integrate(field, x0, grid, model.solver)
-        for st in states[1:]:
-            points.append(ad.slice_cols(st, 0, 3))
-        p = points[-1]
+        states += integrate(field, x0, grid, model.solver)[1:]
+        p = ad.slice_cols(states[-1], 0, 3)
         aug = ad.slice_cols(states[-1], 6, 7)
-    return ShapeRollout(points=points, mt=mt)
+    traj = ad.reshape(ad.concat(states, axis=1), (batch, len(states), STATE_DIM))
+    return ShapeRollout(points=ad.slice_cols(traj, 0, 3), tip=p, mt=mt)
 
 
 def predict_shape_batch(
@@ -251,32 +251,23 @@ def predict_shape_batch(
     segment), matching the layout :func:`shape_loss_tensor` and the
     evaluators use.
     """
-    ro = rollout_shape(model, config, Tape(), q_batch, frozen=True)
-    return np.stack([t.value for t in ro.points], axis=1)
+    return rollout_shape(model, config, Tape(), q_batch, frozen=True).points.value
 
 
 def shape_loss_tensor(rollout: ShapeRollout, truth_points: Array) -> Tensor:
     """Mean Euclidean position error over batch and grid points.
 
-    ``truth_points`` has shape (batch, P, 3) aligned with
-    ``rollout.points``.  The per-point distance uses a tiny epsilon under
-    the square root so the gradient stays finite at zero error.
+    ``truth_points`` has shape (batch, P, 3) like ``rollout.points``.
+    The per-point distance uses a tiny epsilon under the square root so
+    the gradient stays finite at zero error.
     """
-    n_points = len(rollout.points)
+    points = rollout.points
     truth = np.asarray(truth_points, dtype=np.float64)
-    batch = rollout.points[0].value.shape[0]
-    if truth.shape != (batch, n_points, 3):
-        raise ValueError(
-            f"truth has shape {truth.shape}, expected {(batch, n_points, 3)}"
-        )
-    total = None
-    for k, pt in enumerate(rollout.points):
-        d = ad.add_const(pt, -truth[:, k])
-        ssum = ad.reduce_sum(ad.square(d), axis=1)
-        dist = ad.sqrt(ad.add_const(ssum, LOSS_EPS_SQ))
-        part = ad.reduce_sum(dist)
-        total = part if total is None else ad.add(total, part)
-    return ad.scale(total, 1.0 / (n_points * batch))
+    if truth.shape != points.shape:
+        raise ValueError(f"truth has shape {truth.shape}, expected {points.shape}")
+    ssum = ad.reduce_sum(ad.square(ad.add_const(points, -truth)), axis=2)
+    dist = ad.sqrt(ad.add_const(ssum, LOSS_EPS_SQ))
+    return ad.scale(ad.reduce_sum(dist), 1.0 / dist.value.size)
 
 
 def check_dataset(

@@ -13,15 +13,29 @@ IK solve are the library's arithmetic for one action or target, without
 the batch: a single call of the library must equal them bit for bit.
 The shape evaluation reader inverts the record file that ``evaluate
 --scenario shape`` writes, which the library itself never reads back.
+The listed references keep a backbone as one (batch, 3) tensor per
+grid point, sliced from each integrated state, and loop over the
+points where the library computes on one (batch, P, 3) tensor: the
+rollout, the nine-point downsample, the policy observation, the shape
+loss and the closest-point distance.
 """
 
 import numpy as np
 
 from shapectl import autodiff as ad
 from shapectl.autodiff import Tape, Tensor, _unbroadcast
-from shapectl.control_node import IK_MAX_ITERS, IK_TOL, _clip_inside, damped_pinv
+from shapectl.control_node import (
+    IK_MAX_ITERS,
+    IK_TOL,
+    _clip_inside,
+    _downsample_plan,
+    damped_pinv,
+)
+from shapectl.nn import mlp_forward
+from shapectl.odeint import IntegrationGrid, integrate
 from shapectl.reports import SHAPE_EVAL_HEADER, read_table
-from shapectl.shape_node import rollout_shape
+from shapectl.robot import action_to_curvature
+from shapectl.shape_node import LOSS_EPS_SQ, rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -211,3 +225,61 @@ def read_shape_eval_csv(path) -> tuple[np.ndarray, np.ndarray]:
     n = int(data[:, 0].max()) + 1
     p = int(data[:, 1].max()) + 1
     return data[:, 2:5].reshape(n, p, 3), data[:, 5:8].reshape(n, p, 3)
+
+
+def listed_rollout(model, config, tape: Tape, q: np.ndarray):
+    """Backbone of the array actions ``q`` as a list of (batch, 3) point
+    tensors, one segment solve at a time, and the weight tensors."""
+    mt = model.params.as_tensors(tape)
+    u0 = action_to_curvature(config, q, mismatch=False)
+    p = tape.constant(np.zeros((q.shape[0], 3)))
+    aug = tape.constant(np.zeros((q.shape[0], 1)))
+    points = []
+    for seg in range(config.n_segments):
+        x0 = ad.concat([p, tape.constant(u0[:, seg]), aug], axis=1)
+        grid = IntegrationGrid(0.0, config.segment_lengths[seg], model.steps_per_segment)
+        states = integrate(lambda t, x, u: mlp_forward(mt, x), x0, grid, model.solver)
+        points += [ad.slice_cols(st, 0, 3) for st in states[1:]]
+        p = points[-1]
+        # the augmentation column seeds the next segment unreset
+        aug = ad.slice_cols(states[-1], 6, 7)
+    return points, mt
+
+
+def listed_downsample(points: list[Tensor]) -> list[Tensor]:
+    """Nine point tensors: a grid point itself where the stencil weight
+    is whole, else its two-point blend."""
+    out = []
+    for j0, j1, w in _downsample_plan(len(points)):
+        if w == 0.0:
+            out.append(points[j0])
+        else:
+            out.append(ad.add(ad.scale(points[j0], 1.0 - w), ad.scale(points[j1], w)))
+    return out
+
+
+def listed_observation(backbone: list[Tensor], q: Tensor, goal: Tensor) -> Tensor:
+    """The nine backbone points, the tip, the action and the goal."""
+    return ad.concat(backbone + [backbone[-1], q, goal], axis=1)
+
+
+def listed_shape_loss(points: list[Tensor], truth: np.ndarray) -> Tensor:
+    """Mean Euclidean error, summed point by point."""
+    total = None
+    for k, pt in enumerate(points):
+        ssum = ad.reduce_sum(ad.square(ad.add_const(pt, -truth[:, k])), axis=1)
+        part = ad.reduce_sum(ad.sqrt(ad.add_const(ssum, LOSS_EPS_SQ)))
+        total = part if total is None else ad.add(total, part)
+    return ad.scale(total, 1.0 / truth[:, :, 0].size)
+
+
+def listed_min_sq_distance(points: list[Tensor], center: np.ndarray) -> Tensor:
+    """Min squared distance to ``center`` per sample, routed to the first
+    closest point by one mask per point."""
+    d2 = [ad.reduce_sum(ad.square(ad.add_const(p, -center)), axis=1) for p in points]
+    idx = np.argmin(np.stack([t.value for t in d2], axis=1), axis=1)
+    total = None
+    for j, t in enumerate(d2):
+        part = ad.cmul(t, (idx == j).astype(np.float64))
+        total = part if total is None else ad.add(total, part)
+    return total

@@ -151,6 +151,17 @@ def test_slice_cols_fd(rng):
     )
 
 
+def test_reshape_and_slice_cols_any_rank_fd(rng):
+    # the last axis of the input reshaped to (4, 2, 3)
+    a = rng.standard_normal((4, 6))
+    _check_primitive(
+        lambda t, l: ad.reduce_sum(
+            ad.square(ad.slice_cols(ad.reshape(l[0], (4, 2, 3)), 1, 3))
+        ),
+        [a.copy()],
+    )
+
+
 def test_scale_cmul_add_const_fd(rng):
     a = rng.standard_normal((2, 5))
     c = rng.standard_normal((2, 5))
@@ -357,6 +368,18 @@ def test_dense_residual_freed_by_sweep(rng):
     assert mask() is None
 
 
+@pytest.mark.parametrize("axis", [None, 1])
+def test_shape_only_closures_hold_no_array(rng, axis):
+    # reduce_sum and slice_cols read only the input's shape and dtype, so
+    # an input nothing else holds (the downsample's weighted product) is
+    # freed during the forward pass, not at the sweep
+    tape = ad.Tape()
+    x = tape.tensor(rng.standard_normal((4, 3, 5)))
+    for y in (ad.reduce_sum(x, axis=axis), ad.slice_cols(x, 1, 3)):
+        cells = tape.backfns[y.nid].__closure__
+        assert not any(isinstance(c.cell_contents, np.ndarray) for c in cells)
+
+
 def test_sigmoid_extreme_inputs():
     tape = ad.Tape()
     x = tape.tensor(np.array([[-1000.0, 1000.0, 0.0]]))
@@ -452,6 +475,7 @@ FLOAT32_CASES = {
     "reduce_mean_axis": lambda a, b, w, c: ad.reduce_mean(a, axis=1),
     "concat": lambda a, b, w, c: ad.concat([a, b, a], axis=1),
     "slice_cols": lambda a, b, w, c: ad.slice_cols(a, 1, 3),
+    "reshape": lambda a, b, w, c: ad.reshape(a, (2, 2, 3)),
     "select_rows": lambda a, b, w, c: ad.select_rows(a, [True, False, True, False]),
 }
 

@@ -10,7 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import rel_err, single_ik_solve
+from helpers import (
+    listed_downsample,
+    listed_min_sq_distance,
+    listed_observation,
+    rel_err,
+    single_ik_solve,
+)
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
 from shapectl.autodiff import Tape
@@ -39,7 +45,7 @@ from shapectl.control_node import (
     train_control_node,
     unbound_actions,
 )
-from shapectl.nn import collect_mlp_grads, init_mlp
+from shapectl.nn import collect_mlp_grads, init_mlp, mlp_forward
 from shapectl.robot import (
     ObstacleSpec,
     RobotConfig,
@@ -52,6 +58,7 @@ from shapectl.shape_node import (
     predict_shape_batch,
     robot_config_hash,
     rollout_shape,
+    shape_loss_tensor,
     tip_jacobian,
 )
 
@@ -134,15 +141,43 @@ def test_downsample_tensor_value_twins_bitwise(rng):
     # the tensor stencil gives its plain numpy arithmetic bit for bit
     pts = rng.standard_normal((30, 3))  # 30 grid points, base excluded
     tape = Tape()
-    ds = downsample_shape([tape.constant(pts[None, i]) for i in range(30)])
-    assert len(ds) == 9
-    for t, (j0, j1, w) in zip(ds, _downsample_plan(30)):
+    ds = downsample_shape(tape.constant(pts[None])).value[0]
+    assert ds.shape == (9, 3)
+    for got, (j0, j1, w) in zip(ds, _downsample_plan(30), strict=True):
         want = pts[j0] if w == 0.0 else pts[j0] * (1.0 - w) + pts[j1] * w
-        assert np.array_equal(t.value[0], want)
+        assert np.array_equal(got, want)
     # every third sample is an exact grid row, the final one the tip
-    assert np.array_equal(ds[2].value[0], pts[9])
-    assert np.array_equal(ds[5].value[0], pts[19])
-    assert np.array_equal(ds[8].value[0], pts[29])
+    assert np.array_equal(ds[2], pts[9])
+    assert np.array_equal(ds[5], pts[19])
+    assert np.array_equal(ds[8], pts[29])
+
+
+@pytest.mark.parametrize("n_points", [9, 10, 12, 30, 40])
+def test_downsample_and_observation_match_listed_reference(rng, n_points, monkeypatch):
+    # whole stencil rows and, below 18 points, grid points that two
+    # samples share: the one weighted sum is the point-by-point blend
+    # bit for bit, and the observation keeps its column order
+    cfg = RobotConfig(n_segments=1)
+    pts = rng.standard_normal((3, n_points, 3))
+    q, goal = rng.uniform(-3.0, 3.0, (3, 2)), rng.standard_normal((3, 3))
+    tape = Tape()
+    ds = downsample_shape(tape.constant(pts))
+    ref = listed_downsample([tape.constant(pts[:, j]) for j in range(n_points)])
+    assert np.array_equal(ds.value, np.stack([t.value for t in ref], axis=1))
+    observed = []
+
+    def recording_forward(mt, x):
+        observed.append(x.value)
+        return mlp_forward(mt, x)
+
+    monkeypatch.setattr(control_node, "mlp_forward", recording_forward)
+    policy = small_policy(rng, cfg)
+    q_leaf, goal_leaf = tape.constant(q), tape.constant(goal)
+    z = tape.constant(unbound_actions(q, cfg.q_min, cfg.q_max))
+    pmt = policy.params.as_tensors(tape, frozen=True)
+    policy_step(cfg, pmt, ds, q_leaf, z, goal_leaf, None, 0.0)
+    want = listed_observation(ref, q_leaf, goal_leaf).value
+    assert np.array_equal(observed[0], want)
 
 
 def test_observation_dim():
@@ -200,8 +235,7 @@ def test_zeroed_policy_holds_actions_constant(setup1, rng):
     assert res.horizon == policy.horizon
     for qk in res.actions:
         assert np.allclose(qk.value, q0, atol=1e-12)
-    for a, b in zip(res.shapes_ds[0], res.shapes_ds[-1]):
-        assert np.allclose(a.value, b.value, atol=1e-12)
+    assert np.allclose(res.shapes_ds[0].value, res.shapes_ds[-1].value, atol=1e-12)
 
 
 def test_rollout_list_lengths_and_horizon_override(setup1, rng):
@@ -243,13 +277,12 @@ def test_initial_points_feed_first_step(setup1, rng):
     q0 = rng.uniform(-3.0, 3.0, (1, 2))
     shape = forward_kinematics(cfg, q0[0])
     tape = Tape()
-    observed = [tape.constant(p[None]) for p in shape.points[1:]]
+    observed = tape.constant(shape.points[None, 1:])
     goal = np.zeros((1, 3))
     res = rollout_policy(policy, sm, cfg, tape, q0, goal, initial_points=observed)
     assert len(res.rollouts) == policy.horizon
-    for got, want in zip(res.shapes_ds[0], downsample_shape(observed), strict=True):
-        assert np.array_equal(got.value, want.value)
-    assert np.array_equal(res.shapes_ds[0][-1].value[0], shape.tip)
+    assert np.array_equal(res.shapes_ds[0].value, downsample_shape(observed).value)
+    assert np.array_equal(res.shapes_ds[0].value[0, -1], shape.tip)
     fresh = rollout_policy(policy, sm, cfg, Tape(), q0, goal)
     assert not np.array_equal(res.actions[0].value, fresh.actions[0].value)
 
@@ -321,7 +354,7 @@ def test_step_action_is_the_rollouts_first_action(setup1, batch, seed):
     draw = np.random.default_rng(seed)
     q0 = draw.uniform(-3.0, 3.0, (batch, 2))
     goal = draw.uniform(-0.02, 0.02, (batch, 3)) + np.array([0.0, 0.0, 0.09])
-    observed = np.stack([forward_kinematics(cfg, q).points[1:] for q in q0], axis=1)
+    observed = np.stack([forward_kinematics(cfg, q).points[1:] for q in q0])
 
     tape = Tape()
     full = rollout_policy(
@@ -331,7 +364,7 @@ def test_step_action_is_the_rollouts_first_action(setup1, batch, seed):
         tape,
         q0,
         goal,
-        initial_points=[tape.constant(p) for p in observed],
+        initial_points=tape.constant(observed),
         noise_rng=np.random.default_rng(100 + seed),
         noise_std=1e-3,
     )
@@ -339,7 +372,7 @@ def test_step_action_is_the_rollouts_first_action(setup1, batch, seed):
     _, q1 = policy_step(
         cfg,
         policy.params.as_tensors(tape, frozen=True),
-        downsample_shape([tape.constant(p) for p in observed]),
+        downsample_shape(tape.constant(observed)),
         tape.constant(q0),
         tape.constant(unbound_actions(q0, cfg.q_min, cfg.q_max)),
         tape.constant(goal),
@@ -370,9 +403,7 @@ def test_first_tick_is_the_plans_first_action(setup1):
         tape,
         q0[None],
         goal[None],
-        initial_points=[
-            tape.constant(p[None]) for p in forward_kinematics(cfg, q0).points[1:]
-        ],
+        initial_points=tape.constant(forward_kinematics(cfg, q0).points[None, 1:]),
         noise_rng=np.random.default_rng(3),
         noise_std=1e-3,
     )
@@ -466,11 +497,12 @@ def numpy_loss(result, cfg, obstacle=None):
         prev_q = result.q0 if k == 1 else result.actions[k - 2].value
         dq = result.actions[k - 1].value - prev_q
         total += cfg.action_rate_weight * np.mean((dq**2).sum(axis=1))
-        for prev_p, cur_p in zip(result.shapes_ds[k - 1], result.shapes_ds[k]):
-            dp = cur_p.value - prev_p.value
+        prev_ds, cur_ds = result.shapes_ds[k - 1].value, result.shapes_ds[k].value
+        for i in range(prev_ds.shape[1]):
+            dp = cur_ds[:, i] - prev_ds[:, i]
             total += cfg.shape_weight * np.mean((dp**2).sum(axis=1))
         if obstacle is not None:
-            pts = np.stack([p.value for p in result.rollouts[k - 1].points], axis=1)
+            pts = result.rollouts[k - 1].points.value
             d2 = ((pts - obstacle.center) ** 2).sum(axis=2).min(axis=1)
             thr = obstacle.threshold_sq
             margin = (thr - d2) / (thr / 10.0)
@@ -534,23 +566,58 @@ def test_control_loss_perfect_tracking_and_terminal_only(setup1, rng):
         )
 
 
+def test_loss_node_counts_do_not_grow_with_the_grid(rng):
+    # both losses compute on whole backbone tensors, with no node per
+    # grid point
+    cfg = RobotConfig(n_segments=2)
+    obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.05]))
+    q0 = rng.uniform(-3.0, 3.0, (2, 4))
+    goal = rng.uniform(-0.02, 0.02, (2, 3)) + np.array([0.0, 0.0, 0.09])
+    counts = []
+    for steps in (5, 10):
+        sm = small_shape_model(rng, cfg, steps_per_segment=steps)
+        tape = Tape()
+        ro = rollout_shape(sm, cfg, tape, q0)
+        before = len(tape)
+        shape_loss_tensor(ro, np.zeros(ro.points.shape))
+        shape_nodes = len(tape) - before
+        res = rollout_policy(small_policy(rng, cfg), sm, cfg, tape, q0, goal)
+        before = len(tape)
+        control_loss(res, ControlLossConfig(), obstacle)
+        counts.append((shape_nodes, len(tape) - before))
+    assert counts[0] == counts[1]
+
+
 def test_min_sq_distance_value_and_gradient(rng):
     tape = Tape()
     pts = rng.standard_normal((4, 5, 3))
-    tensors = [tape.tensor(pts[:, j]) for j in range(5)]
-    center = np.array([0.2, -0.1, 0.4])
-    d2min = _min_sq_distance(tensors, center)
+    center = np.array([0.25, -0.125, 0.5])
+    # sample 0: points 1 and 3 mirror each other through the center and
+    # tie as the closest; the first of them takes the subgradient
+    pts[0, 1] = center + 0.125 * np.array([1.0, -2.0, 0.5])
+    pts[0, 3] = 2.0 * center - pts[0, 1]
+    leaf = tape.tensor(pts)
+    d2min = _min_sq_distance(leaf, center)
     expect = ((pts - center) ** 2).sum(axis=2).min(axis=1)
     assert np.allclose(d2min.value, expect, atol=1e-14)
-    grads = ad.backward(ad.reduce_sum(d2min))
-    idx = ((pts - center) ** 2).sum(axis=2).argmin(axis=1)
-    for j, t in enumerate(tensors):
-        g = ad.grad_of(grads, t)
+    g = ad.grad_of(ad.backward(ad.reduce_sum(d2min)), leaf)
+    d2 = ((pts - center) ** 2).sum(axis=2)
+    idx = d2.argmin(axis=1)
+    assert d2[0, 1] == d2[0, 3] and idx[0] == 1
+    for j in range(5):
         for b in range(4):
             if idx[b] == j:
-                assert np.allclose(g[b], 2.0 * (pts[b, j] - center), atol=1e-12)
+                assert np.allclose(g[b, j], 2.0 * (pts[b, j] - center), atol=1e-12)
             else:
-                assert np.all(g[b] == 0.0)
+                assert np.all(g[b, j] == 0.0)
+    # the point-by-point reference, in value and gradient
+    ref_tape = Tape()
+    listed = [ref_tape.tensor(pts[:, j]) for j in range(5)]
+    ref = listed_min_sq_distance(listed, center)
+    assert np.array_equal(d2min.value, ref.value)
+    ref_grads = ad.backward(ad.reduce_sum(ref))
+    want = np.stack([ad.grad_of(ref_grads, t) for t in listed], axis=1)
+    assert np.array_equal(g, want)
 
 
 def test_loss_gradient_fd(setup1, rng):

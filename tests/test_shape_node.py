@@ -3,6 +3,7 @@
 import base64
 import gc
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from helpers import (
     arc_backbone,
     fd_grad_at,
+    listed_rollout,
+    listed_shape_loss,
     per_coordinate_tip_jacobian,
     rel_err,
     sample_coords,
@@ -20,7 +23,6 @@ from shapectl import autodiff as ad
 from shapectl import shape_node
 from shapectl.autodiff import Tape
 from shapectl.nn import adam_step, collect_mlp_grads, init_mlp
-from shapectl.odeint import IntegrationGrid, integrate
 from shapectl.robot import (
     RobotConfig,
     action_to_curvature,
@@ -117,35 +119,18 @@ def test_segment_chaining_is_sequential_solves(rng):
 
     tape = Tape()
     ro = rollout_shape(model, cfg, tape, q.reshape(1, -1))
-    joint = np.stack([t.value[0] for t in ro.points])
 
     # manual: same primitives, one segment at a time, reseeded by hand
-    tape2 = Tape()
-    mt = model.params.as_tensors(tape2)
-    from shapectl.nn import mlp_forward
-
-    u0 = action_to_curvature(cfg, q.reshape(1, -1), mismatch=False)
-    field = lambda t, x, u: mlp_forward(mt, x)
-    p = tape2.tensor(np.zeros((1, 3)))
-    aug = tape2.tensor(np.zeros((1, 1)))
-    manual = []
-    for seg in range(2):
-        x0 = ad.concat([p, tape2.tensor(u0[:, seg]), aug], axis=1)
-        grid = IntegrationGrid(0.0, cfg.segment_lengths[seg], model.steps_per_segment)
-        states = integrate(field, x0, grid, model.solver)
-        for st in states[1:]:
-            manual.append(st.value[0, :3])
-        p = ad.slice_cols(states[-1], 0, 3)
-        # the augmentation column seeds the next segment unreset
-        aug = ad.slice_cols(states[-1], 6, 7)
-    assert np.array_equal(joint, np.stack(manual))
+    manual, _ = listed_rollout(model, cfg, Tape(), q.reshape(1, -1))
+    assert np.array_equal(ro.points.value[0], np.stack([t.value[0] for t in manual]))
+    assert np.array_equal(ro.tip.value, manual[-1].value)
 
 
 def _loss_of_points(predicted, truth) -> float:
     """shape_loss_tensor on a (batch, P, 3) prediction given as constants."""
-    tape = Tape()
-    points = [tape.constant(predicted[:, k]) for k in range(predicted.shape[1])]
-    return float(shape_loss_tensor(ShapeRollout(points=points, mt=None), truth).value)
+    points = Tape().constant(predicted)
+    rollout = ShapeRollout(points=points, tip=None, mt=None)
+    return float(shape_loss_tensor(rollout, truth).value)
 
 
 def test_shape_loss_examples(rng):
@@ -175,6 +160,24 @@ def test_shape_loss_tensor_matches_value(rng):
     pred = predict_shape_batch(model, q, cfg)
     value = np.mean(np.linalg.norm(pred - truth, axis=-1))
     assert taped == pytest.approx(value, rel=1e-9)
+
+
+def test_float32_shape_loss_weight_gradients_match_listed_reference(rng):
+    # the adjoint each state receives is the listed layout's, summed in
+    # the same order, so training steps (and saved weights) keep their bits
+    cfg = RobotConfig(n_segments=3)
+    model = perturbed_model(rng, cfg)
+    q = rng.uniform(cfg.q_min, cfg.q_max, size=(8, 6))
+    truth = np.stack([forward_kinematics(cfg, qi).points[1:] for qi in q])
+    ro = rollout_shape(model, cfg, Tape(TRAIN_DTYPE), q)
+    loss = shape_loss_tensor(ro, truth)
+    points, mt = listed_rollout(model, cfg, Tape(TRAIN_DTYPE), q)
+    ref = listed_shape_loss(points, truth)
+    assert abs(float(loss.value) - float(ref.value)) <= 1e-6 * float(ref.value)
+    got = collect_mlp_grads(ad.backward(loss), ro.mt)
+    want = collect_mlp_grads(ad.backward(ref), mt)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
 def test_shape_loss_tensor_shape_check(rng):
@@ -535,10 +538,10 @@ def test_float32_rollout_with_taped_action_keeps_dtype(rng, n_segments, monkeypa
         tape = Tape(np.float32)
         q_leaf = tape.tensor(q)
         ro = rollout_shape(model, cfg, tape, q_leaf)
-        loss = ad.reduce_sum(ad.concat(ro.points, axis=1))
+        loss = ad.reduce_sum(ro.points)
         grads = ad.backward(loss)
         assert q_leaf.nid in grads
-        assert all(p.value.dtype == np.float32 for p in ro.points)
+        assert ro.points.value.dtype == ro.tip.value.dtype == np.float32
         assert all(g.dtype == np.float32 for g in grads.values())
     assert recorded and set(recorded) == {np.dtype(np.float32)}
 
@@ -572,8 +575,8 @@ def test_rollout_action_tensor_matches_array_path(rng):
     tape = Tape()
     ro_arr = rollout_shape(model, cfg, tape, q)
     ro_ten = rollout_shape(model, cfg, tape, tape.tensor(q))
-    for pa, pt in zip(ro_arr.points, ro_ten.points):
-        assert np.array_equal(pa.value, pt.value)
+    assert np.array_equal(ro_arr.points.value, ro_ten.points.value)
+    assert np.array_equal(ro_arr.tip.value, ro_ten.tip.value)
 
 
 def test_rollout_clips_only_taped_actions(rng):
@@ -590,8 +593,7 @@ def test_rollout_clips_only_taped_actions(rng):
     # frozen weights and an array action: every node is a constant
     assert not any(tape.active)
     taped = rollout_shape(model, cfg, tape, tape.tensor(q), frozen=True)
-    for pc, pt in zip(clipped.points, taped.points, strict=True):
-        assert np.array_equal(pc.value, pt.value)
+    assert np.array_equal(clipped.points.value, taped.points.value)
 
 
 def test_rollout_action_gradient_fd(rng):
@@ -605,23 +607,16 @@ def test_rollout_action_gradient_fd(rng):
         ]
     )
 
-    def total_of(points):
-        out = None
-        for p in points:
-            term = ad.reduce_sum(p)
-            out = term if out is None else ad.add(out, term)
-        return out
-
     tape = Tape()
     qt = tape.tensor(q)
-    loss = total_of(rollout_shape(model, cfg, tape, qt).points)
+    loss = ad.reduce_sum(rollout_shape(model, cfg, tape, qt).points)
     grad = ad.grad_of(ad.backward(loss), qt)
     assert grad.shape == q.shape
 
     def value_loss(q_arr):
         t = Tape()
         ro = rollout_shape(model, cfg, t, q_arr)
-        return float(sum(p.value.sum() for p in ro.points))
+        return math.fsum(ro.points.value.ravel())
 
     fd = np.zeros_like(q)
     eps = 1e-6
