@@ -24,10 +24,18 @@ closure would have held.  A forward pass on constants alone is therefore
 a no-record call into the same primitives, and ``backward`` sends no
 contribution to a constant.  Primitives whose backward is costly (the
 fused ``dense``) also skip the products an inactive parent would get.
-Until the sweep reaches it, a recorded ``dense`` node keeps its operands
-for active parents' products and one bit per hidden unit for a LeakyReLU
-layer (the packed sign mask its backward rebuilds the slope from), or
-the float derivative for a tanh layer.
+
+One network evaluation is one ``dense`` node: input scale, LeakyReLU
+layers, tanh layer and output scale.  Until the sweep reaches it, a
+recorded ``dense`` node keeps one bit per unit of each LeakyReLU layer
+(the packed sign mask its backward rebuilds the slope from), the float
+derivative of the tanh layer, each layer's input only for an active
+weight, and each weight only for an input that needs an adjoint.  The
+first hidden layer's output is never kept: when the second weight is
+active, the sweep recomputes it from the kept scaled input by the
+forward pass's own operations, bit for bit, which costs a matmul only
+as wide as the network input.  A frozen network on a taped input thus
+keeps no activations, only the masks and the tanh derivative.
 
 The engine favors a small, explicit primitive set over operator coverage:
 tensors define no arithmetic operators, and every operation is a named
@@ -254,80 +262,127 @@ def cmul(a: Tensor, c) -> Tensor:
     return a.tape._record(a.value * c, (a.nid,), bk)
 
 
-# per dtype: the unsigned type of its width, and the bit patterns of
-# 1 - LEAKY_SLOPE (as a difference of patterns) and of LEAKY_SLOPE
-_LEAKY_BITS: dict[np.dtype, tuple] = {}
+# per dtype: row k holds the LeakyReLU derivatives of the eight units
+# whose sign bits, in np.packbits order, make up the byte k
+_LEAKY_TABLES: dict[np.dtype, Array] = {}
 
 
-def _leaky_factor(mask: Array, dtype: np.dtype) -> Array:
-    """LeakyReLU derivative from the unpacked sign mask of ``z > 0``
-    (0 or 1 per unit): 1 where set, else :data:`LEAKY_SLOPE`, in ``dtype``.
+def _leaky_factor(mask: Array, like: Array) -> Array:
+    """LeakyReLU derivative from the packed sign mask of ``z > 0``: 1
+    where the bit is set, else :data:`LEAKY_SLOPE`, in the shape and
+    dtype of ``like``.
 
-    Bit for bit ``np.where(mask, 1, LEAKY_SLOPE)``, built without a
+    Bit for bit ``np.where(z > 0, 1, LEAKY_SLOPE)``, built without a
     per-element branch (which costs more than the matmul in front of
-    it): the mask, as unsigned integers, picks the bit pattern of 1 or
-    the slope.  With ``0 < LEAKY_SLOPE < 1`` the slope's pattern is the
-    smaller, so the step between them does not wrap.
+    it): each packed byte looks up its eight factors in a 256-row table,
+    so the bits are never unpacked.
     """
-    bits = _LEAKY_BITS.get(dtype)
-    if bits is None:
-        uint = np.dtype(f"u{dtype.itemsize}")
-        one, low = np.array([1.0, LEAKY_SLOPE], dtype=dtype).view(uint)
-        bits = _LEAKY_BITS[dtype] = (uint, one - low, low)
-    uint, step, low = bits
-    factor = mask.astype(uint)
-    factor *= step
-    factor += low
-    return factor.view(dtype)
+    table = _LEAKY_TABLES.get(like.dtype)
+    if table is None:
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+        table = np.where(bits == 1, 1.0, LEAKY_SLOPE).astype(like.dtype)
+        _LEAKY_TABLES[like.dtype] = table
+    return np.take(table, mask, axis=0).reshape(-1)[: like.size].reshape(like.shape)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """Fused ``activation(x @ w + b)`` as a single tape node, with
-    ``activation`` ``"leaky"`` (slope :data:`LEAKY_SLOPE`) or ``"tanh"``.
+def _leaky_layer(h: Array, w: Array, b: Array) -> Array:
+    """``leaky(h @ w + b)``; the forward pass and the recompute of the
+    first hidden layer both call it, so they agree bit for bit."""
+    z = h @ w
+    z += b
+    # z * where(z > 0, 1, slope), bit for bit, because 0 < slope < 1
+    return np.maximum(z, z * LEAKY_SLOPE, out=z)
 
-    Values are identical to the x @ w + b plus activation chain, and
-    fusing cuts the per-layer node count, which dominates training cost.
-    A recorded node keeps what its backward needs of the activation: a
-    ``"leaky"`` node one bit per unit, the packed sign mask of ``z > 0``
-    from which the sweep rebuilds the derivative; a ``"tanh"`` node the
-    float derivative ``1 - out**2``.  A node with no active parent keeps
-    neither.  The backward closure keeps ``x`` only for an active ``w``
-    and ``w`` only for an active ``x``, and computes no product for an
-    inactive parent.
+
+def dense(
+    x: Tensor,
+    layers: list[tuple[Tensor, Tensor]],
+    input_scale: Array | None = None,
+    output_scale: Array | None = None,
+) -> Tensor:
+    """One network evaluation as a single tape node.
+
+    ``layers`` holds one (weight, bias) pair per layer.  The node
+    computes ``x * input_scale``, then LeakyReLU (slope
+    :data:`LEAKY_SLOPE`) layers ``max(z, slope z)`` with ``z = h @ w +
+    b``, then ``tanh`` on the last layer, then ``* output_scale``; a
+    scale of None is left out.  The scales are constants.  Values and
+    adjoints are bit for bit those of the chain of one node per scale
+    and per layer.
+
+    Until the sweep, a recorded node keeps, per layer the backward
+    reaches: the packed sign mask of ``z > 0`` (one bit per unit) for a
+    LeakyReLU layer, the float derivative ``1 - out**2`` for the tanh
+    layer; the layer's input only if its weight is active; its weight
+    only if its input needs an adjoint.  The first hidden layer's output
+    is never kept: the backward recomputes it from the kept scaled input
+    when the second weight is active, which costs a matmul only as wide
+    as the network input.  No product is computed for an inactive
+    parent, and a node with no active parent keeps nothing.
     """
-    z = x.value @ w.value
-    z += b.value
     active = x.tape.active
-    x_on, w_on, b_on = active[x.nid], active[w.nid], active[b.nid]
-    recorded = x_on or w_on or b_on
-    mask = factor = None
-    if activation == "leaky":
-        # z * where(z > 0, 1, slope), bit for bit, because 0 < slope < 1
-        out = np.maximum(z, z * LEAKY_SLOPE, out=z)
-        if recorded:
-            mask = np.packbits(out > 0.0)
-    elif activation == "tanh":
-        out = np.tanh(z, out=z)
-        if recorded:
-            factor = 1.0 - out * out
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
-    xv = x.value if w_on else None
-    wv = w.value if x_on else None
+    dtype = x.value.dtype
+    n = len(layers)
+    w_on = [active[w.nid] for w, _ in layers]
+    b_on = [active[b.nid] for _, b in layers]
+    # in_on[i]: the input of layer i needs an adjoint
+    in_on = [active[x.nid]]
+    for i in range(n - 1):
+        in_on.append(in_on[i] or w_on[i] or b_on[i])
+    # the sweep reaches layer i when it or a layer below has an active parent
+    reached = [in_on[i] or w_on[i] or b_on[i] for i in range(n)]
+    iscale = None if input_scale is None else np.asarray(input_scale, dtype=dtype)
+    oscale = None if output_scale is None else np.asarray(output_scale, dtype=dtype)
+    h = x.value if iscale is None else x.value * iscale
+    # the second layer's input is recomputed from the scaled input
+    recompute = n > 1 and w_on[1]
+    xs, w1, b1 = (h, layers[0][0].value, layers[0][1].value) if recompute else (None,) * 3
+    kept = [None] * n  # the other layers' inputs, for active weights
+    weights = [w.value if in_on[i] else None for i, (w, _) in enumerate(layers)]
+    masks = [None] * (n - 1)
+    for i, (w, b) in enumerate(layers):
+        if w_on[i] and i != 1:
+            kept[i] = h
+        if i == n - 1:
+            break
+        h = _leaky_layer(h, w.value, b.value)
+        if reached[i]:
+            masks[i] = np.packbits(h > 0.0)
+    z = h @ w.value
+    z += b.value
+    out = np.tanh(z, out=z)
+    factor = 1.0 - out * out if reached[-1] else None
+    if oscale is not None:
+        out *= oscale
 
     def bk(grad):
-        if mask is None:
+        contribs = [None] * (1 + 2 * n)
+        # below the borrowed upstream adjoint every array is the node's
+        # own, so the activation derivatives multiply in place
+        if oscale is None:
             dz = grad * factor
         else:
-            bits = np.unpackbits(mask, count=grad.size).reshape(grad.shape)
-            dz = grad * _leaky_factor(bits, grad.dtype)
-        return (
-            dz @ wv.T if x_on else None,
-            xv.T @ dz if w_on else None,
-            dz.sum(axis=0) if b_on else None,
-        )
+            dz = grad * oscale
+            dz *= factor
+        for i in range(n - 1, -1, -1):
+            if i < n - 1:
+                dz *= _leaky_factor(masks[i], dz)
+            if w_on[i]:
+                hin = _leaky_layer(xs, w1, b1) if i == 1 else kept[i]
+                contribs[1 + 2 * i] = hin.T @ dz
+            if b_on[i]:
+                contribs[2 + 2 * i] = dz.sum(axis=0)
+            if not in_on[i]:
+                break
+            dz = dz @ weights[i].T
+        else:
+            if iscale is not None:
+                dz *= iscale
+            contribs[0] = dz
+        return contribs
 
-    return x.tape._record(out, (x.nid, w.nid, b.nid), bk)
+    parents = (x.nid, *(t.nid for pair in layers for t in pair))
+    return x.tape._record(out, parents, bk)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -426,6 +481,31 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def bk(grad):
         full = np.zeros(shape, dtype=dtype)
         full[..., start:stop] = grad
+        return (full,)
+
+    return a.tape._record(out, (a.nid,), bk)
+
+
+def blend(a: Tensor, j0, j1, w) -> Tensor:
+    """Two-point stencil along axis 1 of a (batch, P, d) tensor:
+    ``a[:, j0] * (1 - w) + a[:, j1] * w`` for index lists ``j0``, ``j1``
+    and constant weights ``w`` of one length K, giving (batch, K, d).
+    The backward scatters each row's adjoint back with ``np.add.at``.
+    """
+    av = a.value
+    shape = av.shape
+    w = np.asarray(w, dtype=np.float64)[:, None]
+    c0 = np.asarray(1.0 - w, dtype=av.dtype)
+    c1 = np.asarray(w, dtype=av.dtype)
+    # take, not fancy indexing, keeps the result C-ordered, so a later
+    # full reduction sums it in the same order as any other (batch, K, d)
+    out = np.take(av, j0, axis=1) * c0
+    out += np.take(av, j1, axis=1) * c1
+
+    def bk(grad):
+        full = np.zeros(shape, dtype=grad.dtype)
+        np.add.at(full, (slice(None), j0), grad * c0)
+        np.add.at(full, (slice(None), j1), grad * c1)
         return (full,)
 
     return a.tape._record(out, (a.nid,), bk)

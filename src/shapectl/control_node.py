@@ -4,9 +4,9 @@ The policy is an MLP whose output drives the pre-activation action state
 z through time; the emitted action is q = q_min + (tanh(z)+1)/2 *
 (q_max - q_min) in the robot config's box, so bounds hold exactly for
 all time.  One :func:`policy_step` observes a (batch, 9, 3) backbone
-(nine points evenly spaced in grid index, one weighted sum over a shape
-rollout's (batch, P, 3) points), its tip, the current action and the
-goal, and adds the policy output to z.  With the observation frozen
+(nine points evenly spaced in grid index, one two-point stencil over a
+shape rollout's (batch, P, 3) points), its tip, the current action and
+the goal, and adds the policy output to z.  With the observation frozen
 over the step the stage dynamics are constant, so any single-step
 scheme lands on the same value, and the memoryless step makes acting
 from an achieved state continue the plan.
@@ -207,14 +207,9 @@ def _downsample_plan(n_points: int) -> list[tuple[int, int, float]]:
 
 def downsample_shape(points: Tensor) -> Tensor:
     """Nine backbone points (tip last), evenly spaced in grid index:
-    (batch, P, 3) to (batch, 9, 3), one weighted sum over the grid."""
-    batch, n_points, _ = points.shape
-    weights = np.zeros((OBS_POINTS, n_points, 1))
-    for i, (j0, j1, w) in enumerate(_downsample_plan(n_points)):
-        weights[i, j0] += 1.0 - w
-        weights[i, j1] += w
-    spread = ad.reshape(points, (batch, 1, n_points, 3))
-    return ad.reduce_sum(ad.cmul(spread, weights), axis=2)
+    (batch, P, 3) to (batch, 9, 3), one two-point stencil."""
+    j0, j1, w = zip(*_downsample_plan(points.shape[1]))
+    return ad.blend(points, list(j0), list(j1), w)
 
 
 def policy_step(

@@ -18,6 +18,11 @@ only evaluated, or that other gradients flow through unchanged, is
 wrapped ``frozen``: its weights become constant leaves, so no weight
 gradient is computed, and a forward pass on constant inputs records
 nothing to backpropagate.
+
+:func:`mlp_forward` records one fused :func:`~shapectl.autodiff.dense`
+node per evaluation, whatever the depth.  The node keeps no first
+hidden layer output for its sweep, which recomputes it from the scaled
+input; what else it keeps is listed in :mod:`shapectl.autodiff`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import LEAKY_SLOPE, Array, Tape, Tensor, check_finite, cmul, dense, grad_of
+from .autodiff import LEAKY_SLOPE, Array, Tape, Tensor, check_finite, dense, grad_of
 
 
 # Adam's moment decay rates and denominator guard: the defaults of
@@ -149,7 +154,8 @@ def init_mlp(
 
 def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
     """Evaluate the network on a batch ``x`` of shape (batch, in_dim):
-    LeakyReLU hidden layers, then the tanh output layer."""
+    LeakyReLU hidden layers, then the tanh output layer, all one fused
+    :func:`~shapectl.autodiff.dense` tape node."""
     p = mt.params
     if x.value.shape[-1] != p.weights[0].shape[0]:
         raise ValueError(
@@ -157,15 +163,7 @@ def mlp_forward(mt: MlpTensors, x: Tensor) -> Tensor:
             f"first layer width {p.weights[0].shape[0]}"
         )
     check_finite(x.value, "mlp input")
-    h = x
-    if p.input_scale is not None:
-        h = cmul(h, p.input_scale)
-    last = len(mt.layers) - 1
-    for i, (w, b) in enumerate(mt.layers):
-        h = dense(h, w, b, "leaky" if i < last else "tanh")
-    if p.output_scale is not None:
-        h = cmul(h, p.output_scale)
-    return h
+    return dense(x, mt.layers, p.input_scale, p.output_scale)
 
 
 def adam_step(params: MlpParams, grads: list[Array], lr: float) -> None:

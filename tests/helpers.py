@@ -6,9 +6,11 @@ checks: finite differences only call a loss closure, the arc
 composition uses the matrix-exponential formulas rather than any
 integrator, and the unfused primitives (elementwise product, matrix
 product, LeakyReLU) rebuild what the fused ``dense`` computes from
-one operation per node.  The per-coordinate tip Jacobian backpropagates
-each tip coordinate on its own, where the library weights all three in
-one reverse sweep.  The single-action tip Jacobian and the one-target
+one operation per node.  The layered network is the fused network
+node's oracle: one tape node per scale and per layer, each layer
+keeping its own input until the sweep.  The per-coordinate tip
+Jacobian backpropagates each tip coordinate on its own, where the
+library weights all three in one reverse sweep.  The single-action tip Jacobian and the one-target
 IK solve are the library's arithmetic for one action or target, without
 the batch: a single call of the library must equal them bit for bit.
 The shape evaluation reader inverts the record file that ``evaluate
@@ -23,7 +25,7 @@ loss and the closest-point distance.
 import numpy as np
 
 from shapectl import autodiff as ad
-from shapectl.autodiff import Tape, Tensor, _unbroadcast
+from shapectl.autodiff import LEAKY_SLOPE, Tape, Tensor, _unbroadcast
 from shapectl.control_node import (
     IK_MAX_ITERS,
     IK_TOL,
@@ -170,6 +172,66 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
         return (grad * np.where(av > 0.0, 1.0, slope),)
 
     return a.tape._record(np.maximum(av, slope * av), (a.nid,), bk)
+
+
+def layer_dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """One network layer as its own tape node, ``activation(x @ w + b)``
+    with ``activation`` ``"leaky"`` or ``"tanh"``: a LeakyReLU layer keeps
+    its packed sign mask, a tanh layer its float derivative, and the
+    closure keeps ``x`` for an active ``w`` and ``w`` for an active ``x``."""
+    z = x.value @ w.value
+    z += b.value
+    active = x.tape.active
+    x_on, w_on, b_on = active[x.nid], active[w.nid], active[b.nid]
+    recorded = x_on or w_on or b_on
+    mask = factor = None
+    if activation == "leaky":
+        out = np.maximum(z, z * LEAKY_SLOPE, out=z)
+        if recorded:
+            mask = np.packbits(out > 0.0)
+    else:
+        out = np.tanh(z, out=z)
+        if recorded:
+            factor = 1.0 - out * out
+    xv = x.value if w_on else None
+    wv = w.value if x_on else None
+
+    def bk(grad):
+        if mask is None:
+            dz = grad * factor
+        else:
+            bits = np.unpackbits(mask, count=grad.size).reshape(grad.shape)
+            dz = grad * np.where(bits, 1.0, LEAKY_SLOPE).astype(grad.dtype)
+        return (
+            dz @ wv.T if x_on else None,
+            xv.T @ dz if w_on else None,
+            dz.sum(axis=0) if b_on else None,
+        )
+
+    return x.tape._record(out, (x.nid, w.nid, b.nid), bk)
+
+
+def layered_mlp(x: Tensor, layers, input_scale=None, output_scale=None) -> Tensor:
+    """The network of the fused ``ad.dense`` as one ``cmul`` per scale and
+    one :func:`layer_dense` per layer, LeakyReLU layers into tanh."""
+    h = x if input_scale is None else ad.cmul(x, input_scale)
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = layer_dense(h, w, b, "leaky" if i < last else "tanh")
+    return h if output_scale is None else ad.cmul(h, output_scale)
+
+
+def closure_arrays(fn) -> list[np.ndarray]:
+    """Every array a backward closure holds, in lists and tuples too."""
+    found = []
+    stack = [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return found
 
 
 def per_coordinate_tip_jacobian(model, q: np.ndarray, config) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_grad_full, leaky_relu, matmul, mul, rel_err
+from helpers import closure_arrays, fd_grad_full, layered_mlp, leaky_relu, matmul, mul, rel_err
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
 from shapectl.control_node import ControlLossConfig, ControlTrainConfig
@@ -94,38 +94,45 @@ def test_activations_fd(rng):
 
 
 def test_dense_fd(rng):
+    # a tanh layer alone, and a LeakyReLU layer into it between scales
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 5))
     b = rng.standard_normal(5)
-    for act in ("leaky", "tanh"):
-        _check_primitive(
-            lambda t, l, a=act: ad.reduce_sum(ad.square(ad.dense(l[0], l[1], l[2], a))),
-            [x.copy(), w.copy(), b.copy()],
-            tol=1e-5,
-        )
+    w2 = rng.standard_normal((5, 2))
+    b2 = rng.standard_normal(2)
+    iscale, oscale = rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 2.0, 2)
+    _check_primitive(
+        lambda t, l: ad.reduce_sum(ad.square(ad.dense(l[0], [(l[1], l[2])]))),
+        [x.copy(), w.copy(), b.copy()],
+        tol=1e-5,
+    )
+    _check_primitive(
+        lambda t, l: ad.reduce_sum(
+            ad.square(ad.dense(l[0], [(l[1], l[2]), (l[3], l[4])], iscale, oscale))
+        ),
+        [x.copy(), w.copy(), b.copy(), w2.copy(), b2.copy()],
+        tol=1e-5,
+    )
 
 
 def test_dense_matches_unfused_chain(rng):
-    # fused layer must be bitwise identical to add(matmul) + activation
+    # the fused network must be bitwise identical to add(matmul) plus
+    # activation, layer by layer
     x = rng.standard_normal((6, 4))
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal(3)
-    chains = [
-        ("leaky", lambda pre: leaky_relu(pre, 0.01)),
-        ("tanh", ad.tanh),
-    ]
-    for act, chain in chains:
-        # one tape per pair: the two sweeps share only the leaves
-        tape = ad.Tape()
-        xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
-        fused = ad.dense(xt, wt, bt, act)
-        ref = chain(ad.add(matmul(xt, wt), bt))
-        assert np.array_equal(fused.value, ref.value)
-        gf = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(fused))), xt)
-        gr = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(ref))), xt)
-        assert np.allclose(gf, gr, rtol=1e-13, atol=0.0)
-    with pytest.raises(ValueError):
-        ad.dense(xt, wt, bt, "softmax")
+    w2 = rng.standard_normal((3, 2))
+    b2 = rng.standard_normal(2)
+    # one tape: the two sweeps share only the leaves
+    tape = ad.Tape()
+    xt, wt, bt, w2t, b2t = (tape.tensor(v) for v in (x, w, b, w2, b2))
+    fused = ad.dense(xt, [(wt, bt), (w2t, b2t)])
+    hidden = leaky_relu(ad.add(matmul(xt, wt), bt), 0.01)
+    ref = ad.tanh(ad.add(matmul(hidden, w2t), b2t))
+    assert np.array_equal(fused.value, ref.value)
+    gf = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(fused))), xt)
+    gr = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(ref))), xt)
+    assert np.allclose(gf, gr, rtol=1e-13, atol=0.0)
 
 
 def test_sqrt_fd(rng):
@@ -162,6 +169,18 @@ def test_reshape_and_slice_cols_any_rank_fd(rng):
     )
 
 
+def test_blend_fd(rng):
+    # grid point 1 is in three stencil rows, so its adjoint sums three
+    # contributions
+    a = rng.standard_normal((2, 5, 3))
+    _check_primitive(
+        lambda t, l: ad.reduce_sum(
+            ad.square(ad.blend(l[0], [0, 1, 3], [1, 1, 4], [0.3, 0.0, 0.75]))
+        ),
+        [a.copy()],
+    )
+
+
 def test_scale_cmul_add_const_fd(rng):
     a = rng.standard_normal((2, 5))
     c = rng.standard_normal((2, 5))
@@ -179,7 +198,7 @@ def test_constant_forward_records_no_closure(rng):
     x = tape.constant(rng.standard_normal((4, 3)))
     w = tape.constant(rng.standard_normal((3, 5)))
     b = tape.constant(rng.standard_normal(5))
-    h = ad.concat([ad.dense(x, w, b, "leaky"), x], axis=1)
+    h = ad.concat([ad.dense(x, [(w, b)]), x], axis=1)
     h = ad.add_const(ad.scale(h, 2.0), -1.0)
     loss = ad.reduce_sum(ad.square(ad.tanh(h)))
     assert len(tape) > 3
@@ -199,38 +218,85 @@ def test_frozen_dense_parent_gets_no_adjoint(rng, frozen):
     # active parents get bitwise the all-trainable tape's adjoints,
     # constant parents get none, and the closure drops the operand that
     # only a constant parent's product would need; every closure cell is
-    # bound, whichever activation the node has
-    x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+    # bound, whatever the depth of the network
+    x = rng.standard_normal((6, 4))
+    params = [rng.standard_normal(s) for s in ((4, 3), (3,), (3, 2), (2,))]
 
-    def run(const, activation):
+    def run(const, depth):
         tape = ad.Tape()
+        names = ["x"] + ["w", "b"] * depth
         leaves = [
             (tape.constant if name in const else tape.tensor)(v)
-            for name, v in (("x", x), ("w", w), ("b", b))
+            for name, v in zip(names, [x, *params[: 2 * depth]])
         ]
-        y = ad.dense(*leaves, activation)
+        y = ad.dense(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
         # the sweep releases the closure, so read what it holds first
-        held = [c.cell_contents for c in tape.backfns[y.nid].__closure__]
-        return leaves, held, ad.backward(ad.reduce_sum(ad.square(y)))
+        held = closure_arrays(tape.backfns[y.nid])
+        return names, leaves, held, ad.backward(ad.reduce_sum(ad.square(y)))
 
     const = ("w", "b") if frozen == "weights" else ("x",)
-    for activation in ("tanh", "leaky"):
-        (xt, wt, bt), held, grads = run(const, activation)
-        ref_leaves, _, ref = run((), activation)
-        for name, leaf, ref_leaf in zip("xwb", (xt, wt, bt), ref_leaves):
+    for depth in (1, 2):
+        names, leaves, held, grads = run(const, depth)
+        _, ref_leaves, _, ref = run((), depth)
+        for name, leaf, ref_leaf in zip(names, leaves, ref_leaves):
             if name in const:
                 assert leaf.nid not in grads
             else:
                 assert np.array_equal(grads[leaf.nid], ref[ref_leaf.nid])
-        # dW = x.T @ dz needs x, dx = dz @ w.T needs w
-        dropped = xt.value if frozen == "weights" else wt.value
-        assert not any(v is dropped for v in held)
+        # dW = x.T @ dz needs x, dx = dz @ w.T needs w; the second
+        # layer's weight gradient recomputes its input from x and w
+        if frozen == "weights":
+            assert not any(v is leaves[0].value for v in held)
+        elif depth == 1:
+            assert not any(v is leaves[1].value for v in held)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)], ids=["one_hidden", "two_hidden"])
+@pytest.mark.parametrize("leaves", ["trainable", "frozen_weights", "constant_input"])
+def test_dense_matches_layered_oracle_bit_for_bit(rng, dtype, hidden, leaves):
+    # the fused network node against one node per scale and per layer:
+    # the same value, and the same adjoint for x, every weight and every
+    # bias, bit for bit, with and without the scales
+    sizes = [4, *hidden, 3]
+    x = rng.standard_normal((7, 4))
+    params = [
+        (rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out))
+        for n_in, n_out in zip(sizes, sizes[1:])
+    ]
+    scales = (rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 3))
+    g = rng.standard_normal((7, 3))
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+
+    def run(network, input_scale, output_scale):
+        tape = ad.Tape(dtype)
+        xt = (tape.constant if leaves == "constant_input" else tape.tensor)(x)
+        leaf = tape.constant if leaves == "frozen_weights" else tape.tensor
+        layers = [(leaf(w), leaf(b)) for w, b in params]
+        y = network(xt, layers, input_scale, output_scale)
+        grads = ad.backward(ad.reduce_sum(ad.cmul(y, g)))
+        tensors = [xt, *(t for pair in layers for t in pair)]
+        return y.value, [grads.get(t.nid) for t in tensors]
+
+    for input_scale, output_scale in (scales, (None, None)):
+        value, adjoints = run(ad.dense, input_scale, output_scale)
+        ref_value, ref_adjoints = run(layered_mlp, input_scale, output_scale)
+        assert value.dtype == dtype
+        assert np.array_equal(value.view(uint), ref_value.view(uint))
+        got = [a is not None for a in adjoints]
+        want = [leaves != "constant_input"] + [leaves != "frozen_weights"] * 2 * len(params)
+        assert got == want == [a is not None for a in ref_adjoints]
+        for a, ref in zip(adjoints, ref_adjoints):
+            if a is not None:
+                assert a.dtype == dtype
+                assert np.array_equal(a.view(uint), ref.view(uint))
 
 
 def test_dense_on_constants_keeps_no_residual(rng, monkeypatch):
     # a dense node with only constant parents is a constant: no closure,
     # no sign mask built for it, and bitwise the recorded node's value
     x, w, b = rng.standard_normal((5, 4)), rng.standard_normal((4, 9)), rng.standard_normal(9)
+    w2, b2 = rng.standard_normal((9, 2)), rng.standard_normal(2)
     packed = []
     packbits = np.packbits
 
@@ -239,14 +305,16 @@ def test_dense_on_constants_keeps_no_residual(rng, monkeypatch):
         return packbits(a)
 
     monkeypatch.setattr(ad.np, "packbits", spy)
-    for activation in ("leaky", "tanh"):
+    for arrays in ((x, w, b, w2, b2), (x, w, b)):
         const_tape, tape = ad.Tape(), ad.Tape()
-        y0 = ad.dense(*(const_tape.constant(v) for v in (x, w, b)), activation)
-        y1 = ad.dense(*(tape.tensor(v) for v in (x, w, b)), activation)
+        c0, *p0 = (const_tape.constant(v) for v in arrays)
+        c1, *p1 = (tape.tensor(v) for v in arrays)
+        y0 = ad.dense(c0, list(zip(p0[::2], p0[1::2])))
+        y1 = ad.dense(c1, list(zip(p1[::2], p1[1::2])))
         assert const_tape.backfns[y0.nid] is None and not const_tape.active[y0.nid]
         assert tape.backfns[y1.nid] is not None
         assert np.array_equal(y0.value, y1.value)
-    # only the recorded leaky node packed a mask
+    # only the recorded network's hidden layer packed a mask
     assert packed == [(5, 9)]
 
 
@@ -343,7 +411,7 @@ def test_backward_releases_closures_and_interior_adjoints(rng):
     w = tape.tensor(rng.standard_normal((3, 5)))
     b = tape.constant(rng.standard_normal(5))
     tape.tensor(rng.standard_normal(5))  # an active leaf the loss never reaches
-    h = ad.dense(x, w, b, "leaky")
+    h = ad.dense(x, [(w, b)])
     loss = ad.reduce_sum(ad.square(ad.add(h, ad.tanh(h))))
     reached = [nid for nid in range(len(tape)) if tape.backfns[nid] is not None]
     grads = ad.backward(loss)
@@ -357,10 +425,12 @@ def test_dense_residual_freed_by_sweep(rng):
     x = tape.tensor(rng.standard_normal((4, 3)))
     w = tape.tensor(rng.standard_normal((3, 5)))
     b = tape.tensor(rng.standard_normal(5))
-    y = ad.dense(x, w, b, "leaky")
+    w2 = tape.tensor(rng.standard_normal((5, 2)))
+    b2 = tape.tensor(rng.standard_normal(2))
+    y = ad.dense(x, [(w, b), (w2, b2)])
     bk = tape.backfns[y.nid]
     cells = dict(zip(bk.__code__.co_freevars, bk.__closure__))
-    mask = weakref.ref(cells["mask"].cell_contents)
+    mask = weakref.ref(cells["masks"].cell_contents[0])
     del bk, cells
     loss = ad.reduce_sum(ad.square(y))
     assert mask() is not None
@@ -371,8 +441,8 @@ def test_dense_residual_freed_by_sweep(rng):
 @pytest.mark.parametrize("axis", [None, 1])
 def test_shape_only_closures_hold_no_array(rng, axis):
     # reduce_sum and slice_cols read only the input's shape and dtype, so
-    # an input nothing else holds (the downsample's weighted product) is
-    # freed during the forward pass, not at the sweep
+    # an input nothing else holds is freed during the forward pass, not
+    # at the sweep
     tape = ad.Tape()
     x = tape.tensor(rng.standard_normal((4, 3, 5)))
     for y in (ad.reduce_sum(x, axis=axis), ad.slice_cols(x, 1, 3)):
@@ -411,61 +481,81 @@ def test_leaky_slope_is_between_zero_and_one():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(1, 7), (3, 5), (2, 43)], ids=["1x7", "3x5", "2x43"])
 def test_dense_leaky_is_np_where_chain_bit_for_bit(rng, dtype, shape):
-    # value and adjoints of a leaky dense against z * where(z > 0, 1,
-    # slope) and its chain rule, including special values of z; widths
-    # that are not multiples of 8 leave the packed mask padded
+    # value and adjoints of a LeakyReLU layer into a tanh layer against
+    # z * where(z > 0, 1, slope) and its chain rule, including special
+    # values of z; widths that are not multiples of 8 leave the packed
+    # mask padded.  The tanh layer's weight is the identity, so a finite
+    # hidden unit reaches its own output alone; a non-finite one turns
+    # its whole row NaN (0 * inf), so the finite specials also run alone
     rows, cols = shape
     info = np.finfo(dtype)
     tiny = info.smallest_subnormal
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny]
-    special += [info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
-    pool = np.concatenate([special, rng.standard_normal(15) * (1000.0 * float(tiny))])
+    finite = [0.0, -0.0, tiny, -tiny, info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
+    special = [np.inf, -np.inf, np.nan, -np.nan] + finite
+    noise = list(rng.standard_normal(15) * (1000.0 * float(tiny)))
     # row 0 of x is zero, so row 0 of z is b itself (-0.0 there turns +0.0)
     x = rng.standard_normal((rows, 3))
     x[0] = 0.0
     w = rng.standard_normal((3, cols))
-    b = np.resize(pool, cols)
     g = rng.standard_normal(shape)
     uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
 
-    tape = ad.Tape(dtype)
-    xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
-    y = ad.dense(xt, wt, bt, "leaky")
-    with np.errstate(over="ignore", invalid="ignore"):  # the loss is not finite
-        grads = ad.backward(ad.reduce_sum(ad.cmul(y, g)))
-
-    xv, wv, gv = xt.value, wt.value, g.astype(dtype)
-    z = xv @ wv
-    z += bt.value
-    assert np.array_equal(z[0], bt.value, equal_nan=True)
-    factor = np.where(z > 0.0, dtype(1.0), dtype(ad.LEAKY_SLOPE))
-    dz = gv * factor
-    want = {
-        "value": (y.value, z * factor),
-        "x": (grads[xt.nid], dz @ wv.T),
-        "w": (grads[wt.nid], xv.T @ dz),
-        "b": (grads[bt.nid], dz.sum(axis=0)),
-    }
-    for name, (got, ref) in want.items():
-        assert got.dtype == dtype and got.shape == ref.shape, name
-        assert np.array_equal(got.view(uint), ref.view(uint)), name
+    for pool in (finite + noise, special + noise):
+        b = np.resize(pool, cols)
+        tape = ad.Tape(dtype)
+        xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
+        w2t, b2t = tape.tensor(np.eye(cols)), tape.tensor(np.zeros(cols))
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite
+            y = ad.dense(xt, [(wt, bt), (w2t, b2t)])
+            grads = ad.backward(ad.reduce_sum(ad.cmul(y, g)))
+            xv, wv, w2v, gv = xt.value, wt.value, w2t.value, g.astype(dtype)
+            z = xv @ wv
+            z += bt.value
+            assert np.array_equal(z[0], bt.value, equal_nan=True)
+            factor = np.where(z > 0.0, dtype(1.0), dtype(ad.LEAKY_SLOPE))
+            h = z * factor
+            z2 = h @ w2v
+            z2 += b2t.value
+            out = np.tanh(z2)
+            dz2 = gv * (1.0 - out * out)
+            dz = (dz2 @ w2v.T) * factor
+            want = {
+                "value": (y.value, out),
+                "x": (grads[xt.nid], dz @ wv.T),
+                "w": (grads[wt.nid], xv.T @ dz),
+                "b": (grads[bt.nid], dz.sum(axis=0)),
+                "w2": (grads[w2t.nid], h.T @ dz2),
+                "b2": (grads[b2t.nid], dz2.sum(axis=0)),
+            }
+        for name, (got, ref) in want.items():
+            assert got.dtype == dtype and got.shape == ref.shape, name
+            assert np.array_equal(got.view(uint), ref.view(uint)), name
 
 
 # every primitive on a float32 tape; a and b are (4, 3) trainable
 # leaves, w (3, 5) and c (5,) too; constant operands are float64 arrays,
 # numpy float64 scalars or python scalars
 F64 = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+# a second layer (5, 2) for the networks, trainable on the tape of ``a``
+W2 = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
+
+
+def _two_layers(a, w, c):
+    w2, b2 = a.tape.tensor(W2), a.tape.tensor(W2[0])
+    return ad.dense(a, [(w, c), (w2, b2)], F64[0], W2[1])
+
+
 FLOAT32_CASES = {
     "add": lambda a, b, w, c: ad.add(a, b),
-    "add_broadcast": lambda a, b, w, c: ad.add(ad.dense(a, w, c, "leaky"), c),
+    "add_broadcast": lambda a, b, w, c: ad.add(ad.dense(a, [(w, c)]), c),
     "sub": lambda a, b, w, c: ad.sub(a, b),
     "neg": lambda a, b, w, c: ad.neg(a),
     "scale": lambda a, b, w, c: ad.scale(a, np.float64(0.3)),
     "add_const_array": lambda a, b, w, c: ad.add_const(a, F64),
     "add_const_scalar": lambda a, b, w, c: ad.add_const(a, 0.5),
     "cmul": lambda a, b, w, c: ad.cmul(a, F64),
-    "dense_leaky": lambda a, b, w, c: ad.dense(a, w, c, "leaky"),
-    "dense_tanh": lambda a, b, w, c: ad.dense(a, w, c, "tanh"),
+    "dense_leaky": lambda a, b, w, c: _two_layers(a, w, c),
+    "dense_tanh": lambda a, b, w, c: ad.dense(a, [(w, c)]),
     "tanh": lambda a, b, w, c: ad.tanh(a),
     "sigmoid": lambda a, b, w, c: ad.sigmoid(a),
     "sqrt": lambda a, b, w, c: ad.sqrt(ad.add_const(ad.square(a), 1.0)),
@@ -476,6 +566,7 @@ FLOAT32_CASES = {
     "concat": lambda a, b, w, c: ad.concat([a, b, a], axis=1),
     "slice_cols": lambda a, b, w, c: ad.slice_cols(a, 1, 3),
     "reshape": lambda a, b, w, c: ad.reshape(a, (2, 2, 3)),
+    "blend": lambda a, b, w, c: ad.blend(ad.reshape(a, (2, 2, 3)), [0, 1], [1, 1], [0.25, 0.0]),
     "select_rows": lambda a, b, w, c: ad.select_rows(a, [True, False, True, False]),
 }
 

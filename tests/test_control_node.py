@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import functools
 import gc
 import json
 import tracemalloc
@@ -21,6 +22,7 @@ from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
 from shapectl.autodiff import Tape
 from shapectl.control_node import (
+    OBS_POINTS,
     ControlLossConfig,
     ControlNodeModel,
     ControlTrainConfig,
@@ -155,8 +157,8 @@ def test_downsample_tensor_value_twins_bitwise(rng):
 @pytest.mark.parametrize("n_points", [9, 10, 12, 30, 40])
 def test_downsample_and_observation_match_listed_reference(rng, n_points, monkeypatch):
     # whole stencil rows and, below 18 points, grid points that two
-    # samples share: the one weighted sum is the point-by-point blend
-    # bit for bit, and the observation keeps its column order
+    # samples share: the one stencil is the point-by-point blend bit for
+    # bit, values and adjoints, and the observation keeps its column order
     cfg = RobotConfig(n_segments=1)
     pts = rng.standard_normal((3, n_points, 3))
     q, goal = rng.uniform(-3.0, 3.0, (3, 2)), rng.standard_normal((3, 3))
@@ -178,6 +180,15 @@ def test_downsample_and_observation_match_listed_reference(rng, n_points, monkey
     policy_step(cfg, pmt, ds, q_leaf, z, goal_leaf, None, 0.0)
     want = listed_observation(ref, q_leaf, goal_leaf).value
     assert np.array_equal(observed[0], want)
+    g = rng.standard_normal((3, OBS_POINTS, 3))
+    tape = Tape(np.float32)
+    whole = tape.tensor(pts)
+    listed = [tape.tensor(pts[:, j]) for j in range(n_points)]
+    grads = ad.backward(ad.reduce_sum(ad.cmul(downsample_shape(whole), g)))
+    parts = [ad.reduce_sum(ad.cmul(t, g[:, i])) for i, t in enumerate(listed_downsample(listed))]
+    ref_grads = ad.backward(functools.reduce(ad.add, parts))
+    for j, leaf in enumerate(listed):
+        assert np.array_equal(grads[whole.nid][:, j], ad.grad_of(ref_grads, leaf))
 
 
 def test_observation_dim():

@@ -64,11 +64,13 @@ def test_single_neuron_tanh():
 
 
 def test_leaky_relu_definition():
+    # a LeakyReLU layer into a tanh layer, both with identity weights
     tape = ad.Tape()
     x = tape.tensor(np.array([[-2.0, 3.0]]))
-    y = ad.dense(x, tape.tensor(np.eye(2)), tape.tensor(np.zeros(2)), "leaky")
-    assert y.value[0, 0] == pytest.approx(-0.02)
-    assert y.value[0, 1] == pytest.approx(3.0)
+    layer = (tape.tensor(np.eye(2)), tape.tensor(np.zeros(2)))
+    y = ad.dense(x, [layer, layer])
+    assert y.value[0, 0] == pytest.approx(np.tanh(-0.02))
+    assert y.value[0, 1] == pytest.approx(np.tanh(3.0))
 
 
 def test_forward_input_width_mismatch(rng):

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     arc_backbone,
+    closure_arrays,
     fd_grad_at,
     listed_rollout,
     listed_shape_loss,
@@ -31,6 +32,7 @@ from shapectl.robot import (
 )
 from shapectl.shape_node import (
     LOSS_EPS_SQ,
+    STATE_DIM,
     TRAIN_DTYPE,
     ShapeNodeModel,
     ShapeRollout,
@@ -549,7 +551,7 @@ def test_float32_rollout_with_taped_action_keeps_dtype(rng, n_segments, monkeypa
 def test_frozen_taped_rollout_holds_little_until_backward(rng):
     # policy training's shape solve: a default 3-segment model, frozen,
     # at batch 64 on a float32 tape with the action taped.  Between the
-    # forward and the sweep each hidden dense node holds one bit per
+    # forward and the sweep each network node holds one bit per hidden
     # unit, about 1.0 MB in all, where float leaky factors would hold 8 MB
     cfg = RobotConfig(n_segments=3)
     model = init_shape_model(rng, cfg)
@@ -566,6 +568,31 @@ def test_frozen_taped_rollout_holds_little_until_backward(rng):
         tracemalloc.stop()
     assert held <= 1.5e6, held
     assert q_leaf.nid in ad.backward(ad.reduce_sum(ro.tip))
+
+
+def test_training_rollout_keeps_no_first_hidden_layer(rng):
+    # shape training: every network evaluation keeps its scaled input
+    # for the first weight's gradient and the second hidden layer's
+    # output for the last weight's, but never the first hidden layer's
+    # output, which the sweep recomputes from the scaled input
+    batch, (h1, h2) = 5, (24, 16)
+    cfg = RobotConfig(n_segments=2)
+    model = init_shape_model(rng, cfg, hidden=(h1, h2), solver="rk4", steps_per_segment=5)
+    last = model.params.weights[-1]
+    last[:] = 0.05 * rng.standard_normal(last.shape)
+    q, truth = sample_dataset(cfg, batch, rng, points_per_segment=5)
+    tape = Tape(TRAIN_DTYPE)
+    ro = rollout_shape(model, cfg, tape, q)
+    weights = {t.nid for t in ro.mt.param_tensors()}
+    evaluations = [nid for nid, ps in enumerate(tape.parents) if weights & set(ps)]
+    # four rk4 stages per step
+    assert len(evaluations) == 4 * 5 * cfg.n_segments
+    for nid in evaluations:
+        shapes = [a.shape for a in closure_arrays(tape.backfns[nid])]
+        assert (batch, STATE_DIM) in shapes and (batch, h2) in shapes
+        assert (batch, h1) not in shapes, shapes
+    grads = collect_mlp_grads(ad.backward(shape_loss_tensor(ro, truth)), ro.mt)
+    assert np.any(grads[2] != 0.0)
 
 
 def test_rollout_action_tensor_matches_array_path(rng):
