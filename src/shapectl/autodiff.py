@@ -16,7 +16,9 @@ meet a tensor, so every forward value and every adjoint of a tape keeps
 its dtype.
 
 Leaves are trainable (:meth:`Tape.tensor`) or constant
-(:meth:`Tape.constant`).  A recorded node is active, that is, needs an
+(:meth:`Tape.constant`); :meth:`Tape.shared_constants` puts an owner's
+constants on a tape once, however often it is asked (a frozen network
+that many passes read).  A recorded node is active, that is, needs an
 adjoint, only if at least one of its parents is active (activity
 analysis).  An inactive node is stored as one more constant: the tape
 keeps no backward closure for it, and so none of the forward values the
@@ -95,6 +97,8 @@ class Tape:
         self.parents: list[tuple[int, ...]] = []
         self.backfns: list = []
         self.active: list[bool] = []
+        # owner id -> (owner, [(value, nid), ...]); see shared_constants
+        self._shared: dict[int, tuple[object, list[tuple[Array, int]]]] = {}
 
     def tensor(self, value) -> Tensor:
         """Record a trainable leaf holding ``value`` in the tape's dtype."""
@@ -103,6 +107,23 @@ class Tape:
     def constant(self, value) -> Tensor:
         """Record a constant leaf holding ``value`` in the tape's dtype."""
         return self._leaf(np.asarray(value, dtype=self.dtype), False)
+
+    def shared_constants(self, owner, arrays) -> list[Tensor]:
+        """Constant leaves for ``arrays`` that enter the tape once per ``owner``.
+
+        The first call for ``owner`` records them; a later call returns
+        tensors on those same nodes and values, and does not read
+        ``arrays`` again, so an owner must not change them while the
+        tape lives.  The tape keeps ``owner`` alive, so its id names it
+        for the tape's life, and keeps the leaves as (value, node id)
+        pairs: a kept tensor would refer back to the tape and make it a
+        reference cycle.
+        """
+        entry = self._shared.get(id(owner))
+        if entry is None:
+            leaves = [(t.value, t.nid) for t in map(self.constant, arrays)]
+            entry = self._shared[id(owner)] = (owner, leaves)
+        return [Tensor(value, self, nid) for value, nid in entry[1]]
 
     def _leaf(self, value: Array, active: bool) -> Tensor:
         nid = len(self.parents)

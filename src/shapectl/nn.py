@@ -17,18 +17,25 @@ weights, the moments and the saved files stay float64.  A model that is
 only evaluated, or that other gradients flow through unchanged, is
 wrapped ``frozen``: its weights become constant leaves, so no weight
 gradient is computed, and a forward pass on constant inputs records
-nothing to backpropagate.
+nothing to backpropagate.  A frozen network enters a tape once, however
+many passes use it (policy training solves the frozen shape model
+eleven times per iteration).
 
 :func:`mlp_forward` records one fused :func:`~shapectl.autodiff.dense`
 node per evaluation, whatever the depth.  The node keeps no first
 hidden layer output for its sweep, which recomputes it from the scaled
 input; what else it keeps is listed in :mod:`shapectl.autodiff`.
+
+A model file is written one array at a time (:func:`write_json`): the
+bytes are those of ``json.dumps`` on :func:`params_to_dict`, but only
+one array's base64 exists at once.
 """
 
 from __future__ import annotations
 
 import base64
 import copy
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,10 +112,20 @@ class MlpParams:
             self.adam_v = [np.zeros_like(a) for a in self.param_arrays()]
 
     def as_tensors(self, tape: Tape, frozen: bool = False) -> "MlpTensors":
-        """The weights as trainable tape leaves, or constants if ``frozen``."""
-        leaf = tape.constant if frozen else tape.tensor
-        layers = [(leaf(w), leaf(b)) for w, b in zip(self.weights, self.biases)]
-        return MlpTensors(self, layers)
+        """The weights as trainable tape leaves, or constants if ``frozen``.
+
+        Each call makes new trainable leaves.  Frozen weights enter a
+        tape once (:meth:`~shapectl.autodiff.Tape.shared_constants`):
+        every frozen call on the same tape shares the first call's
+        leaves, cast then, so the weights must not change while the tape
+        lives; a new tape casts them anew.
+        """
+        arrays = self.param_arrays()
+        if frozen:
+            leaves = tape.shared_constants(self, arrays)
+        else:
+            leaves = [tape.tensor(a) for a in arrays]
+        return MlpTensors(self, list(zip(leaves[::2], leaves[1::2])))
 
     def copy(self) -> "MlpParams":
         return copy.deepcopy(self)
@@ -210,10 +227,38 @@ def collect_mlp_grads(grads: dict[int, Array], mt: MlpTensors) -> list[Array]:
 
 def array_to_b64(a: Array) -> dict:
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
+    return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
+
+
+def write_json(f, obj) -> None:
+    """Write the bytes of ``json.dumps(obj)`` to the binary handle ``f``,
+    where each array in ``obj`` stands for its :func:`array_to_b64` record.
+
+    Dicts and lists are written item by item, anything else by
+    ``json.dumps``.  An array's base64 is encoded from the array's own
+    buffer and written at once, so one array's base64 exists at a time;
+    base64 needs no JSON escaping, so these are the record's bytes.
+    """
+    if isinstance(obj, np.ndarray):
+        a = np.ascontiguousarray(obj, dtype="<f8")
+        f.write(b'{"shape": %s, "data": "' % json.dumps(list(a.shape)).encode("ascii"))
+        f.write(base64.b64encode(a))
+        f.write(b'"}')
+    elif isinstance(obj, dict):
+        f.write(b"{")
+        for i, (key, value) in enumerate(obj.items()):
+            f.write(b"%s%s: " % (b", " if i else b"", json.dumps(key).encode("ascii")))
+            write_json(f, value)
+        f.write(b"}")
+    elif isinstance(obj, list):
+        f.write(b"[")
+        for i, value in enumerate(obj):
+            if i:
+                f.write(b", ")
+            write_json(f, value)
+        f.write(b"]")
+    else:
+        f.write(json.dumps(obj).encode("ascii"))
 
 
 def b64_to_array(d: dict) -> Array:
@@ -229,17 +274,22 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def params_to_dict(p: MlpParams) -> dict:
+def params_to_dict(p: MlpParams, encode=array_to_b64) -> dict:
+    """The network as a JSON document, each array as ``encode`` gives it.
+
+    The default makes it ``json.dumps``-ready; a model file passes the
+    arrays through and lets :func:`write_json` encode them as it writes.
+    """
     return {
         "sizes": p.sizes,
         "hidden_slope": LEAKY_SLOPE,
         "out_activation": "tanh",
-        "weights": [array_to_b64(w) for w in p.weights],
-        "biases": [array_to_b64(b) for b in p.biases],
-        "input_scale": None if p.input_scale is None else array_to_b64(p.input_scale),
-        "output_scale": None if p.output_scale is None else array_to_b64(p.output_scale),
-        "adam_m": [array_to_b64(m) for m in p.adam_m],
-        "adam_v": [array_to_b64(v) for v in p.adam_v],
+        "weights": [encode(w) for w in p.weights],
+        "biases": [encode(b) for b in p.biases],
+        "input_scale": None if p.input_scale is None else encode(p.input_scale),
+        "output_scale": None if p.output_scale is None else encode(p.output_scale),
+        "adam_m": [encode(m) for m in p.adam_m],
+        "adam_v": [encode(v) for v in p.adam_v],
         "step_count": p.step_count,
     }
 

@@ -17,6 +17,10 @@ curvature derivatives by 2*u_max per meter, augmentation by 1.  The final
 layer starts at zero with a position bias of atanh(e3/scale), so an
 untrained model already predicts the straight zero-curvature backbone and
 training only has to learn corrections.
+
+A frozen model, which policy training solves eleven times per
+iteration, enters each tape once.  A saved model is one JSON document
+written one array at a time; its layout is that of ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .nn import (
     mlp_forward,
     params_from_dict,
     params_to_dict,
+    write_json,
 )
 from .odeint import IntegrationGrid, check_solver, integrate
 from .robot import RobotConfig, action_to_curvature, per_axis_error_mm
@@ -209,7 +214,9 @@ def rollout_shape(
     curvature map; an array enters the tape as a constant.  ``frozen``
     wraps the model weights as constants: no weight gradient is
     computed, and with array actions the rollout records nothing to
-    backpropagate.  Array actions outside the bounds raise ``ValueError``.
+    backpropagate.  Frozen weights enter ``tape`` once, so every frozen
+    rollout on one tape shares its first one's weight leaves.  Array
+    actions outside the bounds raise ``ValueError``.
     """
     if isinstance(q_batch, Tensor):
         q_leaf = q_batch
@@ -448,15 +455,21 @@ def robot_config_hash(config: RobotConfig) -> str:
 def _write_model_file(
     path, fmt: str, fields: dict, params: MlpParams, config: RobotConfig
 ) -> None:
-    """Model JSON: format tag, model fields, robot binding, then weights."""
+    """Model JSON: format tag, model fields, robot binding, then weights.
+
+    The file holds the bytes of ``json.dumps`` on the document, written
+    by :func:`~shapectl.nn.write_json` one array at a time, so a save
+    never holds the whole document's text.
+    """
     doc = {
         "format": fmt,
         **fields,
         "robot_config": config.to_dict(),
         "robot_config_hash": robot_config_hash(config),
-        "params": params_to_dict(params),
+        "params": params_to_dict(params, encode=np.asarray),
     }
-    Path(path).write_text(json.dumps(doc), encoding="ascii")
+    with open(path, "wb") as f:
+        write_json(f, doc)
 
 
 def _read_model_file(path, fmt: str, kind: str, build):

@@ -15,12 +15,18 @@ IK solve are the library's arithmetic for one action or target, without
 the batch: a single call of the library must equal them bit for bit.
 The shape evaluation reader inverts the record file that ``evaluate
 --scenario shape`` writes, which the library itself never reads back.
+The dumped model file is ``json.dumps`` of the whole document, the text
+the library writes one array at a time, and the uncached ``as_tensors``
+casts a frozen network onto the tape anew on every call, where the
+library shares one set of frozen leaves per tape.
 The listed references keep a backbone as one (batch, 3) tensor per
 grid point, sliced from each integrated state, and loop over the
 points where the library computes on one (batch, P, 3) tensor: the
 rollout, the nine-point downsample, the policy observation, the shape
 loss and the closest-point distance.
 """
+
+import json
 
 import numpy as np
 
@@ -33,11 +39,11 @@ from shapectl.control_node import (
     _downsample_plan,
     damped_pinv,
 )
-from shapectl.nn import mlp_forward
+from shapectl.nn import MlpTensors, mlp_forward, params_to_dict
 from shapectl.odeint import IntegrationGrid, integrate
 from shapectl.reports import SHAPE_EVAL_HEADER, read_table
 from shapectl.robot import action_to_curvature
-from shapectl.shape_node import LOSS_EPS_SQ, rollout_shape
+from shapectl.shape_node import LOSS_EPS_SQ, robot_config_hash, rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -345,3 +351,23 @@ def listed_min_sq_distance(points: list[Tensor], center: np.ndarray) -> Tensor:
         part = ad.cmul(t, (idx == j).astype(np.float64))
         total = part if total is None else ad.add(total, part)
     return total
+
+
+def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
+    """A model file's text as ``json.dumps`` of the whole document: format
+    tag, model fields, robot binding, then the network."""
+    doc = {
+        "format": fmt,
+        **fields,
+        "robot_config": config.to_dict(),
+        "robot_config_hash": robot_config_hash(config),
+        "params": params_to_dict(params),
+    }
+    return json.dumps(doc)
+
+
+def uncached_as_tensors(params, tape: Tape, frozen: bool = False) -> MlpTensors:
+    """``MlpParams.as_tensors`` with new leaves on every call, frozen too."""
+    leaf = tape.constant if frozen else tape.tensor
+    layers = [(leaf(w), leaf(b)) for w, b in zip(params.weights, params.biases)]
+    return MlpTensors(params, layers)

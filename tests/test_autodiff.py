@@ -586,6 +586,33 @@ def test_float32_tape_keeps_dtype(rng, case):
         assert g.dtype == np.float32, (case, nid)
 
 
+def test_shared_constants_enter_a_tape_once(rng):
+    # later calls for one owner get the first call's nodes and values,
+    # without reading their arrays; another owner or tape gets its own
+    owner, other = object(), object()
+    arrays = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+    tape = ad.Tape(np.float32)
+    first = tape.shared_constants(owner, arrays)
+    again = tape.shared_constants(owner, [np.zeros(1)])
+    assert len(tape) == 2 and not any(tape.active)
+    assert [t.nid for t in again] == [t.nid for t in first] == [0, 1]
+    assert all(a.value is b.value for a, b in zip(first, again, strict=True))
+    for leaf, a in zip(first, arrays, strict=True):
+        assert leaf.value.dtype == np.float32
+        assert np.array_equal(leaf.value, a.astype(np.float32))
+    assert [t.nid for t in tape.shared_constants(other, arrays)] == [2, 3]
+    fresh = ad.Tape(np.float32).shared_constants(owner, arrays)
+    assert not any(a.value is b.value for a, b in zip(first, fresh, strict=True))
+    # the memo keeps values and ids, not tensors, so the tape is no cycle
+    ref = weakref.ref(tape)
+    gc.disable()
+    try:
+        del tape, first, again, leaf
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _tape_with_every_primitive(rng) -> weakref.ref:
     tape = ad.Tape()
     a, b, w = (tape.tensor(rng.standard_normal(s)) for s in ((4, 3), (4, 3), (3, 5)))

@@ -17,6 +17,7 @@ from helpers import (
     listed_observation,
     rel_err,
     single_ik_solve,
+    uncached_as_tensors,
 )
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
@@ -47,7 +48,7 @@ from shapectl.control_node import (
     train_control_node,
     unbound_actions,
 )
-from shapectl.nn import collect_mlp_grads, init_mlp, mlp_forward
+from shapectl.nn import MlpParams, adam_step, collect_mlp_grads, init_mlp, mlp_forward
 from shapectl.robot import (
     ObstacleSpec,
     RobotConfig,
@@ -1196,6 +1197,46 @@ def test_save_load_roundtrip(setup1, tmp_path):
     for a, b in zip(loaded.params.param_arrays(), policy.params.param_arrays()):
         assert np.array_equal(a, b)
     assert np.array_equal(loaded.params.input_scale, policy.params.input_scale)
+
+
+def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):
+    # a 256x256 policy with Adam moments is a 2.5 MB file; written one
+    # array's base64 at a time, a save peaks near the largest array's
+    # base64 (0.7 MB, about 1.06 MB traced), where building the whole
+    # document's text first peaked at 7.5 MB
+    cfg = RobotConfig(n_segments=3)
+    policy = init_control_model(rng, cfg, hidden=(256, 256))
+    adam_step(policy.params, [np.ones_like(a) for a in policy.params.param_arrays()], 1e-3)
+    path = tmp_path / "policy.json"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        save_control_model(path, policy, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2.4e6
+    assert peak <= 1.5e6, peak
+
+
+def test_policy_training_equals_a_new_frozen_cast_per_solve(setup1, monkeypatch):
+    # one iteration solves the frozen shape model horizon + 1 times on
+    # one tape, all on the same weight leaves; casting the weights anew
+    # for every solve gives bit for bit the same step and loss
+    cfg, sm, _ = setup1
+    train_cfg = ControlTrainConfig(batch_size=4, iterations=2)
+
+    def train():
+        policy = small_policy(np.random.default_rng(5), cfg)
+        _, history = train_control_node(sm, cfg, train_cfg, ControlLossConfig(), model=policy)
+        return policy.params, history
+
+    params, history = train()
+    monkeypatch.setattr(MlpParams, "as_tensors", uncached_as_tensors)
+    ref_params, ref_history = train()
+    assert history == ref_history
+    for got, want in zip(params.param_arrays(), ref_params.param_arrays(), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_load_rejects_malformed(setup1, tmp_path):

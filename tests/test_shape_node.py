@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     arc_backbone,
     closure_arrays,
+    dumped_model_file,
     fd_grad_at,
     listed_rollout,
     listed_shape_loss,
@@ -19,9 +20,10 @@ from helpers import (
     rel_err,
     sample_coords,
     single_tip_jacobian,
+    uncached_as_tensors,
 )
 from shapectl import autodiff as ad
-from shapectl import shape_node
+from shapectl import control_node, shape_node
 from shapectl.autodiff import Tape
 from shapectl.nn import adam_step, collect_mlp_grads, init_mlp
 from shapectl.robot import (
@@ -490,6 +492,35 @@ def test_int_robot_limits_round_trip(rng, tmp_path):
     assert '"u_max": 15.0' in path.read_text()
 
 
+@pytest.mark.parametrize("kind", ["shape", "control"])
+@pytest.mark.parametrize("adam_steps", [0, 1])
+def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, adam_steps):
+    # the writer streams one array at a time, and its bytes are those of
+    # json.dumps on the whole document: for the shape model (both
+    # scales) and the policy (output_scale null), fresh (no moments) or
+    # after one Adam step
+    cfg = RobotConfig(n_segments=3)
+    if kind == "shape":
+        model = init_shape_model(rng, cfg)
+        fmt, save = shape_node.SHAPE_MODEL_FORMAT, save_shape_model
+        fields = {"solver": model.solver, "steps_per_segment": model.steps_per_segment}
+        assert model.params.output_scale is not None
+    else:
+        model = control_node.init_control_model(rng, cfg)
+        fmt, save = control_node.CONTROL_MODEL_FORMAT, control_node.save_control_model
+        fields = {"horizon": model.horizon, "dt": 1.0, "rate_scale": 1.0}
+        assert model.params.output_scale is None
+    assert model.params.input_scale is not None
+    for _ in range(adam_steps):
+        grads = [rng.standard_normal(a.shape) for a in model.params.param_arrays()]
+        adam_step(model.params, grads, 1e-3)
+    assert bool(model.params.adam_m) == bool(adam_steps)
+    path = tmp_path / "model.json"
+    save(path, model, cfg)
+    want = dumped_model_file(fmt, fields, model.params, cfg).encode("ascii")
+    assert path.read_bytes() == want
+
+
 def test_evaluate_shape_rmse_zero_and_noise(rng):
     cfg = RobotConfig(n_segments=1)
     model = small_model(rng, cfg)
@@ -568,6 +599,47 @@ def test_frozen_taped_rollout_holds_little_until_backward(rng):
         tracemalloc.stop()
     assert held <= 1.5e6, held
     assert q_leaf.nid in ad.backward(ad.reduce_sum(ro.tip))
+
+
+def test_frozen_weights_enter_a_tape_once(rng, monkeypatch):
+    # policy training solves the frozen shape model many times on one
+    # float32 tape: every solve reads the first one's weight leaves, a
+    # new tape casts its own, and trainable leaves stay one set per call
+    cfg = RobotConfig(n_segments=2)
+    model = perturbed_model(rng, cfg)
+    q = rng.uniform(cfg.q_min, cfg.q_max, size=(4, cfg.action_dim))
+
+    def shared_rollout():
+        tape = Tape(np.float32)
+        first = rollout_shape(model, cfg, tape, q, frozen=True)
+        q_leaf = tape.tensor(q)
+        second = rollout_shape(model, cfg, tape, q_leaf, frozen=True)
+        grad = ad.grad_of(ad.backward(ad.reduce_sum(second.points)), q_leaf)
+        return tape, first.mt, second, grad
+
+    tape, first, second, grad = shared_rollout()
+    n_nodes = len(tape)
+    pairs = list(zip(first.param_tensors(), second.mt.param_tensors(), strict=True))
+    assert all(a.nid == b.nid and a.value is b.value for a, b in pairs)
+    other = rollout_shape(model, cfg, Tape(np.float32), q, frozen=True).mt
+    assert not any(
+        a.value is c.value or a.tape is c.tape
+        for a, c in zip(first.param_tensors(), other.param_tensors(), strict=True)
+    )
+    one, two = model.params.as_tensors(tape), model.params.as_tensors(tape)
+    nids = [t.nid for mt in (first, one, two) for t in mt.param_tensors()]
+    assert len(set(nids)) == len(nids)
+    jac = tip_jacobian(model, q, cfg)
+
+    # with a new cast on every frozen call, the values are bit for bit the same
+    monkeypatch.setattr(shape_node.MlpParams, "as_tensors", uncached_as_tensors)
+    ref_tape, ref_first, ref_second, ref_grad = shared_rollout()
+    assert len(ref_tape) == n_nodes + len(model.params.param_arrays())
+    assert np.array_equal(second.points.value, ref_second.points.value)
+    assert np.array_equal(second.tip.value, ref_second.tip.value)
+    assert np.array_equal(grad, ref_grad)
+    for got, want in zip(jac, tip_jacobian(model, q, cfg), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_training_rollout_keeps_no_first_hidden_layer(rng):
