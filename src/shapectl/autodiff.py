@@ -111,13 +111,11 @@ class Tape:
     def shared_constants(self, owner, arrays) -> list[Tensor]:
         """Constant leaves for ``arrays`` that enter the tape once per ``owner``.
 
-        The first call for ``owner`` records them; a later call returns
-        tensors on those same nodes and values, and does not read
-        ``arrays`` again, so an owner must not change them while the
-        tape lives.  The tape keeps ``owner`` alive, so its id names it
-        for the tape's life, and keeps the leaves as (value, node id)
-        pairs: a kept tensor would refer back to the tape and make it a
-        reference cycle.
+        A later call for ``owner`` returns tensors on the first call's
+        nodes and values without reading ``arrays``, so the owner must
+        not change them while the tape lives.  The tape keeps ``owner``
+        alive, so its id stays unique, and keeps (value, node id) pairs:
+        a kept tensor would refer back to the tape, a reference cycle.
         """
         entry = self._shared.get(id(owner))
         if entry is None:

@@ -114,11 +114,8 @@ class MlpParams:
     def as_tensors(self, tape: Tape, frozen: bool = False) -> "MlpTensors":
         """The weights as trainable tape leaves, or constants if ``frozen``.
 
-        Each call makes new trainable leaves.  Frozen weights enter a
-        tape once (:meth:`~shapectl.autodiff.Tape.shared_constants`):
-        every frozen call on the same tape shares the first call's
-        leaves, cast then, so the weights must not change while the tape
-        lives; a new tape casts them anew.
+        Each call makes new trainable leaves; frozen calls on one tape
+        share the first one's (:meth:`~shapectl.autodiff.Tape.shared_constants`).
         """
         arrays = self.param_arrays()
         if frozen:
@@ -275,11 +272,8 @@ def json_int(value, name: str) -> int:
 
 
 def params_to_dict(p: MlpParams, encode=array_to_b64) -> dict:
-    """The network as a JSON document, each array as ``encode`` gives it.
-
-    The default makes it ``json.dumps``-ready; a model file passes the
-    arrays through and lets :func:`write_json` encode them as it writes.
-    """
+    """The network as a JSON document, each array as ``encode`` gives it;
+    a model file passes the arrays through for :func:`write_json`."""
     return {
         "sizes": p.sizes,
         "hidden_slope": LEAKY_SLOPE,

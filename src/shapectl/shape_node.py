@@ -18,9 +18,8 @@ layer starts at zero with a position bias of atanh(e3/scale), so an
 untrained model already predicts the straight zero-curvature backbone and
 training only has to learn corrections.
 
-A frozen model, which policy training solves eleven times per
-iteration, enters each tape once.  A saved model is one JSON document
-written one array at a time; its layout is that of ``json.dumps``.
+A frozen model enters each tape once, however many rollouts share it.
+A saved model is one JSON document, written one array at a time.
 """
 
 from __future__ import annotations
@@ -455,12 +454,8 @@ def robot_config_hash(config: RobotConfig) -> str:
 def _write_model_file(
     path, fmt: str, fields: dict, params: MlpParams, config: RobotConfig
 ) -> None:
-    """Model JSON: format tag, model fields, robot binding, then weights.
-
-    The file holds the bytes of ``json.dumps`` on the document, written
-    by :func:`~shapectl.nn.write_json` one array at a time, so a save
-    never holds the whole document's text.
-    """
+    """Model JSON: format tag, model fields, robot binding, then weights,
+    written one array at a time by :func:`~shapectl.nn.write_json`."""
     doc = {
         "format": fmt,
         **fields,
