@@ -26,9 +26,10 @@ node per evaluation, whatever the depth.  The node keeps no first
 hidden layer output for its sweep, which recomputes it from the scaled
 input; what else it keeps is listed in :mod:`shapectl.autodiff`.
 
-A model file is written one array at a time (:func:`write_json`): the
-bytes are those of ``json.dumps`` on :func:`params_to_dict`, but only
-one array's base64 exists at once.
+A model file is written one array at a time (:func:`write_json` on
+:func:`params_to_dict`): each array becomes a base64 record as it is
+written, so only one array's base64 exists at once, and the bytes are
+those ``json.dumps`` gives for the document with every record built.
 """
 
 from __future__ import annotations
@@ -222,19 +223,17 @@ def collect_mlp_grads(grads: dict[int, Array], mt: MlpTensors) -> list[Array]:
 # serialization: arrays as base64 little-endian float64, bit exact
 
 
-def array_to_b64(a: Array) -> dict:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
-
-
 def write_json(f, obj) -> None:
-    """Write the bytes of ``json.dumps(obj)`` to the binary handle ``f``,
-    where each array in ``obj`` stands for its :func:`array_to_b64` record.
+    """Write ``obj`` as JSON to the binary handle ``f``, each array as the
+    record ``{"shape": [...], "data": "<base64 of little-endian float64>"}``.
 
-    Dicts and lists are written item by item, anything else by
-    ``json.dumps``.  An array's base64 is encoded from the array's own
-    buffer and written at once, so one array's base64 exists at a time;
-    base64 needs no JSON escaping, so these are the record's bytes.
+    ``obj`` is built of dicts with str keys, lists, arrays, and values
+    ``json.dumps`` writes on its own (str, numbers, bool, None, and
+    containers of those); the bytes are those ``json.dumps`` gives with
+    each array replaced by its record.  A non-str key raises TypeError.
+    An array's base64 is encoded from the array's own buffer and written
+    at once, so one array's base64 exists at a time; base64 needs no
+    JSON escaping.
     """
     if isinstance(obj, np.ndarray):
         a = np.ascontiguousarray(obj, dtype="<f8")
@@ -244,6 +243,8 @@ def write_json(f, obj) -> None:
     elif isinstance(obj, dict):
         f.write(b"{")
         for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"model file keys are str, got {key!r}")
             f.write(b"%s%s: " % (b", " if i else b"", json.dumps(key).encode("ascii")))
             write_json(f, value)
         f.write(b"}")
@@ -271,25 +272,25 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def params_to_dict(p: MlpParams, encode=array_to_b64) -> dict:
-    """The network as a JSON document, each array as ``encode`` gives it;
-    a model file passes the arrays through for :func:`write_json`."""
+def params_to_dict(p: MlpParams) -> dict:
+    """The network as a document for :func:`write_json`, arrays as they are."""
     return {
         "sizes": p.sizes,
         "hidden_slope": LEAKY_SLOPE,
         "out_activation": "tanh",
-        "weights": [encode(w) for w in p.weights],
-        "biases": [encode(b) for b in p.biases],
-        "input_scale": None if p.input_scale is None else encode(p.input_scale),
-        "output_scale": None if p.output_scale is None else encode(p.output_scale),
-        "adam_m": [encode(m) for m in p.adam_m],
-        "adam_v": [encode(v) for v in p.adam_v],
+        "weights": list(p.weights),
+        "biases": list(p.biases),
+        "input_scale": p.input_scale,
+        "output_scale": p.output_scale,
+        "adam_m": list(p.adam_m),
+        "adam_v": list(p.adam_v),
         "step_count": p.step_count,
     }
 
 
 def params_from_dict(d: dict) -> MlpParams:
-    """Inverse of :func:`params_to_dict`; another network form raises ``ValueError``."""
+    """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
+    ``json`` reads it back; another network form raises ``ValueError``."""
     form = (float(d["hidden_slope"]), d["out_activation"])
     if form != (LEAKY_SLOPE, "tanh"):
         got = f"LeakyReLU({form[0]:g}) into {form[1]!r}"

@@ -461,7 +461,7 @@ def _write_model_file(
         **fields,
         "robot_config": config.to_dict(),
         "robot_config_hash": robot_config_hash(config),
-        "params": params_to_dict(params, encode=np.asarray),
+        "params": params_to_dict(params),
     }
     with open(path, "wb") as f:
         write_json(f, doc)

@@ -15,8 +15,10 @@ IK solve are the library's arithmetic for one action or target, without
 the batch: a single call of the library must equal them bit for bit.
 The shape evaluation reader inverts the record file that ``evaluate
 --scenario shape`` writes, which the library itself never reads back.
-The dumped model file is ``json.dumps`` of the whole document, the text
-the library writes one array at a time, and the uncached ``as_tensors``
+The dumped model file is ``json.dumps`` of the whole document, each
+array turned into its base64 record (:func:`array_to_b64`) by json's
+``default`` hook: the text the library writes one array at a time.  The
+uncached ``as_tensors``
 casts a frozen network onto the tape anew on every call, where the
 library shares one set of frozen leaves per tape.
 The listed references keep a backbone as one (batch, 3) tensor per
@@ -26,6 +28,7 @@ rollout, the nine-point downsample, the policy observation, the shape
 loss and the closest-point distance.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -353,6 +356,13 @@ def listed_min_sq_distance(points: list[Tensor], center: np.ndarray) -> Tensor:
     return total
 
 
+def array_to_b64(a) -> dict:
+    """An array's model-file record: its shape and the base64 of its
+    little-endian float64 bytes."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
+
+
 def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
     """A model file's text as ``json.dumps`` of the whole document: format
     tag, model fields, robot binding, then the network."""
@@ -363,7 +373,7 @@ def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
         "robot_config_hash": robot_config_hash(config),
         "params": params_to_dict(params),
     }
-    return json.dumps(doc)
+    return json.dumps(doc, default=array_to_b64)
 
 
 def uncached_as_tensors(params, tape: Tape, frozen: bool = False) -> MlpTensors:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_shape_eval_csv
+from helpers import array_to_b64, read_shape_eval_csv
 import shapectl.cli
 import shapectl.control_node
 from shapectl.cli import main
@@ -23,7 +23,6 @@ from shapectl.control_node import (
     load_control_model,
     save_control_model,
 )
-from shapectl.nn import array_to_b64
 from shapectl.reports import (
     read_dataset_csv,
     read_metrics_csv,

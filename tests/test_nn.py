@@ -1,5 +1,8 @@
 """MLP forward/backward, Adam behavior, RNG, and persistence."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,13 @@ def test_adam_config_validation(rng):
         nn.adam_step(p, zeros, 0.0)
 
 
+def reloaded(p: nn.MlpParams) -> nn.MlpParams:
+    """``p`` written as a model file writes it, then read back."""
+    f = io.BytesIO()
+    nn.write_json(f, nn.params_to_dict(p))
+    return nn.params_from_dict(json.loads(f.getvalue()))
+
+
 def test_persistence_roundtrip_bit_exact(rng):
     p = nn.init_mlp(
         rng,
@@ -193,7 +203,7 @@ def test_persistence_roundtrip_bit_exact(rng):
     )
     grads = [rng.standard_normal(a.shape) for a in p.param_arrays()]
     nn.adam_step(p, grads, 1e-3)
-    q = nn.params_from_dict(nn.params_to_dict(p))
+    q = reloaded(p)
     assert q.sizes == p.sizes
     assert q.step_count == p.step_count
     for a, b in zip(p.param_arrays(), q.param_arrays()):
@@ -211,7 +221,7 @@ def test_resumed_update_identical(rng):
     g2 = [rng.standard_normal(a.shape) for a in p.param_arrays()]
     lr = 1e-3
     nn.adam_step(p, g1, lr)
-    q = nn.params_from_dict(nn.params_to_dict(p))
+    q = reloaded(p)
     nn.adam_step(p, g2, lr)
     nn.adam_step(q, g2, lr)
     for a, b in zip(p.param_arrays(), q.param_arrays()):
@@ -223,3 +233,9 @@ def test_copy_is_deep(rng):
     q = p.copy()
     q.weights[0][0, 0] += 1.0
     assert p.weights[0][0, 0] != q.weights[0][0, 0]
+
+
+def test_write_json_refuses_a_non_str_key():
+    # json.dumps would quote an int key; the writer refuses it instead
+    with pytest.raises(TypeError):
+        nn.write_json(io.BytesIO(), {1: np.zeros(2)})
