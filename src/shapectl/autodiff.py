@@ -28,16 +28,12 @@ contribution to a constant.  Primitives whose backward is costly (the
 fused ``dense``) also skip the products an inactive parent would get.
 
 One network evaluation is one ``dense`` node: input scale, LeakyReLU
-layers, tanh layer and output scale.  Until the sweep reaches it, a
-recorded ``dense`` node keeps one bit per unit of each LeakyReLU layer
-(the packed sign mask its backward rebuilds the slope from), the float
-derivative of the tanh layer, each layer's input only for an active
-weight, and each weight only for an input that needs an adjoint.  The
-first hidden layer's output is never kept: when the second weight is
-active, the sweep recomputes it from the kept scaled input by the
-forward pass's own operations, bit for bit, which costs a matmul only
-as wide as the network input.  A frozen network on a taped input thus
-keeps no activations, only the masks and the tanh derivative.
+layers, tanh layer and output scale.  It decides activity once per
+network, from whether its input is active and whether any of its
+weights is, and keeps what those two flags need until the sweep (see
+:func:`dense`): packed sign masks and the tanh derivative, the layer
+inputs for trainable weights, the first weight for a taped input.  A
+frozen network on a taped input thus keeps no activations.
 
 The engine favors a small, explicit primitive set over operator coverage:
 tensors define no arithmetic operators, and every operation is a named
@@ -329,48 +325,48 @@ def dense(
     adjoints are bit for bit those of the chain of one node per scale
     and per layer.
 
-    Until the sweep, a recorded node keeps, per layer the backward
-    reaches: the packed sign mask of ``z > 0`` (one bit per unit) for a
-    LeakyReLU layer, the float derivative ``1 - out**2`` for the tanh
-    layer; the layer's input only if its weight is active; its weight
-    only if its input needs an adjoint.  The first hidden layer's output
-    is never kept: the backward recomputes it from the kept scaled input
-    when the second weight is active, which costs a matmul only as wide
-    as the network input.  No product is computed for an inactive
-    parent, and a node with no active parent keeps nothing.
+    Activity is decided once per network, by two flags: whether ``x``
+    is active, and whether any weight or bias is.  A network's leaves
+    are either all trainable or all constant, so these cover every
+    network a model builds.  Until the sweep, a recorded node keeps the
+    packed sign mask of ``z > 0`` (one bit per unit) of each LeakyReLU
+    layer and the float derivative ``1 - out**2`` of the tanh layer;
+    with active weights, every layer's input but the first hidden
+    output, which the backward recomputes from the kept scaled input at
+    the cost of a matmul only as wide as the network input; and the
+    first weight only for an active ``x``, since only the adjoint below
+    layer 0 needs it.  Active weights give every weight and bias a
+    product; ``backward`` drops those of a constant leaf, so a network
+    that mixes trainable and constant leaves still gets exact adjoints.
+    A node with no active parent keeps nothing.
     """
     active = x.tape.active
     dtype = x.value.dtype
     n = len(layers)
-    w_on = [active[w.nid] for w, _ in layers]
-    b_on = [active[b.nid] for _, b in layers]
-    # in_on[i]: the input of layer i needs an adjoint
-    in_on = [active[x.nid]]
-    for i in range(n - 1):
-        in_on.append(in_on[i] or w_on[i] or b_on[i])
-    # the sweep reaches layer i when it or a layer below has an active parent
-    reached = [in_on[i] or w_on[i] or b_on[i] for i in range(n)]
+    x_on = active[x.nid]
+    w_on = any(active[t.nid] for pair in layers for t in pair)
     iscale = None if input_scale is None else np.asarray(input_scale, dtype=dtype)
     oscale = None if output_scale is None else np.asarray(output_scale, dtype=dtype)
     h = x.value if iscale is None else x.value * iscale
     # the second layer's input is recomputed from the scaled input
-    recompute = n > 1 and w_on[1]
+    recompute = n > 1 and w_on
     xs, w1, b1 = (h, layers[0][0].value, layers[0][1].value) if recompute else (None,) * 3
     kept = [None] * n  # the other layers' inputs, for active weights
-    weights = [w.value if in_on[i] else None for i, (w, _) in enumerate(layers)]
+    # the first weight carries only the adjoint below layer 0
+    weights = [w.value if x_on or i else None for i, (w, _) in enumerate(layers)]
     masks = [None] * (n - 1)
     for i, (w, b) in enumerate(layers):
-        if w_on[i] and i != 1:
+        if w_on and i != 1:
             kept[i] = h
         if i == n - 1:
             break
         h = _leaky_layer(h, w.value, b.value)
-        if reached[i]:
+        if x_on or w_on:
             masks[i] = np.packbits(h > 0.0)
     z = h @ w.value
     z += b.value
     out = np.tanh(z, out=z)
-    factor = 1.0 - out * out if reached[-1] else None
+    factor = 1.0 - out * out if x_on or w_on else None
     if oscale is not None:
         out *= oscale
 
@@ -386,12 +382,11 @@ def dense(
         for i in range(n - 1, -1, -1):
             if i < n - 1:
                 dz *= _leaky_factor(masks[i], dz)
-            if w_on[i]:
+            if w_on:
                 hin = _leaky_layer(xs, w1, b1) if i == 1 else kept[i]
                 contribs[1 + 2 * i] = hin.T @ dz
-            if b_on[i]:
                 contribs[2 + 2 * i] = dz.sum(axis=0)
-            if not in_on[i]:
+            if i == 0 and not x_on:
                 break
             dz = dz @ weights[i].T
         else:

@@ -71,7 +71,6 @@ from .shape_node import (
     robot_config_hash,
     save_shape_model,
     train_shape_node,
-    validation_split,
 )
 
 EXIT_OK = 0
@@ -92,7 +91,8 @@ TRACKING_TRIALS = 5
 
 
 def _resolve(args) -> tuple[RunConfig, Path]:
-    """Config from defaults, file, environment, then CLI flags."""
+    """Config from defaults, file, environment, then CLI flags, written
+    to ``resolved_config.ini`` in the output directory."""
     cfg = load_run_config(args.config, os.environ)
     if args.seed is not None:
         cfg.set_raw("run", "seed", str(args.seed))
@@ -108,6 +108,7 @@ def _resolve(args) -> tuple[RunConfig, Path]:
             cfg.set_raw(section, key, str(value))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _write_resolved(cfg, out)
     return cfg, out
 
 
@@ -150,14 +151,18 @@ def _run_timing(cfg: RunConfig) -> tuple[float, float]:
     return duration, period
 
 
-def _ensure_obstacle(cfg: RunConfig, shape_model: ShapeNodeModel, robot: RobotConfig):
+def _ensure_obstacle(
+    cfg: RunConfig, out: Path, shape_model: ShapeNodeModel, robot: RobotConfig
+):
     """Obstacle from config, or placed on the swept body and recorded
-    back into the config so the resolved file reproduces the run."""
+    back into the config and its resolved file, which then reproduces
+    the run; no command changes its config otherwise."""
     spec = cfg.obstacle_spec()
     if spec is None:
         kind = _check_kind(cfg.get("run", "trajectory"))
         center = place_obstacle(shape_model, robot, kind, period=_run_timing(cfg)[1])
         cfg.values[("run", "obstacle")] = tuple(float(v) for v in center)
+        _write_resolved(cfg, out)
         spec = cfg.obstacle_spec()
     return spec
 
@@ -168,7 +173,6 @@ def _ensure_obstacle(cfg: RunConfig, shape_model: ShapeNodeModel, robot: RobotCo
 
 def cmd_generate(args) -> int:
     cfg, out = _resolve(args)
-    _write_resolved(cfg, out)
     robot = cfg.robot_config()
     n = cfg.get("run", "n_samples")
     if n < 1:
@@ -189,7 +193,6 @@ def cmd_generate(args) -> int:
 
 def cmd_train_shape(args) -> int:
     cfg, out = _resolve(args)
-    _write_resolved(cfg, out)
     robot = cfg.robot_config()
     try:
         q, points = read_dataset_csv(args.dataset, robot)
@@ -208,10 +211,8 @@ def cmd_train_shape(args) -> int:
         )
     try:
         check_dataset(model, robot, q, points)
-        # the same held-out split the trainer uses, reported on below
-        val_idx, _ = validation_split(
-            len(q), train_cfg.val_fraction, np.random.default_rng(train_cfg.seed)
-        )
+        # the trainer's own held-out rows, reported on below
+        val_idx = train_cfg.split(len(q))[0]
     except ValueError as exc:
         raise ConfigError(f"cannot use dataset: {exc}") from exc
     t0 = time.monotonic()
@@ -240,8 +241,7 @@ def cmd_train_control(args) -> int:
     scenario = cfg.get("run", "scenario")
     if scenario not in ("tracking", "obstacle"):
         raise ConfigError(f"unknown scenario {scenario!r} for train-control")
-    obstacle = _ensure_obstacle(cfg, shape_model, robot) if scenario == "obstacle" else None
-    _write_resolved(cfg, out)
+    obstacle = _ensure_obstacle(cfg, out, shape_model, robot) if scenario == "obstacle" else None
     train_cfg = cfg.control_train_config()
     loss_cfg = cfg.control_loss_config()
     model = cfg._build(
@@ -363,7 +363,6 @@ def _tracking_rows(name: str, logs: list[TrackingLog], rows: list[MetricsRow]):
 
 
 def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
-    _write_resolved(cfg, out)
     robot = cfg.robot_config()
     model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     seed = cfg.get("run", "seed")
@@ -398,7 +397,6 @@ def _eval_shape(cfg: RunConfig, out: Path, args) -> MetricsTable:
 
 
 def _eval_tracking(cfg: RunConfig, out: Path, args) -> MetricsTable:
-    _write_resolved(cfg, out)
     trials = _trials(cfg, out, args)
     rows: list[MetricsRow] = []
     starts = trials.starts(TRACKING_KINDS)
@@ -414,7 +412,6 @@ def _eval_tracking(cfg: RunConfig, out: Path, args) -> MetricsTable:
 
 
 def _eval_payload(cfg: RunConfig, out: Path, args) -> MetricsTable:
-    _write_resolved(cfg, out)
     trials = _trials(cfg, out, args)
     kind = "helix"
     rows: list[MetricsRow] = []
@@ -455,8 +452,7 @@ def _eval_obstacle(cfg: RunConfig, out: Path, args) -> MetricsTable:
         if args.baseline_model is not None
         else None
     )
-    obstacle = _ensure_obstacle(cfg, trials.shape_model, trials.robot)
-    _write_resolved(cfg, out)
+    obstacle = _ensure_obstacle(cfg, out, trials.shape_model, trials.robot)
     rows: list[MetricsRow] = []
     summary = []
     starts = trials.starts(OBSTACLE_KINDS)
@@ -494,8 +490,6 @@ def _eval_obstacle(cfg: RunConfig, out: Path, args) -> MetricsTable:
     return MetricsTable(rows=rows)
 
 
-# each writes the resolved config, the obstacle one once it has placed
-# its obstacle
 _EVALUATIONS = {
     "shape": _eval_shape,
     "tracking": _eval_tracking,
@@ -522,7 +516,6 @@ def cmd_rollout(args) -> int:
     shape_model = _load_model(load_shape_model, "shape", args.shape_model, robot)
     kind = _check_kind(cfg.get("run", "trajectory"))
     obstacle = cfg.obstacle_spec()
-    _write_resolved(cfg, out)
     duration, period = _run_timing(cfg)
     payload = cfg.get("run", "payload_grams")
     if not 0.0 <= payload <= PAYLOAD_MAX_GRAMS:
@@ -551,7 +544,7 @@ def cmd_rollout(args) -> int:
     path = out / "rollout.csv"
     write_tracking_log_csv(path, log)
     if log.n_ticks > 0:
-        m = evaluate_tracking(log)
+        m = evaluate_tracking([log])
         print(
             f"{mode} {kind}: {m.n_ticks} ticks,"
             f" aggregate RMSE {m.aggregate_rmse_mm:.3f} mm"

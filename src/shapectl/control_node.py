@@ -682,10 +682,8 @@ class TrackingMetrics:
     n_ticks: int
 
 
-def evaluate_tracking(logs) -> TrackingMetrics:
-    """Error statistics over one log or several pooled together."""
-    if isinstance(logs, TrackingLog):
-        logs = [logs]
+def evaluate_tracking(logs: list[TrackingLog]) -> TrackingMetrics:
+    """Error statistics over the logs pooled together."""
     if not logs or all(log.n_ticks == 0 for log in logs):
         raise ValueError("tracking log is empty")
     err = np.concatenate([log.errors for log in logs], axis=0)

@@ -7,7 +7,9 @@ logs and shape evaluation records round-trip bit-for-bit through the
 same arrays the logs and records are written from, are the metrics of
 the emitted files.  The all-number tables (datasets, training
 histories, tracking logs, shape evaluation records) are written by one
-:func:`write_table` and read by one :func:`read_table`.
+:func:`write_table` and read by one :func:`read_table`.  Only datasets
+are read back by a command; the readers of the other files live with
+the tests.
 """
 
 from __future__ import annotations
@@ -147,22 +149,6 @@ def write_tracking_log_csv(path, log: TrackingLog) -> None:
     write_table(path, header, np.column_stack(columns))
 
 
-def read_tracking_log_csv(path) -> TrackingLog:
-    header, rows = read_table(path)
-    with_obs = header[-1] == "min_obstacle_dist"
-    action_dim = len(header) - 7 - (1 if with_obs else 0)
-    if header != tracking_log_header(action_dim, with_obs):
-        raise ValueError("not a tracking log file")
-    data = np.array(rows).reshape(len(rows), len(header))
-    return TrackingLog(
-        times=data[:, 0],
-        goals=data[:, 1:4],
-        tips=data[:, 4:7],
-        actions=data[:, 7 : 7 + action_dim],
-        min_obstacle_dist=data[:, -1] if with_obs else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # metrics table
 
@@ -225,20 +211,6 @@ def write_metrics_csv(path, table: MetricsTable) -> None:
             writer.writerow(
                 [r.scenario, r.axis, fmt(r.rmse_mm), fmt(r.std_mm), str(r.n_trials)]
             )
-
-
-def read_metrics_csv(path) -> MetricsTable:
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["scenario", "axis", "rmse_mm", "std_mm", "n_trials"]:
-            raise ValueError("not a metrics file")
-        rows = [
-            MetricsRow(r[0], r[1], float(r[2]), float(r[3]), int(r[4]))
-            for r in reader
-            if r
-        ]
-    return MetricsTable(rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,22 @@ class ShapeTrainConfig:
         if self.val_interval < 1:
             raise ValueError("val_interval must be at least 1")
 
+    def split(self, n: int) -> tuple[Array, Array, np.random.Generator]:
+        """(held-out, training) indices of an ``n``-row dataset, and the
+        generator, seeded by ``seed``, whose one permutation drew them
+        and whose stream the trainer's batch order continues.
+
+        The first ``round(val_fraction * n)`` entries, at least one, are
+        held out; a split that leaves nothing to train on raises
+        ``ValueError``.
+        """
+        rng = np.random.default_rng(self.seed)
+        perm = rng.permutation(n)
+        n_val = max(1, int(round(self.val_fraction * n)))
+        if n_val >= n:
+            raise ValueError("dataset too small for the validation split")
+        return perm[:n_val], perm[n_val:], rng
+
 
 def init_shape_model(
     rng: np.random.Generator,
@@ -316,21 +332,6 @@ def _validation_loss(
     return total / q.shape[0]
 
 
-def validation_split(
-    n: int, val_fraction: float, rng: np.random.Generator
-) -> tuple[Array, Array]:
-    """(held-out, training) indices from one permutation drawn from ``rng``.
-
-    The first ``round(val_fraction * n)`` entries, at least one, are held
-    out; a split that leaves nothing to train on raises ``ValueError``.
-    """
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
-    if n_val >= n:
-        raise ValueError("dataset too small for the validation split")
-    return perm[:n_val], perm[n_val:]
-
-
 def train_shape_node(
     q: Array,
     points: Array,
@@ -342,7 +343,7 @@ def train_shape_node(
     dataset.
 
     :func:`check_dataset` must accept the arrays.  Splits the dataset
-    90/10 (:func:`validation_split` by ``val_fraction``) with the
+    90/10 (:meth:`ShapeTrainConfig.split` by ``val_fraction``) with the
     configured seed, runs Adam over shuffled minibatches, evaluates
     validation loss every ``val_interval`` iterations, and returns the
     best-validation checkpoint plus history rows (iteration, train_loss,
@@ -352,9 +353,8 @@ def train_shape_node(
     validation compute on :data:`TRAIN_DTYPE` tapes.
     """
     check_dataset(model, robot, q, points)
-    rng = np.random.default_rng(config.seed)
     # the batch order continues the generator the split drew from
-    val_idx, train_idx = validation_split(q.shape[0], config.val_fraction, rng)
+    val_idx, train_idx, rng = config.split(q.shape[0])
     batch = min(config.batch_size, train_idx.size)
 
     def batches():

@@ -13,8 +13,9 @@ Jacobian backpropagates each tip coordinate on its own, where the
 library weights all three in one reverse sweep.  The single-action tip Jacobian and the one-target
 IK solve are the library's arithmetic for one action or target, without
 the batch: a single call of the library must equal them bit for bit.
-The shape evaluation reader inverts the record file that ``evaluate
---scenario shape`` writes, which the library itself never reads back.
+The shape evaluation, tracking log and metrics readers invert the
+files that ``evaluate`` and ``rollout`` write, which the library itself
+never reads back.
 The dumped model file is ``json.dumps`` of the whole document, each
 array turned into its base64 record (:func:`array_to_b64`) by json's
 ``default`` hook: the text the library writes one array at a time.  The
@@ -29,6 +30,7 @@ loss and the closest-point distance.
 """
 
 import base64
+import csv
 import json
 
 import numpy as np
@@ -38,13 +40,20 @@ from shapectl.autodiff import LEAKY_SLOPE, Tape, Tensor, _unbroadcast
 from shapectl.control_node import (
     IK_MAX_ITERS,
     IK_TOL,
+    TrackingLog,
     _clip_inside,
     _downsample_plan,
     damped_pinv,
 )
 from shapectl.nn import MlpTensors, mlp_forward, params_to_dict
 from shapectl.odeint import IntegrationGrid, integrate
-from shapectl.reports import SHAPE_EVAL_HEADER, read_table
+from shapectl.reports import (
+    SHAPE_EVAL_HEADER,
+    MetricsRow,
+    MetricsTable,
+    read_table,
+    tracking_log_header,
+)
 from shapectl.robot import action_to_curvature
 from shapectl.shape_node import LOSS_EPS_SQ, robot_config_hash, rollout_shape
 
@@ -296,6 +305,38 @@ def read_shape_eval_csv(path) -> tuple[np.ndarray, np.ndarray]:
     n = int(data[:, 0].max()) + 1
     p = int(data[:, 1].max()) + 1
     return data[:, 2:5].reshape(n, p, 3), data[:, 5:8].reshape(n, p, 3)
+
+
+def read_tracking_log_csv(path) -> TrackingLog:
+    """The tracking log a ``write_tracking_log_csv`` file holds."""
+    header, rows = read_table(path)
+    with_obs = header[-1] == "min_obstacle_dist"
+    action_dim = len(header) - 7 - (1 if with_obs else 0)
+    if header != tracking_log_header(action_dim, with_obs):
+        raise ValueError("not a tracking log file")
+    data = np.array(rows).reshape(len(rows), len(header))
+    return TrackingLog(
+        times=data[:, 0],
+        goals=data[:, 1:4],
+        tips=data[:, 4:7],
+        actions=data[:, 7 : 7 + action_dim],
+        min_obstacle_dist=data[:, -1] if with_obs else None,
+    )
+
+
+def read_metrics_csv(path) -> MetricsTable:
+    """The metrics table a ``write_metrics_csv`` file holds."""
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["scenario", "axis", "rmse_mm", "std_mm", "n_trials"]:
+            raise ValueError("not a metrics file")
+        rows = [
+            MetricsRow(r[0], r[1], float(r[2]), float(r[3]), int(r[4]))
+            for r in reader
+            if r
+        ]
+    return MetricsTable(rows=rows)
 
 
 def listed_rollout(model, config, tape: Tape, q: np.ndarray):

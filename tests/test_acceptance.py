@@ -19,7 +19,15 @@ import numpy as np
 import pytest
 
 import shapectl.autodiff as ad
-from helpers import arc_backbone, fd_grad_at, loglog_slope, rel_err, sample_coords
+from helpers import (
+    arc_backbone,
+    fd_grad_at,
+    loglog_slope,
+    read_metrics_csv,
+    read_tracking_log_csv,
+    rel_err,
+    sample_coords,
+)
 from shapectl.autodiff import Tape
 from shapectl.config import load_run_config
 from shapectl.control_node import (
@@ -38,7 +46,7 @@ from shapectl.odeint import (
     integrate_batch_masked,
     masked_step_counts,
 )
-from shapectl.reports import read_dataset_csv, read_metrics_csv, read_tracking_log_csv
+from shapectl.reports import read_dataset_csv
 from shapectl.robot import (
     ObstacleSpec,
     RobotConfig,

@@ -292,6 +292,45 @@ def test_dense_matches_layered_oracle_bit_for_bit(rng, dtype, hidden, leaves):
                 assert np.array_equal(a.view(uint), ref.view(uint))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)], ids=["one_hidden", "two_hidden"])
+def test_dense_matches_layered_oracle_on_every_activity_pattern(rng, dtype, hidden):
+    # each of the input, every weight and every bias trainable or
+    # constant on its own (2**5 and 2**7 patterns), with and without the
+    # scales: the value and every active parent's adjoint are the
+    # oracle's bit for bit, and no constant parent gets an adjoint
+    sizes = [4, *hidden, 3]
+    arrays = [rng.standard_normal((7, 4))]
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        arrays += [rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out)]
+    scales = (rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 3))
+    g = rng.standard_normal((7, 3))
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+
+    def run(network, pattern, input_scale, output_scale):
+        tape = ad.Tape(dtype)
+        leaves = [
+            (tape.tensor if on else tape.constant)(a) for on, a in zip(pattern, arrays)
+        ]
+        layers = list(zip(leaves[1::2], leaves[2::2]))
+        y = network(leaves[0], layers, input_scale, output_scale)
+        grads = ad.backward(ad.reduce_sum(ad.cmul(y, g)))
+        return y.value, [grads.get(t.nid) for t in leaves]
+
+    for code in range(2 ** len(arrays)):
+        pattern = [bool(code >> k & 1) for k in range(len(arrays))]
+        for input_scale, output_scale in (scales, (None, None)):
+            value, adjoints = run(ad.dense, pattern, input_scale, output_scale)
+            ref_value, ref_adjoints = run(layered_mlp, pattern, input_scale, output_scale)
+            assert np.array_equal(value.view(uint), ref_value.view(uint)), pattern
+            assert [a is not None for a in adjoints] == pattern, pattern
+            assert [a is not None for a in ref_adjoints] == pattern, pattern
+            for a, ref in zip(adjoints, ref_adjoints):
+                if a is not None:
+                    assert a.dtype == dtype
+                    assert np.array_equal(a.view(uint), ref.view(uint)), pattern
+
+
 def test_dense_on_constants_keeps_no_residual(rng, monkeypatch):
     # a dense node with only constant parents is a constant: no closure,
     # no sign mask built for it, and bitwise the recorded node's value

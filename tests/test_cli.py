@@ -13,7 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import array_to_b64, read_shape_eval_csv
+from helpers import (
+    array_to_b64,
+    read_metrics_csv,
+    read_shape_eval_csv,
+    read_tracking_log_csv,
+)
 import shapectl.cli
 import shapectl.control_node
 from shapectl.cli import main
@@ -23,11 +28,7 @@ from shapectl.control_node import (
     load_control_model,
     save_control_model,
 )
-from shapectl.reports import (
-    read_dataset_csv,
-    read_metrics_csv,
-    read_tracking_log_csv,
-)
+from shapectl.reports import read_dataset_csv
 from shapectl.robot import RobotConfig, sample_dataset
 from shapectl.shape_node import init_shape_model, load_shape_model, save_shape_model
 
@@ -219,6 +220,34 @@ def test_train_shape_byte_identical(workdir, tmp_path):
         assert (tmp_path / name).read_bytes() == (root / "ts" / name).read_bytes()
 
 
+def test_train_shape_reports_on_the_trainers_held_out_rows(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    # the final val RMSE is over exactly the rows the trainer validated
+    # and checkpointed on, not over a split the command draws itself
+    root, ini = workdir
+    seen = {}
+    validation_loss = shapectl.shape_node._validation_loss
+    evaluate_shape_rmse = shapectl.cli.evaluate_shape_rmse
+
+    def trainer(model, robot, q, *rest):
+        seen["trainer"] = q.copy()
+        return validation_loss(model, robot, q, *rest)
+
+    def report(model, q, *rest):
+        seen["report"] = q.copy()
+        return evaluate_shape_rmse(model, q, *rest)
+
+    monkeypatch.setattr(shapectl.shape_node, "_validation_loss", trainer)
+    monkeypatch.setattr(shapectl.cli, "evaluate_shape_rmse", report)
+    monkeypatch.setenv("SHAPECTL_SHAPE_ITERATIONS", "2")
+    args = ["train-shape", "--config", str(ini), "--dataset"]
+    assert main(args + [str(root / "gen" / "dataset.csv"), "--out", str(tmp_path)]) == 0
+    assert len(seen["report"]) == 8  # 10% of the 80 rows
+    assert np.array_equal(seen["report"], seen["trainer"])
+    assert f"over {len(seen['report'])} samples" in capsys.readouterr().out
+
+
 def test_dataset_grid_follows_shape_config(workdir, tmp_path, monkeypatch, capsys):
     # one grid setting feeds both generate and train-shape
     root, ini = workdir
@@ -309,7 +338,7 @@ def test_obstacle_flag_changes_training_loss(workdir, tmp_path, monkeypatch, cap
         losses[name] = float(row.split(",")[1])
     assert losses["t"] != losses["o"]
     resolved = (tmp_path / "o" / "resolved_config.ini").read_text()
-    obstacle_line = [x for x in resolved.splitlines() if x.startswith("obstacle")][0]
+    obstacle_line = [x for x in resolved.splitlines() if x.startswith("obstacle =")][0]
     assert obstacle_line.split("=")[1].strip() != ""
 
 
@@ -491,9 +520,34 @@ def test_evaluate_obstacle_with_baseline(workdir, tmp_path, capsys):
     log = read_tracking_log_csv(tmp_path / "obstacle_circle_trial0.csv")
     assert log.min_obstacle_dist is not None
     resolved = (tmp_path / "resolved_config.ini").read_text()
-    obstacle_line = [x for x in resolved.splitlines() if x.startswith("obstacle")][0]
+    obstacle_line = [x for x in resolved.splitlines() if x.startswith("obstacle =")][0]
     assert obstacle_line.split("=")[1].strip() != ""
     assert (tmp_path / "obstacle_circle.svg").exists()
+
+
+def test_evaluate_records_the_obstacle_it_places(workdir, tmp_path, monkeypatch, capsys):
+    # the placed obstacle lands in resolved_config.ini, and that file
+    # alone reruns the evaluation, byte for byte, without placing again
+    root, ini = workdir
+    args = ["evaluate", "--scenario", "obstacle", "--shape-model"]
+    args += [_shape_model_path(workdir), "--control-model", _control_model_path(workdir)]
+    assert main(args + ["--config", str(ini), "--out", str(tmp_path / "a")]) == 0
+    printed = capsys.readouterr().out.split("obstacle at (")[1].split(")")[0]
+    resolved = tmp_path / "a" / "resolved_config.ini"
+    center = load_run_config(resolved).obstacle_spec().center
+    assert [f"{c:.4f}" for c in center] == printed.split(", ")
+
+    def placed_again(*_):
+        raise AssertionError("the recorded obstacle was placed again")
+
+    monkeypatch.setattr(shapectl.cli, "place_obstacle", placed_again)
+    assert main(args + ["--config", str(resolved), "--out", str(tmp_path / "b")]) == 0
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("scenario", ["tracking", "obstacle"])

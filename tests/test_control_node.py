@@ -949,7 +949,7 @@ def test_evaluate_tracking_examples():
         tips=goals.copy(),
         actions=np.zeros((n, 2)),
     )
-    m = evaluate_tracking(perfect)
+    m = evaluate_tracking([perfect])
     assert np.all(m.rmse_mm == 0.0)
     assert m.aggregate_rmse_mm == 0.0
     assert m.n_ticks == n
@@ -974,7 +974,7 @@ def test_evaluate_tracking_examples():
         actions=np.zeros((0, 2)),
     )
     with pytest.raises(ValueError):
-        evaluate_tracking(empty)
+        evaluate_tracking([empty])
 
 
 def test_count_violations():

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import read_shape_eval_csv
+from helpers import read_metrics_csv, read_shape_eval_csv, read_tracking_log_csv
 from shapectl.control_node import TrackingLog
 from shapectl.reports import (
     MetricsRow,
@@ -14,8 +14,6 @@ from shapectl.reports import (
     dataset_header,
     fmt,
     read_dataset_csv,
-    read_metrics_csv,
-    read_tracking_log_csv,
     svg_path_overlay,
     write_dataset_csv,
     write_metrics_csv,

@@ -48,7 +48,6 @@ from shapectl.shape_node import (
     shape_loss_tensor,
     tip_jacobian,
     train_shape_node,
-    validation_split,
 )
 
 
@@ -328,17 +327,16 @@ def test_training_reduces_validation_loss(rng):
 
 
 def test_validation_split_sizes_and_stream():
-    rng = np.random.default_rng(3)
-    val, train = validation_split(20, 0.1, rng)
+    val, train, rng = ShapeTrainConfig(val_fraction=0.1, seed=3).split(20)
     assert len(val) == 2 and len(train) == 18
-    # one permutation drawn from the generator, which the trainer's batch
-    # order then continues
+    # one permutation drawn from the seeded generator, which the
+    # trainer's batch order then continues
     ref = np.random.default_rng(3)
     assert np.array_equal(np.concatenate([val, train]), ref.permutation(20))
     assert rng.random() == ref.random()
-    assert len(validation_split(5, 0.01, np.random.default_rng(0))[0]) == 1
+    assert len(ShapeTrainConfig(val_fraction=0.01).split(5)[0]) == 1
     with pytest.raises(ValueError, match="too small"):
-        validation_split(1, 0.1, np.random.default_rng(0))
+        ShapeTrainConfig(val_fraction=0.1).split(1)
 
 
 def test_training_empty_dataset(rng):
