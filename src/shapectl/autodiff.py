@@ -33,7 +33,9 @@ network, from whether its input is active and whether any of its
 weights is, and keeps what those two flags need until the sweep (see
 :func:`dense`): packed sign masks and the tanh derivative, the layer
 inputs for trainable weights, the first weight for a taped input.  A
-frozen network on a taped input thus keeps no activations.
+frozen network on a taped input thus keeps no activations.  Likewise
+one solver update or RK4 stage input is one node (``add_scaled``,
+``rk4_update``) that keeps no forward value.
 
 The engine favors a small, explicit primitive set over operator coverage:
 tensors define no arithmetic operators, and every operation is a named
@@ -275,6 +277,51 @@ def cmul(a: Tensor, c) -> Tensor:
         return (_unbroadcast(grad * c, ash),)
 
     return a.tape._record(a.value * c, (a.nid,), bk)
+
+
+# ---------------------------------------------------------------------------
+# fused solver updates: one node where the ``add``/``scale`` chain took
+# several.  Each computes the chain's operations in the chain's order
+# and gives each parent the chain's adjoint array, listing the parents in
+# the order the chain's sweep reached them, so values and adjoints are
+# bit for bit the chain's, a repeated parent included.  Operands share
+# one shape, and the backward keeps no forward value.
+
+
+def add_scaled(x: Tensor, ks: list[Tensor], cs: list[float]) -> Tensor:
+    """``x + (k_1 c_1 + ... + k_n c_n)``, the sum taken left to right
+    before ``x`` is added: an Euler update, an RK4 stage input and an
+    Adams-Bashforth update.  The chain is ``add(x, add(...add(scale(k_1,
+    c_1), scale(k_2, c_2))..., scale(k_n, c_n)))``."""
+    cs = [float(c) for c in cs]
+    out = ks[0].value * cs[0]
+    for k, c in zip(ks[1:], cs[1:]):
+        out += k.value * c
+    out += x.value
+
+    def bk(grad):
+        return (grad, *(grad * c for c in reversed(cs)))
+
+    return x.tape._record(out, (x.nid, *(k.nid for k in reversed(ks))), bk)
+
+
+def rk4_update(x: Tensor, k1: Tensor, k2: Tensor, k3: Tensor, k4: Tensor, h: float) -> Tensor:
+    """The classic RK4 update ``x + ((k1 + k4) + (k2 + k3) 2) h/6``, the
+    chain ``add(x, scale(add(add(k1, k4), scale(add(k2, k3), 2)), h/6))``."""
+    c = float(h / 6.0)
+    out = k1.value + k4.value
+    mid = k2.value + k3.value
+    mid *= 2.0
+    out += mid
+    out *= c
+    out += x.value
+
+    def bk(grad):
+        outer = grad * c
+        inner = outer * 2.0
+        return grad, inner, inner, outer, outer
+
+    return x.tape._record(out, (x.nid, k2.nid, k3.nid, k1.nid, k4.nid), bk)
 
 
 # per dtype: row k holds the LeakyReLU derivatives of the eight units

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +201,8 @@ def cmd_train_shape(args) -> int:
         raise ConfigError(f"cannot use dataset: {exc}") from exc
     train_cfg = cfg.shape_train_config()
     if args.init_model is not None:
-        model = _load_model(load_shape_model, "shape", args.init_model, robot)
+        resumed = partial(load_shape_model, resume=True)
+        model = _load_model(resumed, "shape", args.init_model, robot)
     else:
         model = cfg._build(
             init_shape_model,

@@ -5,7 +5,8 @@ output layer.  A model file names it (``hidden_slope`` 0.01,
 ``out_activation`` ``"tanh"``), and loading refuses any other.
 
 Parameters live outside any tape as plain float64 arrays, together with
-their Adam moment buffers and step count.  A training iteration wraps the
+their step count and, once they train or are loaded to resume training
+(:func:`params_from_dict`), their Adam moment buffers.  A training iteration wraps the
 weights once into tape leaves (:meth:`MlpParams.as_tensors`), cast to
 the tape's compute dtype, runs any number of forward passes that share
 those leaves, calls :func:`shapectl.autodiff.backward`, and hands the
@@ -37,6 +38,7 @@ from __future__ import annotations
 import base64
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +61,8 @@ class MlpParams:
     activation; they carry unit normalization so the weights see O(1)
     values, and they persist alongside the weights.  ``adam_m`` /
     ``adam_v`` / ``step_count`` hold the optimizer state so a saved
-    model resumes training exactly where it left off.
+    model resumes training exactly where it left off; a network loaded
+    only to be used keeps its step count but no moments.
 
     Construction checks the structure, so a model file that is not one
     network fails to load: the weights chain, each bias and scale has
@@ -108,7 +111,12 @@ class MlpParams:
         return out
 
     def ensure_moments(self) -> None:
+        """Zero moments for a network that has none; one that has taken
+        steps without its moments (loaded not to resume) raises
+        ``ValueError``, since fresh moments would not resume it."""
         if not self.adam_m:
+            if self.step_count:
+                raise ValueError("a network loaded without its Adam moments cannot train on")
             self.adam_m = [np.zeros_like(a) for a in self.param_arrays()]
             self.adam_v = [np.zeros_like(a) for a in self.param_arrays()]
 
@@ -186,9 +194,14 @@ def adam_step(params: MlpParams, grads: list[Array], lr: float) -> None:
     on ``params``; the decay rates and guard are :data:`ADAM_BETAS` and
     :data:`ADAM_EPS`.
 
-    Gradients are cast to float64 first (a no-op for float64 ones), so
-    the moments stay float64 whatever tape computed the gradients.  A
-    step leaving a weight or moment non-finite raises FloatingPointError.
+    Each gradient is copied into one float64 buffer, so the moments stay
+    float64 whatever tape computed the gradients and the caller's arrays
+    (which a :func:`~shapectl.autodiff.backward` map may share) are left
+    as they are.  That copy and one scratch buffer, both as large as the
+    largest parameter, hold every temporary: the update is computed in
+    place, bit for bit ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
+    g²``, ``a -= lr_t m / (sqrt(v) + eps)``.  A step leaving a weight or
+    moment non-finite raises FloatingPointError.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
@@ -203,13 +216,22 @@ def adam_step(params: MlpParams, grads: list[Array], lr: float) -> None:
     t = params.step_count
     b1, b2 = ADAM_BETAS
     lr_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    size = max(a.size for a in arrays)
+    gbuf, sbuf = np.empty(size), np.empty(size)
     for a, g, m, v in zip(arrays, grads, params.adam_m, params.adam_v):
-        g = np.asarray(g, dtype=np.float64)
+        g64 = gbuf[: a.size].reshape(a.shape)
+        s = sbuf[: a.size].reshape(a.shape)
+        g64[...] = g
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g64, 1.0 - b1, out=s)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        a -= lr_t * m / (np.sqrt(v) + ADAM_EPS)
+        g64 *= g64
+        v += np.multiply(g64, 1.0 - b2, out=s)
+        np.sqrt(v, out=s)
+        s += ADAM_EPS
+        np.multiply(m, lr_t, out=g64)
+        g64 /= s
+        a -= g64
     for a in (*arrays, *params.adam_m, *params.adam_v):
         check_finite(a, "weights or Adam moments after the step")
 
@@ -288,19 +310,43 @@ def params_to_dict(p: MlpParams) -> dict:
     }
 
 
-def params_from_dict(d: dict) -> MlpParams:
+def _check_moment_records(d: dict, shapes: list[tuple[int, ...]]) -> None:
+    """Raise ``ValueError`` unless ``d``'s Adam moment records are absent
+    or give every parameter one ``adam_m`` and one ``adam_v`` record of
+    its shape whose base64 is as long as that many float64 values need.
+    Nothing is decoded."""
+    records = (d.get("adam_m", []), d.get("adam_v", []))
+    if not any(records):
+        return
+    for recs in records:
+        if [tuple(r["shape"]) for r in recs] != shapes:
+            raise ValueError("Adam moments do not match the parameter shapes")
+        for r, shape in zip(recs, shapes):
+            if len(r["data"]) != 4 * -(-8 * math.prod(shape) // 3):
+                raise ValueError(f"an Adam moment's data does not fit its shape {list(shape)}")
+
+
+def params_from_dict(d: dict, resume: bool = False) -> MlpParams:
     """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
-    ``json`` reads it back; another network form raises ``ValueError``."""
+    ``json`` reads it back; another network form raises ``ValueError``.
+
+    The Adam moments are decoded only to ``resume`` training; otherwise
+    the network holds none, and its moment records are only checked
+    (:func:`_check_moment_records`).
+    """
     form = (float(d["hidden_slope"]), d["out_activation"])
     if form != (LEAKY_SLOPE, "tanh"):
         got = f"LeakyReLU({form[0]:g}) into {form[1]!r}"
         raise ValueError(f"network is {got}, not LeakyReLU({LEAKY_SLOPE:g}) into 'tanh'")
-    return MlpParams(
+    params = MlpParams(
         weights=[b64_to_array(w) for w in d["weights"]],
         biases=[b64_to_array(b) for b in d["biases"]],
         input_scale=None if d.get("input_scale") is None else b64_to_array(d["input_scale"]),
         output_scale=None if d.get("output_scale") is None else b64_to_array(d["output_scale"]),
-        adam_m=[b64_to_array(m) for m in d.get("adam_m", [])],
-        adam_v=[b64_to_array(v) for v in d.get("adam_v", [])],
         step_count=json_int(d.get("step_count", 0), "step_count"),
     )
+    _check_moment_records(d, [a.shape for a in params.param_arrays()])
+    if resume:
+        params.adam_m = [b64_to_array(m) for m in d.get("adam_m", [])]
+        params.adam_v = [b64_to_array(v) for v in d.get("adam_v", [])]
+    return params

@@ -7,10 +7,14 @@ All solvers take the same outer steps; only evaluations per step differ
 (1, 4, and 4-then-1).
 
 States are taped :class:`~shapectl.autodiff.Tensor` values so trajectories
-stay differentiable end to end.  Batched integration with per-sample end
-times freezes finished rows at their last valid state; frozen rows receive
-no gradient from later steps.  Plain and masked integration share one step
-loop.
+stay differentiable end to end.  Besides the field's own nodes, a step
+records one tape node per RK4 stage input and one per update
+(:func:`~shapectl.autodiff.add_scaled`,
+:func:`~shapectl.autodiff.rk4_update`), bit for bit the ``add``/``scale``
+chain they replace: an RK4 step four nodes, an Euler or Adams-Bashforth
+step one.  Batched integration with per-sample end times freezes
+finished rows at their last valid state; frozen rows receive no gradient
+from later steps.  Plain and masked integration share one step loop.
 
 Fields have the signature ``f(t, x, u)``; ``u`` is always None and is kept
 so fields written against that signature need no change.
@@ -23,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Array, Tensor, add, scale, select_rows
+from .autodiff import Array, Tensor, add, add_scaled, rk4_update, select_rows
 
 SOLVER_KINDS: tuple[str, ...] = ("euler", "rk4", "fixed-adams")
 
@@ -84,23 +88,19 @@ def _check_step(x: Tensor, step: int) -> None:
 
 def _euler_step(f, t, h, x):
     k1 = f(t, x, None)
-    return add(x, scale(k1, h)), k1
+    return add_scaled(x, [k1], [h]), k1
 
 
 def _rk4_step(f, t, h, x):
     k1 = f(t, x, None)
-    k2 = f(t + 0.5 * h, add(x, scale(k1, 0.5 * h)), None)
-    k3 = f(t + 0.5 * h, add(x, scale(k2, 0.5 * h)), None)
-    k4 = f(t + h, add(x, scale(k3, h)), None)
-    incr = add(add(k1, k4), scale(add(k2, k3), 2.0))
-    return add(x, scale(incr, h / 6.0)), k1
+    k2 = f(t + 0.5 * h, add_scaled(x, [k1], [0.5 * h]), None)
+    k3 = f(t + 0.5 * h, add_scaled(x, [k2], [0.5 * h]), None)
+    k4 = f(t + h, add_scaled(x, [k3], [h]), None)
+    return rk4_update(x, k1, k2, k3, k4, h), k1
 
 
 def _ab4_step(x, h, hist):
-    incr = scale(hist[-1], _AB4[0] * h)
-    for j, c in enumerate(_AB4[1:], start=2):
-        incr = add(incr, scale(hist[-j], c * h))
-    return add(x, incr)
+    return add_scaled(x, hist[::-1], [c * h for c in _AB4])
 
 
 def _advance(f, kind, n, t, h, x, hist):

@@ -19,7 +19,8 @@ untrained model already predicts the straight zero-curvature backbone and
 training only has to learn corrections.
 
 A frozen model enters each tape once, however many rollouts share it.
-A saved model is one JSON document, written one array at a time.
+A saved model is one JSON document, written one array at a time; it is
+read back with its Adam moments only to resume training.
 """
 
 from __future__ import annotations
@@ -467,13 +468,15 @@ def _write_model_file(
         write_json(f, doc)
 
 
-def _read_model_file(path, fmt: str, kind: str, build):
+def _read_model_file(path, fmt: str, kind: str, build, resume: bool = False):
     """Inverse of :func:`_write_model_file`.
 
     ``build(doc, params)`` makes the model from the document fields;
-    returns (model, robot config).  Malformed files, another format, a
-    robot config that does not match its hash, missing fields and
-    weights that are not one network raise ``ValueError``.
+    returns (model, robot config).  The network holds its Adam moments
+    only to ``resume`` training (:func:`~shapectl.nn.params_from_dict`).
+    Malformed files, another format, a robot config that does not match
+    its hash, missing fields and weights that are not one network raise
+    ``ValueError``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
@@ -485,7 +488,7 @@ def _read_model_file(path, fmt: str, kind: str, build):
         config = RobotConfig.from_dict(doc["robot_config"])
         if doc["robot_config_hash"] != robot_config_hash(config):
             raise ValueError("robot config hash mismatch")
-        model = build(doc, params_from_dict(doc["params"]))
+        model = build(doc, params_from_dict(doc["params"], resume))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"incomplete model file: {exc!r}") from exc
     return model, config
@@ -502,8 +505,13 @@ def save_shape_model(path, model: ShapeNodeModel, config: RobotConfig) -> None:
     )
 
 
-def load_shape_model(path) -> tuple[ShapeNodeModel, RobotConfig]:
-    """Load a saved model; malformed files raise ``ValueError``."""
+def load_shape_model(
+    path, *, resume: bool = False
+) -> tuple[ShapeNodeModel, RobotConfig]:
+    """Load a saved model; malformed files raise ``ValueError``.
+
+    Only a model loaded to ``resume`` training holds its Adam moments.
+    """
     return _read_model_file(
         path,
         SHAPE_MODEL_FORMAT,
@@ -513,4 +521,5 @@ def load_shape_model(path) -> tuple[ShapeNodeModel, RobotConfig]:
             solver=doc["solver"],
             steps_per_segment=json_int(doc["steps_per_segment"], "steps_per_segment"),
         ),
+        resume,
     )

@@ -22,6 +22,10 @@ array turned into its base64 record (:func:`array_to_b64`) by json's
 uncached ``as_tensors``
 casts a frozen network onto the tape anew on every call, where the
 library shares one set of frozen leaves per tape.
+The chained solver records each RK4 stage input and each update as the
+``add``/``scale`` chain the fused solver nodes replace, and the
+expression Adam step updates through numpy temporaries where the
+library works in place: both must agree with the library bit for bit.
 The listed references keep a backbone as one (batch, 3) tensor per
 grid point, sliced from each integrated state, and loop over the
 points where the library computes on one (batch, P, 3) tensor: the
@@ -45,8 +49,8 @@ from shapectl.control_node import (
     _downsample_plan,
     damped_pinv,
 )
-from shapectl.nn import MlpTensors, mlp_forward, params_to_dict
-from shapectl.odeint import IntegrationGrid, integrate
+from shapectl.nn import ADAM_BETAS, ADAM_EPS, MlpTensors, mlp_forward, params_to_dict
+from shapectl.odeint import _AB4, IntegrationGrid, integrate
 from shapectl.reports import (
     SHAPE_EVAL_HEADER,
     MetricsRow,
@@ -237,6 +241,61 @@ def layered_mlp(x: Tensor, layers, input_scale=None, output_scale=None) -> Tenso
     for i, (w, b) in enumerate(layers):
         h = layer_dense(h, w, b, "leaky" if i < last else "tanh")
     return h if output_scale is None else ad.cmul(h, output_scale)
+
+
+def chained_solve(f, x0: Tensor, grid: IntegrationGrid, kind: str, counts=None) -> list[Tensor]:
+    """The solver's step loop with every RK4 stage input and every update
+    an ``add``/``scale`` chain; with ``counts``, row ``i`` freezes after
+    ``counts[i]`` steps, as in masked integration."""
+
+    def rk4(t, h, x):
+        k1 = f(t, x, None)
+        k2 = f(t + 0.5 * h, ad.add(x, ad.scale(k1, 0.5 * h)), None)
+        k3 = f(t + 0.5 * h, ad.add(x, ad.scale(k2, 0.5 * h)), None)
+        k4 = f(t + h, ad.add(x, ad.scale(k3, h)), None)
+        incr = ad.add(ad.add(k1, k4), ad.scale(ad.add(k2, k3), 2.0))
+        return ad.add(x, ad.scale(incr, h / 6.0)), k1
+
+    h = grid.dt
+    x = x0
+    traj = [x0]
+    hist = []
+    for n in range(grid.n_steps):
+        t = grid.t_start + n * h
+        if kind == "euler":
+            x_new = ad.add(x, ad.scale(f(t, x, None), h))
+        elif kind == "rk4" or n < 3:
+            x_new, k1 = rk4(t, h, x)
+            hist.append(k1)
+        else:
+            hist.append(f(t, x, None))
+            incr = ad.scale(hist[-1], _AB4[0] * h)
+            for j, c in enumerate(_AB4[1:], start=2):
+                incr = ad.add(incr, ad.scale(hist[-j], c * h))
+            x_new = ad.add(x, incr)
+        if counts is None or n < counts.min():
+            x = x_new
+        else:
+            active = n < counts
+            x = ad.add(ad.select_rows(x_new, active), ad.select_rows(x, ~active))
+        traj.append(x)
+    return traj
+
+
+def expression_adam_step(params, grads, lr: float) -> None:
+    """One Adam step as numpy expressions, each making its temporaries."""
+    params.ensure_moments()
+    params.step_count += 1
+    t = params.step_count
+    b1, b2 = ADAM_BETAS
+    lr_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    for a, g, m, v in zip(params.param_arrays(), grads, params.adam_m, params.adam_v):
+        g = np.asarray(g, dtype=np.float64)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        a -= lr_t * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def closure_arrays(fn) -> list[np.ndarray]:

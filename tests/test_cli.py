@@ -30,7 +30,12 @@ from shapectl.control_node import (
 )
 from shapectl.reports import read_dataset_csv
 from shapectl.robot import RobotConfig, sample_dataset
-from shapectl.shape_node import init_shape_model, load_shape_model, save_shape_model
+from shapectl.shape_node import (
+    init_shape_model,
+    load_shape_model,
+    save_shape_model,
+    train_shape_node,
+)
 
 TINY_INI = """\
 [robot]
@@ -836,6 +841,12 @@ def _misshape_first_moment(doc):
     doc["params"]["adam_m"][0] = array_to_b64(np.zeros(3))
 
 
+def _truncate_last_moment(doc):
+    # the record keeps its shape, but its base64 holds one value less
+    record = doc["params"]["adam_v"][-1]
+    record["data"] = array_to_b64(np.zeros(np.prod(record["shape"]) - 1))["data"]
+
+
 def _set_robot(key, value):
     # the hash is recomputed over the edited robot config, so only the
     # field itself disagrees with the file's robot
@@ -857,6 +868,7 @@ TAMPERED_MODELS = {
     "input_scale_length": ("shape", _set_params("input_scale", array_to_b64(np.ones(6)))),
     "output_scale_length_1": ("shape", _set_params("output_scale", array_to_b64([1.0]))),
     "adam_moment_shape": ("shape", _misshape_first_moment),
+    "adam_moment_data_length": ("shape", _truncate_last_moment),
     "control_input_scale_length": (
         "control",
         _set_params("input_scale", array_to_b64(np.ones(4))),
@@ -884,21 +896,88 @@ def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
     tamper(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    if case == "adam_moment_shape":
-        # only a resumed training reads the moments
-        args = ["train-shape", "--dataset", str(root / "gen" / "dataset.csv")]
-        args += ["--init-model", str(bad)]
-    elif kind == "shape":
-        args = ["evaluate", "--scenario", "shape", "--shape-model", str(bad)]
+    if kind == "shape":
+        runs = [["evaluate", "--scenario", "shape", "--shape-model", str(bad)]]
+        if case.startswith("adam_moment"):
+            # a resumed training decodes the moments; every load checks them
+            resume = ["train-shape", "--dataset", str(root / "gen" / "dataset.csv")]
+            runs.append(resume + ["--init-model", str(bad)])
     else:
         args = ["rollout", "--closed-loop", "--shape-model", _shape_model_path(workdir)]
-        args += ["--control-model", str(bad)]
-    capsys.readouterr()
-    rc = main(args + ["--config", str(ini), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith(f"error: cannot load {kind} model: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+        runs = [args + ["--control-model", str(bad)]]
+    for args in runs:
+        capsys.readouterr()
+        rc = main(args + ["--config", str(ini), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, args[0]
+        assert err.startswith(f"error: cannot load {kind} model: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_only_a_resumed_training_loads_the_adam_moments(workdir, tmp_path, monkeypatch):
+    # evaluate, train-control and rollout load their models without the
+    # moments; train-shape --init-model loads the shape model's
+    root, ini = workdir
+    loaded = []
+
+    def spy(load, kind):
+        def wrapper(path, **kwargs):
+            model, config = load(path, **kwargs)
+            p = model.params
+            loaded.append((kind, len(p.adam_m), len(p.adam_v), p.step_count))
+            return model, config
+
+        return wrapper
+
+    monkeypatch.setattr(shapectl.cli, "load_shape_model", spy(load_shape_model, "shape"))
+    monkeypatch.setattr(shapectl.cli, "load_control_model", spy(load_control_model, "control"))
+    monkeypatch.setenv("SHAPECTL_CONTROL_ITERATIONS", "1")
+    monkeypatch.setenv("SHAPECTL_SHAPE_ITERATIONS", "1")
+    sm = ["--shape-model", _shape_model_path(workdir)]
+    both = sm + ["--control-model", _control_model_path(workdir)]
+    commands = {
+        "evaluate shape": ["evaluate", "--scenario", "shape", *sm],
+        "evaluate tracking": ["evaluate", "--scenario", "tracking", *both],
+        "train-control": ["train-control", *sm],
+        "rollout": ["rollout", "--closed-loop", *both],
+        "train-shape --init-model": [
+            "train-shape", "--dataset", str(root / "gen" / "dataset.csv"),
+            "--init-model", _shape_model_path(workdir),
+        ],
+    }
+    held = {}
+    for name, args in commands.items():
+        loaded.clear()
+        out = tmp_path / name.replace(" ", "_")
+        assert main(args + ["--config", str(ini), "--out", str(out)]) == 0, name
+        held[name] = list(loaded)
+    assert held == {
+        "evaluate shape": [("shape", 0, 0, 40)],
+        "evaluate tracking": [("shape", 0, 0, 40), ("control", 0, 0, 6)],
+        "train-control": [("shape", 0, 0, 40)],
+        "rollout": [("shape", 0, 0, 40), ("control", 0, 0, 6)],
+        "train-shape --init-model": [("shape", 6, 6, 40)],
+    }
+
+
+def test_init_model_resumes_with_the_saved_moments(workdir, tmp_path, monkeypatch):
+    # the CLI's resumed training equals the library's on the saved
+    # moments, bit for bit
+    root, ini = workdir
+    monkeypatch.setenv("SHAPECTL_SHAPE_ITERATIONS", "3")
+    args = ["train-shape", "--config", str(ini), "--dataset", str(root / "gen" / "dataset.csv")]
+    args += ["--init-model", _shape_model_path(workdir), "--out", str(tmp_path / "cli")]
+    assert main(args) == 0
+    cfg = load_run_config(ini, {"SHAPECTL_SHAPE_ITERATIONS": "3"})
+    robot = cfg.robot_config()
+    model, _ = load_shape_model(_shape_model_path(workdir), resume=True)
+    assert model.params.adam_m and model.params.step_count == 40
+    q, points = read_dataset_csv(root / "gen" / "dataset.csv", robot)
+    model, _ = train_shape_node(q, points, cfg.shape_train_config(), robot, model=model)
+    assert model.params.step_count == 43
+    save_shape_model(tmp_path / "library.json", model, robot)
+    want = (tmp_path / "library.json").read_bytes()
+    assert (tmp_path / "cli" / "shape_model.json").read_bytes() == want
 
 
 def test_old_control_file_fields_are_ignored(workdir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fd_grad_at, rel_err, sample_coords
+from helpers import array_to_b64, expression_adam_step, fd_grad_at, rel_err, sample_coords
 from shapectl import autodiff as ad
 from shapectl import nn
 
@@ -180,6 +180,30 @@ def test_adam_refuses_a_step_that_overflows_the_weights():
             nn.adam_step(p, [np.ones((1, 1)), np.zeros(1)], lr)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_in_place_matches_expression_bit_for_bit(rng, dtype):
+    # weights and moments equal the expression's after every step, and
+    # the gradients, some of which share one array as a backward map's
+    # may, are left as they were
+    p = nn.init_mlp(rng, [5, 8, 8, 3], input_scale=rng.uniform(0.5, 2.0, 5))
+    q = p.copy()
+    for _ in range(4):
+        grads = [rng.standard_normal(a.shape).astype(dtype) for a in p.param_arrays()]
+        grads[3] = grads[1]  # the two hidden biases share one array
+        before = [g.copy() for g in grads]
+        nn.adam_step(p, grads, 3e-3)
+        expression_adam_step(q, grads, 3e-3)
+        for g, g0 in zip(grads, before, strict=True):
+            assert g.dtype == np.dtype(dtype)
+            assert np.array_equal(g, g0)
+        got = p.param_arrays() + p.adam_m + p.adam_v
+        want = q.param_arrays() + q.adam_m + q.adam_v
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == np.float64
+            assert np.array_equal(a, b)
+    assert p.step_count == q.step_count == 4
+
+
 def test_adam_config_validation(rng):
     p = nn.init_mlp(rng, [3, 4, 2])
     zeros = [np.zeros_like(a) for a in p.param_arrays()]
@@ -187,11 +211,11 @@ def test_adam_config_validation(rng):
         nn.adam_step(p, zeros, 0.0)
 
 
-def reloaded(p: nn.MlpParams) -> nn.MlpParams:
+def reloaded(p: nn.MlpParams, resume: bool = True) -> nn.MlpParams:
     """``p`` written as a model file writes it, then read back."""
     f = io.BytesIO()
     nn.write_json(f, nn.params_to_dict(p))
-    return nn.params_from_dict(json.loads(f.getvalue()))
+    return nn.params_from_dict(json.loads(f.getvalue()), resume)
 
 
 def test_persistence_roundtrip_bit_exact(rng):
@@ -208,10 +232,50 @@ def test_persistence_roundtrip_bit_exact(rng):
     assert q.step_count == p.step_count
     for a, b in zip(p.param_arrays(), q.param_arrays()):
         assert np.array_equal(a, b)
-    for a, b in zip(p.adam_m + p.adam_v, q.adam_m + q.adam_v):
+    for a, b in zip(p.adam_m + p.adam_v, q.adam_m + q.adam_v, strict=True):
         assert np.array_equal(a, b)
     assert np.array_equal(p.input_scale, q.input_scale)
     assert np.array_equal(p.output_scale, q.output_scale)
+
+
+def test_loading_to_use_skips_the_moments(rng):
+    # a network read back not to resume keeps its step count but holds
+    # no moments, and it refuses to train on from fresh ones
+    p = nn.init_mlp(rng, [3, 8, 2])
+    nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
+    q = reloaded(p, resume=False)
+    assert q.adam_m == [] and q.adam_v == []
+    assert q.step_count == p.step_count == 1
+    for a, b in zip(p.param_arrays(), q.param_arrays(), strict=True):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="without its Adam moments"):
+        nn.adam_step(q, [np.zeros_like(a) for a in q.param_arrays()], 1e-3)
+
+
+def _misshape_moment(d):
+    d["adam_v"][2] = array_to_b64(np.zeros(3))
+
+
+def _shorten_moment_data(d):
+    # a record whose base64 holds one float64 fewer than its shape says
+    d["adam_m"][1]["data"] = array_to_b64(np.zeros(7))["data"]
+
+
+def _drop_moment(d):
+    d["adam_v"].pop()
+
+
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize("tamper", [_misshape_moment, _shorten_moment_data, _drop_moment])
+def test_bad_moment_records_are_refused_either_way(rng, tamper, resume):
+    p = nn.init_mlp(rng, [3, 8, 2])
+    nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
+    f = io.BytesIO()
+    nn.write_json(f, nn.params_to_dict(p))
+    d = json.loads(f.getvalue())
+    tamper(d)
+    with pytest.raises(ValueError, match="Adam moment"):
+        nn.params_from_dict(d, resume)
 
 
 def test_resumed_update_identical(rng):

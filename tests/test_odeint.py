@@ -4,8 +4,9 @@ equivalence at the bitwise level, and gradient flow through solves."""
 import numpy as np
 import pytest
 
-from helpers import loglog_slope
+from helpers import chained_solve, loglog_slope
 from shapectl import autodiff as ad
+from shapectl import nn
 from shapectl.odeint import (
     SOLVER_KINDS,
     IntegrationGrid,
@@ -246,3 +247,76 @@ def test_nonfinite_state_names_step(rng):
     x0 = tape.tensor(np.ones((1, 1)))
     with pytest.raises(FloatingPointError, match="step 3"):
         integrate(f, x0, IntegrationGrid(0.0, 1.0, 6), "euler")
+
+
+def _network_field(params, tape, calls):
+    """A trainable network as the field, counting its evaluations."""
+    mt = params.as_tensors(tape)
+
+    def f(t, x, u):
+        calls.append(t)
+        return nn.mlp_forward(mt, x)
+
+    return f, mt
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+@pytest.mark.parametrize("field", ["network", "identity"])
+def test_fused_steps_match_add_scale_chain_bit_for_bit(rng, dtype, kind, masked, field):
+    # the one-node stage inputs and updates against the add/scale chain:
+    # every state and every leaf adjoint, bit for bit; the identity
+    # field hands a step its own state as a derivative, so one parent
+    # appears twice in a node
+    params = nn.init_mlp(rng, [3, 8, 3], input_scale=rng.uniform(0.5, 2.0, 3))
+    params.biases[0][:] = rng.standard_normal(8)
+    x0v = rng.standard_normal((5, 3))
+    weights = rng.standard_normal((9, 5, 3))
+    ends = np.array([1.0, 0.25, 0.625, 0.0, 1.0]) if masked else None
+    grid = IntegrationGrid(0.0, 1.0, 8, per_sample_end=ends)
+    results = []
+    for solve in ("library", "chain"):
+        tape = ad.Tape(dtype)
+        x0 = tape.tensor(x0v)
+        if field == "network":
+            f, mt = _network_field(params, tape, [])
+            leaves = [x0, *mt.param_tensors()]
+        else:
+            f, leaves = (lambda t, x, u: x), [x0]
+        if solve == "chain":
+            counts = masked_step_counts(grid) if masked else None
+            traj = chained_solve(f, x0, grid, kind, counts)
+        elif masked:
+            traj = integrate_batch_masked(f, x0, grid, kind)
+        else:
+            traj = integrate(f, x0, grid, kind)
+        loss = ad.reduce_sum(ad.cmul(traj[0], weights[0]))
+        for w, state in zip(weights[1:], traj[1:]):
+            loss = ad.add(loss, ad.reduce_sum(ad.cmul(state, w)))
+        grads = ad.backward(loss)
+        results.append(([s.value for s in traj], [ad.grad_of(grads, t) for t in leaves]))
+    (states, adjoints), (want_states, want_adjoints) = results
+    for got, want in zip(states + adjoints, want_states + want_adjoints, strict=True):
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+
+def test_fixed_adams_segment_records_38_step_loop_nodes(rng):
+    # 3 RK4 steps (4 evaluations, 3 stage inputs and 1 update each) and
+    # 7 Adams-Bashforth steps (1 evaluation and 1 update each)
+    params = nn.init_mlp(rng, [7, 16, 7])
+    grid = IntegrationGrid(0.0, 1.0, 10)
+    recorded = {}
+    for solve in ("library", "chain"):
+        tape = ad.Tape(np.float32)
+        x0 = tape.tensor(rng.standard_normal((4, 7)))
+        calls = []
+        f, _ = _network_field(params, tape, calls)
+        before = len(tape)
+        if solve == "library":
+            integrate(f, x0, grid, "fixed-adams")
+        else:
+            chained_solve(f, x0, grid, "fixed-adams")
+        recorded[solve] = (len(tape) - before, len(calls))
+    assert recorded == {"library": (38, 19), "chain": (111, 19)}

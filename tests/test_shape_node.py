@@ -381,7 +381,7 @@ def test_training_persistence_roundtrip_is_transparent(rng, tmp_path):
     # path A: save/load between the legs; path B: straight through
     ma = leg_one()
     save_shape_model(tmp_path / "m.json", ma, cfg)
-    ma, cfg_loaded = load_shape_model(tmp_path / "m.json")
+    ma, cfg_loaded = load_shape_model(tmp_path / "m.json", resume=True)
     assert cfg_loaded == cfg
     ma, _ = train_shape_node(q, points, second, cfg, model=ma)
 
