@@ -723,7 +723,8 @@ def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
     """Load a saved policy; malformed files, a ``dt`` or ``rate_scale``
     other than 1 and a policy whose width does not fit the file's robot
     config raise ``ValueError``.  The top-level ``n_segments``, ``q_min``
-    and ``q_max`` of older files are ignored."""
+    and ``q_max`` of older files are ignored.  The policy is loaded
+    without its Adam moments: no command trains a loaded policy."""
 
     def build(doc, params):
         step = (float(doc["dt"]), float(doc["rate_scale"]))
@@ -733,7 +734,7 @@ def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
             )
         return ControlNodeModel(params=params, horizon=json_int(doc["horizon"], "horizon"))
 
-    model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build)
+    model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build, False)
     if model.action_dim != config.action_dim:
         raise ValueError(
             f"policy emits {model.action_dim} actions, its robot config"

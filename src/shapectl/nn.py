@@ -65,9 +65,10 @@ class MlpParams:
     only to be used keeps its step count but no moments.
 
     Construction checks the structure, so a model file that is not one
-    network fails to load: the weights chain, each bias and scale has
-    its layer's width, and any moments have the parameters' shapes.  No
-    field names the form; :func:`params_from_dict` checks what a file names.
+    network fails to load: the weights chain, and each bias and scale
+    has its layer's width.  No field names the form; :func:`params_from_dict`
+    checks what a file names, and that its moment records fit the
+    parameters.
     """
 
     weights: list[Array]
@@ -91,11 +92,6 @@ class MlpParams:
                 got.append(scale.shape)
         if got != want:
             raise ValueError(f"layer shapes {got} do not chain as {want}")
-        shapes = [a.shape for a in self.param_arrays()]
-        if (self.adam_m or self.adam_v) and not (
-            [m.shape for m in self.adam_m] == [v.shape for v in self.adam_v] == shapes
-        ):
-            raise ValueError("Adam moments do not match the parameter shapes")
 
     @property
     def sizes(self) -> list[int]:
@@ -326,7 +322,7 @@ def _check_moment_records(d: dict, shapes: list[tuple[int, ...]]) -> None:
                 raise ValueError(f"an Adam moment's data does not fit its shape {list(shape)}")
 
 
-def params_from_dict(d: dict, resume: bool = False) -> MlpParams:
+def params_from_dict(d: dict, resume: bool) -> MlpParams:
     """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
     ``json`` reads it back; another network form raises ``ValueError``.
 

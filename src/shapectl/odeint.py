@@ -86,11 +86,6 @@ def _check_step(x: Tensor, step: int) -> None:
         raise FloatingPointError(f"non-finite state at integration step {step}")
 
 
-def _euler_step(f, t, h, x):
-    k1 = f(t, x, None)
-    return add_scaled(x, [k1], [h]), k1
-
-
 def _rk4_step(f, t, h, x):
     k1 = f(t, x, None)
     k2 = f(t + 0.5 * h, add_scaled(x, [k1], [0.5 * h]), None)
@@ -99,24 +94,19 @@ def _rk4_step(f, t, h, x):
     return rk4_update(x, k1, k2, k3, k4, h), k1
 
 
-def _ab4_step(x, h, hist):
-    return add_scaled(x, hist[::-1], [c * h for c in _AB4])
-
-
 def _advance(f, kind, n, t, h, x, hist):
     """One outer step of the named scheme; appends to the Adams history."""
     if kind == "euler":
-        x_new, _ = _euler_step(f, t, h, x)
-    elif kind == "rk4":
-        x_new, _ = _rk4_step(f, t, h, x)
-    else:
-        if n < 3:
-            x_new, k1 = _rk4_step(f, t, h, x)
-            hist.append(k1)
-        else:
-            hist.append(f(t, x, None))
-            x_new = _ab4_step(x, h, hist[-4:])
-    return x_new
+        return add_scaled(x, [f(t, x, None)], [h])
+    if kind == "rk4":
+        return _rk4_step(f, t, h, x)[0]
+    if n < 3:
+        x_new, k1 = _rk4_step(f, t, h, x)
+        hist.append(k1)
+        return x_new
+    hist.append(f(t, x, None))
+    # the last four derivatives, newest first, as _AB4 weighs them
+    return add_scaled(x, hist[:-5:-1], [c * h for c in _AB4])
 
 
 def _solve(f, x0, grid, kind, counts) -> list[Tensor]:

@@ -468,7 +468,7 @@ def _write_model_file(
         write_json(f, doc)
 
 
-def _read_model_file(path, fmt: str, kind: str, build, resume: bool = False):
+def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
     """Inverse of :func:`_write_model_file`.
 
     ``build(doc, params)`` makes the model from the document fields;
