@@ -6,10 +6,11 @@ output layer.  A model file names it (``hidden_slope`` 0.01,
 
 Parameters live outside any tape as plain float64 arrays, together with
 their step count and, once they train or are loaded to resume training
-(:func:`params_from_dict`), their Adam moment buffers.  A training iteration wraps the
-weights once into tape leaves (:meth:`MlpParams.as_tensors`), cast to
-the tape's compute dtype, runs any number of forward passes that share
-those leaves, calls :func:`shapectl.autodiff.backward`, and hands the
+(:func:`params_from_dict`), their Adam moment buffers.  A training
+iteration wraps the weights once into tape leaves
+(:meth:`MlpParams.as_tensors`), cast to the tape's compute dtype, runs
+any number of forward passes that share those leaves, calls
+:func:`shapectl.autodiff.backward`, and hands the
 collected gradients to :func:`adam_step`, which updates the arrays in
 place with the given learning rate and the fixed :data:`ADAM_BETAS` and
 :data:`ADAM_EPS`.  The float64 arrays are the master copy: a float32
