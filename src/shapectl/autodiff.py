@@ -13,12 +13,13 @@ declare.
 Leaves are cast to the compute dtype where they enter the tape, and
 constant operands (``add_const``, ``cmul``, ``select_rows``) where they
 meet a tensor, so every forward value and every adjoint of a tape keeps
-its dtype.
+its dtype; a leaf array already in that dtype enters without a copy.
+Tape arithmetic keeps the tensor's shape: ``add`` and ``sub`` take
+tensors of one shape, and ``add_const`` and ``cmul`` a constant that
+broadcasts into the tensor unchanged, so no adjoint is ever reduced.
 
 Leaves are trainable (:meth:`Tape.tensor`) or constant
-(:meth:`Tape.constant`); :meth:`Tape.shared_constants` puts an owner's
-constants on a tape once, however often it is asked (a frozen network
-that many passes read).  A recorded node is active, that is, needs an
+(:meth:`Tape.constant`).  A recorded node is active, that is, needs an
 adjoint, only if at least one of its parents is active (activity
 analysis).  An inactive node is stored as one more constant: the tape
 keeps no backward closure for it, and so none of the forward values the
@@ -95,8 +96,6 @@ class Tape:
         self.parents: list[tuple[int, ...]] = []
         self.backfns: list = []
         self.active: list[bool] = []
-        # owner id -> (owner, [(value, nid), ...]); see shared_constants
-        self._shared: dict[int, tuple[object, list[tuple[Array, int]]]] = {}
 
     def tensor(self, value) -> Tensor:
         """Record a trainable leaf holding ``value`` in the tape's dtype."""
@@ -105,21 +104,6 @@ class Tape:
     def constant(self, value) -> Tensor:
         """Record a constant leaf holding ``value`` in the tape's dtype."""
         return self._leaf(np.asarray(value, dtype=self.dtype), False)
-
-    def shared_constants(self, owner, arrays) -> list[Tensor]:
-        """Constant leaves for ``arrays`` that enter the tape once per ``owner``.
-
-        A later call for ``owner`` returns tensors on the first call's
-        nodes and values without reading ``arrays``, so the owner must
-        not change them while the tape lives.  The tape keeps ``owner``
-        alive, so its id stays unique, and keeps (value, node id) pairs:
-        a kept tensor would refer back to the tape, a reference cycle.
-        """
-        entry = self._shared.get(id(owner))
-        if entry is None:
-            leaves = [(t.value, t.nid) for t in map(self.constant, arrays)]
-            entry = self._shared[id(owner)] = (owner, leaves)
-        return [Tensor(value, self, nid) for value, nid in entry[1]]
 
     def _leaf(self, value: Array, active: bool) -> Tensor:
         nid = len(self.parents)
@@ -203,17 +187,19 @@ def grad_of(grads: dict[int, Array], t: Tensor) -> Array:
     return g
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce ``grad`` back to ``shape`` after a broadcasting forward op."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+def _check_shape(op: str, a: Tensor, other) -> None:
+    """Raise a one-line ``ValueError`` unless ``op`` keeps ``a``'s shape:
+    a tensor ``other`` must have it, and a constant must broadcast into
+    it unchanged, so the adjoints need no reducing."""
+    shape = a.value.shape
+    try:
+        fits = other.shape == shape or (
+            not isinstance(other, Tensor) and np.broadcast_shapes(shape, other.shape) == shape
+        )
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"{op} keeps shape {shape}; an operand of {other.shape} does not fit")
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +207,21 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value + b.value
-    ash, bsh = a.value.shape, b.value.shape
+    _check_shape("add", a, b)
 
     def bk(grad):
-        return _unbroadcast(grad, ash), _unbroadcast(grad, bsh)
+        return grad, grad
 
-    return a.tape._record(out, (a.nid, b.nid), bk)
+    return a.tape._record(a.value + b.value, (a.nid, b.nid), bk)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value - b.value
-    ash, bsh = a.value.shape, b.value.shape
+    _check_shape("sub", a, b)
 
     def bk(grad):
-        return _unbroadcast(grad, ash), _unbroadcast(-grad, bsh)
+        return grad, -grad
 
-    return a.tape._record(out, (a.nid, b.nid), bk)
+    return a.tape._record(a.value - b.value, (a.nid, b.nid), bk)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -260,10 +244,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 def add_const(a: Tensor, c) -> Tensor:
     """Add a constant array or scalar; gradient passes through."""
     c = np.asarray(c, dtype=a.value.dtype)
-    ash = a.value.shape
+    _check_shape("add_const", a, c)
 
     def bk(grad):
-        return (_unbroadcast(grad, ash),)
+        return (grad,)
 
     return a.tape._record(a.value + c, (a.nid,), bk)
 
@@ -271,10 +255,10 @@ def add_const(a: Tensor, c) -> Tensor:
 def cmul(a: Tensor, c) -> Tensor:
     """Elementwise multiply by a constant array (no gradient into ``c``)."""
     c = np.asarray(c, dtype=a.value.dtype)
-    ash = a.value.shape
+    _check_shape("cmul", a, c)
 
     def bk(grad):
-        return (_unbroadcast(grad * c, ash),)
+        return (grad * c,)
 
     return a.tape._record(a.value * c, (a.nid,), bk)
 

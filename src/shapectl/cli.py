@@ -28,6 +28,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_errors, load_run_config
 from .control_node import (
+    OBS_POINTS,
     ControlNodeModel,
     TrackingLog,
     closed_loop_track,
@@ -243,9 +244,16 @@ def cmd_train_control(args) -> int:
     scenario = cfg.get("run", "scenario")
     if scenario not in ("tracking", "obstacle"):
         raise ConfigError(f"unknown scenario {scenario!r} for train-control")
-    obstacle = _ensure_obstacle(cfg, out, shape_model, robot) if scenario == "obstacle" else None
+    points = robot.n_segments * shape_model.steps_per_segment
+    if points < OBS_POINTS:
+        raise ConfigError(
+            f"the shape model's grid has {points} points, the policy observes {OBS_POINTS}"
+        )
     train_cfg = cfg.control_train_config()
     loss_cfg = cfg.control_loss_config()
+    if not loss_cfg.terms(scenario == "obstacle"):
+        raise ConfigError(f"every {scenario} loss term has zero weight in [control]")
+    obstacle = _ensure_obstacle(cfg, out, shape_model, robot) if scenario == "obstacle" else None
     model = cfg._build(
         init_control_model,
         "control",

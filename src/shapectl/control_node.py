@@ -23,7 +23,7 @@ no feedback.  Both start from one inverse-kinematics solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,10 @@ CONTROL_MODEL_FORMAT = "control-node-v1"
 
 TICKS_PER_PERIOD = 200
 
+# the terms of the rollout loss, each weighted by ControlLossConfig's
+# ``<term>_weight``; the obstacle term, last, needs an obstacle
+LOSS_TERMS = ("tracking", "action_rate", "shape", "terminal", "obstacle")
+
 # damped least squares: Tikhonov damping of the pseudo-inverse, and the
 # inverse-kinematics iteration cap and tip tolerance (meters)
 PINV_DAMPING = 1e-6
@@ -87,17 +91,16 @@ class ControlLossConfig:
     noise_std: float = 0.00033
 
     def __post_init__(self):
-        weights = (
-            self.tracking_weight,
-            self.action_rate_weight,
-            self.shape_weight,
-            self.terminal_weight,
-            self.obstacle_weight,
-        )
-        if any(w < 0 for w in weights):
+        if any(getattr(self, f"{t}_weight") < 0 for t in LOSS_TERMS):
             raise ValueError("loss weights must be non-negative")
         if self.noise_std < 0:
             raise ValueError("noise stddev must be non-negative")
+
+    def terms(self, obstacle: bool) -> tuple[str, ...]:
+        """The loss terms a scenario adds: those of positive weight, the
+        obstacle term only with an ``obstacle``."""
+        used = LOSS_TERMS if obstacle else LOSS_TERMS[:-1]
+        return tuple(t for t in used if getattr(self, f"{t}_weight") > 0.0)
 
 
 @dataclass
@@ -359,7 +362,12 @@ def control_loss(
     float, in the order the tape adds them: their sum is the loss in
     float64 whatever the tape's dtype, so a term far below the total
     still counts (on a float64 tape it equals the tensor bitwise).
+    A loss with no term (:meth:`ControlLossConfig.terms`) raises
+    ``ValueError``.
     """
+    terms = cfg.terms(obstacle is not None)
+    if not terms:
+        raise ValueError("every loss term has zero weight")
     m = result.horizon
     tape = result.actions[0].tape
     q0_leaf = tape.constant(result.q0)
@@ -373,26 +381,24 @@ def control_loss(
             term_values.append(float(term.value) * weight)
 
     for k in range(1, m + 1):
-        if cfg.tracking_weight > 0.0:
+        if "tracking" in terms:
             tip_err = ad.add_const(result.tips[k - 1], -result.goal)
             accumulate(_mean_sq(tip_err), cfg.tracking_weight)
-        if cfg.action_rate_weight > 0.0:
+        if "action_rate" in terms:
             prev_q = q0_leaf if k == 1 else result.actions[k - 2]
             dq = ad.sub(result.actions[k - 1], prev_q)
             accumulate(_mean_sq(dq), cfg.action_rate_weight)
-        if cfg.shape_weight > 0.0:
+        if "shape" in terms:
             dp = ad.sub(result.shapes_ds[k], result.shapes_ds[k - 1])
             accumulate(_mean_sq(dp), cfg.shape_weight)
-        if obstacle is not None and cfg.obstacle_weight > 0.0:
+        if "obstacle" in terms:
             d2min = _min_sq_distance(result.rollouts[k - 1].points, obstacle.center)
             thr = obstacle.threshold_sq
             margin = ad.scale(ad.add_const(ad.neg(d2min), thr), 1.0 / (thr / 10.0))
             accumulate(ad.reduce_mean(ad.sigmoid(margin)), cfg.obstacle_weight)
-    if cfg.terminal_weight > 0.0:
+    if "terminal" in terms:
         tip_err = ad.add_const(result.tips[m - 1], -result.goal)
         accumulate(_mean_sq(tip_err), cfg.terminal_weight)
-    if total is None:
-        raise ValueError("every loss term has zero weight")
     return total
 
 
@@ -428,12 +434,17 @@ def train_control_node(
     Every iteration computes on a :data:`~shapectl.shape_node.TRAIN_DTYPE`
     (float32) tape, the frozen shape model's weights and the taped
     actions included, while the policy weights, the Adam moments and the
-    model file stay float64 (mixed precision).  Deployment, from
-    :func:`ik_solve` to every tick of :func:`closed_loop_track`, computes
-    in float64.
+    model file stay float64 (mixed precision).  The shape model's weights
+    and biases are cast once per call, into a copy that every solve of
+    the run reads and that is neither trained nor saved.  Deployment,
+    from :func:`ik_solve` to every tick of :func:`closed_loop_track`,
+    computes in float64.
     """
     rng = np.random.default_rng(train_cfg.seed)
     reset_span = train_cfg.reset_scale * config.u_max
+    cast = [a.astype(TRAIN_DTYPE) for a in shape_model.params.param_arrays()]
+    frozen = replace(shape_model.params, weights=cast[::2], biases=cast[1::2])
+    shape_model = replace(shape_model, params=frozen)
 
     def step(q0: Array) -> float:
         # the tape and its tensors die on return, before the next rollout

@@ -19,9 +19,10 @@ weights, the moments and the saved files stay float64.  A model that is
 only evaluated, or that other gradients flow through unchanged, is
 wrapped ``frozen``: its weights become constant leaves, so no weight
 gradient is computed, and a forward pass on constant inputs records
-nothing to backpropagate.  A frozen network enters a tape once, however
-many passes use it (policy training solves the frozen shape model
-eleven times per iteration).
+nothing to backpropagate.  A leaf takes an array already in the tape's
+dtype without a copy, so a frozen network that many passes read (policy
+training solves the frozen shape model eleven times per iteration) is
+cast once by its owner, not once per pass.
 
 :func:`mlp_forward` records one fused :func:`~shapectl.autodiff.dense`
 node per evaluation, whatever the depth.  The node keeps no first
@@ -118,16 +119,8 @@ class MlpParams:
             self.adam_v = [np.zeros_like(a) for a in self.param_arrays()]
 
     def as_tensors(self, tape: Tape, frozen: bool = False) -> "MlpTensors":
-        """The weights as trainable tape leaves, or constants if ``frozen``.
-
-        Each call makes new trainable leaves; frozen calls on one tape
-        share the first one's (:meth:`~shapectl.autodiff.Tape.shared_constants`).
-        """
-        arrays = self.param_arrays()
-        if frozen:
-            leaves = tape.shared_constants(self, arrays)
-        else:
-            leaves = [tape.tensor(a) for a in arrays]
+        """The weights as new trainable tape leaves, or constants if ``frozen``."""
+        leaves = [(tape.constant if frozen else tape.tensor)(a) for a in self.param_arrays()]
         return MlpTensors(self, list(zip(leaves[::2], leaves[1::2])))
 
     def copy(self) -> "MlpParams":

@@ -18,7 +18,6 @@ layer starts at zero with a position bias of atanh(e3/scale), so an
 untrained model already predicts the straight zero-curvature backbone and
 training only has to learn corrections.
 
-A frozen model enters each tape once, however many rollouts share it.
 A saved model is one JSON document, written one array at a time; it is
 read back with its Adam moments only to resume training.
 """
@@ -230,9 +229,9 @@ def rollout_shape(
     curvature map; an array enters the tape as a constant.  ``frozen``
     wraps the model weights as constants: no weight gradient is
     computed, and with array actions the rollout records nothing to
-    backpropagate.  Frozen weights enter ``tape`` once, so every frozen
-    rollout on one tape shares its first one's weight leaves.  Array
-    actions outside the bounds raise ``ValueError``.
+    backpropagate.  Weights already in the tape's dtype enter it without
+    a copy, so a caller that solves one frozen model many times casts it
+    once.  Array actions outside the bounds raise ``ValueError``.
     """
     if isinstance(q_batch, Tensor):
         q_leaf = q_batch

@@ -18,10 +18,10 @@ files that ``evaluate`` and ``rollout`` write, which the library itself
 never reads back.
 The dumped model file is ``json.dumps`` of the whole document, each
 array turned into its base64 record (:func:`array_to_b64`) by json's
-``default`` hook: the text the library writes one array at a time.  The
-uncached ``as_tensors``
-casts a frozen network onto the tape anew on every call, where the
-library shares one set of frozen leaves per tape.
+``default`` hook: the text the library writes one array at a time.
+The elementwise product and the bias add broadcast their operands as
+numpy does and reduce each adjoint back to its operand's shape, where
+the library's tape arithmetic takes operands of one shape.
 The chained solver records each RK4 stage input and each update as the
 ``add``/``scale`` chain the fused solver nodes replace, and the
 expression Adam step updates through numpy temporaries where the
@@ -40,7 +40,7 @@ import json
 import numpy as np
 
 from shapectl import autodiff as ad
-from shapectl.autodiff import LEAKY_SLOPE, Tape, Tensor, _unbroadcast
+from shapectl.autodiff import LEAKY_SLOPE, Tape, Tensor
 from shapectl.control_node import (
     IK_MAX_ITERS,
     IK_TOL,
@@ -49,7 +49,7 @@ from shapectl.control_node import (
     _downsample_plan,
     damped_pinv,
 )
-from shapectl.nn import ADAM_BETAS, ADAM_EPS, MlpTensors, mlp_forward, params_to_dict
+from shapectl.nn import ADAM_BETAS, ADAM_EPS, mlp_forward, params_to_dict
 from shapectl.odeint import _AB4, IntegrationGrid, integrate
 from shapectl.reports import (
     SHAPE_EVAL_HEADER,
@@ -166,14 +166,38 @@ def loglog_slope(hs, errs) -> float:
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(errs)), 1)[0])
 
 
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` back to ``shape`` after a broadcasting forward op."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Taped elementwise product of two tensors (numpy broadcasting)."""
     av, bv = a.value, b.value
 
     def bk(grad):
-        return _unbroadcast(grad * bv, av.shape), _unbroadcast(grad * av, bv.shape)
+        return unbroadcast(grad * bv, av.shape), unbroadcast(grad * av, bv.shape)
 
     return a.tape._record(av * bv, (a.nid, b.nid), bk)
+
+
+def add_bias(a: Tensor, b: Tensor) -> Tensor:
+    """Taped sum of two tensors (numpy broadcasting), such as a (batch,
+    n) layer output plus its (n,) bias."""
+    ash, bsh = a.value.shape, b.value.shape
+
+    def bk(grad):
+        return unbroadcast(grad, ash), unbroadcast(grad, bsh)
+
+    return a.tape._record(a.value + b.value, (a.nid, b.nid), bk)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -474,10 +498,3 @@ def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
         "params": params_to_dict(params),
     }
     return json.dumps(doc, default=array_to_b64)
-
-
-def uncached_as_tensors(params, tape: Tape, frozen: bool = False) -> MlpTensors:
-    """``MlpParams.as_tensors`` with new leaves on every call, frozen too."""
-    leaf = tape.constant if frozen else tape.tensor
-    layers = [(leaf(w), leaf(b)) for w, b in zip(params.weights, params.biases)]
-    return MlpTensors(params, layers)

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import closure_arrays, fd_grad_full, layered_mlp, leaky_relu, matmul, mul, rel_err
+from helpers import (
+    add_bias,
+    closure_arrays,
+    fd_grad_full,
+    layered_mlp,
+    leaky_relu,
+    matmul,
+    mul,
+    rel_err,
+    unbroadcast,
+)
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
 from shapectl.control_node import ControlLossConfig, ControlTrainConfig
@@ -66,7 +76,58 @@ def test_add_sub_mul_fd(rng):
 def test_broadcast_bias_fd(rng):
     a = rng.standard_normal((5, 3))
     b = rng.standard_normal(3)
-    _check_primitive(lambda t, l: ad.reduce_sum(ad.square(ad.add(l[0], l[1]))), [a.copy(), b.copy()])
+    _check_primitive(lambda t, l: ad.reduce_sum(ad.square(add_bias(l[0], l[1]))), [a.copy(), b.copy()])
+
+
+# (primitive, tensor shape, operand shape, whether the operand fits):
+# a tensor operand must have the tensor's shape, a constant must
+# broadcast into it without growing it
+SHAPE_CASES = [
+    ("add", (4, 3), (4, 3), True),
+    ("add", (4, 3), (3,), False),
+    ("add", (1, 3), (4, 3), False),
+    ("sub", (4, 3), (4, 3), True),
+    ("sub", (4, 3), (4, 1), False),
+    ("sub", (4, 3), (5,), False),
+    ("add_const", (4, 3), (), True),
+    ("add_const", (4, 3), (3,), True),
+    ("add_const", (4, 3), (1, 3), True),
+    ("add_const", (4, 1), (4, 3), False),
+    ("add_const", (4, 3), (2, 4, 3), False),
+    ("add_const", (4, 3), (5,), False),
+    ("cmul", (4, 3), (), True),
+    ("cmul", (4, 3), (4, 1), True),
+    ("cmul", (3,), (4, 3), False),
+    ("cmul", (4, 3), (3, 4), False),
+]
+
+
+@pytest.mark.parametrize(
+    "op, shape, other, fits",
+    SHAPE_CASES,
+    ids=[f"{op}{shape}{other}".replace(" ", "") for op, shape, other, _ in SHAPE_CASES],
+)
+def test_arithmetic_keeps_the_tensor_shape(rng, op, shape, other, fits):
+    # an operand that fits gives numpy's values and, bit for bit, the
+    # adjoints the broadcast implies; one that does not is refused in one
+    # line before anything is recorded
+    x, y, g = rng.standard_normal(shape), rng.standard_normal(other), rng.standard_normal(shape)
+    tape = ad.Tape()
+    a = tape.tensor(x)
+    b = tape.tensor(y) if op in ("add", "sub") else y
+    if not fits:
+        with pytest.raises(ValueError, match=f"^{op} keeps shape") as exc:
+            getattr(ad, op)(a, b)
+        assert len(str(exc.value).splitlines()) == 1
+        assert len(tape) == 1 + (op in ("add", "sub"))
+        return
+    out = getattr(ad, op)(a, b)
+    grads = ad.backward(ad.reduce_sum(ad.cmul(out, g)))
+    want = {"add": (x + y, g), "sub": (x - y, g), "add_const": (x + y, g), "cmul": (x * y, g * y)}
+    assert np.array_equal(out.value, want[op][0])
+    assert np.array_equal(ad.grad_of(grads, a), want[op][1])
+    if op in ("add", "sub"):
+        assert np.array_equal(ad.grad_of(grads, b), g if op == "add" else -g)
 
 
 def test_matmul_fd(rng):
@@ -127,8 +188,8 @@ def test_dense_matches_unfused_chain(rng):
     tape = ad.Tape()
     xt, wt, bt, w2t, b2t = (tape.tensor(v) for v in (x, w, b, w2, b2))
     fused = ad.dense(xt, [(wt, bt), (w2t, b2t)])
-    hidden = leaky_relu(ad.add(matmul(xt, wt), bt), 0.01)
-    ref = ad.tanh(ad.add(matmul(hidden, w2t), b2t))
+    hidden = leaky_relu(add_bias(matmul(xt, wt), bt), 0.01)
+    ref = ad.tanh(add_bias(matmul(hidden, w2t), b2t))
     assert np.array_equal(fused.value, ref.value)
     gf = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(fused))), xt)
     gr = ad.grad_of(ad.backward(ad.reduce_sum(ad.square(ref))), xt)
@@ -571,7 +632,8 @@ def test_dense_leaky_is_np_where_chain_bit_for_bit(rng, dtype, shape):
             assert np.array_equal(got.view(uint), ref.view(uint)), name
 
 
-# every primitive on a float32 tape; a and b are (4, 3) trainable
+# every primitive on a float32 tape, and a dense output plus its bias
+# through the test-side broadcasting add; a and b are (4, 3) trainable
 # leaves, w (3, 5) and c (5,) too; constant operands are float64 arrays,
 # numpy float64 scalars or python scalars
 F64 = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
@@ -586,7 +648,7 @@ def _two_layers(a, w, c):
 
 FLOAT32_CASES = {
     "add": lambda a, b, w, c: ad.add(a, b),
-    "add_broadcast": lambda a, b, w, c: ad.add(ad.dense(a, [(w, c)]), c),
+    "add_broadcast": lambda a, b, w, c: add_bias(ad.dense(a, [(w, c)]), c),
     "sub": lambda a, b, w, c: ad.sub(a, b),
     "neg": lambda a, b, w, c: ad.neg(a),
     "scale": lambda a, b, w, c: ad.scale(a, np.float64(0.3)),
@@ -623,33 +685,6 @@ def test_float32_tape_keeps_dtype(rng, case):
     assert a.nid in grads
     for nid, g in grads.items():
         assert g.dtype == np.float32, (case, nid)
-
-
-def test_shared_constants_enter_a_tape_once(rng):
-    # later calls for one owner get the first call's nodes and values,
-    # without reading their arrays; another owner or tape gets its own
-    owner, other = object(), object()
-    arrays = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-    tape = ad.Tape(np.float32)
-    first = tape.shared_constants(owner, arrays)
-    again = tape.shared_constants(owner, [np.zeros(1)])
-    assert len(tape) == 2 and not any(tape.active)
-    assert [t.nid for t in again] == [t.nid for t in first] == [0, 1]
-    assert all(a.value is b.value for a, b in zip(first, again, strict=True))
-    for leaf, a in zip(first, arrays, strict=True):
-        assert leaf.value.dtype == np.float32
-        assert np.array_equal(leaf.value, a.astype(np.float32))
-    assert [t.nid for t in tape.shared_constants(other, arrays)] == [2, 3]
-    fresh = ad.Tape(np.float32).shared_constants(owner, arrays)
-    assert not any(a.value is b.value for a, b in zip(first, fresh, strict=True))
-    # the memo keeps values and ids, not tensors, so the tape is no cycle
-    ref = weakref.ref(tape)
-    gc.disable()
-    try:
-        del tape, first, again, leaf
-        assert ref() is None
-    finally:
-        gc.enable()
 
 
 def _tape_with_every_primitive(rng) -> weakref.ref:
@@ -716,7 +751,7 @@ def test_unbroadcast_restores_shape(rows, cols, seed):
     r = np.random.default_rng(seed)
     grad = r.standard_normal((rows, cols))
     for shape in [(rows, cols), (cols,), (1, cols), (rows, 1), ()]:
-        out = ad._unbroadcast(grad, shape)
+        out = unbroadcast(grad, shape)
         assert out.shape == shape
 
 

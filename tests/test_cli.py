@@ -317,6 +317,66 @@ def test_train_control_unknown_scenario_is_config_error(
     assert not (tmp_path / "control_model.json").exists()
 
 
+LOSS_WEIGHTS = ("TRACKING", "ACTION_RATE", "SHAPE", "TERMINAL", "OBSTACLE")
+
+
+@pytest.mark.parametrize(
+    "scenario, positive, refused",
+    [
+        ("tracking", (), True),
+        ("obstacle", (), True),
+        # the obstacle term counts only where there is an obstacle
+        ("tracking", ("OBSTACLE",), True),
+        ("obstacle", ("OBSTACLE",), False),
+    ],
+)
+def test_train_control_refuses_a_loss_without_terms(
+    workdir, tmp_path, monkeypatch, capsys, scenario, positive, refused
+):
+    monkeypatch.setenv("SHAPECTL_RUN_SCENARIO", scenario)
+    monkeypatch.setenv("SHAPECTL_CONTROL_ITERATIONS", "1")
+    for key in LOSS_WEIGHTS:
+        monkeypatch.setenv(f"SHAPECTL_CONTROL_{key}_WEIGHT", "1" if key in positive else "0")
+    args = ["train-control", "--config", str(workdir[1])]
+    args += ["--shape-model", _shape_model_path(workdir), "--out", str(tmp_path)]
+    capsys.readouterr()
+    rc = main(args)
+    err = capsys.readouterr().err
+    if not refused:
+        assert rc == 0 and (tmp_path / "control_model.json").exists()
+        return
+    assert rc == 3
+    assert err == f"error: every {scenario} loss term has zero weight in [control]\n"
+    assert not (tmp_path / "control_model.json").exists()
+    resolved = load_run_config(tmp_path / "resolved_config.ini")
+    assert resolved.get("run", "obstacle") == ()
+
+
+@pytest.mark.parametrize("scenario", ["tracking", "obstacle"])
+def test_train_control_refuses_a_grid_coarser_than_the_observation(
+    workdir, tmp_path, monkeypatch, capsys, scenario
+):
+    # one segment of 4 rk4 steps trains and evaluates as a shape model,
+    # but the policy observes 9 backbone points; the refusal comes before
+    # the obstacle is placed
+    root, ini = workdir
+    robot = load_run_config(ini).robot_config()
+    model = init_shape_model(
+        np.random.default_rng(0), robot, hidden=(8,), solver="rk4", steps_per_segment=4
+    )
+    path = tmp_path / "coarse.json"
+    save_shape_model(path, model, robot)
+    monkeypatch.setenv("SHAPECTL_RUN_SCENARIO", scenario)
+    out = tmp_path / "out"
+    args = ["train-control", "--config", str(ini), "--shape-model", str(path)]
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: the shape model's grid has 4 points, the policy observes 9\n"
+    assert not (out / "control_model.json").exists()
+    assert load_run_config(out / "resolved_config.ini").get("run", "obstacle") == ()
+
+
 def test_obstacle_flag_changes_training_loss(workdir, tmp_path, monkeypatch, capsys):
     root, ini = workdir
     monkeypatch.setenv("SHAPECTL_CONTROL_ITERATIONS", "2")

@@ -17,7 +17,6 @@ from helpers import (
     listed_observation,
     rel_err,
     single_ik_solve,
-    uncached_as_tensors,
 )
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
@@ -868,6 +867,63 @@ def test_policy_training_runs_float32_keeps_float64_state(setup1, tmp_path, monk
             assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(a.shape), a)
 
 
+def test_policy_training_equals_one_against_a_float32_shape_model(setup1):
+    # training casts the frozen shape model to float32 itself: against a
+    # copy already cast, the policy and the history are bit for bit the same
+    cfg, sm, _ = setup1
+    cast = dataclasses.replace(
+        sm,
+        params=dataclasses.replace(
+            sm.params,
+            weights=[w.astype(np.float32) for w in sm.params.weights],
+            biases=[b.astype(np.float32) for b in sm.params.biases],
+        ),
+    )
+    obstacle = ObstacleSpec(center=np.array([0.02, 0.0, 0.08]))
+    runs = []
+    for shape_model in (sm, cast):
+        policy = small_policy(np.random.default_rng(5), cfg)
+        tcfg = ControlTrainConfig(batch_size=4, iterations=2)
+        _, history = train_control_node(
+            shape_model, cfg, tcfg, ControlLossConfig(), obstacle, model=policy
+        )
+        runs.append((policy.params.param_arrays(), history))
+    (params, history), (ref_params, ref_history) = runs
+    assert history == ref_history
+    for got, want in zip(params, ref_params, strict=True):
+        assert np.array_equal(got, want)
+    assert all(a.dtype == np.float64 for a in sm.params.param_arrays())
+
+
+def test_the_frozen_shape_model_is_cast_once_per_training_call(setup1, monkeypatch):
+    # every shape solve of a training call reads one float32 cast of the
+    # shape model's weights and biases, not one per iteration or per solve
+    cfg, sm, _ = setup1
+    solves = []
+
+    def watched(model, config, tape, q_batch, frozen=False):
+        ro = rollout_shape(model, config, tape, q_batch, frozen)
+        solves.append([t.value for t in ro.mt.param_tensors()])
+        return ro
+
+    monkeypatch.setattr(control_node, "rollout_shape", watched)
+    casts = []
+    for _ in range(2):
+        solves.clear()
+        policy = small_policy(np.random.default_rng(5), cfg)
+        tcfg = ControlTrainConfig(batch_size=2, iterations=3)
+        train_control_node(sm, cfg, tcfg, ControlLossConfig(), model=policy)
+        assert len(solves) == tcfg.iterations * (policy.horizon + 1)
+        first = solves[0]
+        for arrays in solves:
+            assert all(a is b for a, b in zip(arrays, first, strict=True))
+        for a, master in zip(first, sm.params.param_arrays(), strict=True):
+            assert a.dtype == np.float32 and np.array_equal(a, master.astype(np.float32))
+        casts.append(first)
+    # each call makes its own cast, from the arrays as they are then
+    assert not any(a is b for a, b in zip(*casts, strict=True))
+
+
 def test_saturated_float32_actions_past_an_unrepresentable_bound_train(rng):
     # float32(12.3) > 12.3, so a policy driving tanh to 1 on the float32
     # tape emits an action past q_max; the frozen shape solve must take it
@@ -1217,26 +1273,6 @@ def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 2.4e6
     assert peak <= 1.5e6, peak
-
-
-def test_policy_training_equals_a_new_frozen_cast_per_solve(setup1, monkeypatch):
-    # one iteration solves the frozen shape model horizon + 1 times on
-    # one tape, all on the same weight leaves; casting the weights anew
-    # for every solve gives bit for bit the same step and loss
-    cfg, sm, _ = setup1
-    train_cfg = ControlTrainConfig(batch_size=4, iterations=2)
-
-    def train():
-        policy = small_policy(np.random.default_rng(5), cfg)
-        _, history = train_control_node(sm, cfg, train_cfg, ControlLossConfig(), model=policy)
-        return policy.params, history
-
-    params, history = train()
-    monkeypatch.setattr(MlpParams, "as_tensors", uncached_as_tensors)
-    ref_params, ref_history = train()
-    assert history == ref_history
-    for got, want in zip(params.param_arrays(), ref_params.param_arrays(), strict=True):
-        assert np.array_equal(got, want)
 
 
 def test_load_rejects_malformed(setup1, tmp_path):

@@ -20,7 +20,6 @@ from helpers import (
     rel_err,
     sample_coords,
     single_tip_jacobian,
-    uncached_as_tensors,
 )
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
@@ -597,47 +596,6 @@ def test_frozen_taped_rollout_holds_little_until_backward(rng):
         tracemalloc.stop()
     assert held <= 1.5e6, held
     assert q_leaf.nid in ad.backward(ad.reduce_sum(ro.tip))
-
-
-def test_frozen_weights_enter_a_tape_once(rng, monkeypatch):
-    # policy training solves the frozen shape model many times on one
-    # float32 tape: every solve reads the first one's weight leaves, a
-    # new tape casts its own, and trainable leaves stay one set per call
-    cfg = RobotConfig(n_segments=2)
-    model = perturbed_model(rng, cfg)
-    q = rng.uniform(cfg.q_min, cfg.q_max, size=(4, cfg.action_dim))
-
-    def shared_rollout():
-        tape = Tape(np.float32)
-        first = rollout_shape(model, cfg, tape, q, frozen=True)
-        q_leaf = tape.tensor(q)
-        second = rollout_shape(model, cfg, tape, q_leaf, frozen=True)
-        grad = ad.grad_of(ad.backward(ad.reduce_sum(second.points)), q_leaf)
-        return tape, first.mt, second, grad
-
-    tape, first, second, grad = shared_rollout()
-    n_nodes = len(tape)
-    pairs = list(zip(first.param_tensors(), second.mt.param_tensors(), strict=True))
-    assert all(a.nid == b.nid and a.value is b.value for a, b in pairs)
-    other = rollout_shape(model, cfg, Tape(np.float32), q, frozen=True).mt
-    assert not any(
-        a.value is c.value or a.tape is c.tape
-        for a, c in zip(first.param_tensors(), other.param_tensors(), strict=True)
-    )
-    one, two = model.params.as_tensors(tape), model.params.as_tensors(tape)
-    nids = [t.nid for mt in (first, one, two) for t in mt.param_tensors()]
-    assert len(set(nids)) == len(nids)
-    jac = tip_jacobian(model, q, cfg)
-
-    # with a new cast on every frozen call, the values are bit for bit the same
-    monkeypatch.setattr(shape_node.MlpParams, "as_tensors", uncached_as_tensors)
-    ref_tape, ref_first, ref_second, ref_grad = shared_rollout()
-    assert len(ref_tape) == n_nodes + len(model.params.param_arrays())
-    assert np.array_equal(second.points.value, ref_second.points.value)
-    assert np.array_equal(second.tip.value, ref_second.tip.value)
-    assert np.array_equal(grad, ref_grad)
-    for got, want in zip(jac, tip_jacobian(model, q, cfg), strict=True):
-        assert np.array_equal(got, want)
 
 
 def test_training_rollout_keeps_no_first_hidden_layer(rng):
