@@ -33,14 +33,22 @@ A model file is written one array at a time (:func:`write_json` on
 :func:`params_to_dict`): each array becomes a base64 record as it is
 written, so only one array's base64 exists at once, and the bytes are
 those ``json.dumps`` gives for the document with every record built.
+It is read back the same way round (:func:`read_json`, then
+:func:`params_from_dict`): the file streams past in
+:data:`READ_CHUNK`-byte pieces, each record's base64 is checked and left
+in the file as an :class:`ArrayRecord`, and only the arrays the network
+needs are decoded from there (:func:`read_array`), so a load holds its
+arrays and a few pieces, never the file's text or an unused moment.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,10 +279,142 @@ def write_json(f, obj) -> None:
         f.write(json.dumps(obj).encode("ascii"))
 
 
-def b64_to_array(d: dict) -> Array:
-    raw = base64.b64decode(d["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape(d["shape"])
+# the reader takes at most this many bytes of a file at once; a multiple
+# of 4, so every piece of a record's base64 decodes on its own
+READ_CHUNK = 1 << 16
+
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+_NOT_BASE64 = re.compile(rb"[^A-Za-z0-9+/=]")
+_STRING_STOP = re.compile(rb'["\\]')
+_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
+
+
+@dataclass(frozen=True)
+class ArrayRecord:
+    """An array record :func:`read_json` left in its file: the array's
+    shape, and the offset and length of its base64 there."""
+
+    shape: tuple[int, ...]
+    offset: int
+    length: int
+
+    def fits(self) -> bool:
+        """Whether the base64 is as long as the shape's float64 values need."""
+        return self.length == 4 * -(-8 * math.prod(self.shape) // 3)
+
+
+def read_json(f):
+    """Inverse of :func:`write_json`: the JSON document in the binary
+    handle ``f``, each array record as an :class:`ArrayRecord`.
+
+    ``f`` is read once, :data:`READ_CHUNK` bytes at a time.  Every string
+    under a ``"data"`` key is scanned, not kept: a byte outside the
+    base64 alphabet raises ``ValueError`` as the scan passes it, and the
+    string's place in the file becomes a handle in a small JSON skeleton
+    of everything else, which ``json`` then parses.  A ``"data"`` key
+    with no base64 string or in an object that is not exactly
+    ``{"shape", "data"}``, a shape that is not a list of sizes, malformed
+    JSON and non-ASCII text raise ``ValueError``.  Nothing is decoded:
+    :func:`read_array` decodes a record from the same handle.
+    """
+    skeleton = bytearray()
+    spans: list[tuple[int, int]] = []
+    in_string = in_data = escaped = False
+    string_start = data_start = base = 0
+    after_key = -1  # skeleton length just past a "data" key, else -1
+    while chunk := f.read(READ_CHUNK):
+        pos, n = 0, len(chunk)
+        while pos < n:
+            if in_data:
+                q = chunk.find(b'"', pos)
+                end = n if q < 0 else q
+                if chunk[pos:end].translate(None, _BASE64):
+                    bad = _NOT_BASE64.search(chunk, pos).start()
+                    raise ValueError(
+                        f"byte {base + bad} is {chunk[bad:bad + 1]!r} inside an array's base64"
+                    )
+                if q < 0:
+                    break
+                spans.append((data_start, base + end - data_start))
+                skeleton += b'"%d"' % (len(spans) - 1)
+                in_data, pos = False, end + 1
+            elif escaped:
+                skeleton.append(chunk[pos])
+                escaped, pos = False, pos + 1
+            elif in_string:
+                m = _STRING_STOP.search(chunk, pos)
+                end = n if m is None else m.end()
+                skeleton += chunk[pos:end]
+                pos = end
+                if m is not None and chunk[end - 1] == ord("\\"):
+                    escaped = True
+                elif m is not None:
+                    in_string = False
+                    key = skeleton[string_start:]
+                    if key == b'"data"' or (b"\\" in key and json.loads(key) == "data"):
+                        after_key = len(skeleton)
+            else:
+                q = chunk.find(b'"', pos)
+                end = n if q < 0 else q
+                skeleton += chunk[pos:end]
+                pos = end + 1
+                if q < 0:
+                    break
+                if after_key >= 0 and _COLON.fullmatch(skeleton, after_key):
+                    in_data, data_start = True, base + q + 1
+                else:
+                    in_string, string_start = True, len(skeleton)
+                    skeleton += b'"'
+                after_key = -1
+        base += n
+
+    def record(pairs):
+        d = dict(pairs)
+        if "data" not in d:
+            return d
+        if d.keys() != {"shape", "data"} or not isinstance(d["data"], str):
+            raise ValueError('a "data" field lies outside an array record')
+        shape = d["shape"]
+        if not isinstance(shape, list) or any(type(k) is not int or k < 0 for k in shape):
+            raise ValueError(f"array record shape {shape!r} is not a list of sizes")
+        return ArrayRecord(tuple(shape), *spans[int(d["data"])])
+
+    return json.loads(skeleton.decode("ascii"), object_pairs_hook=record)
+
+
+def read_array(f, record: ArrayRecord) -> Array:
+    """The array ``record`` holds, decoded from the binary handle ``f``
+    :func:`read_json` read it from into a new writable float64 array,
+    :data:`READ_CHUNK` bytes of base64 at a time.  Base64 that does not
+    fit the shape or is padded before its end raises ``ValueError``; a
+    value that is not a record raises ``TypeError``."""
+    if not isinstance(record, ArrayRecord):
+        raise TypeError(f"{type(record).__name__} is not an array record")
+    misfit = ValueError(f"an array's data does not fit its shape {list(record.shape)}")
+    if not record.fits():
+        raise misfit
+    out = np.empty(record.shape, dtype="<f8")
+    dest = memoryview(out.reshape(-1).view(np.uint8))
+    f.seek(record.offset)
+    done, left = 0, record.length
+    while left:
+        text = f.read(min(left, READ_CHUNK))
+        if not text:
+            raise ValueError("the file ends inside an array's base64")
+        left -= len(text)
+        # read_json let only the alphabet through; padding may close the
+        # last piece only, as strict base64 decoding requires
+        body = text if left else text.rstrip(b"=")
+        if b"=" in body or len(text) - len(body) > 2:
+            raise ValueError("an array's base64 is padded before its end")
+        raw = binascii.a2b_base64(text)
+        if done + len(raw) > dest.nbytes:
+            raise misfit
+        dest[done : done + len(raw)] = raw
+        done += len(raw)
+    if done != dest.nbytes:
+        raise misfit
+    return out.astype(np.float64, copy=False)
 
 
 def json_int(value, name: str) -> int:
@@ -309,34 +449,40 @@ def _check_moment_records(d: dict, shapes: list[tuple[int, ...]]) -> None:
     if not any(records):
         return
     for recs in records:
-        if [tuple(r["shape"]) for r in recs] != shapes:
+        if [r.shape if isinstance(r, ArrayRecord) else None for r in recs] != shapes:
             raise ValueError("Adam moments do not match the parameter shapes")
-        for r, shape in zip(recs, shapes):
-            if len(r["data"]) != 4 * -(-8 * math.prod(shape) // 3):
-                raise ValueError(f"an Adam moment's data does not fit its shape {list(shape)}")
+        for r in recs:
+            if not r.fits():
+                raise ValueError(f"an Adam moment's data does not fit its shape {list(r.shape)}")
 
 
-def params_from_dict(d: dict, resume: bool) -> MlpParams:
+def params_from_dict(d: dict, f, resume: bool) -> MlpParams:
     """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
-    ``json`` reads it back; another network form raises ``ValueError``.
+    :func:`read_json` reads it back from the binary handle ``f``; another
+    network form raises ``ValueError``.
 
-    The Adam moments are decoded only to ``resume`` training; otherwise
-    the network holds none, and its moment records are only checked
-    (:func:`_check_moment_records`).
+    The weights, biases and scales are decoded from ``f``
+    (:func:`read_array`).  The Adam moments are decoded only to
+    ``resume`` training; otherwise the network holds none, and its
+    moment records are only checked (:func:`_check_moment_records`).
     """
     form = (float(d["hidden_slope"]), d["out_activation"])
     if form != (LEAKY_SLOPE, "tanh"):
         got = f"LeakyReLU({form[0]:g}) into {form[1]!r}"
         raise ValueError(f"network is {got}, not LeakyReLU({LEAKY_SLOPE:g}) into 'tanh'")
+
+    def read(key):
+        return None if d.get(key) is None else read_array(f, d[key])
+
     params = MlpParams(
-        weights=[b64_to_array(w) for w in d["weights"]],
-        biases=[b64_to_array(b) for b in d["biases"]],
-        input_scale=None if d.get("input_scale") is None else b64_to_array(d["input_scale"]),
-        output_scale=None if d.get("output_scale") is None else b64_to_array(d["output_scale"]),
+        weights=[read_array(f, w) for w in d["weights"]],
+        biases=[read_array(f, b) for b in d["biases"]],
+        input_scale=read("input_scale"),
+        output_scale=read("output_scale"),
         step_count=json_int(d.get("step_count", 0), "step_count"),
     )
     _check_moment_records(d, [a.shape for a in params.param_arrays()])
     if resume:
-        params.adam_m = [b64_to_array(m) for m in d.get("adam_m", [])]
-        params.adam_v = [b64_to_array(v) for v in d.get("adam_v", [])]
+        params.adam_m = [read_array(f, m) for m in d.get("adam_m", [])]
+        params.adam_v = [read_array(f, v) for v in d.get("adam_v", [])]
     return params

@@ -7,7 +7,8 @@ logs and shape evaluation records round-trip bit-for-bit through the
 same arrays the logs and records are written from, are the metrics of
 the emitted files.  The all-number tables (datasets, training
 histories, tracking logs, shape evaluation records) are written by one
-:func:`write_table` and read by one :func:`read_table`.  Only datasets
+:func:`write_table` and read by one :func:`read_table`, one row at a
+time: no table passes through a Python float per cell.  Only datasets
 are read back by a command; the readers of the other files live with
 the tests.
 """
@@ -15,6 +16,8 @@ the tests.
 from __future__ import annotations
 
 import csv
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,23 +36,27 @@ def fmt(x: float) -> str:
 def write_table(path, header: list[str], table) -> None:
     """``header``, then the rows of the 2-d ``table`` in :func:`fmt`'s format
     (whole numbers print as integers), as ``csv.writer`` writes them."""
-    # no field needs quoting; one tolist() keeps numpy scalars, slow to
-    # format one by one, out of the loop
-    rows = np.asarray(table, dtype=np.float64).tolist()
+    # no field needs quoting; each row's tolist() keeps numpy scalars,
+    # slow to format one by one, out of the loop, and only one row's
+    # Python floats exist at a time
+    table = np.asarray(table, dtype=np.float64)
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join([format(v, ".17g") for v in row]) + "\r\n")
+        for row in table:
+            fh.write(",".join([format(v, ".17g") for v in row.tolist()]) + "\r\n")
 
 
-def read_table(path) -> tuple[list[str] | None, list[list[float]]]:
-    """The header (None for an empty file) and the non-empty rows, as
-    floats, of a file :func:`write_table` wrote; rows keep their widths."""
+def read_table(path) -> Iterator:
+    """Yield the header (None for an empty file), then each non-empty row,
+    as a float64 array of its own width, of a file :func:`write_table`
+    wrote.  A row's cells go straight from text into its array, and the
+    file is read as the rows are taken."""
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = [[float(v) for v in row] for row in reader if row]
-    return header, rows
+        yield next(reader, None)
+        for row in reader:
+            if row:
+                yield np.fromiter(map(float, row), np.float64, len(row))
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +97,12 @@ def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
     A header, segment lengths or actions not matching ``config``, a row
     of another width than the header and a non-finite cell are a ``ValueError``.
     """
-    header, rows = read_table(path)
+    table = read_table(path)
+    header = next(table)
     if header is None:
         raise ValueError("dataset file is empty")
-    if not rows:
+    first = next(table, None)
+    if first is None:
         raise ValueError("dataset has no samples")
     n = config.n_segments
     base = 3 * n  # action plus length columns
@@ -102,12 +111,17 @@ def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
     pps = (len(header) - base) // (3 * n)
     if header != dataset_header(config, pps):
         raise ValueError("dataset header does not match the robot config")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(
-                f"dataset row {i + 1} has {len(row)} cells, the header {len(header)}"
-            )
-    data = np.array(rows)
+
+    def rows():
+        for i, row in enumerate(itertools.chain([first], table)):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"dataset row {i + 1} has {len(row)} cells, the header {len(header)}"
+                )
+            yield row
+
+    # one growing table, never a second copy of every row
+    data = np.fromiter(rows(), np.dtype((np.float64, len(header))))
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ValueError(f"dataset row {np.argmin(finite) + 1} has a non-finite cell")
@@ -124,7 +138,7 @@ def read_dataset_csv(path, config: RobotConfig) -> tuple[Array, Array]:
             f"dataset actions lie outside the robot config's bounds"
             f" [{config.q_min:g}, {config.q_max:g}]"
         )
-    return q, data[:, base:].reshape(len(rows), n * pps, 3)
+    return q, data[:, base:].reshape(len(data), n * pps, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ untrained model already predicts the straight zero-curvature backbone and
 training only has to learn corrections.
 
 A saved model is one JSON document, written one array at a time; it is
-read back with its Adam moments only to resume training.
+streamed back in bounded pieces, with its Adam moments decoded only to
+resume training.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .nn import (
     mlp_forward,
     params_from_dict,
     params_to_dict,
+    read_json,
     write_json,
 )
 from .odeint import IntegrationGrid, check_solver, integrate
@@ -468,7 +469,8 @@ def _write_model_file(
 
 
 def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
-    """Inverse of :func:`_write_model_file`.
+    """Inverse of :func:`_write_model_file`, streamed from the file by
+    :func:`~shapectl.nn.read_json`.
 
     ``build(doc, params)`` makes the model from the document fields;
     returns (model, robot config).  The network holds its Adam moments
@@ -477,19 +479,20 @@ def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
     its hash, missing fields and weights that are not one network raise
     ``ValueError``.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise ValueError(f"not a {kind} model file")
-    try:
-        config = RobotConfig.from_dict(doc["robot_config"])
-        if doc["robot_config_hash"] != robot_config_hash(config):
-            raise ValueError("robot config hash mismatch")
-        model = build(doc, params_from_dict(doc["params"], resume))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"incomplete model file: {exc!r}") from exc
+    with open(path, "rb") as f:
+        try:
+            doc = read_json(f)
+        except ValueError as exc:
+            raise ValueError(f"not a valid model file: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("format") != fmt:
+            raise ValueError(f"not a {kind} model file")
+        try:
+            config = RobotConfig.from_dict(doc["robot_config"])
+            if doc["robot_config_hash"] != robot_config_hash(config):
+                raise ValueError("robot config hash mismatch")
+            model = build(doc, params_from_dict(doc["params"], f, resume))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"incomplete model file: {exc!r}") from exc
     return model, config
 
 

@@ -19,6 +19,8 @@ never reads back.
 The dumped model file is ``json.dumps`` of the whole document, each
 array turned into its base64 record (:func:`array_to_b64`) by json's
 ``default`` hook: the text the library writes one array at a time.
+The model file oracle reads that text whole with ``json`` and decodes
+each record at once, where the library streams the file in chunks.
 The elementwise product and the bias add broadcast their operands as
 numpy does and reduce each adjoint back to its operand's shape, where
 the library's tape arithmetic takes operands of one shape.
@@ -36,6 +38,7 @@ loss and the closest-point distance.
 import base64
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from shapectl.control_node import (
     _downsample_plan,
     damped_pinv,
 )
-from shapectl.nn import ADAM_BETAS, ADAM_EPS, mlp_forward, params_to_dict
+from shapectl.nn import ADAM_BETAS, ADAM_EPS, MlpParams, mlp_forward, params_to_dict
 from shapectl.odeint import _AB4, IntegrationGrid, integrate
 from shapectl.reports import (
     SHAPE_EVAL_HEADER,
@@ -381,7 +384,7 @@ def single_ik_solve(model, config, target: np.ndarray):
 def read_shape_eval_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """The (truth, prediction) arrays of a shape evaluation record, each
     (samples, points, 3)."""
-    header, rows = read_table(path)
+    header, *rows = read_table(path)
     if header != SHAPE_EVAL_HEADER:
         raise ValueError("not a shape evaluation file")
     data = np.array(rows)
@@ -392,7 +395,7 @@ def read_shape_eval_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_tracking_log_csv(path) -> TrackingLog:
     """The tracking log a ``write_tracking_log_csv`` file holds."""
-    header, rows = read_table(path)
+    header, *rows = read_table(path)
     with_obs = header[-1] == "min_obstacle_dist"
     action_dim = len(header) - 7 - (1 if with_obs else 0)
     if header != tracking_log_header(action_dim, with_obs):
@@ -485,6 +488,31 @@ def array_to_b64(a) -> dict:
     little-endian float64 bytes."""
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
+
+
+def b64_to_array(r: dict) -> np.ndarray:
+    """The float64 array a model-file record holds, decoded at once."""
+    raw = base64.b64decode(r["data"])
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(r["shape"])
+
+
+def read_model_file_oracle(path, resume: bool) -> tuple[dict, MlpParams]:
+    """A model file as ``json`` reads its whole text, and its network with
+    every record decoded at once (:func:`b64_to_array`), Adam moments
+    only to ``resume``."""
+    doc = json.loads(Path(path).read_text(encoding="ascii"))
+    d = doc["params"]
+    params = MlpParams(
+        weights=[b64_to_array(w) for w in d["weights"]],
+        biases=[b64_to_array(b) for b in d["biases"]],
+        input_scale=None if d.get("input_scale") is None else b64_to_array(d["input_scale"]),
+        output_scale=None if d.get("output_scale") is None else b64_to_array(d["output_scale"]),
+        step_count=d.get("step_count", 0),
+    )
+    if resume:
+        params.adam_m = [b64_to_array(m) for m in d.get("adam_m", [])]
+        params.adam_v = [b64_to_array(v) for v in d.get("adam_v", [])]
+    return doc, params
 
 
 def dumped_model_file(fmt: str, fields: dict, params, config) -> str:

@@ -907,6 +907,19 @@ def _truncate_last_moment(doc):
     record["data"] = array_to_b64(np.zeros(np.prod(record["shape"]) - 1))["data"]
 
 
+def _junk_in_first_weight(doc):
+    # b64decode would skip the two bytes and load the weights
+    record = doc["params"]["weights"][0]
+    record["data"] = record["data"][:8] + "!*" + record["data"][8:]
+
+
+def _junk_in_last_moment(doc):
+    # the record keeps its length, so only the scan refuses it, also
+    # where the moments are not decoded
+    record = doc["params"]["adam_v"][-1]
+    record["data"] = record["data"][:8] + "!*" + record["data"][10:]
+
+
 def _set_robot(key, value):
     # the hash is recomputed over the edited robot config, so only the
     # field itself disagrees with the file's robot
@@ -929,6 +942,10 @@ TAMPERED_MODELS = {
     "output_scale_length_1": ("shape", _set_params("output_scale", array_to_b64([1.0]))),
     "adam_moment_shape": ("shape", _misshape_first_moment),
     "adam_moment_data_length": ("shape", _truncate_last_moment),
+    # a record's base64 holds base64 bytes only, and "data" names records only
+    "weight_base64_junk": ("shape", _junk_in_first_weight),
+    "adam_moment_base64_junk": ("shape", _junk_in_last_moment),
+    "data_outside_a_record": ("control", _set_params("data", array_to_b64([1.0])["data"])),
     "control_input_scale_length": (
         "control",
         _set_params("input_scale", array_to_b64(np.ones(4))),

@@ -1,12 +1,20 @@
 """MLP forward/backward, Adam behavior, RNG, and persistence."""
 
+import base64
 import io
 import json
 
 import numpy as np
 import pytest
 
-from helpers import array_to_b64, expression_adam_step, fd_grad_at, rel_err, sample_coords
+from helpers import (
+    array_to_b64,
+    b64_to_array,
+    expression_adam_step,
+    fd_grad_at,
+    rel_err,
+    sample_coords,
+)
 from shapectl import autodiff as ad
 from shapectl import nn
 
@@ -215,7 +223,8 @@ def reloaded(p: nn.MlpParams, resume: bool = True) -> nn.MlpParams:
     """``p`` written as a model file writes it, then read back."""
     f = io.BytesIO()
     nn.write_json(f, nn.params_to_dict(p))
-    return nn.params_from_dict(json.loads(f.getvalue()), resume)
+    f.seek(0)
+    return nn.params_from_dict(nn.read_json(f), f, resume)
 
 
 def test_persistence_roundtrip_bit_exact(rng):
@@ -270,12 +279,11 @@ def _drop_moment(d):
 def test_bad_moment_records_are_refused_either_way(rng, tamper, resume):
     p = nn.init_mlp(rng, [3, 8, 2])
     nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
-    f = io.BytesIO()
-    nn.write_json(f, nn.params_to_dict(p))
-    d = json.loads(f.getvalue())
+    d = json.loads(_written(nn.params_to_dict(p)))
     tamper(d)
+    f = io.BytesIO(json.dumps(d).encode("ascii"))
     with pytest.raises(ValueError, match="Adam moment"):
-        nn.params_from_dict(d, resume)
+        nn.params_from_dict(nn.read_json(f), f, resume)
 
 
 def test_resumed_update_identical(rng):
@@ -303,3 +311,162 @@ def test_write_json_refuses_a_non_str_key():
     # json.dumps would quote an int key; the writer refuses it instead
     with pytest.raises(TypeError):
         nn.write_json(io.BytesIO(), {1: np.zeros(2)})
+
+
+def _written(doc) -> bytes:
+    f = io.BytesIO()
+    nn.write_json(f, doc)
+    return f.getvalue()
+
+
+def _decoded(doc, f):
+    """``doc`` from :func:`nn.read_json` with each record read from ``f``."""
+    if isinstance(doc, nn.ArrayRecord):
+        return nn.read_array(f, doc)
+    if isinstance(doc, dict):
+        return {k: _decoded(v, f) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_decoded(v, f) for v in doc]
+    return doc
+
+
+def _decoded_oracle(doc):
+    """``doc`` from ``json.loads`` with each record decoded at once."""
+    if isinstance(doc, dict) and "data" in doc:
+        return b64_to_array(doc)
+    if isinstance(doc, dict):
+        return {k: _decoded_oracle(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_decoded_oracle(v) for v in doc]
+    return doc
+
+
+def _assert_same(a, b):
+    if isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif isinstance(b, dict):
+        assert isinstance(a, dict) and list(a) == list(b)
+        for k in b:
+            _assert_same(a[k], b[k])
+    elif isinstance(b, list):
+        assert isinstance(a, list) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert type(a) is type(b) and a == b
+
+
+# strings that end in escapes, hold quotes, look like keys or are "data"
+# as a value: none may be taken for a record's base64
+_AWKWARD_DOC = {
+    "quote\"d": "a \\\" \"data\": \"x",
+    "list": ["data", "", "\\", 1.5e-300, None, True, {"shape": [2]}],
+    "empty": np.zeros((0, 3)),
+    "nested": [[np.array([-0.0, 5e-324, np.inf, np.nan])], {"k": np.arange(7.0).reshape(7, 1)}],
+    "scalar": np.array(3.25),
+}
+
+
+@pytest.mark.parametrize("chunk", [4, 8, 20, nn.READ_CHUNK])
+@pytest.mark.parametrize("layout", ["written", "compact", "indent"])
+def test_read_json_equals_json_loads_at_every_chunk_boundary(rng, monkeypatch, chunk, layout):
+    # every split of a key, an escape or a record between two reads
+    monkeypatch.setattr(nn, "READ_CHUNK", chunk)
+    p = nn.init_mlp(rng, [3, 5, 2], input_scale=rng.standard_normal(3))
+    nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
+    text = _written({**_AWKWARD_DOC, "params": nn.params_to_dict(p)})
+    if layout != "written":
+        kw = {"separators": (",", ":")} if layout == "compact" else {"indent": 1}
+        text = json.dumps(json.loads(text), **kw).encode("ascii")
+    f = io.BytesIO(text)
+    _assert_same(_decoded(nn.read_json(f), f), _decoded_oracle(json.loads(text)))
+
+
+def test_an_escaped_data_key_still_names_a_record():
+    # json reads "data" as "data": its value is a record's base64 too
+    text = _written({"a": np.ones(2)}).replace(b'"data"', b'"d\\u0061ta"')
+    f = io.BytesIO(text)
+    assert np.array_equal(nn.read_array(f, nn.read_json(f)["a"]), np.ones(2))
+    f = io.BytesIO(text.replace(b'ta": "', b'ta": "!'))
+    with pytest.raises(ValueError, match="inside an array's base64"):
+        nn.read_json(f)
+
+
+def _junk(text: bytes, nth: int) -> bytes:
+    # "!*" inside the nth record's base64; b64decode would skip it
+    at = -1
+    for _ in range(nth + 1):
+        at = text.index(b'"data": "', at + 1)
+    return text[: at + 12] + b"!*" + text[at + 12 :]
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_a_byte_outside_base64_is_refused_in_any_record(rng, resume):
+    p = nn.init_mlp(rng, [3, 8, 2])
+    nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
+    text = _written(nn.params_to_dict(p))
+    for nth in (0, 3, 7):  # a weight, a bias, an Adam moment never decoded
+        f = io.BytesIO(_junk(text, nth))
+        with pytest.raises(ValueError, match=r"^byte \d+ is b'!' inside an array's base64$"):
+            nn.params_from_dict(nn.read_json(f), f, resume)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"data": "AAAAAAAAAAA=", "format": "x"}, "outside an array record"),
+        ({"a": {"shape": [1], "data": "AAAAAAAAAAA=", "extra": 1}}, "outside an array record"),
+        ({"a": {"shape": [1], "data": 5}}, "outside an array record"),
+        ({"a": {"shape": [1.0], "data": "AAAAAAAAAAA="}}, "not a list of sizes"),
+        ({"a": {"shape": [-1], "data": ""}}, "not a list of sizes"),
+        ({"a": {"shape": 1, "data": "AAAAAAAAAAA="}}, "not a list of sizes"),
+    ],
+)
+def test_read_json_refuses_a_data_key_outside_an_array_record(doc, match):
+    with pytest.raises(ValueError, match=match):
+        nn.read_json(io.BytesIO(json.dumps(doc).encode("ascii")))
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (b'{"a": {"shape": [1], "data": "AAAAAAAAAAA=', "Unterminated|Expecting"),
+        (b'{"a": "\xc3\xa9"}', "ascii"),
+        (b'{"a": 1', "Expecting"),
+        (b"", "Expecting value"),
+    ],
+)
+def test_read_json_refuses_what_json_refuses(text, match):
+    with pytest.raises(ValueError, match=match):
+        nn.read_json(io.BytesIO(text))
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ("AAAAAAAAAA==", "does not fit"),  # 7 bytes for one float64
+        ("AAAAAAAAAAAA", "does not fit"),  # 9 bytes
+        ("AAAAAAAAAA=A", "padded before its end"),
+        ("AAAAAAAAA===", "padded before its end"),
+    ],
+)
+def test_read_array_refuses_base64_that_is_not_its_shape(data, match):
+    f = io.BytesIO(json.dumps({"shape": [1], "data": data}).encode("ascii"))
+    with pytest.raises(ValueError, match=match):
+        nn.read_array(f, nn.read_json(f))
+
+
+def test_read_array_refuses_padding_between_two_reads(monkeypatch):
+    # each read decodes on its own, so padding that ends one would pass
+    monkeypatch.setattr(nn, "READ_CHUNK", 4)
+    data = base64.b64encode(np.ones(2).tobytes()).decode("ascii")
+    data = "AA==" + data[4:]  # 22 chars: two float64 fit, one byte moved
+    f = io.BytesIO(json.dumps({"shape": [2], "data": data}).encode("ascii"))
+    with pytest.raises(ValueError, match="padded before its end"):
+        nn.read_array(f, nn.read_json(f))
+
+
+def test_read_array_takes_only_a_record():
+    with pytest.raises(TypeError, match="not an array record"):
+        nn.read_array(io.BytesIO(), {"shape": [1], "data": "AAAAAAAAAAA="})

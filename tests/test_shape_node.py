@@ -17,6 +17,7 @@ from helpers import (
     listed_rollout,
     listed_shape_loss,
     per_coordinate_tip_jacobian,
+    read_model_file_oracle,
     rel_err,
     sample_coords,
     single_tip_jacobian,
@@ -516,6 +517,81 @@ def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, ad
     save(path, model, cfg)
     want = dumped_model_file(fmt, fields, model.params, cfg).encode("ascii")
     assert path.read_bytes() == want
+
+
+def _trained_model(rng, kind, cfg):
+    """A full-size shape model or policy after one Adam step, so its file
+    holds moments (two thirds of its bytes)."""
+    if kind == "shape":
+        model = init_shape_model(rng, cfg)
+        fmt = shape_node.SHAPE_MODEL_FORMAT
+    else:
+        model = control_node.init_control_model(rng, cfg)
+        fmt = control_node.CONTROL_MODEL_FORMAT
+    grads = [rng.standard_normal(a.shape) for a in model.params.param_arrays()]
+    adam_step(model.params, grads, 1e-3)
+    return model, fmt
+
+
+@pytest.mark.parametrize("kind", ["shape", "control"])
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize("layout", ["written", "compact", "indent"])
+def test_streamed_model_file_equals_the_whole_file_reader(rng, tmp_path, kind, resume, layout):
+    # as saved, and as json re-serializes it without spaces or with
+    # newlines, the streamed reader gives the document, the robot and
+    # the network the whole-file reader gives, bit for bit
+    cfg = RobotConfig(n_segments=3)
+    model, fmt = _trained_model(rng, kind, cfg)
+    path = tmp_path / "model.json"
+    (control_node.save_control_model if kind == "control" else save_shape_model)(
+        path, model, cfg
+    )
+    if layout != "written":
+        kw = {"separators": (",", ":")} if layout == "compact" else {"indent": 1}
+        path.write_text(json.dumps(json.loads(path.read_text()), **kw))
+    (doc, params), config = shape_node._read_model_file(
+        path, fmt, kind, lambda doc, params: (doc, params), resume
+    )
+    want_doc, want = read_model_file_oracle(path, resume)
+    assert config == RobotConfig.from_dict(want_doc["robot_config"]) == cfg
+    del doc["params"], want_doc["params"]
+    assert doc == want_doc
+    assert params.step_count == want.step_count == 1
+    got_arrays = params.param_arrays() + params.adam_m + params.adam_v
+    want_arrays = want.param_arrays() + want.adam_m + want.adam_v
+    assert len(want_arrays) == (6 if resume else 2) * len(model.params.weights)
+    for scale in ("input_scale", "output_scale"):
+        if getattr(want, scale) is not None:
+            got_arrays.append(getattr(params, scale))
+            want_arrays.append(getattr(want, scale))
+    for a, b in zip(got_arrays, want_arrays, strict=True):
+        assert a.dtype == np.float64 and a.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_loading_a_model_holds_its_arrays_and_a_few_reads(rng, tmp_path):
+    # the 256x256 shape model's file (2.2 MB, two thirds of it Adam
+    # moments) streams in 64 KiB reads: the load peaks at the 0.56 MB of
+    # arrays it returns plus 256 KiB, where reading the whole text and
+    # json-parsing it peaked near 4.5 MB
+    cfg = RobotConfig(n_segments=3)
+    model, _ = _trained_model(rng, "shape", cfg)
+    path = tmp_path / "model.json"
+    save_shape_model(path, model, cfg)
+    assert path.stat().st_size > 2e6
+    arrays = sum(a.nbytes for a in model.params.param_arrays())
+    arrays += model.params.input_scale.nbytes + model.params.output_scale.nbytes
+    load_shape_model(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded, _ = load_shape_model(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded.params.adam_m == []
+    assert peak <= arrays + 256 * 1024, (peak, arrays)
 
 
 def test_evaluate_shape_rmse_zero_and_noise(rng):
