@@ -58,7 +58,7 @@ from .shape_node import (
 
 OBS_POINTS = 9  # backbone samples per observation, tip included
 
-CONTROL_MODEL_FORMAT = "control-node-v1"
+CONTROL_MODEL_FORMAT = "control-node-v2"
 
 TICKS_PER_PERIOD = 200
 
@@ -718,9 +718,9 @@ def count_violations(log: TrackingLog, obstacle: ObstacleSpec) -> int:
 
 
 def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> None:
-    """Write the policy plus its robot binding as a single JSON document;
-    the step's ``dt`` and ``rate_scale`` are written as 1, the only value
-    they take, so the file keeps the layout older readers expect."""
+    """Write the policy plus its robot binding as one model file; the
+    step's ``dt`` and ``rate_scale`` are written as 1, the only value
+    they take."""
     _write_model_file(
         path,
         CONTROL_MODEL_FORMAT,
@@ -733,9 +733,9 @@ def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> No
 def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
     """Load a saved policy; malformed files, a ``dt`` or ``rate_scale``
     other than 1 and a policy whose width does not fit the file's robot
-    config raise ``ValueError``.  The top-level ``n_segments``, ``q_min``
-    and ``q_max`` of older files are ignored.  The policy is loaded
-    without its Adam moments: no command trains a loaded policy."""
+    config raise ``ValueError``.  Top-level fields it does not read are
+    ignored.  The policy is loaded without its Adam moments: no command
+    trains a loaded policy."""
 
     def build(doc, params):
         step = (float(doc["dt"]), float(doc["rate_scale"]))

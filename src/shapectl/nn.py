@@ -29,26 +29,24 @@ node per evaluation, whatever the depth.  The node keeps no first
 hidden layer output for its sweep, which recomputes it from the scaled
 input; what else it keeps is listed in :mod:`shapectl.autodiff`.
 
-A model file is written one array at a time (:func:`write_json` on
-:func:`params_to_dict`): each array becomes a base64 record as it is
-written, so only one array's base64 exists at once, and the bytes are
-those ``json.dumps`` gives for the document with every record built.
-It is read back the same way round (:func:`read_json`, then
-:func:`params_from_dict`): the file streams past in
-:data:`READ_CHUNK`-byte pieces, each record's base64 is checked and left
-in the file as an :class:`ArrayRecord`, and only the arrays the network
-needs are decoded from there (:func:`read_array`), so a load holds its
-arrays and a few pieces, never the file's text or an unused moment.
+A model file (:func:`write_json` on :func:`params_to_dict`) is one line
+of JSON, the header, in which each array is the record
+``{"shape": [...]}``, then every array's little-endian float64 bytes in
+the header's order, each written from the array's own buffer.  It is
+read back the same way round (:func:`read_json`, then
+:func:`params_from_dict`): the header is parsed, each record becomes an
+:class:`ArrayRecord` holding its offset, the file's length is checked
+against the shapes, and only the arrays the network needs are read,
+each straight into its new array (:func:`read_array`), so a load holds
+its arrays and the header, never an unused moment.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import copy
+import io
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,180 +238,100 @@ def collect_mlp_grads(grads: dict[int, Array], mt: MlpTensors) -> list[Array]:
 
 
 # ---------------------------------------------------------------------------
-# serialization: arrays as base64 little-endian float64, bit exact
+# serialization: a JSON header line, then the arrays as raw float64
+
+
+def _header(obj, arrays: list):
+    """``obj`` with each array replaced by its record ``{"shape": [...]}``,
+    the arrays appended to ``arrays`` in document order.  A non-str key,
+    and a dict that would read back as a record, raise TypeError."""
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return {"shape": list(obj.shape)}
+    if isinstance(obj, dict):
+        if list(obj) == ["shape"]:
+            raise TypeError('a dict whose one key is "shape" reads back as an array record')
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"model file keys are str, got {key!r}")
+        return {key: _header(value, arrays) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_header(value, arrays) for value in obj]
+    return obj
 
 
 def write_json(f, obj) -> None:
-    """Write ``obj`` as JSON to the binary handle ``f``, each array as the
-    record ``{"shape": [...], "data": "<base64 of little-endian float64>"}``.
+    """Write ``obj`` to the binary handle ``f``: one line of JSON, the
+    header, then every array's little-endian float64 bytes, back to back
+    in the order the header names them.
 
     ``obj`` is built of dicts with str keys, lists, arrays, and values
     ``json.dumps`` writes on its own (str, numbers, bool, None, and
-    containers of those); the bytes are those ``json.dumps`` gives with
-    each array replaced by its record.  A non-str key raises TypeError.
-    An array's base64 is encoded from the array's own buffer and written
-    at once, so one array's base64 exists at a time; base64 needs no
-    JSON escaping.
+    containers of those).  The header is ``json.dumps`` of ``obj`` with
+    each array replaced by the record ``{"shape": [...]}``; a non-str key,
+    and a dict whose one key is ``"shape"``, raise TypeError.  Each array is written from its own buffer, so a
+    C-contiguous float64 array is not copied.
     """
-    if isinstance(obj, np.ndarray):
-        a = np.ascontiguousarray(obj, dtype="<f8")
-        f.write(b'{"shape": %s, "data": "' % json.dumps(list(a.shape)).encode("ascii"))
-        f.write(base64.b64encode(a))
-        f.write(b'"}')
-    elif isinstance(obj, dict):
-        f.write(b"{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"model file keys are str, got {key!r}")
-            f.write(b"%s%s: " % (b", " if i else b"", json.dumps(key).encode("ascii")))
-            write_json(f, value)
-        f.write(b"}")
-    elif isinstance(obj, list):
-        f.write(b"[")
-        for i, value in enumerate(obj):
-            if i:
-                f.write(b", ")
-            write_json(f, value)
-        f.write(b"]")
-    else:
-        f.write(json.dumps(obj).encode("ascii"))
-
-
-# the reader takes at most this many bytes of a file at once; a multiple
-# of 4, so every piece of a record's base64 decodes on its own
-READ_CHUNK = 1 << 16
-
-_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
-_NOT_BASE64 = re.compile(rb"[^A-Za-z0-9+/=]")
-_STRING_STOP = re.compile(rb'["\\]')
-_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
+    arrays: list = []
+    f.write(json.dumps(_header(obj, arrays)).encode("ascii") + b"\n")
+    for a in arrays:
+        f.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 @dataclass(frozen=True)
 class ArrayRecord:
     """An array record :func:`read_json` left in its file: the array's
-    shape, and the offset and length of its base64 there."""
+    shape, and the offset of its float64 bytes there."""
 
     shape: tuple[int, ...]
     offset: int
-    length: int
-
-    def fits(self) -> bool:
-        """Whether the base64 is as long as the shape's float64 values need."""
-        return self.length == 4 * -(-8 * math.prod(self.shape) // 3)
 
 
 def read_json(f):
-    """Inverse of :func:`write_json`: the JSON document in the binary
+    """Inverse of :func:`write_json`: the header document in the binary
     handle ``f``, each array record as an :class:`ArrayRecord`.
 
-    ``f`` is read once, :data:`READ_CHUNK` bytes at a time.  Every string
-    under a ``"data"`` key is scanned, not kept: a byte outside the
-    base64 alphabet raises ``ValueError`` as the scan passes it, and the
-    string's place in the file becomes a handle in a small JSON skeleton
-    of everything else, which ``json`` then parses.  A ``"data"`` key
-    with no base64 string or in an object that is not exactly
-    ``{"shape", "data"}``, a shape that is not a list of sizes, malformed
-    JSON and non-ASCII text raise ``ValueError``.  Nothing is decoded:
-    :func:`read_array` decodes a record from the same handle.
+    Only the header line is read and parsed; an object whose one member
+    is ``"shape"`` is a record, and its array's bytes follow those of the
+    record before it.  A shape that is not a list of sizes, malformed
+    JSON, non-ASCII text, and arrays that do not end exactly where ``f``
+    ends raise ``ValueError``, before any array is read:
+    :func:`read_array` reads a record from the same handle.
     """
-    skeleton = bytearray()
-    spans: list[tuple[int, int]] = []
-    in_string = in_data = escaped = False
-    string_start = data_start = base = 0
-    after_key = -1  # skeleton length just past a "data" key, else -1
-    while chunk := f.read(READ_CHUNK):
-        pos, n = 0, len(chunk)
-        while pos < n:
-            if in_data:
-                q = chunk.find(b'"', pos)
-                end = n if q < 0 else q
-                if chunk[pos:end].translate(None, _BASE64):
-                    bad = _NOT_BASE64.search(chunk, pos).start()
-                    raise ValueError(
-                        f"byte {base + bad} is {chunk[bad:bad + 1]!r} inside an array's base64"
-                    )
-                if q < 0:
-                    break
-                spans.append((data_start, base + end - data_start))
-                skeleton += b'"%d"' % (len(spans) - 1)
-                in_data, pos = False, end + 1
-            elif escaped:
-                skeleton.append(chunk[pos])
-                escaped, pos = False, pos + 1
-            elif in_string:
-                m = _STRING_STOP.search(chunk, pos)
-                end = n if m is None else m.end()
-                skeleton += chunk[pos:end]
-                pos = end
-                if m is not None and chunk[end - 1] == ord("\\"):
-                    escaped = True
-                elif m is not None:
-                    in_string = False
-                    key = skeleton[string_start:]
-                    if key == b'"data"' or (b"\\" in key and json.loads(key) == "data"):
-                        after_key = len(skeleton)
-            else:
-                q = chunk.find(b'"', pos)
-                end = n if q < 0 else q
-                skeleton += chunk[pos:end]
-                pos = end + 1
-                if q < 0:
-                    break
-                if after_key >= 0 and _COLON.fullmatch(skeleton, after_key):
-                    in_data, data_start = True, base + q + 1
-                else:
-                    in_string, string_start = True, len(skeleton)
-                    skeleton += b'"'
-                after_key = -1
-        base += n
+    line = f.readline()
+    start = offset = f.tell()
 
     def record(pairs):
-        d = dict(pairs)
-        if "data" not in d:
-            return d
-        if d.keys() != {"shape", "data"} or not isinstance(d["data"], str):
-            raise ValueError('a "data" field lies outside an array record')
-        shape = d["shape"]
+        nonlocal offset
+        if len(pairs) != 1 or pairs[0][0] != "shape":
+            return dict(pairs)
+        shape = pairs[0][1]
         if not isinstance(shape, list) or any(type(k) is not int or k < 0 for k in shape):
             raise ValueError(f"array record shape {shape!r} is not a list of sizes")
-        return ArrayRecord(tuple(shape), *spans[int(d["data"])])
+        rec = ArrayRecord(tuple(shape), offset)
+        offset += 8 * math.prod(shape)
+        return rec
 
-    return json.loads(skeleton.decode("ascii"), object_pairs_hook=record)
+    doc = json.loads(line.decode("ascii"), object_pairs_hook=record)
+    size = f.seek(0, io.SEEK_END)
+    if offset != size:
+        raise ValueError(
+            f"the arrays take {offset - start} bytes after the header, the file holds {size - start}"
+        )
+    return doc
 
 
 def read_array(f, record: ArrayRecord) -> Array:
-    """The array ``record`` holds, decoded from the binary handle ``f``
-    :func:`read_json` read it from into a new writable float64 array,
-    :data:`READ_CHUNK` bytes of base64 at a time.  Base64 that does not
-    fit the shape or is padded before its end raises ``ValueError``; a
-    value that is not a record raises ``TypeError``."""
+    """The array ``record`` holds, read from the binary handle ``f``
+    :func:`read_json` read it from into a new writable float64 array.  A
+    file that ends inside the array raises ``ValueError``; a value that
+    is not a record raises ``TypeError``."""
     if not isinstance(record, ArrayRecord):
         raise TypeError(f"{type(record).__name__} is not an array record")
-    misfit = ValueError(f"an array's data does not fit its shape {list(record.shape)}")
-    if not record.fits():
-        raise misfit
     out = np.empty(record.shape, dtype="<f8")
-    dest = memoryview(out.reshape(-1).view(np.uint8))
     f.seek(record.offset)
-    done, left = 0, record.length
-    while left:
-        text = f.read(min(left, READ_CHUNK))
-        if not text:
-            raise ValueError("the file ends inside an array's base64")
-        left -= len(text)
-        # read_json let only the alphabet through; padding may close the
-        # last piece only, as strict base64 decoding requires
-        body = text if left else text.rstrip(b"=")
-        if b"=" in body or len(text) - len(body) > 2:
-            raise ValueError("an array's base64 is padded before its end")
-        raw = binascii.a2b_base64(text)
-        if done + len(raw) > dest.nbytes:
-            raise misfit
-        dest[done : done + len(raw)] = raw
-        done += len(raw)
-    if done != dest.nbytes:
-        raise misfit
+    if f.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise ValueError("the file ends inside an array")
     return out.astype(np.float64, copy=False)
 
 
@@ -443,17 +361,14 @@ def params_to_dict(p: MlpParams) -> dict:
 def _check_moment_records(d: dict, shapes: list[tuple[int, ...]]) -> None:
     """Raise ``ValueError`` unless ``d``'s Adam moment records are absent
     or give every parameter one ``adam_m`` and one ``adam_v`` record of
-    its shape whose base64 is as long as that many float64 values need.
-    Nothing is decoded."""
+    its shape.  Nothing is read: :func:`read_json` has checked that the
+    file holds every record's bytes."""
     records = (d.get("adam_m", []), d.get("adam_v", []))
     if not any(records):
         return
     for recs in records:
         if [r.shape if isinstance(r, ArrayRecord) else None for r in recs] != shapes:
             raise ValueError("Adam moments do not match the parameter shapes")
-        for r in recs:
-            if not r.fits():
-                raise ValueError(f"an Adam moment's data does not fit its shape {list(r.shape)}")
 
 
 def params_from_dict(d: dict, f, resume: bool) -> MlpParams:
@@ -461,8 +376,8 @@ def params_from_dict(d: dict, f, resume: bool) -> MlpParams:
     :func:`read_json` reads it back from the binary handle ``f``; another
     network form raises ``ValueError``.
 
-    The weights, biases and scales are decoded from ``f``
-    (:func:`read_array`).  The Adam moments are decoded only to
+    The weights, biases and scales are read from ``f``
+    (:func:`read_array`).  The Adam moments are read only to
     ``resume`` training; otherwise the network holds none, and its
     moment records are only checked (:func:`_check_moment_records`).
     """
@@ -474,12 +389,15 @@ def params_from_dict(d: dict, f, resume: bool) -> MlpParams:
     def read(key):
         return None if d.get(key) is None else read_array(f, d[key])
 
+    step_count = json_int(d.get("step_count", 0), "step_count")
+    if step_count < 0:
+        raise ValueError(f"step_count must not be negative, got {step_count}")
     params = MlpParams(
         weights=[read_array(f, w) for w in d["weights"]],
         biases=[read_array(f, b) for b in d["biases"]],
         input_scale=read("input_scale"),
         output_scale=read("output_scale"),
-        step_count=json_int(d.get("step_count", 0), "step_count"),
+        step_count=step_count,
     )
     _check_moment_records(d, [a.shape for a in params.param_arrays()])
     if resume:

@@ -18,9 +18,9 @@ layer starts at zero with a position bias of atanh(e3/scale), so an
 untrained model already predicts the straight zero-curvature backbone and
 training only has to learn corrections.
 
-A saved model is one JSON document, written one array at a time; it is
-streamed back in bounded pieces, with its Adam moments decoded only to
-resume training.
+A saved model is a JSON header line, then its arrays as raw float64;
+a load reads each array straight from the file, and the Adam moments
+only to resume training.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
 # keeps the Euclidean distance differentiable when prediction hits truth
 LOSS_EPS_SQ = 1e-24
 
-SHAPE_MODEL_FORMAT = "shape-node-v1"
+SHAPE_MODEL_FORMAT = "shape-node-v2"
 
 # compute dtype of every training tape: shape training and its
 # validation, and policy training through the frozen shape model; the
@@ -455,8 +455,8 @@ def robot_config_hash(config: RobotConfig) -> str:
 def _write_model_file(
     path, fmt: str, fields: dict, params: MlpParams, config: RobotConfig
 ) -> None:
-    """Model JSON: format tag, model fields, robot binding, then weights,
-    written one array at a time by :func:`~shapectl.nn.write_json`."""
+    """Model file: a JSON header (format tag, model fields, robot binding,
+    network), then the network's arrays, by :func:`~shapectl.nn.write_json`."""
     doc = {
         "format": fmt,
         **fields,
@@ -469,8 +469,8 @@ def _write_model_file(
 
 
 def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
-    """Inverse of :func:`_write_model_file`, streamed from the file by
-    :func:`~shapectl.nn.read_json`.
+    """Inverse of :func:`_write_model_file`: the header parsed by
+    :func:`~shapectl.nn.read_json`, the arrays read from the file.
 
     ``build(doc, params)`` makes the model from the document fields;
     returns (model, robot config).  The network holds its Adam moments
@@ -485,7 +485,7 @@ def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
         except ValueError as exc:
             raise ValueError(f"not a valid model file: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != fmt:
-            raise ValueError(f"not a {kind} model file")
+            raise ValueError(f"not a {kind} model file ({fmt})")
         try:
             config = RobotConfig.from_dict(doc["robot_config"])
             if doc["robot_config_hash"] != robot_config_hash(config):
@@ -497,7 +497,7 @@ def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
 
 
 def save_shape_model(path, model: ShapeNodeModel, config: RobotConfig) -> None:
-    """Write the model plus its robot binding as a single JSON document."""
+    """Write the model plus its robot binding as one model file."""
     _write_model_file(
         path,
         SHAPE_MODEL_FORMAT,

@@ -16,11 +16,12 @@ the batch: a single call of the library must equal them bit for bit.
 The shape evaluation, tracking log and metrics readers invert the
 files that ``evaluate`` and ``rollout`` write, which the library itself
 never reads back.
-The dumped model file is ``json.dumps`` of the whole document, each
-array turned into its base64 record (:func:`array_to_b64`) by json's
-``default`` hook: the text the library writes one array at a time.
-The model file oracle reads that text whole with ``json`` and decodes
-each record at once, where the library streams the file in chunks.
+The dumped model file is the earlier ``-v1`` layout, ``json.dumps`` of
+the whole document with each array a base64 record: split into a header and
+a payload it gives the bytes the library writes, and unsplit it is a
+file the library refuses.  The model file oracle reads a file whole,
+``json`` on its first line and ``np.frombuffer`` on the rest, where the
+library reads each array on its own into place.
 The elementwise product and the bias add broadcast their operands as
 numpy does and reduce each adjoint back to its operand's shape, where
 the library's tape arithmetic takes operands of one shape.
@@ -38,6 +39,7 @@ loss and the closest-point distance.
 import base64
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -484,40 +486,16 @@ def listed_min_sq_distance(points: list[Tensor], center: np.ndarray) -> Tensor:
 
 
 def array_to_b64(a) -> dict:
-    """An array's model-file record: its shape and the base64 of its
-    little-endian float64 bytes."""
+    """An array's record in the ``-v1`` model-file layout: its shape and
+    the base64 of its little-endian float64 bytes."""
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
 
 
-def b64_to_array(r: dict) -> np.ndarray:
-    """The float64 array a model-file record holds, decoded at once."""
-    raw = base64.b64decode(r["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(r["shape"])
-
-
-def read_model_file_oracle(path, resume: bool) -> tuple[dict, MlpParams]:
-    """A model file as ``json`` reads its whole text, and its network with
-    every record decoded at once (:func:`b64_to_array`), Adam moments
-    only to ``resume``."""
-    doc = json.loads(Path(path).read_text(encoding="ascii"))
-    d = doc["params"]
-    params = MlpParams(
-        weights=[b64_to_array(w) for w in d["weights"]],
-        biases=[b64_to_array(b) for b in d["biases"]],
-        input_scale=None if d.get("input_scale") is None else b64_to_array(d["input_scale"]),
-        output_scale=None if d.get("output_scale") is None else b64_to_array(d["output_scale"]),
-        step_count=d.get("step_count", 0),
-    )
-    if resume:
-        params.adam_m = [b64_to_array(m) for m in d.get("adam_m", [])]
-        params.adam_v = [b64_to_array(v) for v in d.get("adam_v", [])]
-    return doc, params
-
-
 def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
-    """A model file's text as ``json.dumps`` of the whole document: format
-    tag, model fields, robot binding, then the network."""
+    """A model file in the ``-v1`` layout: ``json.dumps`` of the whole
+    document (format tag, model fields, robot binding, then the network),
+    each array as its base64 record (:func:`array_to_b64`)."""
     doc = {
         "format": fmt,
         **fields,
@@ -526,3 +504,78 @@ def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
         "params": params_to_dict(params),
     }
     return json.dumps(doc, default=array_to_b64)
+
+
+def split_dumped_model_file(text: str) -> tuple[dict, bytes]:
+    """The header and payload a model file holds in the current layout for
+    the document ``text`` (:func:`dumped_model_file`): the document with
+    every ``"data"`` member dropped, and each record's base64 decoded,
+    back to back in document order."""
+    payload = []
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            if "data" in obj:
+                payload.append(base64.b64decode(obj["data"], validate=True))
+            return {k: strip(v) for k, v in obj.items() if k != "data"}
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+
+    header = strip(json.loads(text))
+    return header, b"".join(payload)
+
+
+def split_model_file(data: bytes) -> tuple[dict, bytes]:
+    """A model file's header, as ``json`` reads its first line, and the
+    bytes after that line."""
+    line, payload = data.split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def joined_model_file(header: dict, payload: bytes) -> bytes:
+    """The model file with ``header`` as its first line, then ``payload``."""
+    return json.dumps(header).encode("ascii") + b"\n" + payload
+
+
+def model_file_arrays(header: dict, payload: bytes):
+    """``header`` with each ``{"shape": [...]}`` record replaced by its
+    float64 array, cut from ``payload`` in document order; the payload
+    must hold exactly those arrays."""
+    offset = 0
+
+    def fill(obj):
+        nonlocal offset
+        if isinstance(obj, dict) and list(obj) == ["shape"]:
+            n = math.prod(obj["shape"])
+            a = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
+            offset += 8 * n
+            return a.astype(np.float64).reshape(obj["shape"])
+        if isinstance(obj, dict):
+            return {k: fill(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [fill(v) for v in obj]
+        return obj
+
+    doc = fill(header)
+    assert offset == len(payload), (offset, len(payload))
+    return doc
+
+
+def read_model_file_oracle(path, resume: bool) -> tuple[dict, MlpParams]:
+    """A model file read whole: ``json`` on its first line and
+    ``np.frombuffer`` on the rest (:func:`model_file_arrays`), and its
+    network, Adam moments only to ``resume``."""
+    doc = model_file_arrays(*split_model_file(Path(path).read_bytes()))
+    d = doc["params"]
+    params = MlpParams(
+        weights=d["weights"],
+        biases=d["biases"],
+        input_scale=d.get("input_scale"),
+        output_scale=d.get("output_scale"),
+        step_count=d.get("step_count", 0),
+    )
+    if resume:
+        params.adam_m = d.get("adam_m", [])
+        params.adam_v = d.get("adam_v", [])
+    return doc, params

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,10 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    array_to_b64,
+    dumped_model_file,
+    joined_model_file,
     read_metrics_csv,
+    read_model_file_oracle,
     read_shape_eval_csv,
     read_tracking_log_csv,
+    split_model_file,
 )
 import shapectl.cli
 import shapectl.control_node
@@ -877,106 +881,170 @@ def test_non_finite_dataset_cell_is_config_error(workdir, tmp_path, column, valu
     assert err == "error: cannot use dataset: dataset row 3 has a non-finite cell\n"
 
 
-def _set_params(key, value):
-    def tamper(doc):
-        doc["params"][key] = value
+def _header_edit(edit):
+    # edits line 1 of the file and keeps the arrays after it as they are
+    def tamper(path):
+        doc, payload = split_model_file(Path(path).read_bytes())
+        edit(doc)
+        return joined_model_file(doc, payload)
 
     return tamper
+
+
+def _payload_edit(edit):
+    # keeps line 1 and edits the arrays after it
+    def tamper(path):
+        doc, payload = split_model_file(Path(path).read_bytes())
+        return joined_model_file(doc, edit(payload))
+
+    return tamper
+
+
+def _set_params(key, value):
+    def edit(doc):
+        doc["params"][key] = value
+
+    return _header_edit(edit)
 
 
 def _set_field(key, value):
-    def tamper(doc):
+    def edit(doc):
         doc[key] = value
 
-    return tamper
+    return _header_edit(edit)
 
 
+def _set_first_weight_shape(shape):
+    def edit(doc):
+        doc["params"]["weights"][0]["shape"] = shape
+
+    return _header_edit(edit)
+
+
+@_header_edit
 def _widen_second_layer(doc):
-    # its input grows by one: the weights no longer chain
-    shape = doc["params"]["weights"][1]["shape"]
-    doc["params"]["weights"][1] = array_to_b64(np.zeros((shape[0] + 1, shape[1])))
+    # as many values in one row: the weights no longer chain
+    record = doc["params"]["weights"][1]
+    record["shape"] = [1, math.prod(record["shape"])]
 
 
+@_header_edit
+def _shorten_input_scale(doc):
+    # the output scale, next in the file, takes the value the input scale gives up
+    p = doc["params"]
+    p["input_scale"]["shape"][0] -= 1
+    p["output_scale"]["shape"][0] += 1
+
+
+@_header_edit
+def _shorten_output_scale_to_1(doc):
+    # the input scale, just before it in the file, takes the other values
+    p = doc["params"]
+    p["input_scale"]["shape"][0] += p["output_scale"]["shape"][0] - 1
+    p["output_scale"]["shape"] = [1]
+
+
+@_header_edit
+def _shorten_control_input_scale(doc):
+    # the last bias, just before it in the file, takes the value it gives up
+    p = doc["params"]
+    p["input_scale"]["shape"][0] -= 1
+    p["biases"][-1]["shape"][0] += 1
+
+
+@_header_edit
 def _misshape_first_moment(doc):
-    doc["params"]["adam_m"][0] = array_to_b64(np.zeros(3))
-
-
-def _truncate_last_moment(doc):
-    # the record keeps its shape, but its base64 holds one value less
-    record = doc["params"]["adam_v"][-1]
-    record["data"] = array_to_b64(np.zeros(np.prod(record["shape"]) - 1))["data"]
-
-
-def _junk_in_first_weight(doc):
-    # b64decode would skip the two bytes and load the weights
-    record = doc["params"]["weights"][0]
-    record["data"] = record["data"][:8] + "!*" + record["data"][8:]
-
-
-def _junk_in_last_moment(doc):
-    # the record keeps its length, so only the scan refuses it, also
-    # where the moments are not decoded
-    record = doc["params"]["adam_v"][-1]
-    record["data"] = record["data"][:8] + "!*" + record["data"][10:]
+    record = doc["params"]["adam_m"][0]
+    record["shape"] = [math.prod(record["shape"])]
 
 
 def _set_robot(key, value):
     # the hash is recomputed over the edited robot config, so only the
     # field itself disagrees with the file's robot
-    def tamper(doc):
+    def edit(doc):
         doc["robot_config"][key] = value
         blob = json.dumps(doc["robot_config"], sort_keys=True).encode("ascii")
         doc["robot_config_hash"] = hashlib.sha256(blob).hexdigest()
 
-    return tamper
+    return _header_edit(edit)
 
 
-# (model, tampering) -> a model file that parses but is not one network
-# bound to one robot
+def _as_v1_file(path):
+    # the same model in the -v1 layout: one JSON document, each array a
+    # base64 record
+    doc, params = read_model_file_oracle(path, resume=True)
+    fixed = ("format", "robot_config", "robot_config_hash", "params")
+    fields = {k: v for k, v in doc.items() if k not in fixed}
+    fmt = doc["format"].replace("-v2", "-v1")
+    config = RobotConfig.from_dict(doc["robot_config"])
+    return dumped_model_file(fmt, fields, params, config).encode("ascii")
+
+
+# (model, tampering, message) -> a model file that is not one network
+# bound to one robot, and what the one-line error says
 TAMPERED_MODELS = {
-    "relu_output": ("shape", _set_params("out_activation", "relu")),
-    "hidden_slope": ("shape", _set_params("hidden_slope", 0.02)),
-    "identity_output": ("shape", _set_params("out_activation", "identity")),
-    "widths_do_not_chain": ("shape", _widen_second_layer),
-    "input_scale_length": ("shape", _set_params("input_scale", array_to_b64(np.ones(6)))),
-    "output_scale_length_1": ("shape", _set_params("output_scale", array_to_b64([1.0]))),
-    "adam_moment_shape": ("shape", _misshape_first_moment),
-    "adam_moment_data_length": ("shape", _truncate_last_moment),
-    # a record's base64 holds base64 bytes only, and "data" names records only
-    "weight_base64_junk": ("shape", _junk_in_first_weight),
-    "adam_moment_base64_junk": ("shape", _junk_in_last_moment),
-    "data_outside_a_record": ("control", _set_params("data", array_to_b64([1.0])["data"])),
-    "control_input_scale_length": (
-        "control",
-        _set_params("input_scale", array_to_b64(np.ones(4))),
-    ),
-    "action_box": ("shape", _set_robot("q_min", -3.0)),
-    "policy_dt": ("control", _set_field("dt", 0.5)),
-    "policy_rate_scale": ("control", _set_field("rate_scale", 0.5)),
+    "relu_output": ("shape", _set_params("out_activation", "relu"), "not LeakyReLU"),
+    "hidden_slope": ("shape", _set_params("hidden_slope", 0.02), "not LeakyReLU"),
+    "identity_output": ("shape", _set_params("out_activation", "identity"), "not LeakyReLU"),
+    "widths_do_not_chain": ("shape", _widen_second_layer, "do not chain"),
+    "input_scale_length": ("shape", _shorten_input_scale, "do not chain"),
+    "output_scale_length_1": ("shape", _shorten_output_scale_to_1, "do not chain"),
+    "adam_moment_shape": ("shape", _misshape_first_moment, "Adam moments do not match"),
+    # the file ends one float64 inside the last moment, which only a
+    # resumed training reads
+    "adam_moment_data_length": ("shape", _payload_edit(lambda b: b[:-8]), "the arrays take"),
+    "control_input_scale_length": ("control", _shorten_control_input_scale, "do not chain"),
+    "action_box": ("shape", _set_robot("q_min", -3.0), "robot config hash mismatch"),
+    "policy_dt": ("control", _set_field("dt", 0.5), "dt 0.5"),
+    "policy_rate_scale": ("control", _set_field("rate_scale", 0.5), "rate_scale 0.5"),
     # integer fields hold JSON integers: no fraction, no bool
-    "steps_per_segment_fraction": ("shape", _set_field("steps_per_segment", 5.9)),
-    "steps_per_segment_bool": ("shape", _set_field("steps_per_segment", True)),
-    "step_count_bool": ("shape", _set_params("step_count", True)),
-    "horizon_fraction": ("control", _set_field("horizon", 2.5)),
-    "n_segments_fraction": ("shape", _set_robot("n_segments", 2.5)),
+    "steps_per_segment_fraction": (
+        "shape",
+        _set_field("steps_per_segment", 5.9),
+        "steps_per_segment must be an integer",
+    ),
+    "steps_per_segment_bool": (
+        "shape",
+        _set_field("steps_per_segment", True),
+        "steps_per_segment must be an integer",
+    ),
+    "step_count_bool": ("shape", _set_params("step_count", True), "step_count must be an integer"),
+    # Adam's bias correction divides by 1 - b1**step_count
+    "step_count_negative": ("shape", _set_params("step_count", -1), "must not be negative"),
+    "horizon_fraction": ("control", _set_field("horizon", 2.5), "horizon must be an integer"),
+    "n_segments_fraction": (
+        "shape",
+        _set_robot("n_segments", 2.5),
+        "n_segments must be an integer",
+    ),
     # a file states every segment length; none is not the default
-    "no_segment_lengths": ("shape", _set_robot("segment_lengths", [])),
+    "no_segment_lengths": ("shape", _set_robot("segment_lengths", []), "segment_lengths"),
+    # the header's shapes say how many bytes follow it, to the byte
+    "payload_one_byte_short": ("shape", _payload_edit(lambda b: b[:-1]), "the arrays take"),
+    "payload_one_float64_too_many": (
+        "control",
+        _payload_edit(lambda b: b + bytes(8)),
+        "the arrays take",
+    ),
+    # refused from the header, before 8 TiB is allocated
+    "shape_beyond_the_file": ("shape", _set_first_weight_shape([2**40]), "the arrays take"),
+    "negative_size": ("shape", _set_first_weight_shape([-1, 16]), "not a list of sizes"),
+    "v1_file": ("shape", _as_v1_file, "not a shape model file (shape-node-v2)"),
+    "v1_control_file": ("control", _as_v1_file, "not a control model file (control-node-v2)"),
 }
 
 
 @pytest.mark.parametrize("case", list(TAMPERED_MODELS))
 def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
     root, ini = workdir
-    kind, tamper = TAMPERED_MODELS[case]
+    kind, tamper, message = TAMPERED_MODELS[case]
     path = _shape_model_path if kind == "shape" else _control_model_path
-    doc = json.loads(Path(path(workdir)).read_text())
-    tamper(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(tamper(path(workdir)))
     if kind == "shape":
         runs = [["evaluate", "--scenario", "shape", "--shape-model", str(bad)]]
-        if case.startswith("adam_moment"):
-            # a resumed training decodes the moments; every load checks them
+        if case.startswith(("adam_moment", "step_count_negative")):
+            # a resumed training reads the moments; every load checks them
             resume = ["train-shape", "--dataset", str(root / "gen" / "dataset.csv")]
             runs.append(resume + ["--init-model", str(bad)])
     else:
@@ -989,6 +1057,7 @@ def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
         assert rc == 3, args[0]
         assert err.startswith(f"error: cannot load {kind} model: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err, err
 
 
 def test_only_a_resumed_training_loads_the_adam_moments(workdir, tmp_path, monkeypatch):
@@ -1058,14 +1127,14 @@ def test_init_model_resumes_with_the_saved_moments(workdir, tmp_path, monkeypatc
 
 
 def test_old_control_file_fields_are_ignored(workdir, tmp_path, capsys):
-    # older control files carry the segment count and the action box at
-    # top level; the robot config owns both, so a box that disagrees with
-    # it changes nothing
+    # a segment count and an action box at top level, where early policy
+    # files kept them, are ignored: the robot config owns both, so a box
+    # that disagrees with it changes nothing
     root, ini = workdir
-    doc = json.loads(Path(_control_model_path(workdir)).read_text())
+    doc, payload = split_model_file(Path(_control_model_path(workdir)).read_bytes())
     doc.update(n_segments=1, q_min=-0.5, q_max=0.5)
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(doc))
+    old.write_bytes(joined_model_file(doc, payload))
     args = ["rollout", "--closed-loop", "--config", str(ini)]
     args += ["--shape-model", _shape_model_path(workdir)]
     for name, path in (("new", _control_model_path(workdir)), ("old", str(old))):

@@ -1,10 +1,8 @@
 """Control policy: bounding, observations, rollout loss, tracking loops."""
 
-import base64
 import dataclasses
 import functools
 import gc
-import json
 import tracemalloc
 import weakref
 
@@ -12,11 +10,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    joined_model_file,
     listed_downsample,
     listed_min_sq_distance,
     listed_observation,
+    model_file_arrays,
     rel_err,
     single_ik_solve,
+    split_model_file,
 )
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
@@ -859,12 +860,10 @@ def test_policy_training_runs_float32_keeps_float64_state(setup1, tmp_path, monk
         assert arrays and all(a.dtype == np.float64 for a in arrays)
     path = tmp_path / "control_model.json"
     save_control_model(path, model, cfg)
-    saved = json.loads(path.read_text())["params"]
+    saved = model_file_arrays(*split_model_file(path.read_bytes()))["params"]
     for key, arrays in state.items():
-        for enc, a in zip(saved[key], arrays, strict=True):
-            raw = base64.b64decode(enc["data"])
-            assert len(raw) == 8 * a.size
-            assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(a.shape), a)
+        for b, a in zip(saved[key], arrays, strict=True):
+            assert b.shape == a.shape and b.tobytes() == a.tobytes()
 
 
 def test_policy_training_equals_one_against_a_float32_shape_model(setup1):
@@ -1245,7 +1244,7 @@ def test_save_load_roundtrip(setup1, tmp_path):
     assert cfg2 == cfg
     assert loaded.horizon == policy.horizon
     assert loaded.action_dim == cfg.action_dim
-    doc = json.loads(path.read_text())
+    doc, _ = split_model_file(path.read_bytes())
     # the step is z + policy(obs): the file names it as dt = rate_scale = 1
     assert (doc["dt"], doc["rate_scale"]) == (1.0, 1.0)
     # the robot config owns the segment count and the action box
@@ -1256,10 +1255,10 @@ def test_save_load_roundtrip(setup1, tmp_path):
 
 
 def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):
-    # a 256x256 policy with Adam moments is a 2.5 MB file; written one
-    # array's base64 at a time, a save peaks near the largest array's
-    # base64 (0.7 MB, about 1.06 MB traced), where building the whole
-    # document's text first peaked at 7.5 MB
+    # a 256x256 policy with Adam moments is a 1.86 MB file; each array is
+    # written from its own buffer, so a save holds the header and no copy
+    # (24 KB traced), where writing one array's base64 at a time peaked
+    # near 1.06 MB and building the whole document's text at 7.5 MB
     cfg = RobotConfig(n_segments=3)
     policy = init_control_model(rng, cfg, hidden=(256, 256))
     adam_step(policy.params, [np.ones_like(a) for a in policy.params.param_arrays()], 1e-3)
@@ -1271,13 +1270,11 @@ def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size > 2.4e6
-    assert peak <= 1.5e6, peak
+    assert path.stat().st_size > 1.8e6
+    assert peak <= 64 * 1024, peak
 
 
 def test_load_rejects_malformed(setup1, tmp_path):
-    import json
-
     cfg, _, policy = setup1
     path = tmp_path / "policy.json"
     save_control_model(path, policy, cfg)
@@ -1286,28 +1283,28 @@ def test_load_rejects_malformed(setup1, tmp_path):
     with pytest.raises(ValueError):
         load_control_model(tmp_path / "junk.json")
 
-    doc = json.loads(path.read_text())
+    doc, payload = split_model_file(path.read_bytes())
     doc["format"] = "something-else"
-    (tmp_path / "other.json").write_text(json.dumps(doc))
+    (tmp_path / "other.json").write_bytes(joined_model_file(doc, payload))
     with pytest.raises(ValueError):
         load_control_model(tmp_path / "other.json")
 
-    doc = json.loads(path.read_text())
+    doc, payload = split_model_file(path.read_bytes())
     doc["robot_config"]["u_max"] = 12.0
-    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    (tmp_path / "tampered.json").write_bytes(joined_model_file(doc, payload))
     with pytest.raises(ValueError, match="hash"):
         load_control_model(tmp_path / "tampered.json")
 
-    doc = json.loads(path.read_text())
+    doc, payload = split_model_file(path.read_bytes())
     del doc["params"]
-    (tmp_path / "partial.json").write_text(json.dumps(doc))
+    (tmp_path / "partial.json").write_bytes(joined_model_file(doc, b""))
     with pytest.raises(ValueError):
         load_control_model(tmp_path / "partial.json")
 
     # a one-segment policy bound to a two-segment robot, hash and all
-    doc = json.loads(path.read_text())
+    doc, payload = split_model_file(path.read_bytes())
     doc["robot_config"] = RobotConfig(n_segments=2).to_dict()
     doc["robot_config_hash"] = robot_config_hash(RobotConfig(n_segments=2))
-    (tmp_path / "wider_robot.json").write_text(json.dumps(doc))
+    (tmp_path / "wider_robot.json").write_bytes(joined_model_file(doc, payload))
     with pytest.raises(ValueError, match="emits 2 actions, its robot config has 4"):
         load_control_model(tmp_path / "wider_robot.json")

@@ -1,6 +1,5 @@
 """MLP forward/backward, Adam behavior, RNG, and persistence."""
 
-import base64
 import io
 import json
 
@@ -8,12 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import (
-    array_to_b64,
-    b64_to_array,
     expression_adam_step,
     fd_grad_at,
+    model_file_arrays,
     rel_err,
     sample_coords,
+    split_model_file,
 )
 from shapectl import autodiff as ad
 from shapectl import nn
@@ -262,12 +261,12 @@ def test_loading_to_use_skips_the_moments(rng):
 
 
 def _misshape_moment(d):
-    d["adam_v"][2] = array_to_b64(np.zeros(3))
+    d["adam_v"][2] = np.zeros(3)
 
 
 def _shorten_moment_data(d):
-    # a record whose base64 holds one float64 fewer than its shape says
-    d["adam_m"][1]["data"] = array_to_b64(np.zeros(7))["data"]
+    # a record one float64 shorter than its parameter
+    d["adam_m"][1] = np.zeros(7)
 
 
 def _drop_moment(d):
@@ -279,9 +278,9 @@ def _drop_moment(d):
 def test_bad_moment_records_are_refused_either_way(rng, tamper, resume):
     p = nn.init_mlp(rng, [3, 8, 2])
     nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
-    d = json.loads(_written(nn.params_to_dict(p)))
+    d = nn.params_to_dict(p)
     tamper(d)
-    f = io.BytesIO(json.dumps(d).encode("ascii"))
+    f = io.BytesIO(_written(d))
     with pytest.raises(ValueError, match="Adam moment"):
         nn.params_from_dict(nn.read_json(f), f, resume)
 
@@ -319,6 +318,78 @@ def _written(doc) -> bytes:
     return f.getvalue()
 
 
+def test_write_json_writes_a_header_line_then_the_raw_arrays():
+    # json.dumps of the document with each array as its shape, then the
+    # arrays' float64 bytes in document order, a transposed view included
+    a, b = np.arange(6.0).reshape(2, 3), np.array([-0.0, 5e-324, np.inf, np.nan])
+    doc = {"k": [a.T, None], "q\"": {"b": b, "s": np.array(3.25)}, "n": 1.5e-300}
+    header = {"k": [{"shape": [3, 2]}, None], "q\"": {"b": {"shape": [4]}, "s": {"shape": []}}}
+    header["n"] = 1.5e-300
+    payload = np.ascontiguousarray(a.T).tobytes() + b.tobytes() + np.float64(3.25).tobytes()
+    assert _written(doc) == json.dumps(header).encode("ascii") + b"\n" + payload
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [[1.0], [-1], [True], 1, "1", None],
+    ids=["float", "negative", "bool", "int", "str", "null"],
+)
+def test_read_json_refuses_a_shape_that_is_not_a_list_of_sizes(shape):
+    text = json.dumps({"a": {"shape": shape}}).encode("ascii") + b"\n" + bytes(8)
+    with pytest.raises(ValueError, match="not a list of sizes"):
+        nn.read_json(io.BytesIO(text))
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [
+        ([2], 15),
+        ([2], 24),
+        ([2**40], 16),  # 8 TiB asked of 16 bytes
+        ([2**40, 2**40], 16),  # 2**83 bytes: no int64 wraps round
+        ([], 0),
+    ],
+    ids=["one_byte_short", "one_float64_too_many", "8_tib", "2**83_bytes", "no_scalar"],
+)
+def test_read_json_refuses_arrays_that_do_not_end_with_the_file(shape, size):
+    # refused by the header alone, before any array is allocated or read
+    text = json.dumps({"a": {"shape": shape}}).encode("ascii") + b"\n" + bytes(size)
+    with pytest.raises(ValueError, match=r"^the arrays take \d+ bytes after the header, the file"):
+        nn.read_json(io.BytesIO(text))
+
+
+def test_a_header_syntax_error_gives_its_place_in_the_file(rng):
+    # the header is parsed as it lies in the file: a stray byte past the
+    # first records is reported at its own offset
+    text = _written(nn.params_to_dict(nn.init_mlp(rng, [3, 8, 2])))
+    at = text.index(b'"biases"')
+    text = text[:at] + b"x" + text[at:]
+    with pytest.raises(json.JSONDecodeError) as err:
+        nn.read_json(io.BytesIO(text))
+    assert err.value.pos == at and f"(char {at})" in str(err.value)
+
+
+def test_read_array_refuses_a_file_that_ends_inside_the_array():
+    f = io.BytesIO(bytes(12))
+    assert np.array_equal(nn.read_array(f, nn.ArrayRecord((1,), 4)), np.zeros(1))
+    with pytest.raises(ValueError, match="ends inside an array"):
+        nn.read_array(f, nn.ArrayRecord((2,), 4))
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (b'{"a": {"shape": [1], "data": "AAAAAAAAAAA=', "Unterminated|Expecting"),
+        (b'{"a": "\xc3\xa9"}', "ascii"),
+        (b'{"a": 1', "Expecting"),
+        (b"", "Expecting value"),
+    ],
+)
+def test_read_json_refuses_what_json_refuses(text, match):
+    with pytest.raises(ValueError, match=match):
+        nn.read_json(io.BytesIO(text))
+
+
 def _decoded(doc, f):
     """``doc`` from :func:`nn.read_json` with each record read from ``f``."""
     if isinstance(doc, nn.ArrayRecord):
@@ -327,17 +398,6 @@ def _decoded(doc, f):
         return {k: _decoded(v, f) for k, v in doc.items()}
     if isinstance(doc, list):
         return [_decoded(v, f) for v in doc]
-    return doc
-
-
-def _decoded_oracle(doc):
-    """``doc`` from ``json.loads`` with each record decoded at once."""
-    if isinstance(doc, dict) and "data" in doc:
-        return b64_to_array(doc)
-    if isinstance(doc, dict):
-        return {k: _decoded_oracle(v) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return [_decoded_oracle(v) for v in doc]
     return doc
 
 
@@ -357,114 +417,35 @@ def _assert_same(a, b):
         assert type(a) is type(b) and a == b
 
 
-# strings that end in escapes, hold quotes, look like keys or are "data"
-# as a value: none may be taken for a record's base64
+# strings that end in escapes, hold quotes or newlines, or look like keys,
+# and an object with a "shape" member that is not a record
 _AWKWARD_DOC = {
-    "quote\"d": "a \\\" \"data\": \"x",
-    "list": ["data", "", "\\", 1.5e-300, None, True, {"shape": [2]}],
+    "quote\"d": "a \\\" \"shape\": [1]}\n",
+    "list": ["shape", "", "\\", 1.5e-300, None, True, {"shape": [2], "of": "a list"}],
     "empty": np.zeros((0, 3)),
     "nested": [[np.array([-0.0, 5e-324, np.inf, np.nan])], {"k": np.arange(7.0).reshape(7, 1)}],
     "scalar": np.array(3.25),
 }
 
 
-@pytest.mark.parametrize("chunk", [4, 8, 20, nn.READ_CHUNK])
-@pytest.mark.parametrize("layout", ["written", "compact", "indent"])
-def test_read_json_equals_json_loads_at_every_chunk_boundary(rng, monkeypatch, chunk, layout):
-    # every split of a key, an escape or a record between two reads
-    monkeypatch.setattr(nn, "READ_CHUNK", chunk)
+@pytest.mark.parametrize("chunk", [4, 8, 20, 1 << 16])
+@pytest.mark.parametrize("layout", ["written", "compact"])
+def test_read_json_equals_json_loads_at_every_chunk_boundary(rng, chunk, layout):
+    # the file reaches the reader through a buffer of ``chunk`` bytes, so
+    # the header and the arrays split between two reads everywhere; a
+    # header re-serialized without spaces reads the same
     p = nn.init_mlp(rng, [3, 5, 2], input_scale=rng.standard_normal(3))
     nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
-    text = _written({**_AWKWARD_DOC, "params": nn.params_to_dict(p)})
-    if layout != "written":
-        kw = {"separators": (",", ":")} if layout == "compact" else {"indent": 1}
-        text = json.dumps(json.loads(text), **kw).encode("ascii")
-    f = io.BytesIO(text)
-    _assert_same(_decoded(nn.read_json(f), f), _decoded_oracle(json.loads(text)))
+    header, payload = split_model_file(_written({**_AWKWARD_DOC, "params": nn.params_to_dict(p)}))
+    separators = (",", ":") if layout == "compact" else None
+    text = json.dumps(header, separators=separators).encode("ascii") + b"\n" + payload
+    f = io.BufferedReader(io.BytesIO(text), buffer_size=chunk)
+    _assert_same(_decoded(nn.read_json(f), f), model_file_arrays(header, payload))
 
 
-def test_an_escaped_data_key_still_names_a_record():
-    # json reads "data" as "data": its value is a record's base64 too
-    text = _written({"a": np.ones(2)}).replace(b'"data"', b'"d\\u0061ta"')
-    f = io.BytesIO(text)
-    assert np.array_equal(nn.read_array(f, nn.read_json(f)["a"]), np.ones(2))
-    f = io.BytesIO(text.replace(b'ta": "', b'ta": "!'))
-    with pytest.raises(ValueError, match="inside an array's base64"):
-        nn.read_json(f)
-
-
-def _junk(text: bytes, nth: int) -> bytes:
-    # "!*" inside the nth record's base64; b64decode would skip it
-    at = -1
-    for _ in range(nth + 1):
-        at = text.index(b'"data": "', at + 1)
-    return text[: at + 12] + b"!*" + text[at + 12 :]
-
-
-@pytest.mark.parametrize("resume", [False, True])
-def test_a_byte_outside_base64_is_refused_in_any_record(rng, resume):
-    p = nn.init_mlp(rng, [3, 8, 2])
-    nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
-    text = _written(nn.params_to_dict(p))
-    for nth in (0, 3, 7):  # a weight, a bias, an Adam moment never decoded
-        f = io.BytesIO(_junk(text, nth))
-        with pytest.raises(ValueError, match=r"^byte \d+ is b'!' inside an array's base64$"):
-            nn.params_from_dict(nn.read_json(f), f, resume)
-
-
-@pytest.mark.parametrize(
-    "doc, match",
-    [
-        ({"data": "AAAAAAAAAAA=", "format": "x"}, "outside an array record"),
-        ({"a": {"shape": [1], "data": "AAAAAAAAAAA=", "extra": 1}}, "outside an array record"),
-        ({"a": {"shape": [1], "data": 5}}, "outside an array record"),
-        ({"a": {"shape": [1.0], "data": "AAAAAAAAAAA="}}, "not a list of sizes"),
-        ({"a": {"shape": [-1], "data": ""}}, "not a list of sizes"),
-        ({"a": {"shape": 1, "data": "AAAAAAAAAAA="}}, "not a list of sizes"),
-    ],
-)
-def test_read_json_refuses_a_data_key_outside_an_array_record(doc, match):
-    with pytest.raises(ValueError, match=match):
-        nn.read_json(io.BytesIO(json.dumps(doc).encode("ascii")))
-
-
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        (b'{"a": {"shape": [1], "data": "AAAAAAAAAAA=', "Unterminated|Expecting"),
-        (b'{"a": "\xc3\xa9"}', "ascii"),
-        (b'{"a": 1', "Expecting"),
-        (b"", "Expecting value"),
-    ],
-)
-def test_read_json_refuses_what_json_refuses(text, match):
-    with pytest.raises(ValueError, match=match):
-        nn.read_json(io.BytesIO(text))
-
-
-@pytest.mark.parametrize(
-    "data, match",
-    [
-        ("AAAAAAAAAA==", "does not fit"),  # 7 bytes for one float64
-        ("AAAAAAAAAAAA", "does not fit"),  # 9 bytes
-        ("AAAAAAAAAA=A", "padded before its end"),
-        ("AAAAAAAAA===", "padded before its end"),
-    ],
-)
-def test_read_array_refuses_base64_that_is_not_its_shape(data, match):
-    f = io.BytesIO(json.dumps({"shape": [1], "data": data}).encode("ascii"))
-    with pytest.raises(ValueError, match=match):
-        nn.read_array(f, nn.read_json(f))
-
-
-def test_read_array_refuses_padding_between_two_reads(monkeypatch):
-    # each read decodes on its own, so padding that ends one would pass
-    monkeypatch.setattr(nn, "READ_CHUNK", 4)
-    data = base64.b64encode(np.ones(2).tobytes()).decode("ascii")
-    data = "AA==" + data[4:]  # 22 chars: two float64 fit, one byte moved
-    f = io.BytesIO(json.dumps({"shape": [2], "data": data}).encode("ascii"))
-    with pytest.raises(ValueError, match="padded before its end"):
-        nn.read_array(f, nn.read_json(f))
+def test_write_json_refuses_an_object_that_would_read_back_as_a_record():
+    with pytest.raises(TypeError, match="array record"):
+        nn.write_json(io.BytesIO(), {"a": {"shape": [2]}})
 
 
 def test_read_array_takes_only_a_record():

@@ -1,6 +1,5 @@
 """Shape model: prior behavior, losses, gradients, training, persistence."""
 
-import base64
 import gc
 import json
 import math
@@ -14,13 +13,17 @@ from helpers import (
     closure_arrays,
     dumped_model_file,
     fd_grad_at,
+    joined_model_file,
     listed_rollout,
     listed_shape_loss,
+    model_file_arrays,
     per_coordinate_tip_jacobian,
     read_model_file_oracle,
     rel_err,
     sample_coords,
     single_tip_jacobian,
+    split_dumped_model_file,
+    split_model_file,
 )
 from shapectl import autodiff as ad
 from shapectl import control_node, shape_node
@@ -415,12 +418,10 @@ def test_training_runs_float32_keeps_float64_state(rng, tmp_path, monkeypatch):
         assert arrays and all(a.dtype == np.float64 for a in arrays)
     path = tmp_path / "m.json"
     save_shape_model(path, model, cfg)
-    saved = json.loads(path.read_text())["params"]
+    saved = model_file_arrays(*split_model_file(path.read_bytes()))["params"]
     for key, arrays in state.items():
-        for enc, a in zip(saved[key], arrays, strict=True):
-            raw = base64.b64decode(enc["data"])
-            assert len(raw) == 8 * a.size
-            assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(a.shape), a)
+        for b, a in zip(saved[key], arrays, strict=True):
+            assert b.shape == a.shape and b.tobytes() == a.tobytes()
 
 
 def test_float32_training_gradient_matches_float64(rng):
@@ -456,23 +457,21 @@ def test_model_file_errors(rng, tmp_path):
     with pytest.raises(ValueError):
         load_shape_model(tmp_path / "garbage.json")
 
-    import json
-
-    doc = json.loads(path.read_text())
+    doc, payload = split_model_file(path.read_bytes())
     doc["robot_config"]["u_max"] = 12.0
-    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    (tmp_path / "tampered.json").write_bytes(joined_model_file(doc, payload))
     with pytest.raises(ValueError, match="hash"):
         load_shape_model(tmp_path / "tampered.json")
 
-    doc2 = json.loads(path.read_text())
+    doc2, payload = split_model_file(path.read_bytes())
     del doc2["params"]
-    (tmp_path / "partial.json").write_text(json.dumps(doc2))
+    (tmp_path / "partial.json").write_bytes(joined_model_file(doc2, b""))
     with pytest.raises(ValueError):
         load_shape_model(tmp_path / "partial.json")
 
-    doc3 = json.loads(path.read_text())
+    doc3, payload = split_model_file(path.read_bytes())
     doc3["format"] = "something-else"
-    (tmp_path / "other.json").write_text(json.dumps(doc3))
+    (tmp_path / "other.json").write_bytes(joined_model_file(doc3, payload))
     with pytest.raises(ValueError):
         load_shape_model(tmp_path / "other.json")
 
@@ -487,16 +486,17 @@ def test_int_robot_limits_round_trip(rng, tmp_path):
     save_shape_model(path, small_model(rng, cfg), cfg)
     _, loaded_cfg = load_shape_model(path)
     assert loaded_cfg == cfg
-    assert '"u_max": 15.0' in path.read_text()
+    assert b'"u_max": 15.0' in path.read_bytes().split(b"\n")[0]
 
 
 @pytest.mark.parametrize("kind", ["shape", "control"])
 @pytest.mark.parametrize("adam_steps", [0, 1])
 def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, adam_steps):
-    # the writer streams one array at a time, and its bytes are those of
-    # json.dumps on the whole document: for the shape model (both
-    # scales) and the policy (output_scale null), fresh (no moments) or
-    # after one Adam step
+    # line 1 is json.dumps of the -v1 layout's document with every
+    # "data" member dropped, and the rest is each record's float64
+    # bytes in document order: for the shape model (both scales) and
+    # the policy (output_scale null), fresh (no moments) or after one
+    # Adam step
     cfg = RobotConfig(n_segments=3)
     if kind == "shape":
         model = init_shape_model(rng, cfg)
@@ -515,8 +515,9 @@ def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, ad
     assert bool(model.params.adam_m) == bool(adam_steps)
     path = tmp_path / "model.json"
     save(path, model, cfg)
-    want = dumped_model_file(fmt, fields, model.params, cfg).encode("ascii")
-    assert path.read_bytes() == want
+    header, payload = split_dumped_model_file(dumped_model_file(fmt, fields, model.params, cfg))
+    assert split_model_file(path.read_bytes()) == (header, payload)
+    assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + payload
 
 
 def _trained_model(rng, kind, cfg):
@@ -535,20 +536,20 @@ def _trained_model(rng, kind, cfg):
 
 @pytest.mark.parametrize("kind", ["shape", "control"])
 @pytest.mark.parametrize("resume", [False, True])
-@pytest.mark.parametrize("layout", ["written", "compact", "indent"])
+@pytest.mark.parametrize("layout", ["written", "compact"])
 def test_streamed_model_file_equals_the_whole_file_reader(rng, tmp_path, kind, resume, layout):
-    # as saved, and as json re-serializes it without spaces or with
-    # newlines, the streamed reader gives the document, the robot and
-    # the network the whole-file reader gives, bit for bit
+    # as saved, and with its header re-serialized without spaces, the
+    # reader gives the document, the robot and the network the
+    # whole-file reader gives, bit for bit
     cfg = RobotConfig(n_segments=3)
     model, fmt = _trained_model(rng, kind, cfg)
     path = tmp_path / "model.json"
     (control_node.save_control_model if kind == "control" else save_shape_model)(
         path, model, cfg
     )
-    if layout != "written":
-        kw = {"separators": (",", ":")} if layout == "compact" else {"indent": 1}
-        path.write_text(json.dumps(json.loads(path.read_text()), **kw))
+    if layout == "compact":
+        header, payload = split_model_file(path.read_bytes())
+        path.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload)
     (doc, params), config = shape_node._read_model_file(
         path, fmt, kind, lambda doc, params: (doc, params), resume
     )
@@ -570,15 +571,15 @@ def test_streamed_model_file_equals_the_whole_file_reader(rng, tmp_path, kind, r
 
 
 def test_loading_a_model_holds_its_arrays_and_a_few_reads(rng, tmp_path):
-    # the 256x256 shape model's file (2.2 MB, two thirds of it Adam
-    # moments) streams in 64 KiB reads: the load peaks at the 0.56 MB of
-    # arrays it returns plus 256 KiB, where reading the whole text and
-    # json-parsing it peaked near 4.5 MB
+    # the 256x256 shape model's file (1.67 MB, two thirds of it Adam
+    # moments) is read array by array into place: the load peaks at the
+    # 0.56 MB of arrays it returns plus 256 KiB, where reading the whole
+    # base64 text and json-parsing it peaked near 4.5 MB
     cfg = RobotConfig(n_segments=3)
     model, _ = _trained_model(rng, "shape", cfg)
     path = tmp_path / "model.json"
     save_shape_model(path, model, cfg)
-    assert path.stat().st_size > 2e6
+    assert path.stat().st_size > 1.6e6
     arrays = sum(a.nbytes for a in model.params.param_arrays())
     arrays += model.params.input_scale.nbytes + model.params.output_scale.nbytes
     load_shape_model(path)
