@@ -263,14 +263,14 @@ def _header(obj, arrays: list):
 def write_json(f, obj) -> None:
     """Write ``obj`` to the binary handle ``f``: one line of JSON, the
     header, then every array's little-endian float64 bytes, back to back
-    in the order the header names them.
+    in the order the header names them, each from the array's own buffer
+    (a C-contiguous float64 array is not copied).
 
     ``obj`` is built of dicts with str keys, lists, arrays, and values
     ``json.dumps`` writes on its own (str, numbers, bool, None, and
     containers of those).  The header is ``json.dumps`` of ``obj`` with
     each array replaced by the record ``{"shape": [...]}``; a non-str key,
-    and a dict whose one key is ``"shape"``, raise TypeError.  Each array is written from its own buffer, so a
-    C-contiguous float64 array is not copied.
+    and a dict whose one key is ``"shape"``, raise TypeError.
     """
     arrays: list = []
     f.write(json.dumps(_header(obj, arrays)).encode("ascii") + b"\n")
