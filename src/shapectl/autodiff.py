@@ -343,18 +343,17 @@ def _leaky_layer(h: Array, w: Array, b: Array) -> Array:
 def dense(
     x: Tensor,
     layers: list[tuple[Tensor, Tensor]],
-    input_scale: Array | None = None,
-    output_scale: Array | None = None,
+    input_scale: Array,
+    output_scale: Array,
 ) -> Tensor:
     """One network evaluation as a single tape node.
 
     ``layers`` holds one (weight, bias) pair per layer.  The node
     computes ``x * input_scale``, then LeakyReLU (slope
     :data:`LEAKY_SLOPE`) layers ``max(z, slope z)`` with ``z = h @ w +
-    b``, then ``tanh`` on the last layer, then ``* output_scale``; a
-    scale of None is left out.  The scales are constants.  Values and
-    adjoints are bit for bit those of the chain of one node per scale
-    and per layer.
+    b``, then ``tanh`` on the last layer, then ``* output_scale``.  The
+    scales are constants.  Values and adjoints are bit for bit those of
+    the chain of one node per scale and per layer.
 
     Activity is decided once per network, by two flags: whether ``x``
     is active, and whether any weight or bias is.  A network's leaves
@@ -376,9 +375,9 @@ def dense(
     n = len(layers)
     x_on = active[x.nid]
     w_on = any(active[t.nid] for pair in layers for t in pair)
-    iscale = None if input_scale is None else np.asarray(input_scale, dtype=dtype)
-    oscale = None if output_scale is None else np.asarray(output_scale, dtype=dtype)
-    h = x.value if iscale is None else x.value * iscale
+    iscale = np.asarray(input_scale, dtype=dtype)
+    oscale = np.asarray(output_scale, dtype=dtype)
+    h = x.value * iscale
     # the second layer's input is recomputed from the scaled input
     recompute = n > 1 and w_on
     xs, w1, b1 = (h, layers[0][0].value, layers[0][1].value) if recompute else (None,) * 3
@@ -398,18 +397,14 @@ def dense(
     z += b.value
     out = np.tanh(z, out=z)
     factor = 1.0 - out * out if x_on or w_on else None
-    if oscale is not None:
-        out *= oscale
+    out *= oscale
 
     def bk(grad):
         contribs = [None] * (1 + 2 * n)
         # below the borrowed upstream adjoint every array is the node's
         # own, so the activation derivatives multiply in place
-        if oscale is None:
-            dz = grad * factor
-        else:
-            dz = grad * oscale
-            dz *= factor
+        dz = grad * oscale
+        dz *= factor
         for i in range(n - 1, -1, -1):
             if i < n - 1:
                 dz *= _leaky_factor(masks[i], dz)
@@ -421,8 +416,7 @@ def dense(
                 break
             dz = dz @ weights[i].T
         else:
-            if iscale is not None:
-                dz *= iscale
+            dz *= iscale
             contribs[0] = dz
         return contribs
 

@@ -58,7 +58,7 @@ from .shape_node import (
 
 OBS_POINTS = 9  # backbone samples per observation, tip included
 
-CONTROL_MODEL_FORMAT = "control-node-v2"
+CONTROL_MODEL_FORMAT = "control-node-v3"
 
 TICKS_PER_PERIOD = 200
 
@@ -718,31 +718,17 @@ def count_violations(log: TrackingLog, obstacle: ObstacleSpec) -> int:
 
 
 def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> None:
-    """Write the policy plus its robot binding as one model file; the
-    step's ``dt`` and ``rate_scale`` are written as 1, the only value
-    they take."""
-    _write_model_file(
-        path,
-        CONTROL_MODEL_FORMAT,
-        {"horizon": model.horizon, "dt": 1.0, "rate_scale": 1.0},
-        model.params,
-        config,
-    )
+    """Write the policy plus its robot binding as one model file."""
+    _write_model_file(path, CONTROL_MODEL_FORMAT, {"horizon": model.horizon}, model.params, config)
 
 
 def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
-    """Load a saved policy; malformed files, a ``dt`` or ``rate_scale``
-    other than 1 and a policy whose width does not fit the file's robot
-    config raise ``ValueError``.  Top-level fields it does not read are
-    ignored.  The policy is loaded without its Adam moments: no command
-    trains a loaded policy."""
+    """Load a saved policy; malformed files and a policy whose width does
+    not fit the file's robot config raise ``ValueError``.  Top-level
+    fields it does not read are ignored.  The policy is loaded without
+    its Adam moments: no command trains a loaded policy."""
 
     def build(doc, params):
-        step = (float(doc["dt"]), float(doc["rate_scale"]))
-        if step != (1.0, 1.0):
-            raise ValueError(
-                f"policy step has dt {step[0]:g} and rate_scale {step[1]:g}, not 1 and 1"
-            )
         return ControlNodeModel(params=params, horizon=json_int(doc["horizon"], "horizon"))
 
     model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build, False)

@@ -1,8 +1,8 @@
 """MLP parameters, forward pass, Adam, and array serialization.
 
 Every network has one form, LeakyReLU(0.01) hidden layers into a tanh
-output layer.  A model file names it (``hidden_slope`` 0.01,
-``out_activation`` ``"tanh"``), and loading refuses any other.
+output layer, fixed by the program: a model file holds only the arrays
+and the Adam step count.
 
 Parameters live outside any tape as plain float64 arrays, together with
 their step count and, once they train or are loaded to resume training
@@ -38,7 +38,8 @@ read back the same way round (:func:`read_json`, then
 :class:`ArrayRecord` holding its offset, the file's length is checked
 against the shapes, and only the arrays the network needs are read,
 each straight into its new array (:func:`read_array`), so a load holds
-its arrays and the header, never an unused moment.
+its arrays and the header, never an unused moment.  A load reads every
+field a save writes, and a file missing any of them is refused.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import LEAKY_SLOPE, Array, Tape, Tensor, check_finite, dense, grad_of
+from .autodiff import Array, Tape, Tensor, check_finite, dense, grad_of
 
 
 # Adam's moment decay rates and denominator guard: the defaults of
@@ -67,22 +68,22 @@ class MlpParams:
     ``input_scale`` and ``output_scale`` are constant per-component
     multipliers applied before the first layer and after the output
     activation; they carry unit normalization so the weights see O(1)
-    values, and they persist alongside the weights.  ``adam_m`` /
+    values (ones where a network needs none), and they persist
+    alongside the weights.  ``adam_m`` /
     ``adam_v`` / ``step_count`` hold the optimizer state so a saved
     model resumes training exactly where it left off; a network loaded
     only to be used keeps its step count but no moments.
 
     Construction checks the structure, so a model file that is not one
     network fails to load: the weights chain, and each bias and scale
-    has its layer's width.  No field names the form; :func:`params_from_dict`
-    checks what a file names, and that its moment records fit the
-    parameters.
+    has its layer's width.  :func:`params_from_dict` also checks that a
+    file's moment records fit the parameters and its step count.
     """
 
     weights: list[Array]
     biases: list[Array]
-    input_scale: Array | None = None
-    output_scale: Array | None = None
+    input_scale: Array
+    output_scale: Array
     adam_m: list[Array] = field(default_factory=list)
     adam_v: list[Array] = field(default_factory=list)
     step_count: int = 0
@@ -92,12 +93,9 @@ class MlpParams:
             raise ValueError("weights must be one or more matrices")
         sizes = self.sizes
         want = list(zip(sizes, sizes[1:])) + [(n,) for n in sizes[1:]]
+        want += [(sizes[0],), (sizes[-1],)]
         got = [w.shape for w in self.weights] + [b.shape for b in self.biases]
-        scales = ((self.input_scale, sizes[0]), (self.output_scale, sizes[-1]))
-        for scale, width in scales:
-            if scale is not None:
-                want.append((width,))
-                got.append(scale.shape)
+        got += [self.input_scale.shape, self.output_scale.shape]
         if got != want:
             raise ValueError(f"layer shapes {got} do not chain as {want}")
 
@@ -154,7 +152,7 @@ def init_mlp(
     input_scale: Array | None = None,
     output_scale: Array | None = None,
 ) -> MlpParams:
-    """Glorot-uniform weights, zero biases."""
+    """Glorot-uniform weights, zero biases; a scale not given is ones."""
     if min(sizes) < 1:
         raise ValueError(f"layer widths must be positive, got {list(sizes)}")
     weights = []
@@ -163,11 +161,13 @@ def init_mlp(
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
+    input_scale = np.ones(sizes[0]) if input_scale is None else input_scale
+    output_scale = np.ones(sizes[-1]) if output_scale is None else output_scale
     return MlpParams(
         weights=weights,
         biases=biases,
-        input_scale=None if input_scale is None else np.asarray(input_scale, dtype=np.float64),
-        output_scale=None if output_scale is None else np.asarray(output_scale, dtype=np.float64),
+        input_scale=np.asarray(input_scale, dtype=np.float64),
+        output_scale=np.asarray(output_scale, dtype=np.float64),
     )
 
 
@@ -312,7 +312,10 @@ def read_json(f):
         offset += 8 * math.prod(shape)
         return rec
 
-    doc = json.loads(line.decode("ascii"), object_pairs_hook=record)
+    try:
+        doc = json.loads(line.decode("ascii"), object_pairs_hook=record)
+    except RecursionError as exc:
+        raise ValueError("the header nests deeper than the parser can follow") from exc
     size = f.seek(0, io.SEEK_END)
     if offset != size:
         raise ValueError(
@@ -342,12 +345,22 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_float(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number; a bool, a string and
+    ``NaN`` or ``Infinity`` (which ``json`` reads, but JSON has no such
+    number) raise ``ValueError``."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def params_to_dict(p: MlpParams) -> dict:
-    """The network as a document for :func:`write_json`, arrays as they are."""
+    """The network as a document for :func:`write_json`, arrays as they
+    are.  A network loaded without its Adam moments raises
+    ``ValueError``: its file would hold steps and no moments."""
+    if p.step_count and not p.adam_m:
+        raise ValueError("a network loaded without its Adam moments cannot be saved")
     return {
-        "sizes": p.sizes,
-        "hidden_slope": LEAKY_SLOPE,
-        "out_activation": "tanh",
         "weights": list(p.weights),
         "biases": list(p.biases),
         "input_scale": p.input_scale,
@@ -358,49 +371,44 @@ def params_to_dict(p: MlpParams) -> dict:
     }
 
 
-def _check_moment_records(d: dict, shapes: list[tuple[int, ...]]) -> None:
-    """Raise ``ValueError`` unless ``d``'s Adam moment records are absent
-    or give every parameter one ``adam_m`` and one ``adam_v`` record of
-    its shape.  Nothing is read: :func:`read_json` has checked that the
+def _check_moment_records(d: dict, shapes: list[tuple[int, ...]], step_count: int) -> None:
+    """Raise ``ValueError`` unless ``d`` gives every parameter one
+    ``adam_m`` and one ``adam_v`` record of its shape once the network
+    has taken a step (``step_count > 0``), and holds no moment record
+    before.  Nothing is read: :func:`read_json` has checked that the
     file holds every record's bytes."""
-    records = (d.get("adam_m", []), d.get("adam_v", []))
-    if not any(records):
-        return
-    for recs in records:
-        if [r.shape if isinstance(r, ArrayRecord) else None for r in recs] != shapes:
-            raise ValueError("Adam moments do not match the parameter shapes")
+    want = shapes if step_count else []
+    for key in ("adam_m", "adam_v"):
+        if [r.shape if isinstance(r, ArrayRecord) else None for r in d[key]] != want:
+            need = "one of each parameter's shape" if step_count else "none"
+            raise ValueError(
+                f"Adam moments do not match the parameter shapes"
+                f" (step_count {step_count} needs {need})"
+            )
 
 
 def params_from_dict(d: dict, f, resume: bool) -> MlpParams:
     """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
-    :func:`read_json` reads it back from the binary handle ``f``; another
-    network form raises ``ValueError``.
+    :func:`read_json` reads it back from the binary handle ``f``.  A
+    missing field raises ``KeyError``.
 
     The weights, biases and scales are read from ``f``
     (:func:`read_array`).  The Adam moments are read only to
     ``resume`` training; otherwise the network holds none, and its
     moment records are only checked (:func:`_check_moment_records`).
     """
-    form = (float(d["hidden_slope"]), d["out_activation"])
-    if form != (LEAKY_SLOPE, "tanh"):
-        got = f"LeakyReLU({form[0]:g}) into {form[1]!r}"
-        raise ValueError(f"network is {got}, not LeakyReLU({LEAKY_SLOPE:g}) into 'tanh'")
-
-    def read(key):
-        return None if d.get(key) is None else read_array(f, d[key])
-
-    step_count = json_int(d.get("step_count", 0), "step_count")
+    step_count = json_int(d["step_count"], "step_count")
     if step_count < 0:
         raise ValueError(f"step_count must not be negative, got {step_count}")
     params = MlpParams(
         weights=[read_array(f, w) for w in d["weights"]],
         biases=[read_array(f, b) for b in d["biases"]],
-        input_scale=read("input_scale"),
-        output_scale=read("output_scale"),
+        input_scale=read_array(f, d["input_scale"]),
+        output_scale=read_array(f, d["output_scale"]),
         step_count=step_count,
     )
-    _check_moment_records(d, [a.shape for a in params.param_arrays()])
+    _check_moment_records(d, [a.shape for a in params.param_arrays()], step_count)
     if resume:
-        params.adam_m = [read_array(f, m) for m in d.get("adam_m", [])]
-        params.adam_v = [read_array(f, v) for v in d.get("adam_v", [])]
+        params.adam_m = [read_array(f, m) for m in d["adam_m"]]
+        params.adam_v = [read_array(f, v) for v in d["adam_v"]]
     return params

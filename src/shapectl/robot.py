@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Array
-from .nn import json_int
+from .nn import json_float, json_int
 
 TRAJECTORY_KINDS: tuple[str, ...] = ("circle", "square", "s_shape", "ellipse", "helix")
 
@@ -66,7 +66,7 @@ SIM_POINTS_PER_SEGMENT = 10
 class RobotConfig:
     """Geometry and actuation limit for one robot.  Every action channel
     lies in the read-only box [q_min, q_max] = [-u_max, u_max], which
-    :meth:`to_dict` writes and :meth:`from_dict` ignores."""
+    follows from ``u_max`` and is not written."""
 
     n_segments: int = 3
     segment_lengths: tuple[float, ...] = ()  # empty: 0.1 m per segment
@@ -112,21 +112,20 @@ class RobotConfig:
             "segment_lengths": list(self.segment_lengths),
             "u_max": self.u_max,
             "mismatch_amplitude": self.mismatch_amplitude,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobotConfig":
-        """Inverse of :meth:`to_dict`; a file states every segment length."""
+        """Inverse of :meth:`to_dict`; a file states every segment length,
+        and every length and limit is a JSON number."""
         n_segments = json_int(d["n_segments"], "n_segments")
         if len(d["segment_lengths"]) != n_segments:
             raise ValueError("segment_lengths must have n_segments entries")
         return cls(
             n_segments=n_segments,
-            segment_lengths=tuple(d["segment_lengths"]),
-            u_max=d["u_max"],
-            mismatch_amplitude=d["mismatch_amplitude"],
+            segment_lengths=tuple(json_float(x, "segment length") for x in d["segment_lengths"]),
+            u_max=json_float(d["u_max"], "u_max"),
+            mismatch_amplitude=json_float(d["mismatch_amplitude"], "mismatch_amplitude"),
         )
 
 

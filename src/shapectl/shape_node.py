@@ -20,7 +20,10 @@ training only has to learn corrections.
 
 A saved model is a JSON header line, then its arrays as raw float64;
 a load reads each array straight from the file, and the Adam moments
-only to resume training.
+only to resume training.  The header holds only what a load reads: the
+format tag, the model's fields, the robot config with its hash, and the
+network's arrays and Adam step count.  The network form is the
+program's, not the file's.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
 # keeps the Euclidean distance differentiable when prediction hits truth
 LOSS_EPS_SQ = 1e-24
 
-SHAPE_MODEL_FORMAT = "shape-node-v2"
+SHAPE_MODEL_FORMAT = "shape-node-v3"
 
 # compute dtype of every training tape: shape training and its
 # validation, and policy training through the frozen shape model; the
@@ -476,8 +479,8 @@ def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
     returns (model, robot config).  The network holds its Adam moments
     only to ``resume`` training (:func:`~shapectl.nn.params_from_dict`).
     Malformed files, another format, a robot config that does not match
-    its hash, missing fields and weights that are not one network raise
-    ``ValueError``.
+    its hash, a missing field (every field written is read) and weights
+    that are not one network raise ``ValueError``.
     """
     with open(path, "rb") as f:
         try:

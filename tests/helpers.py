@@ -16,12 +16,11 @@ the batch: a single call of the library must equal them bit for bit.
 The shape evaluation, tracking log and metrics readers invert the
 files that ``evaluate`` and ``rollout`` write, which the library itself
 never reads back.
-The dumped model file is the earlier ``-v1`` layout, ``json.dumps`` of
-the whole document with each array a base64 record: split into a header and
-a payload it gives the bytes the library writes, and unsplit it is a
-file the library refuses.  The model file oracle reads a file whole,
-``json`` on its first line and ``np.frombuffer`` on the rest, where the
-library reads each array on its own into place.
+An array's base64 record is that of the earlier ``-v1`` model-file
+layout, one JSON document, which the library refuses.  The model file
+oracle reads a file whole, ``json`` on its first line and
+``np.frombuffer`` on the rest, where the library reads each array on
+its own into place.
 The elementwise product and the bias add broadcast their operands as
 numpy does and reduce each adjoint back to its operand's shape, where
 the library's tape arithmetic takes operands of one shape.
@@ -54,7 +53,7 @@ from shapectl.control_node import (
     _downsample_plan,
     damped_pinv,
 )
-from shapectl.nn import ADAM_BETAS, ADAM_EPS, MlpParams, mlp_forward, params_to_dict
+from shapectl.nn import ADAM_BETAS, ADAM_EPS, MlpParams, mlp_forward
 from shapectl.odeint import _AB4, IntegrationGrid, integrate
 from shapectl.reports import (
     SHAPE_EVAL_HEADER,
@@ -64,7 +63,7 @@ from shapectl.reports import (
     tracking_log_header,
 )
 from shapectl.robot import action_to_curvature
-from shapectl.shape_node import LOSS_EPS_SQ, robot_config_hash, rollout_shape
+from shapectl.shape_node import LOSS_EPS_SQ, rollout_shape
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -260,6 +259,12 @@ def layer_dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
         )
 
     return x.tape._record(out, (x.nid, w.nid, b.nid), bk)
+
+
+def plain_dense(x: Tensor, layers) -> Tensor:
+    """``ad.dense`` with scales of ones: a network that scales nothing."""
+    ones = (np.ones(layers[0][0].value.shape[0]), np.ones(layers[-1][0].value.shape[1]))
+    return ad.dense(x, layers, *ones)
 
 
 def layered_mlp(x: Tensor, layers, input_scale=None, output_scale=None) -> Tensor:
@@ -492,40 +497,6 @@ def array_to_b64(a) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
 
 
-def dumped_model_file(fmt: str, fields: dict, params, config) -> str:
-    """A model file in the ``-v1`` layout: ``json.dumps`` of the whole
-    document (format tag, model fields, robot binding, then the network),
-    each array as its base64 record (:func:`array_to_b64`)."""
-    doc = {
-        "format": fmt,
-        **fields,
-        "robot_config": config.to_dict(),
-        "robot_config_hash": robot_config_hash(config),
-        "params": params_to_dict(params),
-    }
-    return json.dumps(doc, default=array_to_b64)
-
-
-def split_dumped_model_file(text: str) -> tuple[dict, bytes]:
-    """The header and payload a model file holds in the current layout for
-    the document ``text`` (:func:`dumped_model_file`): the document with
-    every ``"data"`` member dropped, and each record's base64 decoded,
-    back to back in document order."""
-    payload = []
-
-    def strip(obj):
-        if isinstance(obj, dict):
-            if "data" in obj:
-                payload.append(base64.b64decode(obj["data"], validate=True))
-            return {k: strip(v) for k, v in obj.items() if k != "data"}
-        if isinstance(obj, list):
-            return [strip(v) for v in obj]
-        return obj
-
-    header = strip(json.loads(text))
-    return header, b"".join(payload)
-
-
 def split_model_file(data: bytes) -> tuple[dict, bytes]:
     """A model file's header, as ``json`` reads its first line, and the
     bytes after that line."""
@@ -571,11 +542,11 @@ def read_model_file_oracle(path, resume: bool) -> tuple[dict, MlpParams]:
     params = MlpParams(
         weights=d["weights"],
         biases=d["biases"],
-        input_scale=d.get("input_scale"),
-        output_scale=d.get("output_scale"),
-        step_count=d.get("step_count", 0),
+        input_scale=d["input_scale"],
+        output_scale=d["output_scale"],
+        step_count=d["step_count"],
     )
     if resume:
-        params.adam_m = d.get("adam_m", [])
-        params.adam_v = d.get("adam_v", [])
+        params.adam_m = d["adam_m"]
+        params.adam_v = d["adam_v"]
     return doc, params

@@ -17,6 +17,7 @@ from helpers import (
     leaky_relu,
     matmul,
     mul,
+    plain_dense,
     rel_err,
     unbroadcast,
 )
@@ -163,7 +164,7 @@ def test_dense_fd(rng):
     b2 = rng.standard_normal(2)
     iscale, oscale = rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 2.0, 2)
     _check_primitive(
-        lambda t, l: ad.reduce_sum(ad.square(ad.dense(l[0], [(l[1], l[2])]))),
+        lambda t, l: ad.reduce_sum(ad.square(plain_dense(l[0], [(l[1], l[2])]))),
         [x.copy(), w.copy(), b.copy()],
         tol=1e-5,
     )
@@ -187,7 +188,7 @@ def test_dense_matches_unfused_chain(rng):
     # one tape: the two sweeps share only the leaves
     tape = ad.Tape()
     xt, wt, bt, w2t, b2t = (tape.tensor(v) for v in (x, w, b, w2, b2))
-    fused = ad.dense(xt, [(wt, bt), (w2t, b2t)])
+    fused = plain_dense(xt, [(wt, bt), (w2t, b2t)])
     hidden = leaky_relu(add_bias(matmul(xt, wt), bt), 0.01)
     ref = ad.tanh(add_bias(matmul(hidden, w2t), b2t))
     assert np.array_equal(fused.value, ref.value)
@@ -259,7 +260,7 @@ def test_constant_forward_records_no_closure(rng):
     x = tape.constant(rng.standard_normal((4, 3)))
     w = tape.constant(rng.standard_normal((3, 5)))
     b = tape.constant(rng.standard_normal(5))
-    h = ad.concat([ad.dense(x, [(w, b)]), x], axis=1)
+    h = ad.concat([plain_dense(x, [(w, b)]), x], axis=1)
     h = ad.add_const(ad.scale(h, 2.0), -1.0)
     loss = ad.reduce_sum(ad.square(ad.tanh(h)))
     assert len(tape) > 3
@@ -290,7 +291,7 @@ def test_frozen_dense_parent_gets_no_adjoint(rng, frozen):
             (tape.constant if name in const else tape.tensor)(v)
             for name, v in zip(names, [x, *params[: 2 * depth]])
         ]
-        y = ad.dense(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
+        y = plain_dense(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
         # the sweep releases the closure, so read what it holds first
         held = closure_arrays(tape.backfns[y.nid])
         return names, leaves, held, ad.backward(ad.reduce_sum(ad.square(y)))
@@ -318,7 +319,8 @@ def test_frozen_dense_parent_gets_no_adjoint(rng, frozen):
 def test_dense_matches_layered_oracle_bit_for_bit(rng, dtype, hidden, leaves):
     # the fused network node against one node per scale and per layer:
     # the same value, and the same adjoint for x, every weight and every
-    # bias, bit for bit, with and without the scales
+    # bias, bit for bit; with scales of ones, against the oracle with no
+    # scale nodes, since multiplying by 1.0 is exact
     sizes = [4, *hidden, 3]
     x = rng.standard_normal((7, 4))
     params = [
@@ -326,6 +328,7 @@ def test_dense_matches_layered_oracle_bit_for_bit(rng, dtype, hidden, leaves):
         for n_in, n_out in zip(sizes, sizes[1:])
     ]
     scales = (rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 3))
+    ones = (np.ones(4), np.ones(3))
     g = rng.standard_normal((7, 3))
     uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
 
@@ -339,9 +342,9 @@ def test_dense_matches_layered_oracle_bit_for_bit(rng, dtype, hidden, leaves):
         tensors = [xt, *(t for pair in layers for t in pair)]
         return y.value, [grads.get(t.nid) for t in tensors]
 
-    for input_scale, output_scale in (scales, (None, None)):
-        value, adjoints = run(ad.dense, input_scale, output_scale)
-        ref_value, ref_adjoints = run(layered_mlp, input_scale, output_scale)
+    for dense_scales, ref_scales in ((scales, scales), (ones, (None, None))):
+        value, adjoints = run(ad.dense, *dense_scales)
+        ref_value, ref_adjoints = run(layered_mlp, *ref_scales)
         assert value.dtype == dtype
         assert np.array_equal(value.view(uint), ref_value.view(uint))
         got = [a is not None for a in adjoints]
@@ -357,14 +360,16 @@ def test_dense_matches_layered_oracle_bit_for_bit(rng, dtype, hidden, leaves):
 @pytest.mark.parametrize("hidden", [(6,), (6, 5)], ids=["one_hidden", "two_hidden"])
 def test_dense_matches_layered_oracle_on_every_activity_pattern(rng, dtype, hidden):
     # each of the input, every weight and every bias trainable or
-    # constant on its own (2**5 and 2**7 patterns), with and without the
-    # scales: the value and every active parent's adjoint are the
-    # oracle's bit for bit, and no constant parent gets an adjoint
+    # constant on its own (2**5 and 2**7 patterns), with scales and with
+    # scales of ones (against the oracle with no scale nodes): the value
+    # and every active parent's adjoint are the oracle's bit for bit,
+    # and no constant parent gets an adjoint
     sizes = [4, *hidden, 3]
     arrays = [rng.standard_normal((7, 4))]
     for n_in, n_out in zip(sizes, sizes[1:]):
         arrays += [rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out)]
     scales = (rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 3))
+    ones = (np.ones(4), np.ones(3))
     g = rng.standard_normal((7, 3))
     uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
 
@@ -380,9 +385,9 @@ def test_dense_matches_layered_oracle_on_every_activity_pattern(rng, dtype, hidd
 
     for code in range(2 ** len(arrays)):
         pattern = [bool(code >> k & 1) for k in range(len(arrays))]
-        for input_scale, output_scale in (scales, (None, None)):
-            value, adjoints = run(ad.dense, pattern, input_scale, output_scale)
-            ref_value, ref_adjoints = run(layered_mlp, pattern, input_scale, output_scale)
+        for dense_scales, ref_scales in ((scales, scales), (ones, (None, None))):
+            value, adjoints = run(ad.dense, pattern, *dense_scales)
+            ref_value, ref_adjoints = run(layered_mlp, pattern, *ref_scales)
             assert np.array_equal(value.view(uint), ref_value.view(uint)), pattern
             assert [a is not None for a in adjoints] == pattern, pattern
             assert [a is not None for a in ref_adjoints] == pattern, pattern
@@ -409,8 +414,8 @@ def test_dense_on_constants_keeps_no_residual(rng, monkeypatch):
         const_tape, tape = ad.Tape(), ad.Tape()
         c0, *p0 = (const_tape.constant(v) for v in arrays)
         c1, *p1 = (tape.tensor(v) for v in arrays)
-        y0 = ad.dense(c0, list(zip(p0[::2], p0[1::2])))
-        y1 = ad.dense(c1, list(zip(p1[::2], p1[1::2])))
+        y0 = plain_dense(c0, list(zip(p0[::2], p0[1::2])))
+        y1 = plain_dense(c1, list(zip(p1[::2], p1[1::2])))
         assert const_tape.backfns[y0.nid] is None and not const_tape.active[y0.nid]
         assert tape.backfns[y1.nid] is not None
         assert np.array_equal(y0.value, y1.value)
@@ -511,7 +516,7 @@ def test_backward_releases_closures_and_interior_adjoints(rng):
     w = tape.tensor(rng.standard_normal((3, 5)))
     b = tape.constant(rng.standard_normal(5))
     tape.tensor(rng.standard_normal(5))  # an active leaf the loss never reaches
-    h = ad.dense(x, [(w, b)])
+    h = plain_dense(x, [(w, b)])
     loss = ad.reduce_sum(ad.square(ad.add(h, ad.tanh(h))))
     reached = [nid for nid in range(len(tape)) if tape.backfns[nid] is not None]
     grads = ad.backward(loss)
@@ -527,7 +532,7 @@ def test_dense_residual_freed_by_sweep(rng):
     b = tape.tensor(rng.standard_normal(5))
     w2 = tape.tensor(rng.standard_normal((5, 2)))
     b2 = tape.tensor(rng.standard_normal(2))
-    y = ad.dense(x, [(w, b), (w2, b2)])
+    y = plain_dense(x, [(w, b), (w2, b2)])
     bk = tape.backfns[y.nid]
     cells = dict(zip(bk.__code__.co_freevars, bk.__closure__))
     mask = weakref.ref(cells["masks"].cell_contents[0])
@@ -606,7 +611,7 @@ def test_dense_leaky_is_np_where_chain_bit_for_bit(rng, dtype, shape):
         xt, wt, bt = tape.tensor(x), tape.tensor(w), tape.tensor(b)
         w2t, b2t = tape.tensor(np.eye(cols)), tape.tensor(np.zeros(cols))
         with np.errstate(over="ignore", invalid="ignore"):  # not finite
-            y = ad.dense(xt, [(wt, bt), (w2t, b2t)])
+            y = plain_dense(xt, [(wt, bt), (w2t, b2t)])
             grads = ad.backward(ad.reduce_sum(ad.cmul(y, g)))
             xv, wv, w2v, gv = xt.value, wt.value, w2t.value, g.astype(dtype)
             z = xv @ wv
@@ -648,7 +653,7 @@ def _two_layers(a, w, c):
 
 FLOAT32_CASES = {
     "add": lambda a, b, w, c: ad.add(a, b),
-    "add_broadcast": lambda a, b, w, c: add_bias(ad.dense(a, [(w, c)]), c),
+    "add_broadcast": lambda a, b, w, c: add_bias(plain_dense(a, [(w, c)]), c),
     "sub": lambda a, b, w, c: ad.sub(a, b),
     "neg": lambda a, b, w, c: ad.neg(a),
     "scale": lambda a, b, w, c: ad.scale(a, np.float64(0.3)),
@@ -656,7 +661,7 @@ FLOAT32_CASES = {
     "add_const_scalar": lambda a, b, w, c: ad.add_const(a, 0.5),
     "cmul": lambda a, b, w, c: ad.cmul(a, F64),
     "dense_leaky": lambda a, b, w, c: _two_layers(a, w, c),
-    "dense_tanh": lambda a, b, w, c: ad.dense(a, [(w, c)]),
+    "dense_tanh": lambda a, b, w, c: plain_dense(a, [(w, c)]),
     "tanh": lambda a, b, w, c: ad.tanh(a),
     "sigmoid": lambda a, b, w, c: ad.sigmoid(a),
     "sqrt": lambda a, b, w, c: ad.sqrt(ad.add_const(ad.square(a), 1.0)),

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a one-segment toy setup."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -15,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    dumped_model_file,
+    array_to_b64,
     joined_model_file,
+    model_file_arrays,
     read_metrics_csv,
-    read_model_file_oracle,
     read_shape_eval_csv,
     read_tracking_log_csv,
     split_model_file,
@@ -32,6 +33,7 @@ from shapectl.control_node import (
     load_control_model,
     save_control_model,
 )
+from shapectl.nn import write_json
 from shapectl.reports import read_dataset_csv
 from shapectl.robot import RobotConfig, sample_dataset
 from shapectl.shape_node import (
@@ -667,9 +669,9 @@ def test_rollout_closed_loop(workdir, tmp_path):
 
 def test_non_finite_policy_action_is_numeric_failure(workdir, tmp_path, capsys):
     root, ini = workdir
-    policy, config = load_control_model(_control_model_path(workdir))
-    policy.params.weights[0][0, 0] = np.nan
-    save_control_model(tmp_path / "nan_policy.json", policy, config)
+    doc = _model_document(_control_model_path(workdir))
+    doc["params"]["weights"][0][0, 0] = np.nan
+    (tmp_path / "nan_policy.json").write_bytes(_written(doc))
     rc = main(
         [
             "rollout",
@@ -881,6 +883,28 @@ def test_non_finite_dataset_cell_is_config_error(workdir, tmp_path, column, valu
     assert err == "error: cannot use dataset: dataset row 3 has a non-finite cell\n"
 
 
+def _model_document(path):
+    """The model file's header with each record's array in its place."""
+    return model_file_arrays(*split_model_file(Path(path).read_bytes()))
+
+
+def _written(doc) -> bytes:
+    f = io.BytesIO()
+    write_json(f, doc)
+    return f.getvalue()
+
+
+def _document_edit(edit):
+    # edits the document with its arrays in place of their records and
+    # writes it again, so a record taken out takes its bytes with it
+    def tamper(path):
+        doc = _model_document(path)
+        edit(doc)
+        return _written(doc)
+
+    return tamper
+
+
 def _header_edit(edit):
     # edits line 1 of the file and keeps the arrays after it as they are
     def tamper(path):
@@ -969,23 +993,48 @@ def _set_robot(key, value):
     return _header_edit(edit)
 
 
-def _as_v1_file(path):
-    # the same model in the -v1 layout: one JSON document, each array a
-    # base64 record
-    doc, params = read_model_file_oracle(path, resume=True)
+def _v2_document(path, tag):
+    # the model's document as the -v2 and -v1 layouts held it: also the
+    # layer sizes, the network form, the action box and, for a policy,
+    # the step's dt and rate_scale, with no output scale
+    doc = _model_document(path)
     fixed = ("format", "robot_config", "robot_config_hash", "params")
     fields = {k: v for k, v in doc.items() if k not in fixed}
-    fmt = doc["format"].replace("-v2", "-v1")
-    config = RobotConfig.from_dict(doc["robot_config"])
-    return dumped_model_file(fmt, fields, params, config).encode("ascii")
+    robot, p = doc["robot_config"], doc["params"]
+    robot.update(q_min=-robot["u_max"], q_max=robot["u_max"])
+    if "horizon" in fields:
+        fields.update(dt=1.0, rate_scale=1.0)
+        p["output_scale"] = None
+    sizes = [p["weights"][0].shape[0], *(w.shape[1] for w in p["weights"])]
+    blob = json.dumps(robot, sort_keys=True).encode("ascii")
+    return {
+        "format": doc["format"].replace("-v3", tag),
+        **fields,
+        "robot_config": robot,
+        "robot_config_hash": hashlib.sha256(blob).hexdigest(),
+        "params": {"sizes": sizes, "hidden_slope": 0.01, "out_activation": "tanh", **p},
+    }
+
+
+def _as_v2_file(path):
+    return _written(_v2_document(path, "-v2"))
+
+
+def _as_v1_file(path):
+    # one JSON document, each array a base64 record
+    return json.dumps(_v2_document(path, "-v1"), default=array_to_b64).encode("ascii")
+
+
+def _deeply_nested_header(path):
+    # a header field nested past the JSON parser's recursion limit
+    doc, payload = split_model_file(Path(path).read_bytes())
+    line = json.dumps(doc)[:-1] + ', "nested": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    return line.encode("ascii") + b"\n" + payload
 
 
 # (model, tampering, message) -> a model file that is not one network
 # bound to one robot, and what the one-line error says
 TAMPERED_MODELS = {
-    "relu_output": ("shape", _set_params("out_activation", "relu"), "not LeakyReLU"),
-    "hidden_slope": ("shape", _set_params("hidden_slope", 0.02), "not LeakyReLU"),
-    "identity_output": ("shape", _set_params("out_activation", "identity"), "not LeakyReLU"),
     "widths_do_not_chain": ("shape", _widen_second_layer, "do not chain"),
     "input_scale_length": ("shape", _shorten_input_scale, "do not chain"),
     "output_scale_length_1": ("shape", _shorten_output_scale_to_1, "do not chain"),
@@ -993,10 +1042,19 @@ TAMPERED_MODELS = {
     # the file ends one float64 inside the last moment, which only a
     # resumed training reads
     "adam_moment_data_length": ("shape", _payload_edit(lambda b: b[:-8]), "the arrays take"),
+    # a network holds its moments exactly when it has taken a step
+    "adam_moments_missing_after_a_step": (
+        "shape",
+        _document_edit(lambda doc: doc["params"].update(step_count=1, adam_m=[], adam_v=[])),
+        "step_count 1 needs one of each parameter's shape",
+    ),
+    "adam_moments_before_a_step": (
+        "shape",
+        _set_params("step_count", 0),
+        "step_count 0 needs none",
+    ),
     "control_input_scale_length": ("control", _shorten_control_input_scale, "do not chain"),
     "action_box": ("shape", _set_robot("q_min", -3.0), "robot config hash mismatch"),
-    "policy_dt": ("control", _set_field("dt", 0.5), "dt 0.5"),
-    "policy_rate_scale": ("control", _set_field("rate_scale", 0.5), "rate_scale 0.5"),
     # integer fields hold JSON integers: no fraction, no bool
     "steps_per_segment_fraction": (
         "shape",
@@ -1019,6 +1077,20 @@ TAMPERED_MODELS = {
     ),
     # a file states every segment length; none is not the default
     "no_segment_lengths": ("shape", _set_robot("segment_lengths", []), "segment_lengths"),
+    # lengths and limits are finite JSON numbers: no string, no bool, no Infinity
+    "u_max_string": ("shape", _set_robot("u_max", "15"), "u_max must be a number"),
+    "u_max_bool": ("shape", _set_robot("u_max", True), "u_max must be a number"),
+    "u_max_infinity": ("shape", _set_robot("u_max", float("inf")), "u_max must be a number"),
+    "mismatch_amplitude_string": (
+        "shape",
+        _set_robot("mismatch_amplitude", "0.1"),
+        "mismatch_amplitude must be a number",
+    ),
+    "segment_length_string": (
+        "shape",
+        _set_robot("segment_lengths", ["0.1"]),
+        "segment length must be a number",
+    ),
     # the header's shapes say how many bytes follow it, to the byte
     "payload_one_byte_short": ("shape", _payload_edit(lambda b: b[:-1]), "the arrays take"),
     "payload_one_float64_too_many": (
@@ -1029,8 +1101,11 @@ TAMPERED_MODELS = {
     # refused from the header, before 8 TiB is allocated
     "shape_beyond_the_file": ("shape", _set_first_weight_shape([2**40]), "the arrays take"),
     "negative_size": ("shape", _set_first_weight_shape([-1, 16]), "not a list of sizes"),
-    "v1_file": ("shape", _as_v1_file, "not a shape model file (shape-node-v2)"),
-    "v1_control_file": ("control", _as_v1_file, "not a control model file (control-node-v2)"),
+    "deeply_nested_header": ("shape", _deeply_nested_header, "nests deeper than the parser"),
+    "v1_file": ("shape", _as_v1_file, "not a shape model file (shape-node-v3)"),
+    "v1_control_file": ("control", _as_v1_file, "not a control model file (control-node-v3)"),
+    "v2_file": ("shape", _as_v2_file, "not a shape model file (shape-node-v3)"),
+    "v2_control_file": ("control", _as_v2_file, "not a control model file (control-node-v3)"),
 }
 
 
@@ -1058,6 +1133,96 @@ def test_tampered_model_file_is_config_error(workdir, tmp_path, case, capsys):
         assert err.startswith(f"error: cannot load {kind} model: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert message in err, err
+
+
+def _key_paths(obj, path=()):
+    # the path of every key in a document, each record's "shape" included
+    if isinstance(obj, np.ndarray):
+        return [path + ("shape",)]
+    if isinstance(obj, dict):
+        return [q for k, v in obj.items() for q in [path + (k,), *_key_paths(v, path + (k,))]]
+    if isinstance(obj, list):
+        return [q for i, v in enumerate(obj) for q in _key_paths(v, path + (i,))]
+    return []
+
+
+def _without(doc, path):
+    # the document with the key at ``path`` taken out; a record that
+    # loses its "shape" is an empty object, and its array goes with it
+    doc = copy.deepcopy(doc)
+    *up, key = path
+    parent = doc
+    for k in up[:-1] if key == "shape" else up:
+        parent = parent[k]
+    if key == "shape":
+        parent[up[-1]] = {}
+    else:
+        del parent[key]
+    return doc
+
+
+class _ReadKeys(dict):
+    """A header object that notes the path of each key a load reads."""
+
+    def __init__(self, obj, path, seen):
+        super().__init__((k, _reading(v, path + (k,), seen)) for k, v in obj.items())
+        self.path, self.seen = path, seen
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(self.path + (key,))
+        return super().get(key, default)
+
+
+def _reading(obj, path, seen):
+    if isinstance(obj, dict):
+        return _ReadKeys(obj, path, seen)
+    if isinstance(obj, list):
+        return [_reading(v, path + (i,), seen) for i, v in enumerate(obj)]
+    return obj
+
+
+@pytest.mark.parametrize("kind", ["shape", "control"])
+def test_every_header_key_is_read(workdir, tmp_path, monkeypatch, kind, capsys):
+    # a load reads every key a save writes, and a file missing any one of
+    # them, at any level, is refused: a record's array leaves the file
+    # with its key, so only the missing key can make the load refuse
+    root, ini = workdir
+    path = _shape_model_path(workdir) if kind == "shape" else _control_model_path(workdir)
+    load = load_shape_model if kind == "shape" else load_control_model
+    doc = _model_document(path)
+    assert _written(doc) == Path(path).read_bytes()
+    written = _key_paths(doc)
+    # top level, robot and network keys, then one record per array: the
+    # trained network's Adam moments are in the file
+    assert doc["params"]["adam_m"] and doc["params"]["adam_v"]
+    assert len(written) == {"shape": 6 + 4 + 7 + 20, "control": 5 + 4 + 7 + 14}[kind]
+
+    seen = set()
+    read_json = shapectl.shape_node.read_json
+    with monkeypatch.context() as m:
+        m.setattr(shapectl.shape_node, "read_json", lambda f: _reading(read_json(f), (), seen))
+        load(path)
+    assert {q for q in written if q[-1] != "shape"} <= seen
+
+    if kind == "shape":
+        args = ["evaluate", "--scenario", "shape"]
+    else:
+        args = ["rollout", "--closed-loop", "--shape-model", _shape_model_path(workdir)]
+    bad = tmp_path / "bad.json"
+    for key in written:
+        bad.write_bytes(_written(_without(doc, key)))
+        with pytest.raises(ValueError):
+            load(bad)
+        capsys.readouterr()
+        argv = args + [f"--{kind}-model", str(bad), "--config", str(ini)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {kind} model: "), (key, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, key
 
 
 def test_only_a_resumed_training_loads_the_adam_moments(workdir, tmp_path, monkeypatch):

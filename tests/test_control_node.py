@@ -1245,13 +1245,14 @@ def test_save_load_roundtrip(setup1, tmp_path):
     assert loaded.horizon == policy.horizon
     assert loaded.action_dim == cfg.action_dim
     doc, _ = split_model_file(path.read_bytes())
-    # the step is z + policy(obs): the file names it as dt = rate_scale = 1
-    assert (doc["dt"], doc["rate_scale"]) == (1.0, 1.0)
-    # the robot config owns the segment count and the action box
-    assert not {"n_segments", "q_min", "q_max"} & set(doc)
+    # the policy holds only its horizon; the step rule is the program's,
+    # and the robot config owns the segment count and the action box
+    assert list(doc) == ["format", "horizon", "robot_config", "robot_config_hash", "params"]
     for a, b in zip(loaded.params.param_arrays(), policy.params.param_arrays()):
         assert np.array_equal(a, b)
     assert np.array_equal(loaded.params.input_scale, policy.params.input_scale)
+    # the policy scales no output
+    assert np.array_equal(loaded.params.output_scale, np.ones(cfg.action_dim))
 
 
 def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):

@@ -10,6 +10,7 @@ from helpers import (
     expression_adam_step,
     fd_grad_at,
     model_file_arrays,
+    plain_dense,
     rel_err,
     sample_coords,
     split_model_file,
@@ -19,16 +20,19 @@ from shapectl import nn
 
 
 def manual_forward(p: nn.MlpParams, x: np.ndarray) -> np.ndarray:
-    h = x if p.input_scale is None else x * p.input_scale
+    h = x * p.input_scale
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
         h = h @ w + b
         if i < last:
             h = np.maximum(h, 0.01 * h)
-    h = np.tanh(h)
-    if p.output_scale is not None:
-        h = h * p.output_scale
-    return h
+    return np.tanh(h) * p.output_scale
+
+
+def one_unit(w: float = 0.0, b: float = 0.0) -> nn.MlpParams:
+    """The network ``tanh(w x + b)`` of one unit, with scales of ones."""
+    ones = np.ones(1)
+    return nn.MlpParams([np.array([[w]])], [np.array([b])], ones, ones.copy())
 
 
 def forward_value(p: nn.MlpParams, x: np.ndarray) -> np.ndarray:
@@ -68,7 +72,7 @@ def test_tanh_output_bounded(rng):
 
 
 def test_single_neuron_tanh():
-    p = nn.MlpParams(weights=[np.array([[2.0]])], biases=[np.array([0.5])])
+    p = one_unit(2.0, 0.5)
     out = forward_value(p, np.array([[0.25]]))
     assert out[0, 0] == pytest.approx(np.tanh(1.0), rel=1e-15)
 
@@ -78,7 +82,7 @@ def test_leaky_relu_definition():
     tape = ad.Tape()
     x = tape.tensor(np.array([[-2.0, 3.0]]))
     layer = (tape.tensor(np.eye(2)), tape.tensor(np.zeros(2)))
-    y = ad.dense(x, [layer, layer])
+    y = plain_dense(x, [layer, layer])
     assert y.value[0, 0] == pytest.approx(np.tanh(-0.02))
     assert y.value[0, 1] == pytest.approx(np.tanh(3.0))
 
@@ -123,13 +127,16 @@ def test_mlp_gradcheck(rng):
 
 
 def test_glorot_bounds_and_zero_biases(rng):
-    p = nn.init_mlp(rng, [7, 256, 256, 7])
+    p = nn.init_mlp(rng, [7, 256, 256, 3])
     for w in p.weights:
         limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         assert np.all(np.abs(w) <= limit)
         assert np.std(w) > 0.1 * limit
     for b in p.biases:
         assert np.all(b == 0.0)
+    # a scale not given is ones
+    assert np.array_equal(p.input_scale, np.ones(7))
+    assert np.array_equal(p.output_scale, np.ones(3))
 
 
 def test_adam_zero_gradient_fixed_point(rng):
@@ -144,7 +151,7 @@ def test_adam_zero_gradient_fixed_point(rng):
 
 
 def test_adam_first_step_magnitude():
-    p = nn.MlpParams(weights=[np.array([[0.0]])], biases=[np.zeros(1)])
+    p = one_unit()
     g = [np.array([[1.0]]), np.zeros(1)]
     lr = 1e-3
     nn.adam_step(p, g, lr)
@@ -152,7 +159,7 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_converges_on_quadratic():
-    p = nn.MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    p = one_unit()
     lr = 0.1
     target = 1.0
     for _ in range(100):
@@ -170,14 +177,14 @@ def test_adam_shape_mismatch(rng):
 
 @pytest.mark.parametrize("grad", [np.inf, np.nan, 1e308])
 def test_adam_refuses_gradients_that_break_the_moments(grad):
-    p = nn.MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    p = one_unit()
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match="after the step"):
             nn.adam_step(p, [np.full((1, 1), grad), np.zeros(1)], 1e-3)
 
 
 def test_adam_refuses_a_step_that_overflows_the_weights():
-    p = nn.MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    p = one_unit()
     lr = 1e308
     # the first step lands near -1e308; the second one overflows
     nn.adam_step(p, [np.ones((1, 1)), np.zeros(1)], lr)
@@ -258,6 +265,9 @@ def test_loading_to_use_skips_the_moments(rng):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="without its Adam moments"):
         nn.adam_step(q, [np.zeros_like(a) for a in q.param_arrays()], 1e-3)
+    # nor is it saved: a load refuses steps without moments
+    with pytest.raises(ValueError, match="without its Adam moments cannot be saved"):
+        nn.params_to_dict(q)
 
 
 def _misshape_moment(d):
@@ -273,8 +283,27 @@ def _drop_moment(d):
     d["adam_v"].pop()
 
 
+def _drop_all_moments(d):
+    # a network that has taken a step keeps its moments
+    d["adam_m"], d["adam_v"] = [], []
+
+
+def _moments_before_a_step(d):
+    # and one that has taken none holds none
+    d["step_count"] = 0
+
+
 @pytest.mark.parametrize("resume", [False, True])
-@pytest.mark.parametrize("tamper", [_misshape_moment, _shorten_moment_data, _drop_moment])
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _misshape_moment,
+        _shorten_moment_data,
+        _drop_moment,
+        _drop_all_moments,
+        _moments_before_a_step,
+    ],
+)
 def test_bad_moment_records_are_refused_either_way(rng, tamper, resume):
     p = nn.init_mlp(rng, [3, 8, 2])
     nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
@@ -367,6 +396,13 @@ def test_a_header_syntax_error_gives_its_place_in_the_file(rng):
     with pytest.raises(json.JSONDecodeError) as err:
         nn.read_json(io.BytesIO(text))
     assert err.value.pos == at and f"(char {at})" in str(err.value)
+
+
+def test_a_header_nested_past_the_recursion_limit_is_refused():
+    # json's RecursionError, which is not a ValueError, is turned into one
+    text = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    with pytest.raises(ValueError, match="nests deeper than the parser can follow"):
+        nn.read_json(io.BytesIO(text))
 
 
 def test_read_array_refuses_a_file_that_ends_inside_the_array():

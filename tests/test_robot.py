@@ -50,16 +50,30 @@ def test_action_box_is_read_only_and_not_read_back():
         cfg.q_min = -3.0
     with pytest.raises(TypeError):
         RobotConfig(q_min=-3.0)
-    # the written dict keeps the bounds (model files and hashes do not
-    # change); reading ignores them
+    # u_max owns the bounds: the written dict holds no box, and reading
+    # ignores one
     d = cfg.to_dict()
-    assert (d["q_min"], d["q_max"]) == (-12.0, 12.0)
+    assert not {"q_min", "q_max"} & set(d)
     assert RobotConfig.from_dict({**d, "q_min": -3.0, "q_max": 5.0}) == cfg
 
 
 def test_config_roundtrip():
     cfg = RobotConfig(n_segments=2, segment_lengths=(0.1, 0.15), u_max=12.0)
     assert RobotConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("key", ["u_max", "mismatch_amplitude", "segment_lengths"])
+@pytest.mark.parametrize(
+    "value", ["15", True, float("inf"), float("nan")], ids=["str", "bool", "inf", "nan"]
+)
+def test_read_lengths_and_limits_are_json_numbers(key, value):
+    # float("15") and float(True) would read as numbers, and json reads
+    # Infinity and NaN, which a config file cannot hold
+    d = RobotConfig(n_segments=2).to_dict()
+    d[key] = [0.1, value] if key == "segment_lengths" else value
+    name = "segment length" if key == "segment_lengths" else key
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        RobotConfig.from_dict(d)
 
 
 def test_empty_segment_lengths_mean_the_default_only_in_the_constructor():

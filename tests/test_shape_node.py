@@ -1,6 +1,7 @@
 """Shape model: prior behavior, losses, gradients, training, persistence."""
 
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,7 +12,6 @@ import pytest
 from helpers import (
     arc_backbone,
     closure_arrays,
-    dumped_model_file,
     fd_grad_at,
     joined_model_file,
     listed_rollout,
@@ -22,7 +22,6 @@ from helpers import (
     rel_err,
     sample_coords,
     single_tip_jacobian,
-    split_dumped_model_file,
     split_model_file,
 )
 from shapectl import autodiff as ad
@@ -492,31 +491,53 @@ def test_int_robot_limits_round_trip(rng, tmp_path):
 @pytest.mark.parametrize("kind", ["shape", "control"])
 @pytest.mark.parametrize("adam_steps", [0, 1])
 def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, adam_steps):
-    # line 1 is json.dumps of the -v1 layout's document with every
-    # "data" member dropped, and the rest is each record's float64
-    # bytes in document order: for the shape model (both scales) and
-    # the policy (output_scale null), fresh (no moments) or after one
-    # Adam step
+    # line 1 is json.dumps of the header written out below, each array a
+    # {"shape": [...]} record, and the rest is each array's float64 bytes
+    # in the header's order: for the shape model and the policy (output
+    # scale ones), fresh (no moments) or after one Adam step
     cfg = RobotConfig(n_segments=3)
     if kind == "shape":
         model = init_shape_model(rng, cfg)
-        fmt, save = shape_node.SHAPE_MODEL_FORMAT, save_shape_model
-        fields = {"solver": model.solver, "steps_per_segment": model.steps_per_segment}
-        assert model.params.output_scale is not None
+        save = save_shape_model
+        fields = {"format": "shape-node-v3", "solver": model.solver, "steps_per_segment": 10}
     else:
         model = control_node.init_control_model(rng, cfg)
-        fmt, save = control_node.CONTROL_MODEL_FORMAT, control_node.save_control_model
-        fields = {"horizon": model.horizon, "dt": 1.0, "rate_scale": 1.0}
-        assert model.params.output_scale is None
-    assert model.params.input_scale is not None
+        save = control_node.save_control_model
+        fields = {"format": "control-node-v3", "horizon": 10}
+        assert np.array_equal(model.params.output_scale, np.ones(6))
     for _ in range(adam_steps):
         grads = [rng.standard_normal(a.shape) for a in model.params.param_arrays()]
         adam_step(model.params, grads, 1e-3)
-    assert bool(model.params.adam_m) == bool(adam_steps)
+    p = model.params
+    assert bool(p.adam_m) == bool(adam_steps)
     path = tmp_path / "model.json"
     save(path, model, cfg)
-    header, payload = split_dumped_model_file(dumped_model_file(fmt, fields, model.params, cfg))
-    assert split_model_file(path.read_bytes()) == (header, payload)
+
+    def records(arrays):
+        return [{"shape": list(a.shape)} for a in arrays]
+
+    robot = {
+        "n_segments": 3,
+        "segment_lengths": [0.1, 0.1, 0.1],
+        "u_max": 15.0,
+        "mismatch_amplitude": 0.1,
+    }
+    header = {
+        **fields,
+        "robot_config": robot,
+        "robot_config_hash": hashlib.sha256(json.dumps(robot, sort_keys=True).encode()).hexdigest(),
+        "params": {
+            "weights": records(p.weights),
+            "biases": records(p.biases),
+            "input_scale": {"shape": [p.input_scale.size]},
+            "output_scale": {"shape": [p.output_scale.size]},
+            "adam_m": records(p.adam_m),
+            "adam_v": records(p.adam_v),
+            "step_count": adam_steps,
+        },
+    }
+    arrays = [*p.weights, *p.biases, p.input_scale, p.output_scale, *p.adam_m, *p.adam_v]
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + payload
 
 
@@ -561,10 +582,8 @@ def test_streamed_model_file_equals_the_whole_file_reader(rng, tmp_path, kind, r
     got_arrays = params.param_arrays() + params.adam_m + params.adam_v
     want_arrays = want.param_arrays() + want.adam_m + want.adam_v
     assert len(want_arrays) == (6 if resume else 2) * len(model.params.weights)
-    for scale in ("input_scale", "output_scale"):
-        if getattr(want, scale) is not None:
-            got_arrays.append(getattr(params, scale))
-            want_arrays.append(getattr(want, scale))
+    got_arrays += [params.input_scale, params.output_scale]
+    want_arrays += [want.input_scale, want.output_scale]
     for a, b in zip(got_arrays, want_arrays, strict=True):
         assert a.dtype == np.float64 and a.flags.writeable
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
