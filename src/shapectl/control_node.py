@@ -58,7 +58,7 @@ from .shape_node import (
 
 OBS_POINTS = 9  # backbone samples per observation, tip included
 
-CONTROL_MODEL_FORMAT = "control-node-v3"
+CONTROL_MODEL_FORMAT = "control-node-v4"
 
 TICKS_PER_PERIOD = 200
 
@@ -718,20 +718,21 @@ def count_violations(log: TrackingLog, obstacle: ObstacleSpec) -> int:
 
 
 def save_control_model(path, model: ControlNodeModel, config: RobotConfig) -> None:
-    """Write the policy plus its robot binding as one model file."""
+    """Write the policy plus its robot binding as one model file, without
+    the network's Adam state: no command trains a saved policy on."""
     _write_model_file(path, CONTROL_MODEL_FORMAT, {"horizon": model.horizon}, model.params, config)
 
 
 def load_control_model(path) -> tuple[ControlNodeModel, RobotConfig]:
     """Load a saved policy; malformed files and a policy whose width does
     not fit the file's robot config raise ``ValueError``.  Top-level
-    fields it does not read are ignored.  The policy is loaded without
-    its Adam moments: no command trains a loaded policy."""
+    fields it does not read are ignored.  The file holds no Adam state,
+    so the loaded network has step count 0 and no moments."""
 
     def build(doc, params):
         return ControlNodeModel(params=params, horizon=json_int(doc["horizon"], "horizon"))
 
-    model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build, False)
+    model, config = _read_model_file(path, CONTROL_MODEL_FORMAT, "control", build)
     if model.action_dim != config.action_dim:
         raise ValueError(
             f"policy emits {model.action_dim} actions, its robot config"

@@ -2,11 +2,11 @@
 
 Every network has one form, LeakyReLU(0.01) hidden layers into a tanh
 output layer, fixed by the program: a model file holds only the arrays
-and the Adam step count.
+and, where the model resumes training, its Adam state.
 
 Parameters live outside any tape as plain float64 arrays, together with
 their step count and, once they train or are loaded to resume training
-(:func:`params_from_dict`), their Adam moment buffers.  A training
+(:func:`adam_from_dict`), their Adam moment buffers.  A training
 iteration wraps the weights once into tape leaves
 (:meth:`MlpParams.as_tensors`), cast to the tape's compute dtype, runs
 any number of forward passes that share those leaves, calls
@@ -29,17 +29,19 @@ node per evaluation, whatever the depth.  The node keeps no first
 hidden layer output for its sweep, which recomputes it from the scaled
 input; what else it keeps is listed in :mod:`shapectl.autodiff`.
 
-A model file (:func:`write_json` on :func:`params_to_dict`) is one line
-of JSON, the header, in which each array is the record
+A model file (:func:`write_json` on :func:`params_to_dict`, plus
+:func:`adam_to_dict`'s fields where the model resumes training) is one
+line of JSON, the header, in which each array is the record
 ``{"shape": [...]}``, then every array's little-endian float64 bytes in
 the header's order, each written from the array's own buffer.  It is
 read back the same way round (:func:`read_json`, then
-:func:`params_from_dict`): the header is parsed, each record becomes an
-:class:`ArrayRecord` holding its offset, the file's length is checked
-against the shapes, and only the arrays the network needs are read,
-each straight into its new array (:func:`read_array`), so a load holds
-its arrays and the header, never an unused moment.  A load reads every
-field a save writes, and a file missing any of them is refused.
+:func:`params_from_dict` and :func:`adam_from_dict`): the header is
+parsed, each record becomes an :class:`ArrayRecord` holding its offset,
+the file's length is checked against the shapes, and only the arrays
+the network needs are read, each straight into its new array
+(:func:`read_array`), so a load holds its arrays and the header, never
+an unused moment.  A load reads every field a save writes, and a file
+missing any of them is refused.
 """
 
 from __future__ import annotations
@@ -69,14 +71,14 @@ class MlpParams:
     multipliers applied before the first layer and after the output
     activation; they carry unit normalization so the weights see O(1)
     values (ones where a network needs none), and they persist
-    alongside the weights.  ``adam_m`` /
-    ``adam_v`` / ``step_count`` hold the optimizer state so a saved
-    model resumes training exactly where it left off; a network loaded
-    only to be used keeps its step count but no moments.
+    alongside the weights.  ``adam_m`` / ``adam_v`` / ``step_count``
+    hold the optimizer state, from which a file that carries it
+    (:func:`adam_to_dict`) resumes training exactly; a network loaded
+    only to be used keeps at most its step count, never its moments.
 
     Construction checks the structure, so a model file that is not one
     network fails to load: the weights chain, and each bias and scale
-    has its layer's width.  :func:`params_from_dict` also checks that a
+    has its layer's width.  :func:`adam_from_dict` also checks that a
     file's moment records fit the parameters and its step count.
     """
 
@@ -106,11 +108,7 @@ class MlpParams:
         return dims
 
     def param_arrays(self) -> list[Array]:
-        out: list[Array] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for layer in zip(self.weights, self.biases) for a in layer]
 
     def ensure_moments(self) -> None:
         """Zero moments for a network that has none; one that has taken
@@ -139,11 +137,7 @@ class MlpTensors:
     layers: list[tuple[Tensor, Tensor]]
 
     def param_tensors(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
+        return [t for layer in self.layers for t in layer]
 
 
 def init_mlp(
@@ -204,9 +198,8 @@ def adam_step(params: MlpParams, grads: list[Array], lr: float) -> None:
     arrays = params.param_arrays()
     if len(grads) != len(arrays):
         raise ValueError("gradient count does not match parameter count")
-    for a, g in zip(arrays, grads):
-        if a.shape != g.shape:
-            raise ValueError("gradient shape does not match parameter shape")
+    if any(a.shape != g.shape for a, g in zip(arrays, grads)):
+        raise ValueError("gradient shape does not match parameter shape")
     params.ensure_moments()
     params.step_count += 1
     t = params.step_count
@@ -346,38 +339,56 @@ def json_int(value, name: str) -> int:
 
 
 def json_float(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number; a bool, a string and
-    ``NaN`` or ``Infinity`` (which ``json`` reads, but JSON has no such
-    number) raise ``ValueError``."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    """``value`` as a float if it is a JSON number; a bool and a string
+    raise ``ValueError``.  ``NaN`` and ``Infinity``, which ``json`` reads,
+    pass: the constructor that takes the value refuses them."""
+    if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
 def params_to_dict(p: MlpParams) -> dict:
-    """The network as a document for :func:`write_json`, arrays as they
-    are.  A network loaded without its Adam moments raises
-    ``ValueError``: its file would hold steps and no moments."""
-    if p.step_count and not p.adam_m:
-        raise ValueError("a network loaded without its Adam moments cannot be saved")
+    """The network as a document for :func:`write_json`, arrays as they are."""
     return {
         "weights": list(p.weights),
         "biases": list(p.biases),
         "input_scale": p.input_scale,
         "output_scale": p.output_scale,
-        "adam_m": list(p.adam_m),
-        "adam_v": list(p.adam_v),
-        "step_count": p.step_count,
     }
 
 
-def _check_moment_records(d: dict, shapes: list[tuple[int, ...]], step_count: int) -> None:
-    """Raise ``ValueError`` unless ``d`` gives every parameter one
-    ``adam_m`` and one ``adam_v`` record of its shape once the network
-    has taken a step (``step_count > 0``), and holds no moment record
-    before.  Nothing is read: :func:`read_json` has checked that the
-    file holds every record's bytes."""
-    want = shapes if step_count else []
+def adam_to_dict(p: MlpParams) -> dict:
+    """The network's Adam moments and step count as document fields for
+    :func:`write_json`.  A network loaded without its moments raises
+    ``ValueError``: its file would hold steps and no moments."""
+    if p.step_count and not p.adam_m:
+        raise ValueError("a network loaded without its Adam moments cannot be saved")
+    return {"adam_m": list(p.adam_m), "adam_v": list(p.adam_v), "step_count": p.step_count}
+
+
+def params_from_dict(d: dict, f) -> MlpParams:
+    """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
+    :func:`read_json` reads it back from the binary handle ``f``: the
+    network, its arrays read from ``f`` (:func:`read_array`), with step
+    count 0 and no moments.  A missing field raises ``KeyError``."""
+    return MlpParams(
+        weights=[read_array(f, w) for w in d["weights"]],
+        biases=[read_array(f, b) for b in d["biases"]],
+        input_scale=read_array(f, d["input_scale"]),
+        output_scale=read_array(f, d["output_scale"]),
+    )
+
+
+def adam_from_dict(params: MlpParams, d: dict, f, resume: bool) -> None:
+    """Inverse of :func:`adam_to_dict` on the network :func:`params_from_dict`
+    read from ``d`` and ``f``: its step count, and its moments only to
+    ``resume`` training.  Moment records that are not one ``adam_m`` and
+    one ``adam_v`` of each parameter's shape once the network has taken
+    a step, or any before, raise ``ValueError`` without a read."""
+    step_count = json_int(d["step_count"], "step_count")
+    if step_count < 0:
+        raise ValueError(f"step_count must not be negative, got {step_count}")
+    want = [a.shape for a in params.param_arrays()] if step_count else []
     for key in ("adam_m", "adam_v"):
         if [r.shape if isinstance(r, ArrayRecord) else None for r in d[key]] != want:
             need = "one of each parameter's shape" if step_count else "none"
@@ -385,30 +396,7 @@ def _check_moment_records(d: dict, shapes: list[tuple[int, ...]], step_count: in
                 f"Adam moments do not match the parameter shapes"
                 f" (step_count {step_count} needs {need})"
             )
-
-
-def params_from_dict(d: dict, f, resume: bool) -> MlpParams:
-    """Inverse of :func:`params_to_dict` as :func:`write_json` writes it and
-    :func:`read_json` reads it back from the binary handle ``f``.  A
-    missing field raises ``KeyError``.
-
-    The weights, biases and scales are read from ``f``
-    (:func:`read_array`).  The Adam moments are read only to
-    ``resume`` training; otherwise the network holds none, and its
-    moment records are only checked (:func:`_check_moment_records`).
-    """
-    step_count = json_int(d["step_count"], "step_count")
-    if step_count < 0:
-        raise ValueError(f"step_count must not be negative, got {step_count}")
-    params = MlpParams(
-        weights=[read_array(f, w) for w in d["weights"]],
-        biases=[read_array(f, b) for b in d["biases"]],
-        input_scale=read_array(f, d["input_scale"]),
-        output_scale=read_array(f, d["output_scale"]),
-        step_count=step_count,
-    )
-    _check_moment_records(d, [a.shape for a in params.param_arrays()], step_count)
+    params.step_count = step_count
     if resume:
         params.adam_m = [read_array(f, m) for m in d["adam_m"]]
         params.adam_v = [read_array(f, v) for v in d["adam_v"]]
-    return params

@@ -80,15 +80,15 @@ class RobotConfig:
         lengths = lengths or (0.1,) * self.n_segments
         if len(lengths) != self.n_segments:
             raise ValueError("segment_lengths must have n_segments entries")
-        if not all(x > 0 for x in lengths):
-            raise ValueError("segment lengths must be positive")
+        if not all(0 < x < np.inf for x in lengths):
+            raise ValueError("segment lengths must be finite and positive")
         object.__setattr__(self, "segment_lengths", lengths)
         for name in ("u_max", "mismatch_amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.u_max > 0:
-            raise ValueError("u_max must be positive")
-        if not self.mismatch_amplitude >= 0:
-            raise ValueError("mismatch_amplitude must be non-negative")
+        if not 0 < self.u_max < np.inf:
+            raise ValueError("u_max must be finite and positive")
+        if not 0 <= self.mismatch_amplitude < np.inf:
+            raise ValueError("mismatch_amplitude must be finite and non-negative")
 
     @property
     def q_min(self) -> float:

@@ -22,8 +22,8 @@ A saved model is a JSON header line, then its arrays as raw float64;
 a load reads each array straight from the file, and the Adam moments
 only to resume training.  The header holds only what a load reads: the
 format tag, the model's fields, the robot config with its hash, and the
-network's arrays and Adam step count.  The network form is the
-program's, not the file's.
+network's arrays, plus its Adam state in a shape model file.  The
+network form is the program's, not the file's.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from .autodiff import Array, Tape, Tensor
 from .nn import (
     MlpParams,
     MlpTensors,
+    adam_from_dict,
     adam_step,
+    adam_to_dict,
     collect_mlp_grads,
     init_mlp,
     json_int,
@@ -58,6 +60,10 @@ STATE_DIM = 7  # position (3) + curvature (3) + augmentation (1)
 LOSS_EPS_SQ = 1e-24
 
 SHAPE_MODEL_FORMAT = "shape-node-v3"
+
+# the model files that carry Adam state: only a shape model resumes
+# training (train-shape --init-model); a policy is only deployed
+_ADAM_STATE_FORMATS = (SHAPE_MODEL_FORMAT,)
 
 # compute dtype of every training tape: shape training and its
 # validation, and policy training through the frozen shape model; the
@@ -459,25 +465,29 @@ def _write_model_file(
     path, fmt: str, fields: dict, params: MlpParams, config: RobotConfig
 ) -> None:
     """Model file: a JSON header (format tag, model fields, robot binding,
-    network), then the network's arrays, by :func:`~shapectl.nn.write_json`."""
+    network, with its Adam state where ``fmt`` carries it), then the
+    network's arrays, by :func:`~shapectl.nn.write_json`."""
+    network = params_to_dict(params)
+    if fmt in _ADAM_STATE_FORMATS:
+        network.update(adam_to_dict(params))
     doc = {
         "format": fmt,
         **fields,
         "robot_config": config.to_dict(),
         "robot_config_hash": robot_config_hash(config),
-        "params": params_to_dict(params),
+        "params": network,
     }
     with open(path, "wb") as f:
         write_json(f, doc)
 
 
-def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
+def _read_model_file(path, fmt: str, kind: str, build, resume: bool = False):
     """Inverse of :func:`_write_model_file`: the header parsed by
     :func:`~shapectl.nn.read_json`, the arrays read from the file.
 
     ``build(doc, params)`` makes the model from the document fields;
     returns (model, robot config).  The network holds its Adam moments
-    only to ``resume`` training (:func:`~shapectl.nn.params_from_dict`).
+    only to ``resume`` training, from a format that carries them.
     Malformed files, another format, a robot config that does not match
     its hash, a missing field (every field written is read) and weights
     that are not one network raise ``ValueError``.
@@ -493,7 +503,10 @@ def _read_model_file(path, fmt: str, kind: str, build, resume: bool):
             config = RobotConfig.from_dict(doc["robot_config"])
             if doc["robot_config_hash"] != robot_config_hash(config):
                 raise ValueError("robot config hash mismatch")
-            model = build(doc, params_from_dict(doc["params"], f, resume))
+            params = params_from_dict(doc["params"], f)
+            if fmt in _ADAM_STATE_FORMATS:
+                adam_from_dict(params, doc["params"], f, resume)
+            model = build(doc, params)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"incomplete model file: {exc!r}") from exc
     return model, config
@@ -510,9 +523,7 @@ def save_shape_model(path, model: ShapeNodeModel, config: RobotConfig) -> None:
     )
 
 
-def load_shape_model(
-    path, *, resume: bool = False
-) -> tuple[ShapeNodeModel, RobotConfig]:
+def load_shape_model(path, *, resume: bool = False) -> tuple[ShapeNodeModel, RobotConfig]:
     """Load a saved model; malformed files raise ``ValueError``.
 
     Only a model loaded to ``resume`` training holds its Adam moments.

@@ -536,7 +536,9 @@ def model_file_arrays(header: dict, payload: bytes):
 def read_model_file_oracle(path, resume: bool) -> tuple[dict, MlpParams]:
     """A model file read whole: ``json`` on its first line and
     ``np.frombuffer`` on the rest (:func:`model_file_arrays`), and its
-    network, Adam moments only to ``resume``."""
+    network.  A shape-node-v3 file also gives its step count, and its
+    Adam moments only to ``resume``; a control-node-v4 file holds no
+    Adam state, so its network has step count 0 and no moments."""
     doc = model_file_arrays(*split_model_file(Path(path).read_bytes()))
     d = doc["params"]
     params = MlpParams(
@@ -544,9 +546,10 @@ def read_model_file_oracle(path, resume: bool) -> tuple[dict, MlpParams]:
         biases=d["biases"],
         input_scale=d["input_scale"],
         output_scale=d["output_scale"],
-        step_count=d["step_count"],
     )
-    if resume:
-        params.adam_m = d["adam_m"]
-        params.adam_v = d["adam_v"]
+    if doc["format"] == "shape-node-v3":
+        params.step_count = d["step_count"]
+        if resume:
+            params.adam_m = d["adam_m"]
+            params.adam_v = d["adam_v"]
     return doc, params

@@ -993,10 +993,27 @@ def _set_robot(key, value):
     return _header_edit(edit)
 
 
+def _add_policy_adam_state(p):
+    # a policy network as control-node-v3 and earlier files held it:
+    # with its Adam moments, after one step
+    arrays = [a for layer in zip(p["weights"], p["biases"]) for a in layer]
+    p.update(
+        adam_m=[np.zeros_like(a) for a in arrays],
+        adam_v=[np.zeros_like(a) for a in arrays],
+        step_count=1,
+    )
+
+
+def _as_v3_control_file(path):
+    doc = _model_document(path)
+    _add_policy_adam_state(doc["params"])
+    return _written({**doc, "format": "control-node-v3"})
+
+
 def _v2_document(path, tag):
     # the model's document as the -v2 and -v1 layouts held it: also the
     # layer sizes, the network form, the action box and, for a policy,
-    # the step's dt and rate_scale, with no output scale
+    # its Adam state and the step's dt and rate_scale, with no output scale
     doc = _model_document(path)
     fixed = ("format", "robot_config", "robot_config_hash", "params")
     fields = {k: v for k, v in doc.items() if k not in fixed}
@@ -1004,11 +1021,12 @@ def _v2_document(path, tag):
     robot.update(q_min=-robot["u_max"], q_max=robot["u_max"])
     if "horizon" in fields:
         fields.update(dt=1.0, rate_scale=1.0)
+        _add_policy_adam_state(p)
         p["output_scale"] = None
     sizes = [p["weights"][0].shape[0], *(w.shape[1] for w in p["weights"])]
     blob = json.dumps(robot, sort_keys=True).encode("ascii")
     return {
-        "format": doc["format"].replace("-v3", tag),
+        "format": doc["format"].rsplit("-", 1)[0] + tag,
         **fields,
         "robot_config": robot,
         "robot_config_hash": hashlib.sha256(blob).hexdigest(),
@@ -1080,7 +1098,8 @@ TAMPERED_MODELS = {
     # lengths and limits are finite JSON numbers: no string, no bool, no Infinity
     "u_max_string": ("shape", _set_robot("u_max", "15"), "u_max must be a number"),
     "u_max_bool": ("shape", _set_robot("u_max", True), "u_max must be a number"),
-    "u_max_infinity": ("shape", _set_robot("u_max", float("inf")), "u_max must be a number"),
+    # the robot config refuses a non-finite length or limit
+    "u_max_infinity": ("shape", _set_robot("u_max", float("inf")), "u_max must be finite"),
     "mismatch_amplitude_string": (
         "shape",
         _set_robot("mismatch_amplitude", "0.1"),
@@ -1103,9 +1122,15 @@ TAMPERED_MODELS = {
     "negative_size": ("shape", _set_first_weight_shape([-1, 16]), "not a list of sizes"),
     "deeply_nested_header": ("shape", _deeply_nested_header, "nests deeper than the parser"),
     "v1_file": ("shape", _as_v1_file, "not a shape model file (shape-node-v3)"),
-    "v1_control_file": ("control", _as_v1_file, "not a control model file (control-node-v3)"),
+    "v1_control_file": ("control", _as_v1_file, "not a control model file (control-node-v4)"),
     "v2_file": ("shape", _as_v2_file, "not a shape model file (shape-node-v3)"),
-    "v2_control_file": ("control", _as_v2_file, "not a control model file (control-node-v3)"),
+    "v2_control_file": ("control", _as_v2_file, "not a control model file (control-node-v4)"),
+    # a policy file with Adam state, as control-node-v3 wrote it
+    "v3_control_file": (
+        "control",
+        _as_v3_control_file,
+        "not a control model file (control-node-v4)",
+    ),
 }
 
 
@@ -1197,9 +1222,13 @@ def test_every_header_key_is_read(workdir, tmp_path, monkeypatch, kind, capsys):
     assert _written(doc) == Path(path).read_bytes()
     written = _key_paths(doc)
     # top level, robot and network keys, then one record per array: the
-    # trained network's Adam moments are in the file
-    assert doc["params"]["adam_m"] and doc["params"]["adam_v"]
-    assert len(written) == {"shape": 6 + 4 + 7 + 20, "control": 5 + 4 + 7 + 14}[kind]
+    # trained shape model's Adam state is in its file, and a policy file
+    # holds none
+    if kind == "shape":
+        assert doc["params"]["adam_m"] and doc["params"]["adam_v"]
+    else:
+        assert list(doc["params"]) == ["weights", "biases", "input_scale", "output_scale"]
+    assert len(written) == {"shape": 6 + 4 + 7 + 20, "control": 5 + 4 + 4 + 6}[kind]
 
     seen = set()
     read_json = shapectl.shape_node.read_json
@@ -1227,7 +1256,8 @@ def test_every_header_key_is_read(workdir, tmp_path, monkeypatch, kind, capsys):
 
 def test_only_a_resumed_training_loads_the_adam_moments(workdir, tmp_path, monkeypatch):
     # evaluate, train-control and rollout load their models without the
-    # moments; train-shape --init-model loads the shape model's
+    # moments; train-shape --init-model loads the shape model's, and a
+    # policy file holds no step count or moments to load
     root, ini = workdir
     loaded = []
 
@@ -1264,9 +1294,9 @@ def test_only_a_resumed_training_loads_the_adam_moments(workdir, tmp_path, monke
         held[name] = list(loaded)
     assert held == {
         "evaluate shape": [("shape", 0, 0, 40)],
-        "evaluate tracking": [("shape", 0, 0, 40), ("control", 0, 0, 6)],
+        "evaluate tracking": [("shape", 0, 0, 40), ("control", 0, 0, 0)],
         "train-control": [("shape", 0, 0, 40)],
-        "rollout": [("shape", 0, 0, 40), ("control", 0, 0, 6)],
+        "rollout": [("shape", 0, 0, 40), ("control", 0, 0, 0)],
         "train-shape --init-model": [("shape", 6, 6, 40)],
     }
 

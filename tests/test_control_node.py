@@ -860,9 +860,11 @@ def test_policy_training_runs_float32_keeps_float64_state(setup1, tmp_path, monk
         assert arrays and all(a.dtype == np.float64 for a in arrays)
     path = tmp_path / "control_model.json"
     save_control_model(path, model, cfg)
+    # the file holds the network, bit for bit, and no Adam state
     saved = model_file_arrays(*split_model_file(path.read_bytes()))["params"]
-    for key, arrays in state.items():
-        for b, a in zip(saved[key], arrays, strict=True):
+    assert list(saved) == ["weights", "biases", "input_scale", "output_scale"]
+    for key in ("weights", "biases"):
+        for b, a in zip(saved[key], state[key], strict=True):
             assert b.shape == a.shape and b.tobytes() == a.tobytes()
 
 
@@ -1256,10 +1258,11 @@ def test_save_load_roundtrip(setup1, tmp_path):
 
 
 def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):
-    # a 256x256 policy with Adam moments is a 1.86 MB file; each array is
-    # written from its own buffer, so a save holds the header and no copy
-    # (24 KB traced), where writing one array's base64 at a time peaked
-    # near 1.06 MB and building the whole document's text at 7.5 MB
+    # a 256x256 policy is a 0.62 MB file, its trained network's moments
+    # left out; each array is written from its own buffer, so a save
+    # holds the header and no copy (24 KB traced), where writing one
+    # array's base64 at a time peaked near 1.06 MB and building the whole
+    # document's text at 7.5 MB
     cfg = RobotConfig(n_segments=3)
     policy = init_control_model(rng, cfg, hidden=(256, 256))
     adam_step(policy.params, [np.ones_like(a) for a in policy.params.param_arrays()], 1e-3)
@@ -1271,7 +1274,11 @@ def test_saving_a_policy_holds_one_array_at_a_time(rng, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size > 1.8e6
+    header = path.read_bytes().split(b"\n", 1)[0]
+    p = policy.params
+    arrays = sum(a.nbytes for a in [*p.param_arrays(), p.input_scale, p.output_scale])
+    assert arrays == 620_952
+    assert path.stat().st_size == len(header) + 1 + arrays
     assert peak <= 64 * 1024, peak
 
 

@@ -225,12 +225,26 @@ def test_adam_config_validation(rng):
         nn.adam_step(p, zeros, 0.0)
 
 
+def with_adam(p: nn.MlpParams) -> dict:
+    """``p`` as a shape model file writes it: the network and its Adam state."""
+    return {**nn.params_to_dict(p), **nn.adam_to_dict(p)}
+
+
+def read_with_adam(f, resume: bool) -> nn.MlpParams:
+    """The network a :func:`with_adam` document in ``f`` holds, read as a
+    shape model file is read."""
+    d = nn.read_json(f)
+    p = nn.params_from_dict(d, f)
+    nn.adam_from_dict(p, d, f, resume)
+    return p
+
+
 def reloaded(p: nn.MlpParams, resume: bool = True) -> nn.MlpParams:
-    """``p`` written as a model file writes it, then read back."""
+    """``p`` written as a shape model file writes it, then read back."""
     f = io.BytesIO()
-    nn.write_json(f, nn.params_to_dict(p))
+    nn.write_json(f, with_adam(p))
     f.seek(0)
-    return nn.params_from_dict(nn.read_json(f), f, resume)
+    return read_with_adam(f, resume)
 
 
 def test_persistence_roundtrip_bit_exact(rng):
@@ -267,7 +281,14 @@ def test_loading_to_use_skips_the_moments(rng):
         nn.adam_step(q, [np.zeros_like(a) for a in q.param_arrays()], 1e-3)
     # nor is it saved: a load refuses steps without moments
     with pytest.raises(ValueError, match="without its Adam moments cannot be saved"):
-        nn.params_to_dict(q)
+        nn.adam_to_dict(q)
+    # the network alone, as a policy file holds it, reads back with step
+    # count 0 and no moments
+    f = io.BytesIO(_written(nn.params_to_dict(q)))
+    r = nn.params_from_dict(nn.read_json(f), f)
+    assert r.step_count == 0 and r.adam_m == [] and r.adam_v == []
+    for a, b in zip(p.param_arrays(), r.param_arrays(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def _misshape_moment(d):
@@ -307,11 +328,11 @@ def _moments_before_a_step(d):
 def test_bad_moment_records_are_refused_either_way(rng, tamper, resume):
     p = nn.init_mlp(rng, [3, 8, 2])
     nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
-    d = nn.params_to_dict(p)
+    d = with_adam(p)
     tamper(d)
     f = io.BytesIO(_written(d))
     with pytest.raises(ValueError, match="Adam moment"):
-        nn.params_from_dict(nn.read_json(f), f, resume)
+        read_with_adam(f, resume)
 
 
 def test_resumed_update_identical(rng):
@@ -472,7 +493,7 @@ def test_read_json_equals_json_loads_at_every_chunk_boundary(rng, chunk, layout)
     # header re-serialized without spaces reads the same
     p = nn.init_mlp(rng, [3, 5, 2], input_scale=rng.standard_normal(3))
     nn.adam_step(p, [rng.standard_normal(a.shape) for a in p.param_arrays()], 1e-3)
-    header, payload = split_model_file(_written({**_AWKWARD_DOC, "params": nn.params_to_dict(p)}))
+    header, payload = split_model_file(_written({**_AWKWARD_DOC, "params": with_adam(p)}))
     separators = (",", ":") if layout == "compact" else None
     text = json.dumps(header, separators=separators).encode("ascii") + b"\n" + payload
     f = io.BufferedReader(io.BytesIO(text), buffer_size=chunk)

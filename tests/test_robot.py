@@ -36,11 +36,12 @@ def test_config_defaults_and_validation():
         RobotConfig(u_max=0.0)
     with pytest.raises(ValueError):
         RobotConfig(mismatch_amplitude=-0.1)
-    for nan in ("u_max", "mismatch_amplitude"):
-        with pytest.raises(ValueError):
-            RobotConfig(**{nan: float("nan")})
-    with pytest.raises(ValueError):
-        RobotConfig(n_segments=1, segment_lengths=(float("nan"),))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for name in ("u_max", "mismatch_amplitude"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RobotConfig(**{name: bad})
+        with pytest.raises(ValueError, match="segment lengths must be finite"):
+            RobotConfig(n_segments=1, segment_lengths=(bad,))
 
 
 def test_action_box_is_read_only_and_not_read_back():
@@ -67,12 +68,17 @@ def test_config_roundtrip():
     "value", ["15", True, float("inf"), float("nan")], ids=["str", "bool", "inf", "nan"]
 )
 def test_read_lengths_and_limits_are_json_numbers(key, value):
-    # float("15") and float(True) would read as numbers, and json reads
-    # Infinity and NaN, which a config file cannot hold
+    # float("15") and float(True) would read as numbers; json reads
+    # Infinity and NaN, which a config file cannot hold and the
+    # constructor refuses
     d = RobotConfig(n_segments=2).to_dict()
     d[key] = [0.1, value] if key == "segment_lengths" else value
     name = "segment length" if key == "segment_lengths" else key
-    with pytest.raises(ValueError, match=f"{name} must be a number"):
+    if isinstance(value, float):
+        message = f"{name}s? must be finite"
+    else:
+        message = f"{name} must be a number"
+    with pytest.raises(ValueError, match=message):
         RobotConfig.from_dict(d)
 
 

@@ -494,7 +494,8 @@ def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, ad
     # line 1 is json.dumps of the header written out below, each array a
     # {"shape": [...]} record, and the rest is each array's float64 bytes
     # in the header's order: for the shape model and the policy (output
-    # scale ones), fresh (no moments) or after one Adam step
+    # scale ones), fresh (no moments) or after one Adam step; only the
+    # shape model's file holds the Adam state
     cfg = RobotConfig(n_segments=3)
     if kind == "shape":
         model = init_shape_model(rng, cfg)
@@ -503,7 +504,7 @@ def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, ad
     else:
         model = control_node.init_control_model(rng, cfg)
         save = control_node.save_control_model
-        fields = {"format": "control-node-v3", "horizon": 10}
+        fields = {"format": "control-node-v4", "horizon": 10}
         assert np.array_equal(model.params.output_scale, np.ones(6))
     for _ in range(adam_steps):
         grads = [rng.standard_normal(a.shape) for a in model.params.param_arrays()]
@@ -522,28 +523,29 @@ def test_model_file_bytes_are_json_dumps_of_the_document(rng, tmp_path, kind, ad
         "u_max": 15.0,
         "mismatch_amplitude": 0.1,
     }
+    network = {
+        "weights": records(p.weights),
+        "biases": records(p.biases),
+        "input_scale": {"shape": [p.input_scale.size]},
+        "output_scale": {"shape": [p.output_scale.size]},
+    }
+    arrays = [*p.weights, *p.biases, p.input_scale, p.output_scale]
+    if kind == "shape":
+        network.update(adam_m=records(p.adam_m), adam_v=records(p.adam_v), step_count=adam_steps)
+        arrays += [*p.adam_m, *p.adam_v]
     header = {
         **fields,
         "robot_config": robot,
         "robot_config_hash": hashlib.sha256(json.dumps(robot, sort_keys=True).encode()).hexdigest(),
-        "params": {
-            "weights": records(p.weights),
-            "biases": records(p.biases),
-            "input_scale": {"shape": [p.input_scale.size]},
-            "output_scale": {"shape": [p.output_scale.size]},
-            "adam_m": records(p.adam_m),
-            "adam_v": records(p.adam_v),
-            "step_count": adam_steps,
-        },
+        "params": network,
     }
-    arrays = [*p.weights, *p.biases, p.input_scale, p.output_scale, *p.adam_m, *p.adam_v]
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + payload
 
 
 def _trained_model(rng, kind, cfg):
-    """A full-size shape model or policy after one Adam step, so its file
-    holds moments (two thirds of its bytes)."""
+    """A full-size shape model or policy after one Adam step, so a shape
+    model's file holds moments (two thirds of its bytes)."""
     if kind == "shape":
         model = init_shape_model(rng, cfg)
         fmt = shape_node.SHAPE_MODEL_FORMAT
@@ -561,7 +563,8 @@ def _trained_model(rng, kind, cfg):
 def test_streamed_model_file_equals_the_whole_file_reader(rng, tmp_path, kind, resume, layout):
     # as saved, and with its header re-serialized without spaces, the
     # reader gives the document, the robot and the network the
-    # whole-file reader gives, bit for bit
+    # whole-file reader gives, bit for bit; a policy file holds no Adam
+    # state, so even a resumed read gives it no step count or moments
     cfg = RobotConfig(n_segments=3)
     model, fmt = _trained_model(rng, kind, cfg)
     path = tmp_path / "model.json"
@@ -578,10 +581,11 @@ def test_streamed_model_file_equals_the_whole_file_reader(rng, tmp_path, kind, r
     assert config == RobotConfig.from_dict(want_doc["robot_config"]) == cfg
     del doc["params"], want_doc["params"]
     assert doc == want_doc
-    assert params.step_count == want.step_count == 1
+    assert params.step_count == want.step_count == (1 if kind == "shape" else 0)
     got_arrays = params.param_arrays() + params.adam_m + params.adam_v
     want_arrays = want.param_arrays() + want.adam_m + want.adam_v
-    assert len(want_arrays) == (6 if resume else 2) * len(model.params.weights)
+    moments = resume and kind == "shape"
+    assert len(want_arrays) == (6 if moments else 2) * len(model.params.weights)
     got_arrays += [params.input_scale, params.output_scale]
     want_arrays += [want.input_scale, want.output_scale]
     for a, b in zip(got_arrays, want_arrays, strict=True):
